@@ -1,6 +1,6 @@
 """Command-line driver.
 
-    quantplan <stage> --config experiment.json [--output DIR] [--jobs N]
+    quantplan <stage> --config experiment.json [--output DIR]
 
 Stages: gen-data, train, variants, eval, stats, report, all.
 """
@@ -22,7 +22,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="alternative to the positional stage")
     p.add_argument("--config", help="experiment config JSON (defaults apply if omitted)")
     p.add_argument("--output", help="override config output_dir")
-    p.add_argument("--jobs", type=int, default=1, help="reserved; evaluation is sequential")
     return p
 
 

@@ -5,10 +5,16 @@ flattened observation to a d-dimensional latent, the predictor maps
 (latent, action) to the next latent, and a linear probe decodes the agent
 position from the latent for diagnostics.  Backpropagation is written out
 by hand so gradients can be checked against finite differences.
+
+Every parameter lives in one contiguous float64 vector `WorldModel.theta`;
+each Stack layer's (W, b) are reshaped views into it, stack by stack in
+STACKS order (encoder, predictor, probe), each weight (out, in) followed by
+its bias (out,).  Manifest tensors ("encoder.0.weight", ...) follow the same order.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,6 +28,9 @@ HIDDEN_DIM = 64
 ENCODER_DEPTH = 4
 PREDICTOR_DEPTH = 2
 ACTION_DIM = 2
+
+# (WorldModel attribute, manifest role) per stack, in theta order
+STACKS = (("encoder", "encoder"), ("predictor", "predictor"), ("probe", "other"))
 
 
 @dataclass(frozen=True)
@@ -68,8 +77,8 @@ class Stack:
         return h
 
     def backward(self, cache: list, grad_out: np.ndarray):
-        """Returns (grad_input, [(dW, db) per layer])."""
-        grads = [None] * len(self.layers)
+        """Returns (grad_input, [dW0, db0, dW1, db1, ...])."""
+        grads = [None] * (2 * len(self.layers))
         g = grad_out
         k = len(cache)
         for i in range(len(self.layers) - 1, -1, -1):
@@ -80,7 +89,7 @@ class Stack:
             k -= 1
             x_in = cache[k]
             W, _ = self.layers[i]
-            grads[i] = (g.T @ x_in, g.sum(axis=0))
+            grads[2 * i : 2 * i + 2] = g.T @ x_in, g.sum(axis=0)
             g = g @ W
         return g, grads
 
@@ -89,11 +98,28 @@ class Stack:
 
 
 class WorldModel:
-    def __init__(self, encoder: Stack, predictor: Stack, probe: Stack, metadata: dict | None = None):
-        self.encoder = encoder
-        self.predictor = predictor
-        self.probe = probe
+    """Encoder, predictor and probe Stacks whose layers are views into `theta`;
+    `dims` maps each STACKS attribute to its (out, in) layer shapes."""
+
+    def __init__(self, dims: dict[str, list[tuple[int, int]]], metadata: dict | None = None):
+        self.dims = dims
+        self.theta = np.zeros(sum(o * i + o for name, _ in STACKS for o, i in dims[name]))
+        offset = 0
+        for name, _ in STACKS:
+            layers = []
+            for out_d, in_d in dims[name]:
+                W = self.theta[offset : offset + out_d * in_d].reshape(out_d, in_d)
+                offset += W.size
+                layers.append((W, self.theta[offset : offset + out_d]))
+                offset += out_d
+            setattr(self, name, Stack(layers))
         self.metadata = metadata or {}
+
+    def __deepcopy__(self, memo):
+        # a field-by-field copy would detach the layer views from theta
+        wm = WorldModel(self.dims, copy.deepcopy(self.metadata, memo))
+        wm.theta[...] = self.theta
+        return wm
 
     # -- forward passes ----------------------------------------------------
 
@@ -125,28 +151,21 @@ class WorldModel:
 
     # -- parameter plumbing ------------------------------------------------
 
-    def stacks(self) -> list[tuple[str, Stack]]:
-        return [("encoder", self.encoder), ("predictor", self.predictor), ("other", self.probe)]
-
-    def params(self) -> list[np.ndarray]:
-        out = []
-        for _, s in self.stacks():
-            for W, b in s.layers:
-                out.extend([W, b])
-        return out
+    def named_params(self):
+        """(name, role, layer_index, kind, view) per parameter tensor, in theta order."""
+        for name, role in STACKS:
+            for i, (W, b) in enumerate(getattr(self, name).layers):
+                yield f"{name}.{i}.weight", role, i, "linear_weight", W
+                yield f"{name}.{i}.bias", role, i, "linear_bias", b
 
     def params_vector(self) -> np.ndarray:
-        return np.concatenate([p.reshape(-1) for p in self.params()])
+        return self.theta.copy()
 
     def set_params_vector(self, v: np.ndarray) -> None:
-        i = 0
-        for p in self.params():
-            p[...] = v[i : i + p.size].reshape(p.shape)
-            i += p.size
+        self.theta[...] = v
 
     def snap_float32(self) -> None:
-        for p in self.params():
-            p[...] = p.astype(np.float32).astype(np.float64)
+        self.theta[...] = self.theta.astype(np.float32)
 
     def flops_per_encode(self) -> int:
         return self.encoder.flops()
@@ -156,41 +175,33 @@ class WorldModel:
 
     # -- manifest round trip -------------------------------------------------
 
-    _ROLE_NAMES = {"encoder": "encoder", "predictor": "predictor", "other": "probe"}
-
     def to_model(self) -> Model:
-        tensors = []
-        for role, stack in self.stacks():
-            base = self._ROLE_NAMES[role]
-            for i, (W, b) in enumerate(stack.layers):
-                tensors.append(
-                    TensorRecord(f"{base}.{i}.weight", role, i, "linear_weight", W.shape, W)
-                )
-                tensors.append(
-                    TensorRecord(f"{base}.{i}.bias", role, i, "linear_bias", b.shape, b)
-                )
+        tensors = [
+            TensorRecord(name, role, i, kind, p.shape, p)
+            for name, role, i, kind, p in self.named_params()
+        ]
         return Model(tensors=tensors, extras=dict(self.metadata))
 
     @classmethod
     def from_model(cls, model: Model) -> "WorldModel":
-        stacks = {}
-        for role in ("encoder", "predictor", "other"):
-            ws = sorted(
-                (t for t in model.tensors if t.role == role and t.kind == "linear_weight"),
-                key=lambda t: t.layer_index,
-            )
-            layers = []
-            for w in ws:
-                bias = next(
-                    t
-                    for t in model.tensors
-                    if t.role == role and t.kind == "linear_bias" and t.layer_index == w.layer_index
-                )
-                layers.append(
-                    (w.data.astype(np.float64), bias.data.astype(np.float64))
-                )
-            stacks[role] = Stack(layers)
-        return cls(stacks["encoder"], stacks["predictor"], stacks["other"], dict(model.extras))
+        by_name = {t.name: t.data for t in model.tensors}
+
+        def lookup(name: str) -> np.ndarray:
+            if name not in by_name:
+                raise ValidationError(f"model has no tensor {name!r}")
+            return by_name[name]
+
+        dims = {
+            name: [lookup(f"{name}.{i}.weight").shape for i in range(model.n_layers(role))]
+            for name, role in STACKS
+        }
+        wm = cls(dims, dict(model.extras))
+        for name, _, _, _, p in wm.named_params():
+            data = lookup(name)
+            if data.shape != p.shape:
+                raise ValidationError(f"tensor {name!r} has shape {data.shape}, expected {p.shape}")
+            p[...] = data
+        return wm
 
 
 def init_world_model(
@@ -202,18 +213,18 @@ def init_world_model(
     predictor_depth: int = PREDICTOR_DEPTH,
 ) -> WorldModel:
     gen = rng.stream(master_seed, "init", seed)
-
-    def make(dims):
-        layers = []
-        for out_d, in_d in dims:
-            bound = np.sqrt(6.0 / (in_d + out_d))
-            layers.append((gen.uniform(-bound, bound, (out_d, in_d)), np.zeros(out_d)))
-        return Stack(layers)
-
-    enc = make(_mlp_dims(obs_dim, latent_dim, encoder_depth))
-    pred = make(_mlp_dims(latent_dim + ACTION_DIM, latent_dim, predictor_depth))
-    probe = make(_mlp_dims(latent_dim, 2, 1))
-    return WorldModel(enc, pred, probe)
+    wm = WorldModel(
+        {
+            "encoder": _mlp_dims(obs_dim, latent_dim, encoder_depth),
+            "predictor": _mlp_dims(latent_dim + ACTION_DIM, latent_dim, predictor_depth),
+            "probe": _mlp_dims(latent_dim, 2, 1),
+        }
+    )
+    for _, _, _, kind, p in wm.named_params():
+        if kind == "linear_weight":
+            bound = np.sqrt(6.0 / sum(p.shape))
+            p[...] = gen.uniform(-bound, bound, p.shape)
+    return wm
 
 
 def loss_and_grads(wm: WorldModel, obs, action, next_obs, state, pw: float, sw: float):
@@ -239,14 +250,8 @@ def loss_and_grads(wm: WorldModel, obs, action, next_obs, state, pw: float, sw: 
     _, g_enc_layers = wm.encoder.backward(c_enc, g_z)
     _, g_next_layers = wm.encoder.backward(c_next, -2.0 * pw * r_pred / n)
 
-    grads = []
-    for ga, gb in zip(g_enc_layers, g_next_layers):
-        grads.extend([ga[0] + gb[0], ga[1] + gb[1]])
-    for g in g_pred_layers:
-        grads.extend([g[0], g[1]])
-    for g in g_probe_layers:
-        grads.extend([g[0], g[1]])
-    return loss, grads
+    g_enc = [ga + gb for ga, gb in zip(g_enc_layers, g_next_layers)]
+    return loss, g_enc + g_pred_layers + g_probe_layers
 
 
 def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldModel:
@@ -257,9 +262,9 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
     wm = init_world_model(obs_dim, master_seed=master_seed, seed=cfg.seed)
     order_gen = rng.stream(master_seed, "train", cfg.seed)
 
-    params = wm.params()
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    theta = wm.theta
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
 
@@ -283,14 +288,14 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
             )
             if not np.isfinite(loss):
                 raise TrainingDivergenceError(f"non-finite training loss: {loss}")
+            g = np.concatenate([gi.reshape(-1) for gi in grads])
             t += 1
             lr_t = cfg.learning_rate * np.sqrt(1 - beta2**t) / (1 - beta1**t)
-            for p, g, mi, vi in zip(params, grads, m, v):
-                mi *= beta1
-                mi += (1 - beta1) * g
-                vi *= beta2
-                vi += (1 - beta2) * g * g
-                p -= lr_t * mi / (np.sqrt(vi) + eps)
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * g * g
+            theta -= lr_t * m / (np.sqrt(v) + eps)
 
     final_loss, _ = loss_and_grads(
         wm, dataset.obs, dataset.action, dataset.next_obs, dataset.state, pw, sw
@@ -313,9 +318,9 @@ def fit_state_probe(wm: WorldModel, dataset) -> WorldModel:
     z = wm.encode(dataset.obs)
     A = np.hstack([z, np.ones((z.shape[0], 1))])
     sol, _, rank, _ = np.linalg.lstsq(A, dataset.state, rcond=None)
-    W = sol[:-1].T.copy()
-    b = sol[-1].copy()
-    wm.probe.layers[0] = (W, b)
+    W, b = wm.probe.layers[0]
+    W[...] = sol[:-1].T  # in place, so the probe stays a view into theta
+    b[...] = sol[-1]
     wm.snap_float32()
     if rank < A.shape[1]:
         wm.metadata["probe_fit_warning"] = f"rank-deficient probe fit (rank {rank})"

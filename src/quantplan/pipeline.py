@@ -27,17 +27,16 @@ import numpy as np
 from . import rng
 from .config import ExperimentConfig
 from .env import dataset_from_model, dataset_to_model, gen_dataset
-from .errors import StageError
+from .errors import StageError, ValidationError
 from .nn import WorldModel, fit_state_probe, train_world_model
 from .planner import (
     EpisodeRecord,
-    PreparedVariant,
     RunSet,
     read_episodes_csv,
     run_paired_eval,
     write_episodes_csv,
 )
-from .policies import apply_policy, policy_for_name
+from .policies import VariantModel, apply_policy, policy_for_name
 from .stats import (
     compare_records,
     difficulty_bins,
@@ -121,13 +120,13 @@ def stage_eval(cfg: ExperimentConfig) -> RunSet:
     _require(out / "sizes.json", "variants")
     sizes = json.loads((out / "sizes.json").read_text())["sizes"]
     fp_wm = WorldModel.from_model(load_model(out / "model"))
-    prepared = []
+    variants = []
     for name in cfg.variants:
         _require(out / "variants" / name / "manifest.json", "variants")
-        wm = WorldModel.from_model(load_model(out / "variants" / name))
-        prepared.append(PreparedVariant(name, wm, sizes[name]["size_bytes"]))
+        model = load_model(out / "variants" / name)
+        variants.append(VariantModel(name, model, sizes[name]["size_bytes"], policy_for_name(name)))
     run_set = run_paired_eval(
-        prepared,
+        variants,
         fp_wm,
         {name: (bs.budget, bs.seeds) for name, bs in cfg.budgets.items()},
         cfg.env,
@@ -248,7 +247,7 @@ def compute_stats(records: list[EpisodeRecord], cfg: ExperimentConfig) -> dict:
             correlations[f"spearman_success_vs_{diag}"] = spearman(
                 succ, [p[diag] for p in run_points]
             )
-        except Exception:
+        except ValidationError:
             correlations[f"spearman_success_vs_{diag}"] = None
 
     return {

@@ -80,17 +80,6 @@ class RunSet:
     metadata: dict = field(default_factory=dict)
 
 
-@dataclass
-class PreparedVariant:
-    name: str
-    wm: WorldModel
-    size_bytes: int
-
-    @classmethod
-    def from_variant_model(cls, v: VariantModel) -> "PreparedVariant":
-        return cls(v.variant_name, WorldModel.from_model(v.model), v.size_bytes)
-
-
 def plan_actions(
     wm: WorldModel,
     current_obs: np.ndarray,
@@ -154,7 +143,7 @@ def plan_actions(
 
 
 def run_episode(
-    variant: PreparedVariant,
+    variant: VariantModel,
     fp_wm: WorldModel,
     spec: EpisodeSpec,
     budget: PlannerBudget,
@@ -164,6 +153,7 @@ def run_episode(
     master_seed: int = 0,
 ) -> EpisodeRecord:
     """Execute one goal-conditioned episode under the MPC loop."""
+    wm = variant.wm
     gen = rng.stream(master_seed, "plan", spec.seed, spec.episode_id)
     state = np.array(spec.start, dtype=np.float64)
     goal = np.array(spec.goal, dtype=np.float64)
@@ -181,26 +171,24 @@ def run_episode(
         for _ in range(budget.max_iter):
             obs = render(state, env_cfg)
             try:
-                plan, info = plan_actions(
-                    variant.wm, obs, goal_obs, budget, cem, gen, env_cfg.max_step
-                )
+                plan, info = plan_actions(wm, obs, goal_obs, budget, cem, gen, env_cfg.max_step)
             except PlanningError:
                 failed = True
                 break
             n_enc += info["n_encodes"]
             n_pred += info["n_predicts"]
-            z_var = variant.wm.encode(obs)
+            z_var = wm.encode(obs)
             n_enc += 1
             for a in plan:
                 state = step(state, a, env_cfg)
                 steps += 1
-                z_var = variant.wm.predict_next(z_var, a)
+                z_var = wm.predict_next(z_var, a)
                 n_pred += 1
                 obs_t = render(state, env_cfg)
                 pos_hat = fp_wm.probe_decode(z_var)
                 state_dists.append(float(np.linalg.norm(pos_hat - state)))
                 embed_divs.append(
-                    float(np.linalg.norm(variant.wm.encode(obs_t) - fp_wm.encode(obs_t)))
+                    float(np.linalg.norm(wm.encode(obs_t) - fp_wm.encode(obs_t)))
                 )
                 n_enc += 2
                 if np.linalg.norm(state - goal) <= tau:
@@ -210,12 +198,12 @@ def run_episode(
                 break
 
     flops = (
-        n_enc * variant.wm.flops_per_encode()
-        + n_pred * variant.wm.flops_per_predict()
+        n_enc * wm.flops_per_encode()
+        + n_pred * wm.flops_per_predict()
         + len(state_dists) * fp_wm.probe.flops()
     )
     return EpisodeRecord(
-        variant_name=variant.name,
+        variant_name=variant.variant_name,
         budget_name=budget_name,
         seed=spec.seed,
         episode_id=spec.episode_id,
@@ -230,7 +218,7 @@ def run_episode(
 
 
 def run_paired_eval(
-    variants: list[VariantModel | PreparedVariant],
+    variants: list[VariantModel],
     fp_wm: WorldModel,
     budgets: dict[str, tuple[PlannerBudget, list[int]]],
     env_cfg: WallEnvConfig,
@@ -241,11 +229,7 @@ def run_paired_eval(
     """Evaluate every variant on the identical paired episode specs."""
     if not variants:
         raise ValidationError("no variants to evaluate")
-    prepared = [
-        v if isinstance(v, PreparedVariant) else PreparedVariant.from_variant_model(v)
-        for v in variants
-    ]
-    names = [p.name for p in prepared]
+    names = [v.variant_name for v in variants]
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate variant names in {names}")
 
@@ -254,11 +238,11 @@ def run_paired_eval(
         budget, seeds = budgets[budget_name]
         for seed in seeds:
             specs = sample_episode_specs(seed, episodes_per_run, env_cfg, master_seed)
-            for p in prepared:
+            for v in variants:
                 for spec in specs:
                     records.append(
                         run_episode(
-                            p, fp_wm, spec, budget, budget_name, cem, env_cfg, master_seed
+                            v, fp_wm, spec, budget, budget_name, cem, env_cfg, master_seed
                         )
                     )
     records.sort(key=lambda r: (r.variant_name, r.budget_name, r.seed, r.episode_id))

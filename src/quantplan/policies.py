@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationError
+from .nn import WorldModel
 from .quant import fake_quantize_tensor
 from .store import Model, TensorRecord, model_size_bytes
 
@@ -77,6 +79,11 @@ class VariantModel:
     model: Model
     size_bytes: int
     policy: AllocationPolicy
+
+    @cached_property
+    def wm(self) -> WorldModel:
+        """The variant's weights as a WorldModel, built once on first use."""
+        return WorldModel.from_model(self.model)
 
 
 def bits_for_tensor(

@@ -172,6 +172,9 @@ def load_model(path: str | Path) -> Model:
     for key in ("format_version", "baseline_bits", "tensors"):
         if key not in manifest:
             raise ValidationError(f"manifest missing required field {key!r}")
+    if manifest["format_version"] != FORMAT_VERSION:
+        version = manifest["format_version"]
+        raise ValidationError(f"{manifest_path}: unsupported format_version {version!r}")
     blob = blob_path.read_bytes()
     expected_crc = manifest.get("blob_crc32")
     if expected_crc is not None and zlib.crc32(blob) != expected_crc:

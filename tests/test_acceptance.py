@@ -32,7 +32,7 @@ from quantplan import (
 from quantplan.config import ExperimentConfig, config_from_dict
 from quantplan.nn import init_world_model, loss_and_grads
 from quantplan.pipeline import compute_stats, run_stage
-from quantplan.planner import CEMConfig, PlannerBudget, PreparedVariant, run_paired_eval
+from quantplan.planner import CEMConfig, PlannerBudget, run_paired_eval
 
 from test_stats import REFERENCE_FRONTIER_ROWS, spearman_oracle, sign_test_oracle, pareto_oracle
 

@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+from quantplan import rng as qrng
 from quantplan import (
     TrainConfig,
     ValidationError,
@@ -91,6 +94,59 @@ def test_training_deterministic(env_cfg):
     np.testing.assert_array_equal(a.params_vector(), b.params_vector())
 
 
+def reference_adam(ds, cfg: TrainConfig) -> np.ndarray:
+    """train_world_model with the Adam update written tensor by tensor."""
+    wm = init_world_model(ds.obs.shape[1], seed=cfg.seed)
+    params = [p for *_, p in wm.named_params()]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    order_gen = qrng.stream(0, "train", cfg.seed)
+    t = 0
+    for _ in range(cfg.epochs):
+        perm = order_gen.permutation(len(ds))
+        for lo in range(0, len(ds), cfg.batch_size):
+            idx = perm[lo : lo + cfg.batch_size]
+            _, grads = loss_and_grads(
+                wm, ds.obs[idx], ds.action[idx], ds.next_obs[idx], ds.state[idx],
+                cfg.prediction_loss_weight, cfg.state_loss_weight,
+            )
+            t += 1
+            lr_t = cfg.learning_rate * np.sqrt(1 - 0.999**t) / (1 - 0.9**t)
+            for p, g, mi, vi in zip(params, grads, m, v):
+                mi *= 0.9
+                mi += (1 - 0.9) * g
+                vi *= 0.999
+                vi += (1 - 0.999) * g * g
+                p -= lr_t * mi / (np.sqrt(vi) + 1e-8)
+    flat = np.concatenate([p.reshape(-1) for p in params])
+    return flat.astype(np.float32).astype(np.float64)
+
+
+def test_flat_adam_matches_per_tensor_reference(env_cfg):
+    ds = gen_dataset(20, 5, 0, env_cfg)
+    cfg = TrainConfig(epochs=2)
+    np.testing.assert_array_equal(
+        train_world_model(ds, cfg).params_vector(), reference_adam(ds, cfg)
+    )
+
+
+def test_layers_are_views_into_theta(env_cfg):
+    ds = gen_dataset(20, 5, 0, env_cfg)
+    wm = train_world_model(ds, TrainConfig(epochs=1))
+    fit_state_probe(wm, ds)
+    twin = copy.deepcopy(wm)
+    for model in (wm, twin):
+        for stack in (model.encoder, model.predictor, model.probe):
+            for W, b in stack.layers:
+                assert np.shares_memory(W, model.theta) and np.shares_memory(b, model.theta)
+    assert not np.shares_memory(twin.theta, wm.theta)
+    np.testing.assert_array_equal(twin.theta, wm.theta)
+    before = wm.encode(ds.obs[0])
+    wm.set_params_vector(0.5 * wm.params_vector())
+    assert not np.array_equal(wm.encode(ds.obs[0]), before)
+    np.testing.assert_array_equal(twin.encode(ds.obs[0]), before)
+
+
 def test_training_validation(env_cfg):
     ds = gen_dataset(1, 1, 0, env_cfg)
     empty = Dataset(ds.obs[:0], ds.action[:0], ds.next_obs[:0], ds.state[:0], ds.next_state[:0], env_cfg)
@@ -149,6 +205,18 @@ def test_manifest_round_trip_preserves_roles(trained_model, tmp_path):
     obs = np.linspace(0, 1, 256)
     np.testing.assert_array_equal(back.encode(obs), trained_model.encode(obs))
     assert load_model(tmp_path).n_layers("encoder") == 4
+
+
+def test_from_model_looks_up_tensors_by_name(trained_model, rng):
+    m = trained_model.to_model()
+    m.tensors = [m.tensors[i] for i in rng.permutation(len(m.tensors))]
+    obs = np.linspace(0, 1, 256)
+    np.testing.assert_array_equal(
+        WorldModel.from_model(m).encode(obs), trained_model.encode(obs)
+    )
+    m.tensors = [t for t in m.tensors if t.name != "predictor.1.bias"]
+    with pytest.raises(ValidationError, match="predictor.1.bias"):
+        WorldModel.from_model(m)
 
 
 def test_quantized_encoder_bounded_divergence(trained_model, rng):

@@ -5,6 +5,7 @@ from quantplan import (
     CEMConfig,
     PlannerBudget,
     ValidationError,
+    VariantModel,
     apply_policy,
     policy_for_name,
     render,
@@ -15,7 +16,6 @@ from quantplan.env import EpisodeSpec
 from quantplan.nn import Stack, WorldModel, init_world_model
 from quantplan.planner import (
     EPISODES_CSV_HEADER,
-    PreparedVariant,
     episodes_to_csv,
     plan_actions,
     read_episodes_csv,
@@ -31,13 +31,10 @@ BB = PlannerBudget(12, 3, 3)
 @pytest.fixture(scope="module")
 def prepared(trained_model):
     base = trained_model.to_model()
-
-    def make(name):
-        return PreparedVariant.from_variant_model(
-            apply_policy(base, policy_for_name(name), name)
-        )
-
-    return {n: make(n) for n in ("fp16", "uniform_int8", "uniform_int3")}
+    return {
+        n: apply_policy(base, policy_for_name(n), n)
+        for n in ("fp16", "uniform_int8", "uniform_int3")
+    }
 
 
 def test_plan_deterministic(trained_model, env_cfg):
@@ -114,7 +111,8 @@ def test_paired_eval_counts_and_pairing(prepared, trained_model, env_cfg):
 
 
 def test_same_weights_two_names_identical_records(prepared, trained_model, env_cfg):
-    twin = PreparedVariant("fp16_twin", prepared["fp16"].wm, prepared["fp16"].size_bytes)
+    fp16 = prepared["fp16"]
+    twin = VariantModel("fp16_twin", fp16.model, fp16.size_bytes, fp16.policy)
     rs = run_paired_eval(
         [prepared["fp16"], twin],
         trained_model,
@@ -130,6 +128,19 @@ def test_same_weights_two_names_identical_records(prepared, trained_model, env_c
         for f in ("success", "steps_executed", "runtime_seconds",
                   "mean_state_distance", "visual_embedding_divergence"):
             assert getattr(ra, f) == getattr(rb, f)
+
+
+def test_other_variants_leave_records_unchanged(prepared, trained_model, env_cfg):
+    def uniform_int8_csv(names):
+        rs = run_paired_eval(
+            [prepared[n] for n in names], trained_model, {"bA": (BA, [0])}, env_cfg,
+            CEMConfig(), episodes_per_run=3,
+        )
+        return episodes_to_csv([r for r in rs.records if r.variant_name == "uniform_int8"])
+
+    alone = uniform_int8_csv(["uniform_int8"])
+    assert alone.count("\n") == 4
+    assert alone == uniform_int8_csv(["fp16", "uniform_int8", "uniform_int3"])
 
 
 def test_duplicate_variant_names_rejected(prepared, trained_model, env_cfg):

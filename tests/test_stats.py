@@ -144,6 +144,23 @@ def test_spearman_matches_oracle(rng):
         assert spearman(x, y) == pytest.approx(spearman_oracle(x, y), abs=1e-12)
 
 
+def test_compute_stats_spearman_none_only_when_undefined(monkeypatch):
+    from quantplan import pipeline
+    from quantplan.config import ExperimentConfig
+
+    records = [rec(v, "bA", 0, ep, 0) for v in ("a", "b", "c") for ep in range(3)]
+    correlations = pipeline.compute_stats(records, ExperimentConfig())["correlations.json"]
+    assert correlations["spearman_success_vs_mean_state_distance"] is None
+    assert correlations["spearman_success_vs_visual_embedding_divergence"] is None
+
+    def broken(x, y):
+        raise RuntimeError("bug inside spearman")
+
+    monkeypatch.setattr(pipeline, "spearman", broken)
+    with pytest.raises(RuntimeError, match="bug inside spearman"):
+        pipeline.compute_stats(records, ExperimentConfig())
+
+
 # ---- difficulty bins ----------------------------------------------------------
 
 

@@ -82,6 +82,15 @@ def test_overlapping_offsets_rejected(tmp_path):
         load_model(tmp_path)
 
 
+def test_unknown_format_version_rejected(tmp_path):
+    persist_model(small_model(), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["format_version"] = 2
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValidationError, match="format_version"):
+        load_model(tmp_path)
+
+
 def test_unknown_role_rejected(tmp_path):
     persist_model(small_model(), tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
