@@ -18,8 +18,6 @@ from .pipeline import STAGES, run_stage
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="quantplan", description=__doc__)
     p.add_argument("stage", nargs="?", choices=("all",) + STAGES, help="pipeline stage to run")
-    p.add_argument("--stage", dest="stage_flag", choices=("all",) + STAGES,
-                   help="alternative to the positional stage")
     p.add_argument("--config", help="experiment config JSON (defaults apply if omitted)")
     p.add_argument("--output", help="override config output_dir")
     return p
@@ -27,15 +25,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    stage = args.stage or args.stage_flag
-    if stage is None:
-        print("error: no stage given (positional or --stage)", file=sys.stderr)
+    if args.stage is None:
+        print("error: no stage given", file=sys.stderr)
         return 2
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.output:
             cfg.output_dir = args.output
-        run_stage(cfg, stage)
+        run_stage(cfg, args.stage)
     except (ValidationError, StageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

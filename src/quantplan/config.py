@@ -1,11 +1,18 @@
-"""Experiment configuration: JSON file -> validated dataclasses."""
+"""Experiment configuration: JSON file -> validated dataclasses.
+
+The dataclasses are the schema: their fields name the keys a config file may
+give, their annotations the JSON types each key accepts, and their defaults
+fill every key the file leaves out.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .env import WallEnvConfig
 from .errors import ValidationError
@@ -13,16 +20,7 @@ from .nn import TrainConfig
 from .planner import CEMConfig, PlannerBudget
 from .policies import ALL_VARIANT_NAMES, CORE_VARIANT_NAMES
 
-DEFAULT_BUDGETS = {
-    "bA": {"goal_h": 9, "opt_steps": 2, "max_iter": 2, "seeds": [0, 1, 2]},
-    "bB": {"goal_h": 12, "opt_steps": 3, "max_iter": 3, "seeds": [0, 1]},
-}
-
-
-@dataclass
-class BudgetSpec:
-    budget: PlannerBudget
-    seeds: list[int]
+VARIANT_KEYWORDS = {"core": CORE_VARIANT_NAMES, "all": ALL_VARIANT_NAMES}
 
 
 @dataclass
@@ -41,7 +39,12 @@ class ExperimentConfig:
     env: WallEnvConfig = field(default_factory=WallEnvConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    budgets: dict[str, BudgetSpec] = field(default_factory=dict)
+    budgets: dict[str, PlannerBudget] = field(
+        default_factory=lambda: {
+            "bA": PlannerBudget(goal_h=9, opt_steps=2, max_iter=2, seeds=(0, 1, 2)),
+            "bB": PlannerBudget(goal_h=12, opt_steps=3, max_iter=3, seeds=(0, 1)),
+        }
+    )
     cem: CEMConfig = field(default_factory=CEMConfig)
     episodes_per_run: int = 10
     variants: list[str] = field(default_factory=lambda: list(CORE_VARIANT_NAMES))
@@ -50,83 +53,70 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.budgets:
-            self.budgets = {
-                name: BudgetSpec(
-                    PlannerBudget(d["goal_h"], d["opt_steps"], d["max_iter"]), list(d["seeds"])
-                )
-                for name, d in DEFAULT_BUDGETS.items()
-            }
+            raise ValidationError("budgets must name at least one budget")
         if self.episodes_per_run < 1:
             raise ValidationError("episodes_per_run must be >= 1")
-
-    def resolved(self) -> dict:
-        d = asdict(self)
-        d["budgets"] = {
-            name: {**asdict(bs.budget), "seeds": bs.seeds} for name, bs in self.budgets.items()
-        }
-        return d
+        for name in self.variants:
+            if name not in ALL_VARIANT_NAMES:
+                raise ValidationError(f"variants: unknown variant {name!r}")
+        if len(set(self.variants)) != len(self.variants):
+            raise ValidationError(f"variants: duplicate names in {self.variants}")
 
     def config_hash(self) -> str:
-        # output_dir is a destination, not part of the experiment identity
-        resolved = {k: v for k, v in self.resolved().items() if k != "output_dir"}
-        canon = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+        d = asdict(self)
+        del d["output_dir"]  # a destination, not part of the experiment identity
+        canon = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _build(cls, data: dict, path: str):
+def _value(value, hint, path: str):
+    """value checked against the annotation hint of the field at path."""
+    if is_dataclass(hint):
+        return _build(hint, value, path)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ValidationError(f"config field {path}: expected an object, got {value!r}")
+        return {k: _value(v, args[1], f"{path}.{k}") for k, v in value.items()}
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise ValidationError(f"config field {path}: expected a list, got {value!r}")
+        return origin(_value(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
+    # type(), not isinstance(): bool is an int subclass, and JSON true is not a number
+    if hint is float:
+        ok = type(value) in (int, float) and math.isfinite(value)
+    else:
+        ok = type(value) is hint
+    if not ok:
+        raise ValidationError(f"config field {path}: expected {hint.__name__}, got {value!r}")
+    return value
+
+
+def _build(cls, data, path: str):
+    """cls from the keys data gives; the fields of cls supply every other value."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"config field {path or '<root>'}: expected an object, got {data!r}")
+    hints = get_type_hints(cls)
+    names = {f.name for f in fields(cls)}
+    kwargs = {}
+    for key, value in data.items():
+        where = f"{path}.{key}" if path else key
+        if key not in names:
+            raise ValidationError(f"config field {where}: unknown field")
+        kwargs[key] = _value(value, hints[key], where)
     try:
-        return cls(**data)
-    except TypeError as e:
-        raise ValidationError(f"config field {path}: {e}") from e
-    except ValidationError as e:
-        raise ValidationError(f"config field {path}: {e}") from e
-
-
-def _resolve_variants(v, path: str) -> list[str]:
-    if v == "core":
-        return list(CORE_VARIANT_NAMES)
-    if v == "all":
-        return list(ALL_VARIANT_NAMES)
-    if isinstance(v, list):
-        for name in v:
-            if name not in ALL_VARIANT_NAMES:
-                raise ValidationError(f"config field {path}: unknown variant {name!r}")
-        return list(v)
-    raise ValidationError(f"config field {path}: expected 'core', 'all' or a list")
+        return cls(**kwargs)
+    except (TypeError, ValidationError) as e:  # TypeError: a required field is missing
+        raise ValidationError(f"config field {path or '<root>'}: {e}") from e
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ValidationError("config root must be a JSON object")
-    known = {
-        "env", "train", "dataset", "budgets", "cem",
-        "episodes_per_run", "variants", "output_dir", "master_seed",
-    }
-    for key in data:
-        if key not in known:
-            raise ValidationError(f"config field {key}: unknown field")
-    budgets = {}
-    for name, d in data.get("budgets", DEFAULT_BUDGETS).items():
-        d = dict(d)
-        seeds = d.pop("seeds", None)
-        if not seeds:
-            raise ValidationError(f"config field budgets.{name}.seeds: required non-empty list")
-        budgets[name] = BudgetSpec(_build(PlannerBudget, d, f"budgets.{name}"), list(seeds))
-    return _build(
-        ExperimentConfig,
-        {
-            "env": _build(WallEnvConfig, data.get("env", {}), "env"),
-            "train": _build(TrainConfig, data.get("train", {}), "train"),
-            "dataset": _build(DatasetConfig, data.get("dataset", {}), "dataset"),
-            "budgets": budgets,
-            "cem": _build(CEMConfig, data.get("cem", {}), "cem"),
-            "episodes_per_run": data.get("episodes_per_run", 10),
-            "variants": _resolve_variants(data.get("variants", "core"), "variants"),
-            "output_dir": data.get("output_dir", "out"),
-            "master_seed": data.get("master_seed", 0),
-        },
-        "<root>",
-    )
+    variants = data.get("variants") if isinstance(data, dict) else None
+    if isinstance(variants, str):
+        if variants not in VARIANT_KEYWORDS:
+            raise ValidationError("config field variants: expected 'core', 'all' or a list")
+        data = {**data, "variants": list(VARIANT_KEYWORDS[variants])}
+    return _build(ExperimentConfig, data, "")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

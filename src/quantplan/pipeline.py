@@ -128,7 +128,7 @@ def stage_eval(cfg: ExperimentConfig) -> RunSet:
     run_set = run_paired_eval(
         variants,
         fp_wm,
-        {name: (bs.budget, bs.seeds) for name, bs in cfg.budgets.items()},
+        cfg.budgets,
         cfg.env,
         cfg.cem,
         episodes_per_run=cfg.episodes_per_run,

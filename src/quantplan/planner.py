@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import PlanningError, ValidationError
 from .nn import WorldModel
 from .policies import VariantModel
 
+# on-disk column names, one per EpisodeRecord field, in field order
 EPISODES_CSV_HEADER = (
     "variant,budget,seed,episode_id,success,initial_goal_distance,steps_executed,"
     "runtime_seconds,mean_state_distance,visual_embedding_divergence,model_size_bytes"
@@ -36,13 +37,18 @@ NOMINAL_FLOPS_PER_SECOND = 1e9
 
 @dataclass(frozen=True)
 class PlannerBudget:
+    """One planner budget and the seeds of the runs evaluated under it."""
+
     goal_h: int
     opt_steps: int
     max_iter: int
+    seeds: tuple[int, ...]
 
     def __post_init__(self):
         if min(self.goal_h, self.opt_steps, self.max_iter) < 1:
             raise ValidationError("budget fields must all be >= 1")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ValidationError(f"seeds must be non-empty and distinct, got {list(self.seeds)}")
 
 
 @dataclass(frozen=True)
@@ -220,7 +226,7 @@ def run_episode(
 def run_paired_eval(
     variants: list[VariantModel],
     fp_wm: WorldModel,
-    budgets: dict[str, tuple[PlannerBudget, list[int]]],
+    budgets: dict[str, PlannerBudget],
     env_cfg: WallEnvConfig,
     cem: CEMConfig,
     episodes_per_run: int = 10,
@@ -235,8 +241,8 @@ def run_paired_eval(
 
     records = []
     for budget_name in sorted(budgets):
-        budget, seeds = budgets[budget_name]
-        for seed in seeds:
+        budget = budgets[budget_name]
+        for seed in budget.seeds:
             specs = sample_episode_specs(seed, episodes_per_run, env_cfg, master_seed)
             for v in variants:
                 for spec in specs:
@@ -248,11 +254,7 @@ def run_paired_eval(
     records.sort(key=lambda r: (r.variant_name, r.budget_name, r.seed, r.episode_id))
     metadata = {
         "episodes_per_run": episodes_per_run,
-        "budgets": {
-            name: {"goal_h": b.goal_h, "opt_steps": b.opt_steps, "max_iter": b.max_iter,
-                   "seeds": list(seeds)}
-            for name, (b, seeds) in budgets.items()
-        },
+        "budgets": {name: asdict(b) for name, b in budgets.items()},
         "variants": names,
         "master_seed": master_seed,
     }
@@ -263,22 +265,8 @@ def episodes_to_csv(records: list[EpisodeRecord]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(EPISODES_CSV_HEADER.split(","))
-    for r in records:
-        writer.writerow(
-            [
-                r.variant_name,
-                r.budget_name,
-                r.seed,
-                r.episode_id,
-                r.success,
-                repr(r.initial_goal_distance),
-                r.steps_executed,
-                repr(r.runtime_seconds),
-                repr(r.mean_state_distance),
-                repr(r.visual_embedding_divergence),
-                r.model_size_bytes,
-            ]
-        )
+    # columns in EpisodeRecord field order; csv writes a float as its repr
+    writer.writerows(vars(r).values() for r in records)
     return buf.getvalue()
 
 
@@ -291,21 +279,15 @@ def read_episodes_csv(path: str | Path) -> list[EpisodeRecord]:
     lines = text.splitlines()
     if not lines or lines[0] != EPISODES_CSV_HEADER:
         raise ValidationError(f"unexpected episodes.csv header in {path}")
+    parsers = [{"str": str, "int": int, "float": float}[f.type] for f in fields(EpisodeRecord)]
     records = []
-    for row in csv.reader(lines[1:]):
-        records.append(
-            EpisodeRecord(
-                variant_name=row[0],
-                budget_name=row[1],
-                seed=int(row[2]),
-                episode_id=int(row[3]),
-                success=int(row[4]),
-                initial_goal_distance=float(row[5]),
-                steps_executed=int(row[6]),
-                runtime_seconds=float(row[7]),
-                mean_state_distance=float(row[8]),
-                visual_embedding_divergence=float(row[9]),
-                model_size_bytes=int(row[10]),
+    for lineno, row in enumerate(csv.reader(lines[1:]), start=2):
+        if len(row) != len(parsers):
+            raise ValidationError(
+                f"{path} line {lineno}: expected {len(parsers)} columns, got {len(row)}"
             )
-        )
+        try:
+            records.append(EpisodeRecord(*[parse(v) for parse, v in zip(parsers, row)]))
+        except ValueError as e:
+            raise ValidationError(f"{path} line {lineno}: {e}") from e
     return records

@@ -53,7 +53,7 @@ def full_sweep(dataset, trained_model, env_cfg):
     run_set = run_paired_eval(
         variants,
         trained_model,
-        {name: (bs.budget, bs.seeds) for name, bs in cfg.budgets.items()},
+        cfg.budgets,
         env_cfg,
         cfg.cem,
         episodes_per_run=cfg.episodes_per_run,
@@ -172,7 +172,7 @@ def test_criterion_5_pairing_protocol(full_sweep, trained_model, env_cfg):
     rs = run_paired_eval(
         [fp, twin],
         trained_model,
-        {"bA": (PlannerBudget(9, 2, 2), [0])},
+        {"bA": PlannerBudget(9, 2, 2, (0,))},
         env_cfg,
         CEMConfig(),
         episodes_per_run=5,
@@ -248,7 +248,7 @@ def test_criterion_7_regime_pattern(full_sweep, trained_model, env_cfg):
         rs2 = run_paired_eval(
             [v2],
             trained_model,
-            {name: (bs.budget, bs.seeds) for name, bs in cfg.budgets.items()},
+            cfg.budgets,
             env_cfg,
             cfg.cem,
             episodes_per_run=cfg.episodes_per_run,

@@ -40,10 +40,10 @@ def write_tiny_config(tmp_path, name="cfg.json"):
 
 def test_defaults():
     cfg = ExperimentConfig()
-    assert cfg.budgets["bA"].budget.goal_h == 9
-    assert cfg.budgets["bA"].seeds == [0, 1, 2]
-    assert cfg.budgets["bB"].budget.goal_h == 12
-    assert cfg.budgets["bB"].seeds == [0, 1]
+    assert cfg.budgets["bA"].goal_h == 9
+    assert cfg.budgets["bA"].seeds == (0, 1, 2)
+    assert cfg.budgets["bB"].goal_h == 12
+    assert cfg.budgets["bB"].seeds == (0, 1)
     assert cfg.episodes_per_run == 10
     assert len(cfg.variants) == 13
 
@@ -53,6 +53,48 @@ def test_config_hash_stable_and_sensitive():
     assert a.config_hash() == b.config_hash()
     b.master_seed = 1
     assert a.config_hash() != b.config_hash()
+
+
+def test_config_identity_pinned():
+    assert ExperimentConfig().config_hash() == "b08df3023e67cb76"
+    assert config_from_dict({}).config_hash() == "b08df3023e67cb76"
+    scaled = config_from_dict({"variants": "all", "episodes_per_run": 30})
+    assert scaled.config_hash() == "48fe11f5a19281c1"
+
+
+BUDGET = {"goal_h": 2, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"master_seed": "abc"}, "master_seed: expected int"),
+        ({"train": {"epochs": True}}, "train.epochs: expected int"),
+        ({"budgets": {"bA": {**BUDGET, "goal_h": 2.5}}}, "budgets.bA.goal_h: expected int"),
+        ({"budgets": {"bA": {**BUDGET, "seeds": "01"}}}, "budgets.bA.seeds: expected a list"),
+        ({"budgets": {"bA": {**BUDGET, "seeds": [0, 0]}}}, "budgets.bA: seeds must be"),
+        ({"budgets": {"bA": {**BUDGET, "seeds": [0.0]}}}, r"budgets.bA.seeds\[0\]: expected int"),
+        ({"train": {"learning_rate": float("nan")}}, "train.learning_rate: expected float"),
+        ({"output_dir": 5}, "output_dir: expected str"),
+        ({"episodes_per_run": "10"}, "episodes_per_run: expected int"),
+        ({"budgets": {}}, "at least one budget"),
+        ({"budgets": []}, "budgets: expected an object"),
+        ({"budgets": {"bA": 5}}, "budgets.bA: expected an object"),
+        ({"env": None}, "env: expected an object"),
+        ({"variants": ["fp16", "uniform_int8", "fp16"]}, "variants: duplicate"),
+    ],
+)
+def test_config_rejects_bad_values(data, message):
+    with pytest.raises(ValidationError, match=message):
+        config_from_dict(data)
+
+
+def test_duplicate_variants_fail_before_any_artifact(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY, "variants": ["fp16", "fp16"],
+                                    "output_dir": str(tmp_path / "out")}))
+    assert main(["all", "--config", str(cfg_path)]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_validation_field_paths():
@@ -167,10 +209,10 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert (tmp_path / "out" / "episodes.csv").exists()
 
 
-def test_cli_stage_flag_and_output_override(tmp_path):
+def test_cli_output_override(tmp_path):
     cfg_path = write_tiny_config(tmp_path)
     alt = tmp_path / "alt"
-    assert main(["--stage", "gen-data", "--config", str(cfg_path), "--output", str(alt)]) == 0
+    assert main(["gen-data", "--config", str(cfg_path), "--output", str(alt)]) == 0
     assert (alt / "dataset" / "manifest.json").exists()
 
 

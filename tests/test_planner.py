@@ -1,3 +1,6 @@
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from quantplan.env import EpisodeSpec
 from quantplan.nn import Stack, WorldModel, init_world_model
 from quantplan.planner import (
     EPISODES_CSV_HEADER,
+    EpisodeRecord,
     episodes_to_csv,
     plan_actions,
     read_episodes_csv,
@@ -24,8 +28,8 @@ from quantplan.planner import (
     write_episodes_csv,
 )
 
-BA = PlannerBudget(9, 2, 2)
-BB = PlannerBudget(12, 3, 3)
+BA = PlannerBudget(9, 2, 2, (0,))
+BB = PlannerBudget(12, 3, 3, (0,))
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +56,7 @@ def test_elite_costs_non_increasing(trained_model, env_cfg):
     goal = render(np.array([0.8, 0.5]), env_cfg)
     for k in range(10):
         _, info = plan_actions(
-            trained_model, obs, goal, PlannerBudget(6, 5, 1), CEMConfig(), qrng.stream(0, "e", k), 0.125
+            trained_model, obs, goal, PlannerBudget(6, 5, 1, (0,)), CEMConfig(), qrng.stream(0, "e", k), 0.125
         )
         costs = info["elite_costs"]
         assert all(a >= b for a, b in zip(costs, costs[1:]))
@@ -96,7 +100,7 @@ def test_paired_eval_counts_and_pairing(prepared, trained_model, env_cfg):
     rs = run_paired_eval(
         [prepared["fp16"], prepared["uniform_int8"]],
         trained_model,
-        {"bA": (BA, [0, 1]), "bB": (BB, [0])},
+        {"bA": PlannerBudget(9, 2, 2, (0, 1)), "bB": BB},
         env_cfg,
         CEMConfig(),
         episodes_per_run=3,
@@ -116,7 +120,7 @@ def test_same_weights_two_names_identical_records(prepared, trained_model, env_c
     rs = run_paired_eval(
         [prepared["fp16"], twin],
         trained_model,
-        {"bA": (BA, [0])},
+        {"bA": BA},
         env_cfg,
         CEMConfig(),
         episodes_per_run=4,
@@ -133,7 +137,7 @@ def test_same_weights_two_names_identical_records(prepared, trained_model, env_c
 def test_other_variants_leave_records_unchanged(prepared, trained_model, env_cfg):
     def uniform_int8_csv(names):
         rs = run_paired_eval(
-            [prepared[n] for n in names], trained_model, {"bA": (BA, [0])}, env_cfg,
+            [prepared[n] for n in names], trained_model, {"bA": BA}, env_cfg,
             CEMConfig(), episodes_per_run=3,
         )
         return episodes_to_csv([r for r in rs.records if r.variant_name == "uniform_int8"])
@@ -148,17 +152,17 @@ def test_duplicate_variant_names_rejected(prepared, trained_model, env_cfg):
         run_paired_eval(
             [prepared["fp16"], prepared["fp16"]],
             trained_model,
-            {"bA": (BA, [0])},
+            {"bA": BA},
             env_cfg,
             CEMConfig(),
         )
     with pytest.raises(ValidationError):
-        run_paired_eval([], trained_model, {"bA": (BA, [0])}, env_cfg, CEMConfig())
+        run_paired_eval([], trained_model, {"bA": BA}, env_cfg, CEMConfig())
 
 
 def test_csv_round_trip(prepared, trained_model, env_cfg, tmp_path):
     rs = run_paired_eval(
-        [prepared["fp16"]], trained_model, {"bA": (BA, [0])}, env_cfg, CEMConfig(),
+        [prepared["fp16"]], trained_model, {"bA": BA}, env_cfg, CEMConfig(),
         episodes_per_run=2,
     )
     path = tmp_path / "episodes.csv"
@@ -167,12 +171,31 @@ def test_csv_round_trip(prepared, trained_model, env_cfg, tmp_path):
     assert text.splitlines()[0] == EPISODES_CSV_HEADER
     back = read_episodes_csv(path)
     assert back == rs.records
+    assert len(EPISODES_CSV_HEADER.split(",")) == len(fields(EpisodeRecord))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda cols: cols[:9], "line 3: expected 11 columns, got 9"),
+        (lambda cols: cols[:4] + ["yes"] + cols[5:], "line 3: invalid literal for int"),
+    ],
+    ids=["truncated_row", "non_numeric_success"],
+)
+def test_csv_bad_row_names_file_and_line(tmp_path, corrupt, message):
+    records = [EpisodeRecord("fp16", "bA", 0, i, 1, 0.5, 4, 1e-3, 0.02, 0.0, 1000) for i in range(2)]
+    lines = episodes_to_csv(records).splitlines()
+    lines[2] = ",".join(corrupt(lines[2].split(",")))
+    path = tmp_path / "episodes.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=f"{re.escape(str(path))} {message}"):
+        read_episodes_csv(path)
 
 
 def test_rerun_bit_identical(prepared, trained_model, env_cfg):
     def once():
         rs = run_paired_eval(
-            [prepared["uniform_int8"]], trained_model, {"bA": (BA, [0])}, env_cfg,
+            [prepared["uniform_int8"]], trained_model, {"bA": BA}, env_cfg,
             CEMConfig(), episodes_per_run=3,
         )
         return episodes_to_csv(rs.records)
@@ -182,7 +205,10 @@ def test_rerun_bit_identical(prepared, trained_model, env_cfg):
 
 def test_budget_validation():
     with pytest.raises(ValidationError):
-        PlannerBudget(0, 1, 1)
+        PlannerBudget(0, 1, 1, (0,))
+    for seeds in ((), (0, 1, 0)):
+        with pytest.raises(ValidationError, match="non-empty and distinct"):
+            PlannerBudget(1, 1, 1, seeds)
     with pytest.raises(ValidationError):
         CEMConfig(population=2)
     with pytest.raises(ValidationError):
