@@ -4,7 +4,6 @@ from .config import ExperimentConfig, config_from_dict, load_config
 from .env import Dataset, EpisodeSpec, WallEnvConfig, gen_dataset, render, sample_episode_specs, step
 from .errors import (
     PersistenceError,
-    PlanningError,
     StageError,
     TrainingDivergenceError,
     ValidationError,
@@ -17,6 +16,7 @@ from .planner import (
     RunSet,
     plan_actions,
     run_episode,
+    run_episodes,
     run_paired_eval,
 )
 from .policies import (

@@ -63,39 +63,38 @@ class Dataset:
         return self.obs.shape[0]
 
 
-def _in_gap(y: float, cfg: WallEnvConfig) -> bool:
-    return cfg.gap_center - cfg.gap_half_width <= y <= cfg.gap_center + cfg.gap_half_width
+def _in_gap(y, cfg: WallEnvConfig):
+    return (cfg.gap_center - cfg.gap_half_width <= y) & (y <= cfg.gap_center + cfg.gap_half_width)
 
 
 def step(state: np.ndarray, action: np.ndarray, cfg: WallEnvConfig) -> np.ndarray:
-    """One environment transition; pure and deterministic."""
-    pos = np.asarray(state, dtype=np.float64)
-    a = np.clip(np.asarray(action, dtype=np.float64), -cfg.max_step, cfg.max_step)
+    """One environment transition per row of `state` (..., 2); pure and deterministic."""
+    pos = np.asarray(state, dtype=np.float64).reshape(-1, 2)
+    a = np.clip(np.asarray(action, dtype=np.float64).reshape(-1, 2), -cfg.max_step, cfg.max_step)
     cand = np.clip(pos + a, 0.0, 1.0)
-    x0, x1 = pos[0], cand[0]
+    x0, x1 = pos[:, 0], cand[:, 0]
     crosses = (x0 - cfg.wall_x) * (x1 - cfg.wall_x) < 0
-    if crosses:
-        t = (cfg.wall_x - x0) / (x1 - x0)
-        y_cross = pos[1] + t * (cand[1] - pos[1])
-        if not _in_gap(y_cross, cfg):
-            side = -1.0 if x0 < cfg.wall_x else 1.0
-            return np.array([cfg.wall_x + side * WALL_EPS, y_cross])
-    return cand
+    t = np.divide(cfg.wall_x - x0, x1 - x0, where=crosses, out=np.zeros_like(x0))
+    y_cross = pos[:, 1] + t * (cand[:, 1] - pos[:, 1])
+    blocked = crosses & ~_in_gap(y_cross, cfg)
+    side = np.where(x0[blocked] < cfg.wall_x, -1.0, 1.0)
+    cand[blocked, 0] = cfg.wall_x + side * WALL_EPS
+    cand[blocked, 1] = y_cross[blocked]
+    return cand.reshape(np.shape(state))
 
 
 def render(state: np.ndarray, cfg: WallEnvConfig) -> np.ndarray:
-    """Deterministic grayscale observation, flattened row-major in [0, 1]."""
+    """Grayscale observation per row of `state` (..., 2), flattened row-major in [0, 1]."""
+    pos = np.asarray(state, dtype=np.float64).reshape(-1, 2)
     side = cfg.image_side
-    img = np.zeros((side, side), dtype=np.float64)
+    background = np.zeros((side, side))
     wall_col = min(int(np.floor(cfg.wall_x * side)), side - 1)
-    for r in range(side):
-        y_center = (r + 0.5) / side
-        if not _in_gap(y_center, cfg):
-            img[r, wall_col] = 0.5
-    r = min(int(np.floor(state[1] * side)), side - 1)
-    c = min(int(np.floor(state[0] * side)), side - 1)
-    img[r, c] = 1.0
-    return img.reshape(-1)
+    background[~_in_gap((np.arange(side) + 0.5) / side, cfg), wall_col] = 0.5
+    img = np.tile(background.reshape(-1), (len(pos), 1))
+    r = np.minimum(np.floor(pos[:, 1] * side).astype(np.intp), side - 1)
+    c = np.minimum(np.floor(pos[:, 0] * side).astype(np.intp), side - 1)
+    img[np.arange(len(pos)), r * side + c] = 1.0
+    return img.reshape(np.shape(state)[:-1] + (side * side,))
 
 
 def _uniform_on_side(gen: np.random.Generator, left: bool, cfg: WallEnvConfig) -> np.ndarray:
@@ -138,30 +137,26 @@ def sample_episode_specs(
 def gen_dataset(
     n_traj: int, traj_len: int, seed: int, cfg: WallEnvConfig, master_seed: int = 0
 ) -> Dataset:
-    """Random-policy rollouts from uniform starts, with ground-truth states."""
+    """Random-policy rollouts from uniform starts, with ground-truth states.
+
+    Trajectory k draws its start and then its actions from its own stream;
+    all trajectories are stepped in lockstep and stored trajectory by trajectory.
+    """
     if n_traj < 1 or traj_len < 1:
         raise ValidationError("n_traj and traj_len must be >= 1")
-    obs, act, nobs, st, nst = [], [], [], [], []
-    for k in range(n_traj):
-        gen = rng.stream(master_seed, "dataset", seed, k)
-        pos = gen.uniform(0.0, 1.0, size=2)
-        o = render(pos, cfg)
-        for _ in range(traj_len):
-            a = gen.uniform(-cfg.max_step, cfg.max_step, size=2)
-            nxt = step(pos, a, cfg)
-            no = render(nxt, cfg)
-            obs.append(o)
-            act.append(a)
-            nobs.append(no)
-            st.append(pos)
-            nst.append(nxt)
-            pos, o = nxt, no
+    gens = [rng.stream(master_seed, "dataset", seed, k) for k in range(n_traj)]
+    states = np.empty((n_traj, traj_len + 1, 2))
+    states[:, 0] = [g.uniform(0.0, 1.0, size=2) for g in gens]
+    actions = np.array([g.uniform(-cfg.max_step, cfg.max_step, size=(traj_len, 2)) for g in gens])
+    for t in range(traj_len):
+        states[:, t + 1] = step(states[:, t], actions[:, t], cfg)
+    obs = render(states, cfg)
     return Dataset(
-        obs=np.array(obs),
-        action=np.array(act),
-        next_obs=np.array(nobs),
-        state=np.array(st),
-        next_state=np.array(nst),
+        obs=obs[:, :-1].reshape(-1, obs.shape[-1]),
+        action=actions.reshape(-1, 2),
+        next_obs=obs[:, 1:].reshape(-1, obs.shape[-1]),
+        state=states[:, :-1].reshape(-1, 2),
+        next_state=states[:, 1:].reshape(-1, 2),
         cfg=cfg,
     )
 

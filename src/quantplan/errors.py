@@ -13,9 +13,5 @@ class TrainingDivergenceError(RuntimeError):
     """Training loss became non-finite."""
 
 
-class PlanningError(RuntimeError):
-    """Planner produced a non-finite cost."""
-
-
 class StageError(RuntimeError):
     """A pipeline stage is missing a prerequisite artifact."""

@@ -65,13 +65,15 @@ class Stack:
         return self.layers[0][0].shape[1]
 
     def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
+        # in place on the fresh matmul output: no cached array is written after it is appended
         h = x
         for i, (W, b) in enumerate(self.layers):
             if cache is not None:
                 cache.append(h)
-            h = h @ W.T + b
+            h = h @ W.T
+            h += b
             if i < len(self.layers) - 1:
-                h = np.tanh(h)
+                np.tanh(h, out=h)
                 if cache is not None:
                     cache.append(h)
         return h

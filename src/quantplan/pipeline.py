@@ -123,6 +123,11 @@ def stage_eval(cfg: ExperimentConfig) -> RunSet:
     variants = []
     for name in cfg.variants:
         _require(out / "variants" / name / "manifest.json", "variants")
+        if name not in sizes:
+            raise StageError(
+                f"variant {name!r} is missing from {out / 'sizes.json'}; "
+                "run the 'variants' stage first"
+            )
         model = load_model(out / "variants" / name)
         variants.append(VariantModel(name, model, sizes[name]["size_bytes"], policy_for_name(name)))
     run_set = run_paired_eval(

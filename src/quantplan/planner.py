@@ -7,6 +7,22 @@ randomness are keyed only by (seed, episode_id), never by variant, so any
 outcome difference between two variants on a paired unit is attributable
 to weights alone.
 
+The episodes of one (variant, budget, seed) are played in lockstep: every
+array holds one row per episode on its leading axis, and an episode's row
+leaves the group when it reaches the goal or its plan fails.  Two rules keep
+each record bit-equal to playing that episode alone, whatever else shares
+the group:
+
+1. Every matmul keeps one episode's operand as its last two dims, e.g. a
+   single observation as an (n, 1, k) slice and a CEM population as
+   (n, pop, 18).  numpy makes one BLAS call per slice, so a slice's result
+   does not depend on n; one flat (n, k) product would.
+2. Per-row vector norms go through one BLAS dot per row (`_norm`), as the
+   1-D `np.linalg.norm` does; `norm(..., axis=-1)` rounds differently.
+
+Variants are not stacked into one group, so adding a variant never changes
+another's records and temporaries stay small.
+
 runtime_seconds is a deterministic cost model (counted forward-pass flops
 at a nominal 1 GFLOP/s), not wall clock, so output files are byte-stable.
 """
@@ -22,7 +38,7 @@ import numpy as np
 
 from . import rng
 from .env import EpisodeSpec, WallEnvConfig, render, sample_episode_specs, step
-from .errors import PlanningError, ValidationError
+from .errors import ValidationError
 from .nn import WorldModel
 from .policies import VariantModel
 
@@ -86,66 +102,176 @@ class RunSet:
     metadata: dict = field(default_factory=dict)
 
 
+def _norm(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of `d` (m, k), one BLAS dot per row.
+
+    Bit-equal to `np.linalg.norm` of that row alone, which `norm(d, axis=-1)`
+    is not.
+    """
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+
 def plan_actions(
     wm: WorldModel,
     current_obs: np.ndarray,
     goal_obs: np.ndarray,
     budget: PlannerBudget,
     cem: CEMConfig,
-    gen: np.random.Generator,
+    gens: list[np.random.Generator],
     max_step: float,
 ):
-    """One CEM plan; returns (actions (goal_h, 2), info dict).
+    """One CEM plan per row of `current_obs`/`goal_obs` (n, obs_dim), drawing
+    row i's noise from gens[i]; returns (plans (n, goal_h, 2), info).
 
-    The incumbent best sequence is re-injected into each population, so the
-    best elite cost is non-increasing across iterations.
+    info holds per-row arrays `elite_costs` (n, opt_steps),
+    `initial_mean_cost`, `final_mean_cost` and `failed`, and the per-plan
+    counts `n_encodes` and `n_predicts`.  A row whose population costs turn
+    non-finite fails alone: it leaves the population and its plan and later
+    costs read NaN.  The incumbent best sequence is re-injected into each
+    population, so a row's best elite cost is non-increasing across iterations.
     """
-    z0 = wm.encode(current_obs)
-    zg = wm.encode(goal_obs)
+    n = len(gens)
+    z0 = wm.encode(current_obs[:, None, :])[:, 0]
+    zg = wm.encode(goal_obs[:, None, :])[:, 0]
 
-    def costs_of(seqs: np.ndarray) -> np.ndarray:
-        z = np.repeat(z0[None, :], seqs.shape[0], axis=0)
-        for t in range(seqs.shape[1]):
-            z = wm.predict_next(z, seqs[:, t, :])
-        return np.linalg.norm(z - zg[None, :], axis=1)
+    def costs_of(rows: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+        # seqs (m, pop, h, 2) for the episodes `rows` -> final-latent costs (m, pop)
+        z = np.repeat(z0[rows][:, None, :], seqs.shape[1], axis=1)
+        for t in range(seqs.shape[2]):
+            z = wm.predict_next(z, seqs[:, :, t, :])
+        return np.linalg.norm(z - zg[rows][:, None, :], axis=-1)
 
     h, pop = budget.goal_h, cem.population
-    mean = np.zeros((h, 2))
-    std = np.full((h, 2), cem.init_std)
-    initial_mean_cost = float(costs_of(mean[None])[0])
-    n_predicts = h  # the initial-mean evaluation above
+    rows = np.arange(n)
+    mean = np.zeros((n, h, 2))
+    std = np.full((n, h, 2), cem.init_std)
+    initial_mean_cost = costs_of(rows, mean[:, None])[:, 0]
     n_elite = max(1, int(round(cem.elite_fraction * pop)))
-    best_seq, best_cost = None, np.inf
-    elite_costs = []
+    best_seq = np.zeros((n, h, 2))
+    best_cost = np.full(n, np.inf)
+    elite_costs = np.full((n, budget.opt_steps), np.nan)
+    failed = np.zeros(n, dtype=bool)
 
-    for _ in range(budget.opt_steps):
-        seqs = np.clip(gen.standard_normal((pop, h, 2)) * std + mean, -max_step, max_step)
-        if best_seq is not None:
-            seqs[0] = best_seq
-        c = costs_of(seqs)
-        n_predicts += pop * h
-        if not np.all(np.isfinite(c)):
-            raise PlanningError("non-finite plan cost")
-        order = np.argsort(c, kind="stable")[:n_elite]
-        elites = seqs[order]
-        mean = elites.mean(axis=0)
-        std = np.maximum(elites.std(axis=0), cem.std_floor)
-        elite_costs.append(float(c[order[0]]))
-        if c[order[0]] < best_cost:
-            best_cost = float(c[order[0]])
-            best_seq = seqs[order[0]].copy()
+    for k in range(budget.opt_steps):
+        noise = np.stack([gens[i].standard_normal((pop, h, 2)) for i in rows])
+        seqs = np.clip(noise * std[rows][:, None] + mean[rows][:, None], -max_step, max_step)
+        if k:
+            seqs[:, 0] = best_seq[rows]
+        c = costs_of(rows, seqs)
+        ok = np.all(np.isfinite(c), axis=1)
+        failed[rows[~ok]] = True
+        rows, seqs, c = rows[ok], seqs[ok], c[ok]
+        if not rows.size:
+            break
+        order = np.argsort(c, axis=1, kind="stable")[:, :n_elite]
+        elites = np.take_along_axis(seqs, order[:, :, None, None], axis=1)
+        mean[rows] = elites.mean(axis=1)
+        std[rows] = np.maximum(elites.std(axis=1), cem.std_floor)
+        top = np.take_along_axis(c, order[:, :1], axis=1)[:, 0]
+        elite_costs[rows, k] = top
+        better = top < best_cost[rows]
+        best_cost[rows[better]] = top[better]
+        best_seq[rows[better]] = elites[better, 0]
 
-    plan = np.clip(mean, -max_step, max_step)
-    final_mean_cost = float(costs_of(plan[None])[0])
-    n_predicts += h
+    plans = np.full((n, h, 2), np.nan)
+    plans[rows] = np.clip(mean[rows], -max_step, max_step)
+    final_mean_cost = np.full(n, np.nan)
+    final_mean_cost[rows] = costs_of(rows, plans[rows][:, None])[:, 0]
     info = {
         "elite_costs": elite_costs,
         "initial_mean_cost": initial_mean_cost,
         "final_mean_cost": final_mean_cost,
+        "failed": failed,
         "n_encodes": 2,
-        "n_predicts": n_predicts,
+        "n_predicts": h + budget.opt_steps * pop * h + h,  # initial, population, final
     }
-    return plan, info
+    return plans, info
+
+
+def run_episodes(
+    variant: VariantModel,
+    fp_wm: WorldModel,
+    specs: list[EpisodeSpec],
+    budget: PlannerBudget,
+    budget_name: str,
+    cem: CEMConfig,
+    env_cfg: WallEnvConfig,
+    master_seed: int = 0,
+) -> list[EpisodeRecord]:
+    """Play the goal-conditioned episodes `specs` in lockstep under the MPC
+    loop; one record per spec, in spec order.
+
+    Row i of every array belongs to specs[i]; `live` lists the rows still
+    playing.  A row leaves on reaching the goal or on a planning failure and
+    never comes back, and no row's arithmetic reads another's, so a record
+    does not depend on which other specs share the call.
+    """
+    wm = variant.wm
+    n = len(specs)
+    gens = [rng.stream(master_seed, "plan", s.seed, s.episode_id) for s in specs]
+    state = np.array([s.start for s in specs], dtype=np.float64)
+    goal = np.array([s.goal for s in specs], dtype=np.float64)
+    goal_obs = render(goal, env_cfg)
+    tau = env_cfg.success_radius
+
+    success = _norm(state - goal) <= tau
+    steps = np.zeros(n, dtype=np.int64)
+    n_enc = np.zeros(n, dtype=np.int64)
+    n_pred = np.zeros(n, dtype=np.int64)
+    state_dist = np.zeros((n, budget.max_iter * budget.goal_h))
+    embed_div = np.zeros_like(state_dist)
+    live = np.flatnonzero(~success)
+
+    for _ in range(budget.max_iter):
+        if not live.size:
+            break
+        obs = render(state[live], env_cfg)
+        gens_live = [gens[i] for i in live]
+        plans, info = plan_actions(wm, obs, goal_obs[live], budget, cem, gens_live, env_cfg.max_step)
+        ok = ~info["failed"]
+        live, plans, obs = live[ok], plans[ok], obs[ok]
+        n_enc[live] += info["n_encodes"] + 1
+        n_pred[live] += info["n_predicts"]
+        z_var = wm.encode(obs[:, None, :])
+        for t in range(budget.goal_h):
+            if not live.size:
+                break
+            state[live] = step(state[live], plans[:, t], env_cfg)
+            k = steps[live]
+            steps[live] += 1
+            z_var = wm.predict_next(z_var, plans[:, None, t])
+            n_pred[live] += 1
+            obs_t = render(state[live], env_cfg)[:, None, :]
+            state_dist[live, k] = _norm(fp_wm.probe_decode(z_var)[:, 0] - state[live])
+            embed_div[live, k] = _norm((wm.encode(obs_t) - fp_wm.encode(obs_t))[:, 0])
+            n_enc[live] += 2
+            done = _norm(state[live] - goal[live]) <= tau
+            success[live[done]] = True
+            live, plans, z_var = live[~done], plans[~done], z_var[~done]
+
+    flops = (
+        n_enc * wm.flops_per_encode()
+        + n_pred * wm.flops_per_predict()
+        + steps * fp_wm.probe.flops()
+    )
+    return [
+        EpisodeRecord(
+            variant_name=variant.variant_name,
+            budget_name=budget_name,
+            seed=spec.seed,
+            episode_id=spec.episode_id,
+            success=int(success[i]),
+            initial_goal_distance=spec.initial_goal_distance,
+            steps_executed=int(steps[i]),
+            runtime_seconds=int(flops[i]) / NOMINAL_FLOPS_PER_SECOND,
+            mean_state_distance=float(np.mean(state_dist[i, : steps[i]])) if steps[i] else 0.0,
+            visual_embedding_divergence=(
+                float(np.mean(embed_div[i, : steps[i]])) if steps[i] else 0.0
+            ),
+            model_size_bytes=variant.size_bytes,
+        )
+        for i, spec in enumerate(specs)
+    ]
 
 
 def run_episode(
@@ -158,69 +284,8 @@ def run_episode(
     env_cfg: WallEnvConfig,
     master_seed: int = 0,
 ) -> EpisodeRecord:
-    """Execute one goal-conditioned episode under the MPC loop."""
-    wm = variant.wm
-    gen = rng.stream(master_seed, "plan", spec.seed, spec.episode_id)
-    state = np.array(spec.start, dtype=np.float64)
-    goal = np.array(spec.goal, dtype=np.float64)
-    goal_obs = render(goal, env_cfg)
-    tau = env_cfg.success_radius
-
-    success = 1 if np.linalg.norm(state - goal) <= tau else 0
-    steps = 0
-    state_dists: list[float] = []
-    embed_divs: list[float] = []
-    n_enc, n_pred = 0, 0
-    failed = False
-
-    if not success:
-        for _ in range(budget.max_iter):
-            obs = render(state, env_cfg)
-            try:
-                plan, info = plan_actions(wm, obs, goal_obs, budget, cem, gen, env_cfg.max_step)
-            except PlanningError:
-                failed = True
-                break
-            n_enc += info["n_encodes"]
-            n_pred += info["n_predicts"]
-            z_var = wm.encode(obs)
-            n_enc += 1
-            for a in plan:
-                state = step(state, a, env_cfg)
-                steps += 1
-                z_var = wm.predict_next(z_var, a)
-                n_pred += 1
-                obs_t = render(state, env_cfg)
-                pos_hat = fp_wm.probe_decode(z_var)
-                state_dists.append(float(np.linalg.norm(pos_hat - state)))
-                embed_divs.append(
-                    float(np.linalg.norm(wm.encode(obs_t) - fp_wm.encode(obs_t)))
-                )
-                n_enc += 2
-                if np.linalg.norm(state - goal) <= tau:
-                    success = 1
-                    break
-            if success or failed:
-                break
-
-    flops = (
-        n_enc * wm.flops_per_encode()
-        + n_pred * wm.flops_per_predict()
-        + len(state_dists) * fp_wm.probe.flops()
-    )
-    return EpisodeRecord(
-        variant_name=variant.variant_name,
-        budget_name=budget_name,
-        seed=spec.seed,
-        episode_id=spec.episode_id,
-        success=success,
-        initial_goal_distance=spec.initial_goal_distance,
-        steps_executed=steps,
-        runtime_seconds=flops / NOMINAL_FLOPS_PER_SECOND,
-        mean_state_distance=float(np.mean(state_dists)) if state_dists else 0.0,
-        visual_embedding_divergence=float(np.mean(embed_divs)) if embed_divs else 0.0,
-        model_size_bytes=variant.size_bytes,
-    )
+    """One episode: `run_episodes` on the single spec `spec`."""
+    return run_episodes(variant, fp_wm, [spec], budget, budget_name, cem, env_cfg, master_seed)[0]
 
 
 def run_paired_eval(
@@ -245,12 +310,9 @@ def run_paired_eval(
         for seed in budget.seeds:
             specs = sample_episode_specs(seed, episodes_per_run, env_cfg, master_seed)
             for v in variants:
-                for spec in specs:
-                    records.append(
-                        run_episode(
-                            v, fp_wm, spec, budget, budget_name, cem, env_cfg, master_seed
-                        )
-                    )
+                records.extend(
+                    run_episodes(v, fp_wm, specs, budget, budget_name, cem, env_cfg, master_seed)
+                )
     records.sort(key=lambda r: (r.variant_name, r.budget_name, r.seed, r.episode_id))
     metadata = {
         "episodes_per_run": episodes_per_run,

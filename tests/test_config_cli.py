@@ -122,6 +122,20 @@ def test_load_config_errors(tmp_path):
         load_config(bad)
 
 
+def test_eval_rejects_variant_missing_from_sizes(tmp_path):
+    def cfg_with(variants):
+        return config_from_dict({**TINY, "train": {"epochs": 2}, "variants": variants,
+                                 "output_dir": str(tmp_path / "out")})
+
+    for stage in ("gen-data", "train", "variants"):
+        run_stage(cfg_with(["fp16", "uniform_int8"]), stage)
+    run_stage(cfg_with(["fp16"]), "variants")  # leaves variants/uniform_int8 behind
+    with pytest.raises(StageError, match="'uniform_int8' is missing from .*sizes.json; "
+                                         "run the 'variants' stage first"):
+        run_stage(cfg_with(["fp16", "uniform_int8"]), "eval")
+    assert not (tmp_path / "out" / "episodes.csv").exists()
+
+
 def test_stage_ordering_errors(tmp_path):
     cfg = tiny_cfg(tmp_path)
     with pytest.raises(StageError, match="gen-data"):

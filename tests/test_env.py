@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,34 @@ def test_env_config_validation():
         WallEnvConfig(max_step=0.0)
     with pytest.raises(ValidationError):
         WallEnvConfig(wall_x=1.5)
+
+
+def test_batched_step_and_render_match_rows(env_cfg, rng):
+    cases = [
+        ([0.45, 0.9], [0.1, 0.0]),  # blocked wall crossing, from the left
+        ([0.55, 0.9], [-0.1, 0.0]),  # blocked wall crossing, from the right
+        ([0.45, 0.5], [0.1, 0.0]),  # crossing through the gap
+        ([0.99, 0.01], [0.125, -0.125]),  # clipped to the corner
+        ([0.2, 0.2], [10.0, 0.0]),  # clamped action
+        ([0.3, 0.7], [0.0, 0.0]),
+        ([1.0, 1.0], [0.0, 0.0]),  # agent pixel on the last row and column
+    ]
+    states = np.array([s for s, _ in cases] + list(rng.uniform(0, 1, (200, 2))))
+    actions = np.array([a for _, a in cases] + list(rng.uniform(-0.2, 0.2, (200, 2))))
+    batch = step(states, actions, env_cfg)
+    assert batch.shape == states.shape
+    for s, a, out in zip(states, actions, batch):
+        np.testing.assert_array_equal(out, step(s, a, env_cfg))
+    np.testing.assert_allclose(batch[:4], [[0.499, 0.9], [0.501, 0.9], [0.55, 0.5], [1.0, 0.0]])
+    images = render(batch, env_cfg)
+    assert images.shape == (len(batch), 256)
+    for s, img in zip(batch, images):
+        np.testing.assert_array_equal(img, render(s, env_cfg))
+
+
+def test_dataset_bytes_pinned(env_cfg):
+    ds = gen_dataset(20, 10, 0, env_cfg)
+    h = hashlib.sha256()
+    for a in (ds.obs, ds.action, ds.next_obs, ds.state, ds.next_state):
+        h.update(a.tobytes())
+    assert h.hexdigest() == "704aadc597c80db93d1425a12d873885fd282a7011ae786e9fd5002281e3e07e"

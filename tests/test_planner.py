@@ -19,11 +19,13 @@ from quantplan.env import EpisodeSpec
 from quantplan.nn import Stack, WorldModel, init_world_model
 from quantplan.planner import (
     EPISODES_CSV_HEADER,
+    _norm,
     EpisodeRecord,
     episodes_to_csv,
     plan_actions,
     read_episodes_csv,
     run_episode,
+    run_episodes,
     run_paired_eval,
     write_episodes_csv,
 )
@@ -44,8 +46,8 @@ def prepared(trained_model):
 def test_plan_deterministic(trained_model, env_cfg):
     obs = render(np.array([0.2, 0.5]), env_cfg)
     goal = render(np.array([0.8, 0.5]), env_cfg)
-    p1, _ = plan_actions(trained_model, obs, goal, BA, CEMConfig(), qrng.stream(0, "t"), 0.125)
-    p2, _ = plan_actions(trained_model, obs, goal, BA, CEMConfig(), qrng.stream(0, "t"), 0.125)
+    (p1,), _ = plan_actions(trained_model, obs[None], goal[None], BA, CEMConfig(), [qrng.stream(0, "t")], 0.125)
+    (p2,), _ = plan_actions(trained_model, obs[None], goal[None], BA, CEMConfig(), [qrng.stream(0, "t")], 0.125)
     np.testing.assert_array_equal(p1, p2)
     assert p1.shape == (9, 2)
     assert np.all(np.abs(p1) <= 0.125)
@@ -56,9 +58,9 @@ def test_elite_costs_non_increasing(trained_model, env_cfg):
     goal = render(np.array([0.8, 0.5]), env_cfg)
     for k in range(10):
         _, info = plan_actions(
-            trained_model, obs, goal, PlannerBudget(6, 5, 1, (0,)), CEMConfig(), qrng.stream(0, "e", k), 0.125
+            trained_model, obs[None], goal[None], PlannerBudget(6, 5, 1, (0,)), CEMConfig(), [qrng.stream(0, "e", k)], 0.125
         )
-        costs = info["elite_costs"]
+        costs = info["elite_costs"][0]
         assert all(a >= b for a, b in zip(costs, costs[1:]))
         assert info["final_mean_cost"] <= info["initial_mean_cost"]
 
@@ -69,14 +71,14 @@ def test_identity_predictor_zero_cost(env_cfg):
     W[:, :16] = np.eye(16)
     wm.predictor = Stack([(W, np.zeros(16))])
     obs = render(np.array([0.3, 0.3]), env_cfg)
-    _, info = plan_actions(wm, obs, obs, BA, CEMConfig(), qrng.stream(0, "i"), 0.125)
+    _, info = plan_actions(wm, obs[None], obs[None], BA, CEMConfig(), [qrng.stream(0, "i")], 0.125)
     assert info["final_mean_cost"] == pytest.approx(0.0, abs=1e-12)
     assert info["final_mean_cost"] <= info["initial_mean_cost"]
 
 
 def test_immediate_success(prepared, trained_model, env_cfg):
     spec = EpisodeSpec(0, 0, (0.48, 0.5), (0.52, 0.5), 0.04)
-    r = run_episode(prepared["fp16"], trained_model, spec, BA, "bA", CEMConfig(), env_cfg)
+    r = run_episodes(prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg)[0]
     assert r.success == 1 and r.steps_executed == 0
     assert r.mean_state_distance == 0.0 and r.visual_embedding_divergence == 0.0
 
@@ -84,7 +86,7 @@ def test_immediate_success(prepared, trained_model, env_cfg):
 def test_step_caps(prepared, trained_model, env_cfg):
     spec = sample_episode_specs(0, 1, env_cfg)[0]
     for budget, name, cap in ((BA, "bA", 18), (BB, "bB", 36)):
-        r = run_episode(prepared["uniform_int3"], trained_model, spec, budget, name, CEMConfig(), env_cfg)
+        r = run_episodes(prepared["uniform_int3"], trained_model, [spec], budget, name, CEMConfig(), env_cfg)[0]
         assert r.steps_executed <= cap
     assert BA.goal_h * BA.max_iter == 18
     assert BB.goal_h * BB.max_iter == 36
@@ -92,7 +94,7 @@ def test_step_caps(prepared, trained_model, env_cfg):
 
 def test_fp16_divergence_exactly_zero(prepared, trained_model, env_cfg):
     for spec in sample_episode_specs(1, 3, env_cfg):
-        r = run_episode(prepared["fp16"], trained_model, spec, BA, "bA", CEMConfig(), env_cfg)
+        r = run_episodes(prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg)[0]
         assert r.visual_embedding_divergence == 0.0
 
 
@@ -213,3 +215,61 @@ def test_budget_validation():
         CEMConfig(population=2)
     with pytest.raises(ValidationError):
         CEMConfig(elite_fraction=0.9)
+
+
+@pytest.mark.parametrize("variant", ["fp16", "uniform_int3"])
+@pytest.mark.parametrize("budget", [BA, BB], ids=["bA", "bB"])
+def test_batch_shape_independence(prepared, trained_model, env_cfg, variant, budget):
+    at_goal = EpisodeSpec(2, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
+    specs = sample_episode_specs(2, 4, env_cfg) + [at_goal]
+    args = (prepared[variant], trained_model)
+    rest = (budget, "b", CEMConfig(), env_cfg)
+    batched = run_episodes(*args, specs, *rest)
+    assert episodes_to_csv(batched) == episodes_to_csv([run_episode(*args, s, *rest) for s in specs])
+    # the rows leave the lockstep group at different steps
+    assert len({r.steps_executed for r in batched}) > 1
+
+
+def test_planning_failure_is_recorded_per_variant(prepared, trained_model, env_cfg):
+    model = prepared["fp16"].model.copy()
+    model.tensor("predictor.1.weight").data[0, 0] = np.inf
+    broken = VariantModel("broken", model, prepared["fp16"].size_bytes, prepared["fp16"].policy)
+    at_goal = EpisodeSpec(0, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
+    specs = [at_goal] + sample_episode_specs(0, 3, env_cfg)
+    with np.errstate(invalid="ignore", over="ignore"):
+        records = run_episodes(broken, trained_model, specs, BA, "bA", CEMConfig(), env_cfg)
+    assert [r.success for r in records] == [1, 0, 0, 0]
+    assert all(r.steps_executed == 0 and r.runtime_seconds == 0.0 for r in records)
+
+    def uniform_int8_csv(variants):
+        with np.errstate(invalid="ignore", over="ignore"):
+            rs = run_paired_eval(variants, trained_model, {"bA": BA, "bB": BB}, env_cfg,
+                                 CEMConfig(), episodes_per_run=3)
+        return episodes_to_csv([r for r in rs.records if r.variant_name == "uniform_int8"])
+
+    healthy = prepared["uniform_int8"]
+    assert uniform_int8_csv([broken, healthy]) == uniform_int8_csv([healthy])
+
+
+def test_plan_failure_leaves_other_rows_unchanged(trained_model, env_cfg):
+    obs = render(np.array([[0.2, 0.5], [0.3, 0.2]]), env_cfg)
+    goal = render(np.array([[0.8, 0.5], [0.7, 0.9]]), env_cfg)
+    goal[1] = np.nan  # row 1's costs are NaN from the first population on
+
+    def plan(rows):
+        gens = [qrng.stream(0, "f", i) for i in rows]
+        return plan_actions(trained_model, obs[rows], goal[rows], BA, CEMConfig(), gens, 0.125)
+
+    plans, info = plan([0, 1])
+    assert info["failed"].tolist() == [False, True]
+    assert np.isnan(plans[1]).all() and np.isnan(info["final_mean_cost"][1])
+    alone, alone_info = plan([0])
+    np.testing.assert_array_equal(plans[:1], alone)
+    np.testing.assert_array_equal(info["elite_costs"][:1], alone_info["elite_costs"])
+
+
+def test_row_norm_equals_one_row_norm(rng):
+    # the success test and both distances must round as np.linalg.norm of one row does
+    for width in (2, 16):
+        d = rng.standard_normal((300, width))
+        assert _norm(d).tolist() == [float(np.linalg.norm(row)) for row in d]
