@@ -27,6 +27,7 @@ from .policies import (
     apply_policy,
     bits_for_tensor,
     enumerate_canonical_variants,
+    model_size_bytes,
     policy_for_name,
 )
 from .quant import QuantizedTensor, dequantize_tensor, fake_quantize_tensor, quantize_tensor
@@ -41,6 +42,6 @@ from .stats import (
     sign_test,
     spearman,
 )
-from .store import Model, TensorRecord, load_model, model_size_bytes, persist_model
+from .store import Model, TensorRecord, load_model, persist_model
 
 __version__ = "0.1.0"

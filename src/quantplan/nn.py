@@ -65,6 +65,7 @@ class Stack:
         return self.layers[0][0].shape[1]
 
     def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
+        """Append each layer's input to `cache` if given: layer i's tanh output is cache[i + 1]."""
         # in place on the fresh matmul output: no cached array is written after it is appended
         h = x
         for i, (W, b) in enumerate(self.layers):
@@ -74,24 +75,18 @@ class Stack:
             h += b
             if i < len(self.layers) - 1:
                 np.tanh(h, out=h)
-                if cache is not None:
-                    cache.append(h)
         return h
 
     def backward(self, cache: list, grad_out: np.ndarray):
         """Returns (grad_input, [dW0, db0, dW1, db1, ...])."""
         grads = [None] * (2 * len(self.layers))
         g = grad_out
-        k = len(cache)
         for i in range(len(self.layers) - 1, -1, -1):
             if i < len(self.layers) - 1:
-                k -= 1
-                act = cache[k]  # tanh output
+                act = cache[i + 1]  # this layer's tanh output
                 g = g * (1.0 - act * act)
-            k -= 1
-            x_in = cache[k]
             W, _ = self.layers[i]
-            grads[2 * i : 2 * i + 2] = g.T @ x_in, g.sum(axis=0)
+            grads[2 * i : 2 * i + 2] = g.T @ cache[i], g.sum(axis=0)
             g = g @ W
         return g, grads
 
@@ -138,15 +133,6 @@ class WorldModel:
         z = self._check(latent, LATENT_DIM, "latent")
         a = self._check(action, ACTION_DIM, "action")
         return self.predictor.forward(np.concatenate([z, a], axis=-1))
-
-    def rollout(self, latent0: np.ndarray, actions) -> list[np.ndarray]:
-        """Open-loop latent rollout; latents[k] is the state after action k."""
-        z = latent0
-        out = []
-        for a in actions:
-            z = self.predict_next(z, a)
-            out.append(z)
-        return out
 
     def probe_decode(self, latent: np.ndarray) -> np.ndarray:
         return self.probe.forward(self._check(latent, LATENT_DIM, "latent"))

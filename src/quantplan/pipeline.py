@@ -57,13 +57,14 @@ COMPARISON_PLAN = [
     ("enc4_pred6", "mixed_int4"),
 ]
 
-STATS_FILES = (
-    "comparisons.json",
-    "matchups.json",
-    "bins.json",
-    "frontier.json",
-    "correlations.json",
-)
+# each statistics file and the list it must hold
+STATS_FILES = {
+    "comparisons.json": "comparisons",
+    "matchups.json": "matchups",
+    "bins.json": "bins",
+    "frontier.json": "frontier",
+    "correlations.json": "run_points",
+}
 
 
 def _out(cfg: ExperimentConfig) -> Path:
@@ -75,6 +76,18 @@ def _out(cfg: ExperimentConfig) -> Path:
 def _require(path: Path, stage: str):
     if not path.exists():
         raise StageError(f"missing artifact {path}; run the '{stage}' stage first")
+
+
+def _read_json(path: Path, stage: str, key: str, kind: type) -> dict:
+    """The JSON object `stage` wrote to `path`; StageError unless its `key` holds a `kind`."""
+    _require(path, stage)
+    try:
+        payload = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        payload = None
+    if not isinstance(payload, dict) or not isinstance(payload.get(key), kind):
+        raise StageError(f"{path} has no JSON {kind.__name__} {key!r}; rerun the '{stage}' stage")
+    return payload
 
 
 def _write_json(path: Path, payload: dict, cfg: ExperimentConfig) -> None:
@@ -117,19 +130,19 @@ def stage_variants(cfg: ExperimentConfig) -> None:
 def stage_eval(cfg: ExperimentConfig) -> RunSet:
     out = _out(cfg)
     _require(out / "model" / "manifest.json", "train")
-    _require(out / "sizes.json", "variants")
-    sizes = json.loads((out / "sizes.json").read_text())["sizes"]
+    sizes = _read_json(out / "sizes.json", "variants", "sizes", dict)["sizes"]
     fp_wm = WorldModel.from_model(load_model(out / "model"))
     variants = []
     for name in cfg.variants:
         _require(out / "variants" / name / "manifest.json", "variants")
-        if name not in sizes:
+        entry = sizes.get(name)
+        if not isinstance(entry, dict) or type(entry.get("size_bytes")) is not int:
             raise StageError(
-                f"variant {name!r} is missing from {out / 'sizes.json'}; "
-                "run the 'variants' stage first"
+                f"the integer size_bytes of variant {name!r} is missing from "
+                f"{out / 'sizes.json'}; run the 'variants' stage first"
             )
         model = load_model(out / "variants" / name)
-        variants.append(VariantModel(name, model, sizes[name]["size_bytes"], policy_for_name(name)))
+        variants.append(VariantModel(name, model, entry["size_bytes"], policy_for_name(name)))
     run_set = run_paired_eval(
         variants,
         fp_wm,
@@ -278,12 +291,10 @@ def stage_report(cfg: ExperimentConfig) -> None:
     from .report import emit_report
 
     out = _out(cfg)
-    _require(out / "episodes.csv", "eval")
-    for name in STATS_FILES:
-        _require(out / name, "stats")
-    records = read_episodes_csv(out / "episodes.csv")
-    artifacts = {name: json.loads((out / name).read_text()) for name in STATS_FILES}
-    emit_report(records, artifacts, out, cfg)
+    artifacts = {
+        name: _read_json(out / name, "stats", key, list) for name, key in STATS_FILES.items()
+    }
+    emit_report(artifacts, out, cfg)
 
 
 STAGES = ("gen-data", "train", "variants", "eval", "stats", "report")

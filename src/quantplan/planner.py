@@ -124,28 +124,27 @@ def plan_actions(
     row i's noise from gens[i]; returns (plans (n, goal_h, 2), info).
 
     info holds per-row arrays `elite_costs` (n, opt_steps),
-    `initial_mean_cost`, `final_mean_cost` and `failed`, and the per-plan
-    counts `n_encodes` and `n_predicts`.  A row whose population costs turn
-    non-finite fails alone: it leaves the population and its plan and later
-    costs read NaN.  The incumbent best sequence is re-injected into each
+    `initial_mean_cost`, `final_mean_cost` and `failed`.  A row whose
+    population costs turn non-finite fails but stays in the batch, where no
+    other row reads it; its plan, final cost and elite costs from that step on
+    read NaN.  The incumbent best sequence is re-injected into each
     population, so a row's best elite cost is non-increasing across iterations.
     """
     n = len(gens)
     z0 = wm.encode(current_obs[:, None, :])[:, 0]
     zg = wm.encode(goal_obs[:, None, :])[:, 0]
 
-    def costs_of(rows: np.ndarray, seqs: np.ndarray) -> np.ndarray:
-        # seqs (m, pop, h, 2) for the episodes `rows` -> final-latent costs (m, pop)
-        z = np.repeat(z0[rows][:, None, :], seqs.shape[1], axis=1)
+    def costs_of(seqs: np.ndarray) -> np.ndarray:
+        # seqs (n, pop, h, 2) -> final-latent costs (n, pop)
+        z = np.repeat(z0[:, None, :], seqs.shape[1], axis=1)
         for t in range(seqs.shape[2]):
             z = wm.predict_next(z, seqs[:, :, t, :])
-        return np.linalg.norm(z - zg[rows][:, None, :], axis=-1)
+        return np.linalg.norm(z - zg[:, None, :], axis=-1)
 
     h, pop = budget.goal_h, cem.population
-    rows = np.arange(n)
     mean = np.zeros((n, h, 2))
     std = np.full((n, h, 2), cem.init_std)
-    initial_mean_cost = costs_of(rows, mean[:, None])[:, 0]
+    initial_mean_cost = costs_of(mean[:, None])[:, 0]
     n_elite = max(1, int(round(cem.elite_fraction * pop)))
     best_seq = np.zeros((n, h, 2))
     best_cost = np.full(n, np.inf)
@@ -153,37 +152,31 @@ def plan_actions(
     failed = np.zeros(n, dtype=bool)
 
     for k in range(budget.opt_steps):
-        noise = np.stack([gens[i].standard_normal((pop, h, 2)) for i in rows])
-        seqs = np.clip(noise * std[rows][:, None] + mean[rows][:, None], -max_step, max_step)
+        noise = np.stack([g.standard_normal((pop, h, 2)) for g in gens])
+        seqs = np.clip(noise * std[:, None] + mean[:, None], -max_step, max_step)
         if k:
-            seqs[:, 0] = best_seq[rows]
-        c = costs_of(rows, seqs)
-        ok = np.all(np.isfinite(c), axis=1)
-        failed[rows[~ok]] = True
-        rows, seqs, c = rows[ok], seqs[ok], c[ok]
-        if not rows.size:
-            break
+            seqs[:, 0] = best_seq
+        c = costs_of(seqs)
+        failed |= ~np.all(np.isfinite(c), axis=1)
         order = np.argsort(c, axis=1, kind="stable")[:, :n_elite]
         elites = np.take_along_axis(seqs, order[:, :, None, None], axis=1)
-        mean[rows] = elites.mean(axis=1)
-        std[rows] = np.maximum(elites.std(axis=1), cem.std_floor)
+        mean = elites.mean(axis=1)
+        std = np.maximum(elites.std(axis=1), cem.std_floor)
         top = np.take_along_axis(c, order[:, :1], axis=1)[:, 0]
-        elite_costs[rows, k] = top
-        better = top < best_cost[rows]
-        best_cost[rows[better]] = top[better]
-        best_seq[rows[better]] = elites[better, 0]
+        elite_costs[~failed, k] = top[~failed]
+        better = top < best_cost
+        best_cost[better] = top[better]
+        best_seq[better] = elites[better, 0]
 
-    plans = np.full((n, h, 2), np.nan)
-    plans[rows] = np.clip(mean[rows], -max_step, max_step)
-    final_mean_cost = np.full(n, np.nan)
-    final_mean_cost[rows] = costs_of(rows, plans[rows][:, None])[:, 0]
+    plans = np.clip(mean, -max_step, max_step)
+    final_mean_cost = costs_of(plans[:, None])[:, 0]
+    plans[failed] = np.nan
+    final_mean_cost[failed] = np.nan
     info = {
         "elite_costs": elite_costs,
         "initial_mean_cost": initial_mean_cost,
         "final_mean_cost": final_mean_cost,
         "failed": failed,
-        "n_encodes": 2,
-        "n_predicts": h + budget.opt_steps * pop * h + h,  # initial, population, final
     }
     return plans, info
 
@@ -216,8 +209,7 @@ def run_episodes(
 
     success = _norm(state - goal) <= tau
     steps = np.zeros(n, dtype=np.int64)
-    n_enc = np.zeros(n, dtype=np.int64)
-    n_pred = np.zeros(n, dtype=np.int64)
+    n_plans = np.zeros(n, dtype=np.int64)
     state_dist = np.zeros((n, budget.max_iter * budget.goal_h))
     embed_div = np.zeros_like(state_dist)
     live = np.flatnonzero(~success)
@@ -230,8 +222,7 @@ def run_episodes(
         plans, info = plan_actions(wm, obs, goal_obs[live], budget, cem, gens_live, env_cfg.max_step)
         ok = ~info["failed"]
         live, plans, obs = live[ok], plans[ok], obs[ok]
-        n_enc[live] += info["n_encodes"] + 1
-        n_pred[live] += info["n_predicts"]
+        n_plans[live] += 1
         z_var = wm.encode(obs[:, None, :])
         for t in range(budget.goal_h):
             if not live.size:
@@ -240,20 +231,18 @@ def run_episodes(
             k = steps[live]
             steps[live] += 1
             z_var = wm.predict_next(z_var, plans[:, None, t])
-            n_pred[live] += 1
             obs_t = render(state[live], env_cfg)[:, None, :]
             state_dist[live, k] = _norm(fp_wm.probe_decode(z_var)[:, 0] - state[live])
             embed_div[live, k] = _norm((wm.encode(obs_t) - fp_wm.encode(obs_t))[:, 0])
-            n_enc[live] += 2
             done = _norm(state[live] - goal[live]) <= tau
             success[live[done]] = True
             live, plans, z_var = live[~done], plans[~done], z_var[~done]
 
-    flops = (
-        n_enc * wm.flops_per_encode()
-        + n_pred * wm.flops_per_predict()
-        + steps * fp_wm.probe.flops()
-    )
+    # the cost model of the README's "Evaluation" section
+    enc, pred = wm.flops_per_encode(), wm.flops_per_predict()
+    per_plan = 3 * enc + (2 + budget.opt_steps * cem.population) * budget.goal_h * pred
+    per_step = 2 * enc + pred + fp_wm.probe.flops()
+    flops = n_plans * per_plan + steps * per_step
     return [
         EpisodeRecord(
             variant_name=variant.variant_name,

@@ -13,7 +13,7 @@ from functools import cached_property
 from .errors import ValidationError
 from .nn import WorldModel
 from .quant import fake_quantize_tensor
-from .store import Model, TensorRecord, model_size_bytes
+from .store import Model, TensorRecord
 
 RETENTION_SWEEP = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -108,6 +108,23 @@ def bits_for_tensor(
         raise ValidationError("layerwise policy needs n_encoder_layers")
     n_retained = math.ceil(policy.retained_fraction * n_encoder_layers)
     return None if record.layer_index < n_retained else 4
+
+
+def model_size_bytes(model: Model, policy: AllocationPolicy) -> int:
+    """Storage size under a bit-allocation policy.
+
+    Quantized linear weights cost ceil(numel*b/8) plus 4 bytes of scale per
+    output channel; everything else is accounted at baseline_bits.
+    """
+    n_enc = model.n_layers("encoder")
+    total = 0
+    for t in model.tensors:
+        b = bits_for_tensor(policy, t, n_encoder_layers=n_enc)
+        if b is None:
+            total += t.numel * model.baseline_bits // 8
+        else:
+            total += math.ceil(t.numel * b / 8) + 4 * t.shape[0]
+    return total
 
 
 def apply_policy(model: Model, policy: AllocationPolicy, variant_name: str = "") -> VariantModel:

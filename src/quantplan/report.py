@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .planner import EpisodeRecord
 
 W, H = 640, 400
 MARGIN = 60
@@ -80,18 +79,16 @@ def _axes(svg: Svg, title: str, xlabel: str, ylabel: str):
     svg.text(15, H / 2, ylabel, anchor="middle")
 
 
-def _success_by(records: list[EpisodeRecord]):
-    acc: dict[tuple[str, str], list[int]] = {}
-    for r in records:
-        acc.setdefault((r.variant_name, r.budget_name), []).append(r.success)
-    return {k: float(np.mean(v)) for k, v in acc.items()}
+def _success_by(frontier: dict) -> dict[tuple[str, str], float]:
+    """Success per (variant, budget); frontier.json has a point for every evaluated pair."""
+    return {(p["variant_name"], p["budget"]): p["success"] for p in frontier["frontier"]}
 
 
-def write_main_table(records: list[EpisodeRecord], path: Path) -> None:
-    success = _success_by(records)
-    budgets = sorted({r.budget_name for r in records})
-    variants = sorted({r.variant_name for r in records})
-    size_mb = {r.variant_name: r.model_size_bytes / 2**20 for r in records}
+def write_main_table(frontier: dict, path: Path) -> None:
+    success = _success_by(frontier)
+    budgets = sorted({b for _, b in success})
+    variants = sorted({v for v, _ in success})
+    size_mb = {p["variant_name"]: p["size_bytes"] / 2**20 for p in frontier["frontier"]}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["variant"] + [f"success_{b}" for b in budgets] + ["size_mb"])
@@ -145,11 +142,11 @@ def forest_svg(comparisons: dict, comment: str) -> str:
     return svg.render()
 
 
-def retention_curve_svg(records: list[EpisodeRecord], comment: str) -> str:
+def retention_curve_svg(frontier: dict, comment: str) -> str:
     """Success vs encoder retention; 0%/100% alias uniform_int4/mixed_int4."""
     svg = Svg(comment=comment)
     _axes(svg, "Encoder retention sweep (predictor INT4)", "encoder kept at baseline (%)", "success")
-    success = _success_by(records)
+    success = _success_by(frontier)
     alias = {
         0: "uniform_int4",
         25: "layerwise_int4_25",
@@ -157,7 +154,7 @@ def retention_curve_svg(records: list[EpisodeRecord], comment: str) -> str:
         75: "layerwise_int4_75",
         100: "mixed_int4",
     }
-    budgets = sorted({r.budget_name for r in records})
+    budgets = sorted({b for _, b in success})
     fx, *_ = _scale([0, 100], MARGIN + 10, W - MARGIN - 10)
     fy, *_ = _scale([0.0, 1.0], H - MARGIN - 5, MARGIN + 5)
     for bi, budget in enumerate(budgets):
@@ -223,14 +220,14 @@ def divergence_scatter_svg(correlations: dict, comment: str) -> str:
     return svg.render()
 
 
-def emit_report(
-    records: list[EpisodeRecord], artifacts: dict, out: Path, cfg: ExperimentConfig
-) -> None:
+def emit_report(artifacts: dict, out: Path, cfg: ExperimentConfig) -> None:
+    """Write main_table.csv and the figures from the statistics payloads `artifacts`."""
     comment = f"config_hash: {cfg.config_hash()}"
-    write_main_table(records, out / "main_table.csv")
-    (out / "frontier.svg").write_text(frontier_svg(artifacts["frontier.json"], comment))
+    frontier = artifacts["frontier.json"]
+    write_main_table(frontier, out / "main_table.csv")
+    (out / "frontier.svg").write_text(frontier_svg(frontier, comment))
     (out / "forest.svg").write_text(forest_svg(artifacts["comparisons.json"], comment))
-    (out / "retention_curve.svg").write_text(retention_curve_svg(records, comment))
+    (out / "retention_curve.svg").write_text(retention_curve_svg(frontier, comment))
     (out / "difficulty.svg").write_text(difficulty_svg(artifacts["bins.json"], comment))
     (out / "divergence_scatter.svg").write_text(
         divergence_scatter_svg(artifacts["correlations.json"], comment)

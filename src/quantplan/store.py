@@ -14,7 +14,6 @@ bit-exact, including negative zero.
 from __future__ import annotations
 
 import json
-import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +28,12 @@ KINDS = ("linear_weight", "linear_bias", "non_linear_param")
 
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "weights.bin"
+
+# JSON type of each required manifest and tensor descriptor field
+MANIFEST_FIELDS = dict(format_version=int, baseline_bits=int, tensors=list)
+DESCRIPTOR_FIELDS = dict(
+    name=str, role=str, layer_index=int, kind=str, shape=list, offset=int, length=int
+)
 
 
 @dataclass
@@ -156,6 +161,18 @@ def persist_model(model: Model, path: str | Path) -> None:
         raise PersistenceError(f"failed to persist model to {path}: {e}") from e
 
 
+def _check_fields(obj, types: dict[str, type], what: str) -> None:
+    """ValidationError unless `obj` is a JSON object whose fields have the JSON `types`."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    for key, kind in types.items():
+        if key not in obj:
+            raise ValidationError(f"{what} is missing required field {key!r}")
+        if type(obj[key]) is not kind:
+            kind_name, value = kind.__name__, obj[key]
+            raise ValidationError(f"{what}: field {key!r} must be {kind_name}, got {value!r}")
+
+
 def load_model(path: str | Path) -> Model:
     """Inverse of persist_model, with full re-validation."""
     path = Path(path)
@@ -169,12 +186,12 @@ def load_model(path: str | Path) -> Model:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as e:
         raise ValidationError(f"malformed manifest {manifest_path}: {e}") from e
-    for key in ("format_version", "baseline_bits", "tensors"):
-        if key not in manifest:
-            raise ValidationError(f"manifest missing required field {key!r}")
+    _check_fields(manifest, MANIFEST_FIELDS, f"manifest {manifest_path}")
     if manifest["format_version"] != FORMAT_VERSION:
         version = manifest["format_version"]
         raise ValidationError(f"{manifest_path}: unsupported format_version {version!r}")
+    if not isinstance(manifest.get("extras", {}), dict):
+        raise ValidationError(f"{manifest_path}: extras must be an object")
     blob = blob_path.read_bytes()
     expected_crc = manifest.get("blob_crc32")
     if expected_crc is not None and zlib.crc32(blob) != expected_crc:
@@ -183,52 +200,29 @@ def load_model(path: str | Path) -> Model:
     tensors = []
     prev_end = 0
     for d in manifest["tensors"]:
-        for key in ("name", "role", "layer_index", "kind", "shape", "offset", "length"):
-            if key not in d:
-                raise ValidationError(f"tensor descriptor missing field {key!r}")
-        shape = tuple(int(s) for s in d["shape"])
-        numel = int(np.prod(shape)) if shape else 1
+        name = d.get("name") if isinstance(d, dict) else d
+        _check_fields(d, DESCRIPTOR_FIELDS, f"tensor {name!r}")
+        shape = tuple(d["shape"])
+        if any(type(s) is not int or s < 1 for s in shape):
+            raise ValidationError(f"tensor {name!r}: field 'shape' must list positive ints")
+        numel = int(np.prod(shape))
         if d["length"] != 4 * numel:
             raise ValidationError(
-                f"tensor {d['name']!r}: length {d['length']} != 4 x shape product {4 * numel}"
+                f"tensor {name!r}: length {d['length']} != 4 x shape product {4 * numel}"
             )
         if d["offset"] < prev_end:
-            raise ValidationError(f"tensor {d['name']!r}: overlapping or non-ascending offset")
+            raise ValidationError(f"tensor {name!r}: overlapping or non-ascending offset")
         end = d["offset"] + d["length"]
         if end > len(blob):
-            raise ValidationError(
-                f"tensor {d['name']!r}: blob too short ({len(blob)} bytes, need {end})"
-            )
+            raise ValidationError(f"tensor {name!r}: blob too short ({len(blob)} bytes, need {end})")
         prev_end = end
         data = np.frombuffer(blob[d["offset"] : end], dtype="<f4").reshape(shape)
-        tensors.append(
-            TensorRecord(d["name"], d["role"], int(d["layer_index"]), d["kind"], shape, data)
-        )
+        tensors.append(TensorRecord(name, d["role"], d["layer_index"], d["kind"], shape, data))
     model = Model(
         tensors=tensors,
-        baseline_bits=int(manifest["baseline_bits"]),
-        format_version=int(manifest["format_version"]),
+        baseline_bits=manifest["baseline_bits"],
+        format_version=FORMAT_VERSION,
         extras=manifest.get("extras", {}),
     )
     model.validate()
     return model
-
-
-def model_size_bytes(model: Model, policy) -> int:
-    """Storage size under a bit-allocation policy.
-
-    Quantized linear weights cost ceil(numel*b/8) plus 4 bytes of scale per
-    output channel; everything else is accounted at baseline_bits.
-    """
-    from .policies import bits_for_tensor
-
-    n_enc = model.n_layers("encoder")
-    total = 0
-    for t in model.tensors:
-        b = bits_for_tensor(policy, t, n_encoder_layers=n_enc)
-        if b is None:
-            total += t.numel * model.baseline_bits // 8
-        else:
-            out_channels = t.shape[0]
-            total += math.ceil(t.numel * b / 8) + 4 * out_channels
-    return total

@@ -142,7 +142,7 @@ def test_stage_ordering_errors(tmp_path):
         run_stage(cfg, "train")
     with pytest.raises(StageError, match="eval"):
         run_stage(cfg, "stats")
-    with pytest.raises(StageError, match="eval"):
+    with pytest.raises(StageError, match="stats"):
         run_stage(cfg, "report")
     with pytest.raises(StageError, match="unknown stage"):
         run_stage(cfg, "fit")
@@ -172,6 +172,39 @@ def test_pipeline_artifacts(pipeline_out):
     assert len(lines) == 1 + n_expected
     for v in TINY["variants"]:
         assert (out / "variants" / v / "weights.bin").exists()
+
+
+def test_malformed_stage_json_names_file_and_stage(pipeline_out, tmp_path):
+    import dataclasses
+    import shutil
+    from pathlib import Path
+
+    def broken_copy(name, text):
+        out = tmp_path / name.replace(".", "_")
+        shutil.copytree(pipeline_out.output_dir, out)
+        for artifact in ("episodes.csv", "main_table.csv"):
+            (out / artifact).unlink()
+        (out / name).write_text(text)
+        return dataclasses.replace(pipeline_out, output_dir=str(out)), out
+
+    sizes = json.loads((Path(pipeline_out.output_dir) / "sizes.json").read_text())
+    no_size = json.loads(json.dumps(sizes))
+    del no_size["sizes"]["fp16"]["size_bytes"]
+    cases = [
+        ("sizes.json", json.dumps({"config_hash": sizes["config_hash"]}), "eval",
+         r"sizes.json has no JSON dict 'sizes'; rerun the 'variants' stage"),
+        ("sizes.json", json.dumps(no_size), "eval",
+         r"size_bytes of variant 'fp16' is missing from .*sizes.json; run the 'variants' stage"),
+        ("sizes.json", "{not json", "eval", r"sizes.json .*rerun the 'variants' stage"),
+        ("frontier.json", "{not json", "report", r"frontier.json .*rerun the 'stats' stage"),
+        ("bins.json", "[]", "report", r"bins.json .*rerun the 'stats' stage"),
+    ]
+    for name, text, stage, message in cases:
+        cfg, out = broken_copy(name, text)
+        with pytest.raises(StageError, match=message):
+            run_stage(cfg, stage)
+        assert not (out / "episodes.csv").exists() and not (out / "main_table.csv").exists()
+        shutil.rmtree(out)
 
 
 def test_artifacts_record_config_hash(pipeline_out):

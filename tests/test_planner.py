@@ -230,6 +230,26 @@ def test_batch_shape_independence(prepared, trained_model, env_cfg, variant, bud
     assert len({r.steps_executed for r in batched}) > 1
 
 
+def test_runtime_seconds_follows_cost_model(prepared, trained_model, env_cfg):
+    budget, cem = PlannerBudget(9, 2, 1, (0,)), CEMConfig()
+    at_goal = EpisodeSpec(0, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
+    specs = [at_goal] + sample_episode_specs(0, 4, env_cfg)
+    records = run_episodes(prepared["uniform_int3"], trained_model, specs, budget, "b", cem, env_cfg)
+    enc, pred, probe = (
+        sum(2 * W.size for W, _ in stack.layers)
+        for stack in (trained_model.encoder, trained_model.predictor, trained_model.probe)
+    )
+    # max_iter 1: one plan per episode not at its goal, whose 2 encodes and
+    # (2 + opt_steps * pop) rollouts of goal_h predicts are charged with the
+    # encode that executes it; each step adds 2 encodes, a predict and a probe
+    per_plan = 2 * enc + (2 + 2 * cem.population) * 9 * pred + enc
+    per_step = 2 * enc + pred + probe
+    assert records[0].runtime_seconds == 0.0
+    for r in records[1:]:
+        assert r.steps_executed > 0
+        assert r.runtime_seconds == (per_plan + r.steps_executed * per_step) / 1e9
+
+
 def test_planning_failure_is_recorded_per_variant(prepared, trained_model, env_cfg):
     model = prepared["fp16"].model.copy()
     model.tensor("predictor.1.weight").data[0, 0] = np.inf

@@ -156,3 +156,22 @@ def test_mixed_larger_than_uniform():
         assert model_size_bytes(m, AllocationPolicy("mixed", bits=b)) > model_size_bytes(
             m, AllocationPolicy("uniform", bits=b)
         )
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m["tensors"][0].update(shape=5), "'enc.0.weight': field 'shape'"),
+        (lambda m: m.update(tensors=5), "field 'tensors' must be list"),
+        (lambda m: m["tensors"][1].update(offset="0"), "'enc.0.bias': field 'offset'"),
+        (lambda m: m["tensors"][0].update(layer_index="a"), "'enc.0.weight': field 'layer_index'"),
+    ],
+    ids=["shape", "tensors", "offset", "layer_index"],
+)
+def test_mistyped_manifest_field_rejected(tmp_path, edit, message):
+    persist_model(small_model(), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    edit(manifest)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValidationError, match=message):
+        load_model(tmp_path)
