@@ -56,6 +56,13 @@ class ExperimentConfig:
             raise ValidationError("budgets must name at least one budget")
         if self.episodes_per_run < 1:
             raise ValidationError("episodes_per_run must be >= 1")
+        for name, budget in self.budgets.items():
+            # the statistics split each budget's paired units into at least two bins
+            if len(budget.seeds) * self.episodes_per_run < 2:
+                raise ValidationError(
+                    f"budgets.{name}: {len(budget.seeds)} seed x episodes_per_run "
+                    f"{self.episodes_per_run} gives 1 paired unit; the statistics need 2"
+                )
         for name in self.variants:
             if name not in ALL_VARIANT_NAMES:
                 raise ValidationError(f"variants: unknown variant {name!r}")

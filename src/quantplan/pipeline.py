@@ -118,11 +118,11 @@ def stage_train(cfg: ExperimentConfig) -> None:
 def stage_variants(cfg: ExperimentConfig) -> None:
     out = _out(cfg)
     _require(out / "model" / "manifest.json", "train")
-    base = load_model(out / "model")
+    base = WorldModel.from_model(load_model(out / "model"))
     sizes = {}
     for name in cfg.variants:
-        v = apply_policy(base, policy_for_name(name), variant_name=name)
-        persist_model(v.model, out / "variants" / name)
+        v = apply_policy(base, policy_for_name(name), name)
+        persist_model(v.wm.to_model(), out / "variants" / name)
         sizes[name] = {"size_bytes": v.size_bytes, "size_mb": v.size_bytes / 2**20}
     _write_json(out / "sizes.json", {"sizes": sizes}, cfg)
 
@@ -141,8 +141,8 @@ def stage_eval(cfg: ExperimentConfig) -> RunSet:
                 f"the integer size_bytes of variant {name!r} is missing from "
                 f"{out / 'sizes.json'}; run the 'variants' stage first"
             )
-        model = load_model(out / "variants" / name)
-        variants.append(VariantModel(name, model, entry["size_bytes"], policy_for_name(name)))
+        wm = WorldModel.from_model(load_model(out / "variants" / name))
+        variants.append(VariantModel(name, wm, entry["size_bytes"]))
     run_set = run_paired_eval(
         variants,
         fp_wm,

@@ -2,18 +2,21 @@
 
 A policy decision is either an int bitwidth or None, meaning the tensor
 stays at baseline precision.  Only linear weights are ever quantized.
+Policies act on a `WorldModel` in memory: `apply_policy` fake-quantizes a
+deep copy through its `named_params()` views.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import re
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ValidationError
 from .nn import WorldModel
 from .quant import fake_quantize_tensor
-from .store import Model, TensorRecord
+from .store import BASELINE_BITS
 
 RETENTION_SWEEP = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -75,88 +78,88 @@ class AllocationPolicy:
 
 @dataclass
 class VariantModel:
-    variant_name: str
-    model: Model
-    size_bytes: int
-    policy: AllocationPolicy
+    """A fake-quantized world model under its variant name, with its storage size."""
 
-    @cached_property
-    def wm(self) -> WorldModel:
-        """The variant's weights as a WorldModel, built once on first use."""
-        return WorldModel.from_model(self.model)
+    variant_name: str
+    wm: WorldModel
+    size_bytes: int
 
 
 def bits_for_tensor(
-    policy: AllocationPolicy, record: TensorRecord, n_encoder_layers: int | None = None
+    policy: AllocationPolicy, role: str, layer_index: int, kind: str, n_encoder_layers: int
 ) -> int | None:
     """Bitwidth decision for one tensor; None means keep at baseline."""
-    if record.kind != "linear_weight":
+    if kind != "linear_weight":
         return None
     if policy.kind == "full_precision":
         return None
     if policy.kind == "uniform":
         return policy.bits
     if policy.kind == "mixed":
-        return None if record.role == "encoder" else policy.bits
+        return None if role == "encoder" else policy.bits
     if policy.kind == "asymmetric":
-        return policy.encoder_bits if record.role == "encoder" else policy.predictor_bits
+        return policy.encoder_bits if role == "encoder" else policy.predictor_bits
     # layerwise: protect the first ceil(f * n_layers) encoder layers by
     # ascending layer_index; everything else follows the predictor bits
-    if record.role != "encoder":
+    if role != "encoder":
         return policy.predictor_bits
-    if n_encoder_layers is None:
-        raise ValidationError("layerwise policy needs n_encoder_layers")
     n_retained = math.ceil(policy.retained_fraction * n_encoder_layers)
-    return None if record.layer_index < n_retained else 4
+    return None if layer_index < n_retained else 4
 
 
-def model_size_bytes(model: Model, policy: AllocationPolicy) -> int:
+def _decisions(wm: WorldModel, policy: AllocationPolicy):
+    """(bitwidth or None, parameter view) per tensor of wm, in theta order."""
+    n_enc = len(wm.dims["encoder"])
+    for _, role, i, kind, p in wm.named_params():
+        yield bits_for_tensor(policy, role, i, kind, n_enc), p
+
+
+def model_size_bytes(wm: WorldModel, policy: AllocationPolicy) -> int:
     """Storage size under a bit-allocation policy.
 
-    Quantized linear weights cost ceil(numel*b/8) plus 4 bytes of scale per
-    output channel; everything else is accounted at baseline_bits.
+    Quantized linear weights cost ceil(size*b/8) plus 4 bytes of scale per
+    output channel; everything else is accounted at BASELINE_BITS.
     """
-    n_enc = model.n_layers("encoder")
     total = 0
-    for t in model.tensors:
-        b = bits_for_tensor(policy, t, n_encoder_layers=n_enc)
+    for b, p in _decisions(wm, policy):
         if b is None:
-            total += t.numel * model.baseline_bits // 8
+            total += p.size * BASELINE_BITS // 8
         else:
-            total += math.ceil(t.numel * b / 8) + 4 * t.shape[0]
+            total += math.ceil(p.size * b / 8) + 4 * p.shape[0]
     return total
 
 
-def apply_policy(model: Model, policy: AllocationPolicy, variant_name: str = "") -> VariantModel:
-    """Materialize the fake-quantized variant; the input model is untouched."""
-    model.validate()
-    n_enc = model.n_layers("encoder")
-    out = model.copy()
-    for t in out.tensors:
-        b = bits_for_tensor(policy, t, n_encoder_layers=n_enc)
+def apply_policy(wm: WorldModel, policy: AllocationPolicy, name: str) -> VariantModel:
+    """Fake-quantize a deep copy of wm under policy; the input model is untouched."""
+    out = copy.deepcopy(wm)
+    for b, p in _decisions(out, policy):
         if b is not None:
-            t.data = fake_quantize_tensor(t.data, b)
-    return VariantModel(
-        variant_name=variant_name,
-        model=out,
-        size_bytes=model_size_bytes(model, policy),
-        policy=policy,
-    )
+            p[...] = fake_quantize_tensor(p, b)
+    return VariantModel(name, out, model_size_bytes(wm, policy))
+
+
+# variant name pattern -> the policy built from its matched numbers
+NAME_PATTERNS = {
+    "fp16": lambda: AllocationPolicy("full_precision"),
+    "uniform_int([0-9]+)": lambda b: AllocationPolicy("uniform", bits=int(b)),
+    "mixed_int([0-9]+)": lambda b: AllocationPolicy("mixed", bits=int(b)),
+    "enc([0-9]+)_pred([0-9]+)": lambda e, p: AllocationPolicy(
+        "asymmetric", encoder_bits=int(e), predictor_bits=int(p)
+    ),
+    "layerwise_int4_([0-9]+)": lambda pct: AllocationPolicy(
+        "layerwise", retained_fraction=int(pct) / 100, predictor_bits=4
+    ),
+}
 
 
 def policy_for_name(name: str) -> AllocationPolicy:
-    if name == "fp16":
-        return AllocationPolicy("full_precision")
-    if name.startswith("uniform_int"):
-        return AllocationPolicy("uniform", bits=int(name.removeprefix("uniform_int")))
-    if name.startswith("mixed_int"):
-        return AllocationPolicy("mixed", bits=int(name.removeprefix("mixed_int")))
-    if name.startswith("enc") and "_pred" in name:
-        enc, pred = name.removeprefix("enc").split("_pred")
-        return AllocationPolicy("asymmetric", encoder_bits=int(enc), predictor_bits=int(pred))
-    if name.startswith("layerwise_int4_"):
-        pct = int(name.removeprefix("layerwise_int4_"))
-        return AllocationPolicy("layerwise", retained_fraction=pct / 100, predictor_bits=4)
+    for pattern, build in NAME_PATTERNS.items():
+        match = re.fullmatch(pattern, name)
+        if match:
+            try:
+                return build(*match.groups())
+            except ValidationError as e:
+                raise ValidationError(f"variant {name!r}: {e}") from e
     raise ValidationError(f"unknown variant name {name!r}")
 
 

@@ -1,4 +1,7 @@
-"""Model persistence: JSON manifest + raw little-endian float32 blob.
+"""Checkpoint codec: JSON manifest + raw little-endian float32 blob.
+
+`Model`/`TensorRecord` are the on-disk form of a `WorldModel` (and of the
+dataset blob); in memory, weights live in `WorldModel`s.
 
 On-disk layout of a model directory:
 
@@ -14,6 +17,7 @@ bit-exact, including negative zero.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +27,8 @@ import numpy as np
 from .errors import PersistenceError, ValidationError
 
 FORMAT_VERSION = 1
+# storage bits of every tensor a policy leaves unquantized
+BASELINE_BITS = 16
 ROLES = ("encoder", "predictor", "other")
 KINDS = ("linear_weight", "linear_bias", "non_linear_param")
 
@@ -47,11 +53,12 @@ class TensorRecord:
 
     def __post_init__(self):
         self.shape = tuple(int(s) for s in self.shape)
-        self.data = np.ascontiguousarray(self.data, dtype=np.float32).reshape(self.shape)
-
-    @property
-    def numel(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
+        data = np.ascontiguousarray(self.data, dtype=np.float32)
+        if data.size != math.prod(self.shape):
+            raise ValidationError(
+                f"tensor {self.name!r}: {data.size} values do not fill shape {self.shape}"
+            )
+        self.data = data.reshape(self.shape)
 
     def validate(self) -> None:
         if self.role not in ROLES:
@@ -66,8 +73,6 @@ class TensorRecord:
             raise ValidationError(
                 f"tensor {self.name!r}: linear_weight must be 2-D, got shape {self.shape}"
             )
-        if self.data.size != self.numel:
-            raise ValidationError(f"tensor {self.name!r}: shape/data length mismatch")
 
 
 @dataclass
@@ -75,13 +80,9 @@ class Model:
     """A manifest plus its tensor data, always kept consistent."""
 
     tensors: list[TensorRecord] = field(default_factory=list)
-    baseline_bits: int = 16
-    format_version: int = FORMAT_VERSION
     extras: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.baseline_bits <= 0:
-            raise ValidationError("baseline_bits must be positive")
         names = set()
         role_layers = set()
         for t in self.tensors:
@@ -105,17 +106,6 @@ class Model:
 
     def n_layers(self, role: str) -> int:
         return sum(1 for t in self.tensors if t.role == role and t.kind == "linear_weight")
-
-    def copy(self) -> "Model":
-        return Model(
-            tensors=[
-                TensorRecord(t.name, t.role, t.layer_index, t.kind, t.shape, t.data.copy())
-                for t in self.tensors
-            ],
-            baseline_bits=self.baseline_bits,
-            format_version=self.format_version,
-            extras=json.loads(json.dumps(self.extras)),
-        )
 
 
 def persist_model(model: Model, path: str | Path) -> None:
@@ -145,8 +135,8 @@ def persist_model(model: Model, path: str | Path) -> None:
         offset += len(raw)
     blob = b"".join(chunks)
     manifest = {
-        "format_version": model.format_version,
-        "baseline_bits": model.baseline_bits,
+        "format_version": FORMAT_VERSION,
+        "baseline_bits": BASELINE_BITS,
         "blob_crc32": zlib.crc32(blob),
         "extras": model.extras,
         "tensors": descriptors,
@@ -187,9 +177,9 @@ def load_model(path: str | Path) -> Model:
     except json.JSONDecodeError as e:
         raise ValidationError(f"malformed manifest {manifest_path}: {e}") from e
     _check_fields(manifest, MANIFEST_FIELDS, f"manifest {manifest_path}")
-    if manifest["format_version"] != FORMAT_VERSION:
-        version = manifest["format_version"]
-        raise ValidationError(f"{manifest_path}: unsupported format_version {version!r}")
+    for key, supported in (("format_version", FORMAT_VERSION), ("baseline_bits", BASELINE_BITS)):
+        if manifest[key] != supported:
+            raise ValidationError(f"{manifest_path}: unsupported {key} {manifest[key]!r}")
     if not isinstance(manifest.get("extras", {}), dict):
         raise ValidationError(f"{manifest_path}: extras must be an object")
     blob = blob_path.read_bytes()
@@ -218,11 +208,6 @@ def load_model(path: str | Path) -> Model:
         prev_end = end
         data = np.frombuffer(blob[d["offset"] : end], dtype="<f4").reshape(shape)
         tensors.append(TensorRecord(name, d["role"], d["layer_index"], d["kind"], shape, data))
-    model = Model(
-        tensors=tensors,
-        baseline_bits=manifest["baseline_bits"],
-        format_version=FORMAT_VERSION,
-        extras=manifest.get("extras", {}),
-    )
+    model = Model(tensors=tensors, extras=manifest.get("extras", {}))
     model.validate()
     return model

@@ -48,8 +48,7 @@ def report(n, name):
 @pytest.fixture(scope="module")
 def full_sweep(dataset, trained_model, env_cfg):
     cfg = ExperimentConfig()
-    base = trained_model.to_model()
-    variants = [apply_policy(base, policy_for_name(n), n) for n in cfg.variants]
+    variants = [apply_policy(trained_model, policy_for_name(n), n) for n in cfg.variants]
     run_set = run_paired_eval(
         variants,
         trained_model,
@@ -59,7 +58,7 @@ def full_sweep(dataset, trained_model, env_cfg):
         episodes_per_run=cfg.episodes_per_run,
         master_seed=cfg.master_seed,
     )
-    return cfg, base, run_set
+    return cfg, run_set
 
 
 def success_of(records, variant, budget=None):
@@ -157,7 +156,7 @@ def test_criterion_4_gradient_correctness(rng):
 
 
 def test_criterion_5_pairing_protocol(full_sweep, trained_model, env_cfg):
-    cfg, base, run_set = full_sweep
+    cfg, run_set = full_sweep
     units = {}
     for r in run_set.records:
         units.setdefault(r.variant_name, []).append(
@@ -167,8 +166,8 @@ def test_criterion_5_pairing_protocol(full_sweep, trained_model, env_cfg):
     for v in cfg.variants[1:]:
         assert sorted(units[v]) == reference
     # identical weights under two names -> identical records
-    fp = apply_policy(base, policy_for_name("fp16"), "fp16")
-    twin = apply_policy(base, policy_for_name("fp16"), "fp16_twin")
+    fp = apply_policy(trained_model, policy_for_name("fp16"), "fp16")
+    twin = apply_policy(trained_model, policy_for_name("fp16"), "fp16_twin")
     rs = run_paired_eval(
         [fp, twin],
         trained_model,
@@ -225,7 +224,7 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
 
 
 def test_criterion_7_regime_pattern(full_sweep, trained_model, env_cfg):
-    cfg, base, run_set = full_sweep
+    cfg, run_set = full_sweep
     records = run_set.records
     assert len(records) == 650
 
@@ -244,7 +243,7 @@ def test_criterion_7_regime_pattern(full_sweep, trained_model, env_cfg):
     if np.mean([r.success for r in collapse_records[3]]) <= 0.25 * fp_success:
         b_star = 3
     else:
-        v2 = apply_policy(base, AllocationPolicy("uniform", bits=2), "uniform_int2")
+        v2 = apply_policy(trained_model, AllocationPolicy("uniform", bits=2), "uniform_int2")
         rs2 = run_paired_eval(
             [v2],
             trained_model,
@@ -280,8 +279,7 @@ def test_criterion_7_regime_pattern(full_sweep, trained_model, env_cfg):
 
 
 def test_criterion_8_size_ordering(trained_model):
-    base = trained_model.to_model()
-    size = lambda n: model_size_bytes(base, policy_for_name(n))
+    size = lambda n: model_size_bytes(trained_model, policy_for_name(n))
     assert size("uniform_int3") < size("uniform_int4") < size("uniform_int6") < size("fp16")
     for b in (3, 4, 6, 8):
         assert size(f"uniform_int{b}") < size(f"mixed_int{b}")

@@ -82,6 +82,7 @@ BUDGET = {"goal_h": 2, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
         ({"budgets": {"bA": 5}}, "budgets.bA: expected an object"),
         ({"env": None}, "env: expected an object"),
         ({"variants": ["fp16", "uniform_int8", "fp16"]}, "variants: duplicate"),
+        ({"budgets": {"bA": BUDGET}, "episodes_per_run": 1}, "budgets.bA: .*episodes_per_run"),
     ],
 )
 def test_config_rejects_bad_values(data, message):
@@ -92,6 +93,14 @@ def test_config_rejects_bad_values(data, message):
 def test_duplicate_variants_fail_before_any_artifact(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**TINY, "variants": ["fp16", "fp16"],
+                                    "output_dir": str(tmp_path / "out")}))
+    assert main(["all", "--config", str(cfg_path)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_single_paired_unit_fails_before_any_artifact(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY, "budgets": {"bA": BUDGET}, "episodes_per_run": 1,
                                     "output_dir": str(tmp_path / "out")}))
     assert main(["all", "--config", str(cfg_path)]) == 1
     assert not (tmp_path / "out").exists()

@@ -208,17 +208,15 @@ def test_from_model_looks_up_tensors_by_name(trained_model, rng):
 
 
 def test_quantized_encoder_bounded_divergence(trained_model, rng):
-    base = trained_model.to_model()
-    v8 = WorldModel.from_model(apply_policy(base, policy_for_name("uniform_int8"), "u8").model)
+    v8 = apply_policy(trained_model, policy_for_name("uniform_int8"), "u8").wm
     obs = rng.uniform(0, 1, 256)
     d8 = np.linalg.norm(v8.encode(obs) - trained_model.encode(obs))
     assert 0 < d8 < 0.5
 
 
 def test_rollout_divergence_direction(trained_model, rng):
-    base = trained_model.to_model()
-    v3 = WorldModel.from_model(apply_policy(base, policy_for_name("uniform_int3"), "u3").model)
-    v8 = WorldModel.from_model(apply_policy(base, policy_for_name("uniform_int8"), "u8").model)
+    v3 = apply_policy(trained_model, policy_for_name("uniform_int3"), "u3").wm
+    v8 = apply_policy(trained_model, policy_for_name("uniform_int8"), "u8").wm
 
     def final_latent(wm, obs, acts):
         z = wm.encode(obs)
@@ -238,8 +236,7 @@ def test_rollout_divergence_direction(trained_model, rng):
 
 
 def test_probe_error_direction_under_quantization(trained_model, dataset):
-    base = trained_model.to_model()
-    v3 = WorldModel.from_model(apply_policy(base, policy_for_name("uniform_int3"), "u3").model)
+    v3 = apply_policy(trained_model, policy_for_name("uniform_int3"), "u3").wm
     obs, states = dataset.obs[:200], dataset.state[:200]
     e_fp = np.linalg.norm(
         trained_model.probe_decode(trained_model.encode(obs)) - states, axis=1

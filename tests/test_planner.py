@@ -1,3 +1,4 @@
+import copy
 import re
 from dataclasses import fields
 
@@ -36,9 +37,8 @@ BB = PlannerBudget(12, 3, 3, (0,))
 
 @pytest.fixture(scope="module")
 def prepared(trained_model):
-    base = trained_model.to_model()
     return {
-        n: apply_policy(base, policy_for_name(n), n)
+        n: apply_policy(trained_model, policy_for_name(n), n)
         for n in ("fp16", "uniform_int8", "uniform_int3")
     }
 
@@ -118,7 +118,7 @@ def test_paired_eval_counts_and_pairing(prepared, trained_model, env_cfg):
 
 def test_same_weights_two_names_identical_records(prepared, trained_model, env_cfg):
     fp16 = prepared["fp16"]
-    twin = VariantModel("fp16_twin", fp16.model, fp16.size_bytes, fp16.policy)
+    twin = VariantModel("fp16_twin", fp16.wm, fp16.size_bytes)
     rs = run_paired_eval(
         [prepared["fp16"], twin],
         trained_model,
@@ -251,9 +251,9 @@ def test_runtime_seconds_follows_cost_model(prepared, trained_model, env_cfg):
 
 
 def test_planning_failure_is_recorded_per_variant(prepared, trained_model, env_cfg):
-    model = prepared["fp16"].model.copy()
-    model.tensor("predictor.1.weight").data[0, 0] = np.inf
-    broken = VariantModel("broken", model, prepared["fp16"].size_bytes, prepared["fp16"].policy)
+    wm = copy.deepcopy(prepared["fp16"].wm)
+    wm.predictor.layers[1][0][0, 0] = np.inf
+    broken = VariantModel("broken", wm, prepared["fp16"].size_bytes)
     at_goal = EpisodeSpec(0, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
     specs = [at_goal] + sample_episode_specs(0, 3, env_cfg)
     with np.errstate(invalid="ignore", over="ignore"):

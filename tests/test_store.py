@@ -8,10 +8,12 @@ from quantplan import (
     Model,
     TensorRecord,
     ValidationError,
+    WorldModel,
     load_model,
     model_size_bytes,
     persist_model,
 )
+from quantplan.store import BASELINE_BITS
 
 
 def small_model():
@@ -29,7 +31,7 @@ def test_round_trip_identity(tmp_path):
     m = small_model()
     persist_model(m, tmp_path)
     loaded = load_model(tmp_path)
-    assert loaded.baseline_bits == m.baseline_bits
+    assert json.loads((tmp_path / "manifest.json").read_text())["baseline_bits"] == BASELINE_BITS
     for a, b in zip(m.tensors, loaded.tensors):
         assert a.name == b.name and a.role == b.role and a.kind == b.kind
         assert a.layer_index == b.layer_index and a.shape == b.shape
@@ -91,6 +93,15 @@ def test_unknown_format_version_rejected(tmp_path):
         load_model(tmp_path)
 
 
+def test_other_baseline_bits_rejected(tmp_path):
+    persist_model(small_model(), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["baseline_bits"] = 8
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValidationError, match="baseline_bits"):
+        load_model(tmp_path)
+
+
 def test_unknown_role_rejected(tmp_path):
     persist_model(small_model(), tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -125,33 +136,34 @@ def test_linear_weight_must_be_2d():
         ).validate()
 
 
+def test_record_data_must_fill_shape():
+    with pytest.raises(ValidationError, match="'w'"):
+        TensorRecord("w", "encoder", 0, "linear_weight", (4, 3), np.zeros(5))
+
+
+def stacks_model(**dims):
+    """WorldModel with the given stacks' (out, in) layer shapes; other stacks empty."""
+    return WorldModel({"encoder": [], "predictor": [], "probe": [], **dims})
+
+
 def test_size_hand_example():
-    w = TensorRecord("w", "predictor", 0, "linear_weight", (4, 3), np.ones((4, 3)))
-    b = TensorRecord("b", "predictor", 0, "linear_bias", (4,), np.ones(4))
-    m = Model(tensors=[w])
-    assert model_size_bytes(m, AllocationPolicy("uniform", bits=4)) == 22
-    m_with_bias = Model(tensors=[w, b])
-    assert model_size_bytes(m_with_bias, AllocationPolicy("uniform", bits=4)) == 30
-    # baseline accounting: 12 weights at 16 bits, no scales
-    assert model_size_bytes(m, AllocationPolicy("full_precision")) == 24
+    m = stacks_model(predictor=[(4, 3)])
+    # 12 weights at 4 bits (6 B) + 4 row scales (16 B) + 4 biases at 16 bits (8 B)
+    assert model_size_bytes(m, AllocationPolicy("uniform", bits=4)) == 30
+    # baseline accounting: 16 parameters at 16 bits, no scales
+    assert model_size_bytes(m, AllocationPolicy("full_precision")) == 32
 
 
 def test_size_monotone_in_uniform_bitwidth():
     # wide enough that per-row scale overhead cannot flip the ordering
-    w = TensorRecord("w", "encoder", 0, "linear_weight", (8, 64), np.ones((8, 64)))
-    m = Model(tensors=[w])
+    m = stacks_model(encoder=[(8, 64)])
     sizes = [model_size_bytes(m, AllocationPolicy("uniform", bits=b)) for b in (3, 4, 6)]
     sizes.append(model_size_bytes(m, AllocationPolicy("full_precision")))
     assert sizes == sorted(sizes) and len(set(sizes)) == 4
 
 
 def test_mixed_larger_than_uniform():
-    m = Model(
-        tensors=[
-            TensorRecord("e", "encoder", 0, "linear_weight", (8, 64), np.ones((8, 64))),
-            TensorRecord("p", "predictor", 0, "linear_weight", (8, 64), np.ones((8, 64))),
-        ]
-    )
+    m = stacks_model(encoder=[(8, 64)], predictor=[(8, 64)])
     for b in (3, 4, 6, 8):
         assert model_size_bytes(m, AllocationPolicy("mixed", bits=b)) > model_size_bytes(
             m, AllocationPolicy("uniform", bits=b)
