@@ -174,7 +174,7 @@ def dataset_to_model(ds: Dataset) -> Model:
 
 
 def dataset_from_model(model: Model, cfg: WallEnvConfig) -> Dataset:
-    get = lambda n: model.tensor(f"dataset.{n}").data.astype(np.float64)
+    get = lambda n: model.tensor(f"dataset.{n}").data  # the stored float32 arrays
     return Dataset(
         obs=get("obs"),
         action=get("action"),

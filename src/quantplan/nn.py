@@ -6,15 +6,18 @@ flattened observation to a d-dimensional latent, the predictor maps
 position from the latent for diagnostics.  Backpropagation is written out
 by hand so gradients can be checked against finite differences.
 
-Every parameter lives in one contiguous float64 vector `WorldModel.theta`;
-each Stack layer's (W, b) are reshaped views into it, stack by stack in
-STACKS order (encoder, predictor, probe), each weight (out, in) followed by
-its bias (out,).  Manifest tensors ("encoder.0.weight", ...) follow the same order.
+Every parameter lives in one contiguous float32 vector `WorldModel.theta`, and
+training and evaluation compute in float32; float64 is used only for init and
+gradient checks (`init_world_model`).  Each Stack layer's (W, b) are reshaped
+views into theta, stack by stack in STACKS order (encoder, predictor, probe),
+each weight (out, in) followed by its bias (out,).  Manifest tensors
+("encoder.0.weight", ...) follow the same order.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -96,11 +99,12 @@ class Stack:
 
 class WorldModel:
     """Encoder, predictor and probe Stacks whose layers are views into `theta`;
-    `dims` maps each STACKS attribute to its (out, in) layer shapes."""
+    `dims` maps each STACKS attribute to its (out, in) layer shapes, and
+    inputs are cast to `theta`'s dtype, so every pass computes in it."""
 
-    def __init__(self, dims: dict[str, list[tuple[int, int]]], metadata: dict | None = None):
+    def __init__(self, dims: dict, metadata: dict | None = None, dtype=np.float32):
         self.dims = dims
-        self.theta = np.zeros(sum(o * i + o for name, _ in STACKS for o, i in dims[name]))
+        self.theta = np.zeros(sum(o * i + o for name, _ in STACKS for o, i in dims[name]), dtype)
         offset = 0
         for name, _ in STACKS:
             layers = []
@@ -114,14 +118,14 @@ class WorldModel:
 
     def __deepcopy__(self, memo):
         # a field-by-field copy would detach the layer views from theta
-        wm = WorldModel(self.dims, copy.deepcopy(self.metadata, memo))
+        wm = WorldModel(self.dims, copy.deepcopy(self.metadata, memo), self.theta.dtype)
         wm.theta[...] = self.theta
         return wm
 
     # -- forward passes ----------------------------------------------------
 
     def _check(self, x: np.ndarray, dim: int, what: str) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.theta.dtype)
         if x.shape[-1] != dim:
             raise ValidationError(f"{what} must have last dimension {dim}, got {x.shape}")
         return x
@@ -151,9 +155,6 @@ class WorldModel:
 
     def set_params_vector(self, v: np.ndarray) -> None:
         self.theta[...] = v
-
-    def snap_float32(self) -> None:
-        self.theta[...] = self.theta.astype(np.float32)
 
     def flops_per_encode(self) -> int:
         return self.encoder.flops()
@@ -206,7 +207,8 @@ def init_world_model(
             "encoder": _mlp_dims(obs_dim, latent_dim, encoder_depth),
             "predictor": _mlp_dims(latent_dim + ACTION_DIM, latent_dim, predictor_depth),
             "probe": _mlp_dims(latent_dim, 2, 1),
-        }
+        },
+        dtype=np.float64,
     )
     for _, _, _, kind, p in wm.named_params():
         if kind == "linear_weight":
@@ -216,15 +218,21 @@ def init_world_model(
 
 
 def loss_and_grads(wm: WorldModel, obs, action, next_obs, state, pw: float, sw: float):
-    """Training loss and analytic gradients for one mini-batch.
+    """Training loss and analytic gradients for one mini-batch, in `theta`'s dtype.
 
     loss = pw * mean_i |pred(enc(o_i), a_i) - enc(o'_i)|^2
          + sw * mean_i |probe(enc(o_i)) - s_i|^2
+
+    obs and next_obs share one encoder pass over their 2n stacked rows, and
+    one backward pass takes both latents' gradients.
     """
+    obs, action, next_obs, state = (
+        np.asarray(x, dtype=wm.theta.dtype) for x in (obs, action, next_obs, state)
+    )
     n = obs.shape[0]
-    c_enc, c_next, c_pred, c_probe = [], [], [], []
-    z = wm.encoder.forward(obs, c_enc)
-    z_next = wm.encoder.forward(next_obs, c_next)
+    c_enc, c_pred, c_probe = [], [], []
+    z_both = wm.encoder.forward(np.concatenate([obs, next_obs]), c_enc)
+    z, z_next = z_both[:n], z_both[n:]
     p = wm.predictor.forward(np.concatenate([z, action], axis=-1), c_pred)
     probe_out = wm.probe.forward(z, c_probe)
 
@@ -232,66 +240,58 @@ def loss_and_grads(wm: WorldModel, obs, action, next_obs, state, pw: float, sw: 
     r_state = probe_out - state
     loss = pw * np.sum(r_pred * r_pred) / n + sw * np.sum(r_state * r_state) / n
 
-    g_pred_in, g_pred_layers = wm.predictor.backward(c_pred, 2.0 * pw * r_pred / n)
+    g_p = 2.0 * pw * r_pred / n
+    g_pred_in, g_pred_layers = wm.predictor.backward(c_pred, g_p)
     g_probe_in, g_probe_layers = wm.probe.backward(c_probe, 2.0 * sw * r_state / n)
     g_z = g_pred_in[:, : z.shape[-1]] + g_probe_in
-    _, g_enc_layers = wm.encoder.backward(c_enc, g_z)
-    _, g_next_layers = wm.encoder.backward(c_next, -2.0 * pw * r_pred / n)
-
-    g_enc = [ga + gb for ga, gb in zip(g_enc_layers, g_next_layers)]
-    return loss, g_enc + g_pred_layers + g_probe_layers
+    _, g_enc_layers = wm.encoder.backward(c_enc, np.concatenate([g_z, -g_p]))
+    return loss, g_enc_layers + g_pred_layers + g_probe_layers
 
 
 def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldModel:
     """Adam training; deterministic given (dataset bytes, cfg, master_seed)."""
     if len(dataset) == 0:
         raise ValidationError("dataset is empty")
-    obs_dim = dataset.obs.shape[1]
-    wm = init_world_model(obs_dim, master_seed=master_seed, seed=cfg.seed)
+    init = init_world_model(dataset.obs.shape[1], master_seed=master_seed, seed=cfg.seed)
+    wm = WorldModel(init.dims)
+    wm.theta[...] = init.theta
     order_gen = rng.stream(master_seed, "train", cfg.seed)
 
     theta = wm.theta
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
 
     pw, sw = cfg.prediction_loss_weight, cfg.state_loss_weight
-    initial_loss, _ = loss_and_grads(
-        wm, dataset.obs, dataset.action, dataset.next_obs, dataset.state, pw, sw
-    )
+    data = (dataset.obs, dataset.action, dataset.next_obs, dataset.state)
+    initial_loss, _ = loss_and_grads(wm, *data, pw, sw)
     n = len(dataset)
+    epoch_losses = []
     for _ in range(cfg.epochs):
         perm = order_gen.permutation(n)
+        batch_losses = []
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            loss, grads = loss_and_grads(
-                wm,
-                dataset.obs[idx],
-                dataset.action[idx],
-                dataset.next_obs[idx],
-                dataset.state[idx],
-                pw,
-                sw,
-            )
+            loss, grads = loss_and_grads(wm, *(x[idx] for x in data), pw, sw)
             if not np.isfinite(loss):
                 raise TrainingDivergenceError(f"non-finite training loss: {loss}")
+            batch_losses.append(loss)
             g = np.concatenate([gi.reshape(-1) for gi in grads])
             t += 1
-            lr_t = cfg.learning_rate * np.sqrt(1 - beta2**t) / (1 - beta1**t)
+            # a Python float: an np.float64 here would upcast the update to float64
+            lr_t = cfg.learning_rate * math.sqrt(1 - beta2**t) / (1 - beta1**t)
             m *= beta1
             m += (1 - beta1) * g
             v *= beta2
             v += (1 - beta2) * g * g
             theta -= lr_t * m / (np.sqrt(v) + eps)
+        epoch_losses.append(float(np.mean(batch_losses)))
 
-    final_loss, _ = loss_and_grads(
-        wm, dataset.obs, dataset.action, dataset.next_obs, dataset.state, pw, sw
-    )
-    wm.snap_float32()
+    final_loss, _ = loss_and_grads(wm, *data, pw, sw)
     wm.metadata["train"] = {
         "initial_loss": float(initial_loss),
         "final_loss": float(final_loss),
+        "epoch_losses": epoch_losses,
         "config": asdict(cfg),
     }
     return wm
@@ -300,16 +300,16 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
 def fit_state_probe(wm: WorldModel, dataset) -> WorldModel:
     """Least-squares refit of the probe on (encode(obs), state) pairs.
 
-    The encoder is untouched; a rank-deficient fit sets a warning flag in
-    the model metadata instead of failing.
+    The fit is solved in float64 and written into `theta`'s dtype.  The
+    encoder is untouched; a rank-deficient fit sets a warning flag in the
+    model metadata instead of failing.
     """
     z = wm.encode(dataset.obs)
-    A = np.hstack([z, np.ones((z.shape[0], 1))])
+    A = np.hstack([z, np.ones((z.shape[0], 1))])  # the float64 ones column makes A float64
     sol, _, rank, _ = np.linalg.lstsq(A, dataset.state, rcond=None)
     W, b = wm.probe.layers[0]
     W[...] = sol[:-1].T  # in place, so the probe stays a view into theta
     b[...] = sol[-1]
-    wm.snap_float32()
     if rank < A.shape[1]:
         wm.metadata["probe_fit_warning"] = f"rank-deficient probe fit (rank {rank})"
     return wm

@@ -104,7 +104,7 @@ def bits_for_tensor(
     if role != "encoder":
         return policy.predictor_bits
     n_retained = math.ceil(policy.retained_fraction * n_encoder_layers)
-    return None if layer_index < n_retained else 4
+    return None if layer_index < n_retained else policy.predictor_bits
 
 
 def _decisions(wm: WorldModel, policy: AllocationPolicy):

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -83,9 +84,12 @@ def test_training_deterministic(env_cfg):
 
 
 def reference_adam(ds, cfg: TrainConfig) -> np.ndarray:
-    """train_world_model with the Adam update written tensor by tensor."""
-    wm = init_world_model(ds.obs.shape[1], seed=cfg.seed)
+    """train_world_model with the float32 Adam update written tensor by tensor."""
+    init = init_world_model(ds.obs.shape[1], seed=cfg.seed)
+    wm = WorldModel(init.dims)
+    wm.set_params_vector(init.theta)
     params = [p for *_, p in wm.named_params()]
+    assert all(p.dtype == np.float32 for p in params)
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     order_gen = qrng.stream(0, "train", cfg.seed)
@@ -99,15 +103,14 @@ def reference_adam(ds, cfg: TrainConfig) -> np.ndarray:
                 cfg.prediction_loss_weight, cfg.state_loss_weight,
             )
             t += 1
-            lr_t = cfg.learning_rate * np.sqrt(1 - 0.999**t) / (1 - 0.9**t)
+            lr_t = cfg.learning_rate * math.sqrt(1 - 0.999**t) / (1 - 0.9**t)
             for p, g, mi, vi in zip(params, grads, m, v):
                 mi *= 0.9
                 mi += (1 - 0.9) * g
                 vi *= 0.999
                 vi += (1 - 0.999) * g * g
                 p -= lr_t * mi / (np.sqrt(vi) + 1e-8)
-    flat = np.concatenate([p.reshape(-1) for p in params])
-    return flat.astype(np.float32).astype(np.float64)
+    return np.concatenate([p.reshape(-1) for p in params])
 
 
 def test_flat_adam_matches_per_tensor_reference(env_cfg):
@@ -116,6 +119,44 @@ def test_flat_adam_matches_per_tensor_reference(env_cfg):
     np.testing.assert_array_equal(
         train_world_model(ds, cfg).params_vector(), reference_adam(ds, cfg)
     )
+
+
+def test_float32_numeric_path(env_cfg):
+    ds = gen_dataset(20, 5, 0, env_cfg)
+    init = init_world_model(ds.obs.shape[1])
+    assert init.theta.dtype == np.float64
+    wm = train_world_model(ds, TrainConfig(epochs=1))
+    fit_state_probe(wm, ds)
+    assert wm.theta.dtype == np.float32
+    assert WorldModel.from_model(wm.to_model()).theta.dtype == np.float32
+
+    obs = ds.obs[:3].astype(np.float64)
+    z = wm.encode(obs)
+    z64 = z.astype(np.float64)
+    assert z.dtype == np.float32
+    assert wm.predict_next(z64, ds.action[:3].astype(np.float64)).dtype == np.float32
+    assert wm.probe_decode(z64).dtype == np.float32
+
+    batch = (ds.obs[:8], ds.action[:8], ds.next_obs[:8], ds.state[:8])
+    for inputs in (batch, [x.astype(np.float32) for x in batch]):
+        loss, grads = loss_and_grads(wm, *inputs, 1.0, 1.0)
+        assert loss.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in grads)
+
+    u4 = policy_for_name("uniform_int4")
+    for model in (init, wm):
+        assert copy.deepcopy(model).theta.dtype == model.theta.dtype
+        assert apply_policy(model, u4, "u4").wm.theta.dtype == model.theta.dtype
+
+
+def test_epoch_losses_recorded_and_persisted(env_cfg, tmp_path):
+    ds = gen_dataset(20, 5, 0, env_cfg)
+    wm = train_world_model(ds, TrainConfig(epochs=3))
+    losses = wm.metadata["train"]["epoch_losses"]
+    assert len(losses) == 3
+    assert all(type(x) is float and math.isfinite(x) for x in losses)
+    persist_model(wm.to_model(), tmp_path)
+    assert load_model(tmp_path).extras["train"]["epoch_losses"] == losses
 
 
 def test_layers_are_views_into_theta(env_cfg):
@@ -165,7 +206,7 @@ def test_probe_exact_linear_fit(rng):
     ds.state = states
     fit_state_probe(wm, ds)
     resid = wm.probe_decode(z) - states
-    assert np.max(np.abs(resid)) < 1e-5  # float32 snap of exact LSQ
+    assert np.max(np.abs(resid)) < 1e-5  # exact LSQ up to rounding
 
 
 def test_probe_duplication_invariance(trained_model, dataset):

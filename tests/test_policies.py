@@ -42,6 +42,12 @@ def test_bits_for_tensor_rules():
     assert bits_for_tensor(asym, "predictor", 0, "linear_weight", 4) == 4
     assert bits_for_tensor(asym, "other", 0, "linear_weight", 4) == 4
 
+    # layerwise: unretained encoder layers follow predictor_bits
+    lw8 = AllocationPolicy("layerwise", retained_fraction=0.5, predictor_bits=8)
+    decisions = [bits_for_tensor(lw8, "encoder", i, "linear_weight", 4) for i in range(4)]
+    assert decisions == [None, None, 8, 8]
+    assert bits_for_tensor(lw8, "predictor", 0, "linear_weight", 4) == 8
+
     full = AllocationPolicy("full_precision")
     assert bits_for_tensor(full, "encoder", 0, "linear_weight", 4) is None
     assert bits_for_tensor(AllocationPolicy("uniform", bits=3), "other", 0, "linear_weight", 4) == 3
