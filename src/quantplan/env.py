@@ -48,6 +48,10 @@ class EpisodeSpec:
     initial_goal_distance: float
 
 
+# the Dataset arrays a dataset checkpoint stores, in blob order
+DATASET_ARRAYS = ("obs", "action", "next_obs", "state")
+
+
 @dataclass
 class Dataset:
     """Random-policy transitions used to train the world model."""
@@ -56,7 +60,6 @@ class Dataset:
     action: np.ndarray  # (n, 2)
     next_obs: np.ndarray  # (n, image_side**2)
     state: np.ndarray  # (n, 2)
-    next_state: np.ndarray  # (n, 2)
     cfg: WallEnvConfig = field(default_factory=WallEnvConfig)
 
     def __len__(self) -> int:
@@ -156,30 +159,18 @@ def gen_dataset(
         action=actions.reshape(-1, 2),
         next_obs=obs[:, 1:].reshape(-1, obs.shape[-1]),
         state=states[:, :-1].reshape(-1, 2),
-        next_state=states[:, 1:].reshape(-1, 2),
         cfg=cfg,
     )
 
 
 def dataset_to_model(ds: Dataset) -> Model:
     """Pack a dataset into the manifest+blob persistence convention."""
-    fields = [("obs", ds.obs), ("action", ds.action), ("next_obs", ds.next_obs),
-              ("state", ds.state), ("next_state", ds.next_state)]
-    tensors = [
-        TensorRecord(f"dataset.{name}", "other", i, "non_linear_param", arr.shape, arr)
-        for i, (name, arr) in enumerate(fields)
-    ]
+    tensors = [TensorRecord(f"dataset.{name}", getattr(ds, name)) for name in DATASET_ARRAYS]
     extras = {"dataset": True, "image_side": ds.cfg.image_side}
     return Model(tensors=tensors, extras=extras)
 
 
 def dataset_from_model(model: Model, cfg: WallEnvConfig) -> Dataset:
-    get = lambda n: model.tensor(f"dataset.{n}").data  # the stored float32 arrays
-    return Dataset(
-        obs=get("obs"),
-        action=get("action"),
-        next_obs=get("next_obs"),
-        state=get("state"),
-        next_state=get("next_state"),
-        cfg=cfg,
-    )
+    """The stored float32 arrays; ValidationError names a missing one."""
+    arrays = {name: model.tensor(f"dataset.{name}").data for name in DATASET_ARRAYS}
+    return Dataset(**arrays, cfg=cfg)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,6 +35,12 @@ ACTION_DIM = 2
 
 # (WorldModel attribute, manifest role) per stack, in theta order
 STACKS = (("encoder", "encoder"), ("predictor", "predictor"), ("probe", "other"))
+# (input, output) width of each stack in a study model; None leaves it free
+STACK_WIDTHS = {
+    "encoder": (None, LATENT_DIM),
+    "predictor": (LATENT_DIM + ACTION_DIM, LATENT_DIM),
+    "probe": (LATENT_DIM, None),
+}
 
 
 @dataclass(frozen=True)
@@ -144,7 +151,10 @@ class WorldModel:
     # -- parameter plumbing ------------------------------------------------
 
     def named_params(self):
-        """(name, role, layer_index, kind, view) per parameter tensor, in theta order."""
+        """(name, role, layer_index, kind, view) per parameter tensor, in theta order.
+
+        The one statement of what each checkpoint tensor is: checkpoints store
+        only names and shapes."""
         for name, role in STACKS:
             for i, (W, b) in enumerate(getattr(self, name).layers):
                 yield f"{name}.{i}.weight", role, i, "linear_weight", W
@@ -165,28 +175,41 @@ class WorldModel:
     # -- manifest round trip -------------------------------------------------
 
     def to_model(self) -> Model:
-        tensors = [
-            TensorRecord(name, role, i, kind, p.shape, p)
-            for name, role, i, kind, p in self.named_params()
-        ]
+        tensors = [TensorRecord(name, p) for name, _, _, _, p in self.named_params()]
         return Model(tensors=tensors, extras=dict(self.metadata))
 
     @classmethod
     def from_model(cls, model: Model) -> "WorldModel":
-        by_name = {t.name: t.data for t in model.tensors}
+        """Inverse of `to_model`; each stack's layers are counted from its
+        "{stack}.{i}.weight" names.
 
-        def lookup(name: str) -> np.ndarray:
-            if name not in by_name:
-                raise ValidationError(f"model has no tensor {name!r}")
-            return by_name[name]
-
-        dims = {
-            name: [lookup(f"{name}.{i}.weight").shape for i in range(model.n_layers(role))]
-            for name, role in STACKS
-        }
+        ValidationError names the tensor that is missing or does not chain:
+        each layer takes the previous layer's output width, the encoder ends
+        at LATENT_DIM, the predictor maps LATENT_DIM + ACTION_DIM to
+        LATENT_DIM, and the probe takes LATENT_DIM.
+        """
+        dims = {}
+        for name, _ in STACKS:
+            width, end = STACK_WIDTHS[name]
+            pattern = re.compile(rf"{name}\.\d+\.weight")
+            n = sum(pattern.fullmatch(t.name) is not None for t in model.tensors)
+            dims[name] = []
+            for i in range(max(n, 1)):  # a stack without layers fails on "{stack}.0.weight"
+                weight = f"{name}.{i}.weight"
+                shape = model.tensor(weight).data.shape
+                if len(shape) != 2:
+                    raise ValidationError(f"tensor {weight!r} has shape {shape}, expected 2-D")
+                if width not in (None, shape[1]):
+                    raise ValidationError(
+                        f"tensor {weight!r} takes {shape[1]} inputs, expected {width}"
+                    )
+                width = shape[0]
+                dims[name].append(shape)
+            if end not in (None, width):
+                raise ValidationError(f"tensor {weight!r} has {width} outputs, expected {end}")
         wm = cls(dims, dict(model.extras))
         for name, _, _, _, p in wm.named_params():
-            data = lookup(name)
+            data = model.tensor(name).data
             if data.shape != p.shape:
                 raise ValidationError(f"tensor {name!r} has shape {data.shape}, expected {p.shape}")
             p[...] = data

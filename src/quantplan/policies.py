@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .nn import WorldModel
 from .quant import fake_quantize_tensor
-from .store import BASELINE_BITS
 
 RETENTION_SWEEP = (0.0, 0.25, 0.5, 0.75, 1.0)
+# storage bits per value of every tensor a policy leaves unquantized
+BASELINE_BITS = 16
 
 CORE_VARIANT_NAMES = (
     "fp16",

@@ -1,14 +1,20 @@
-"""Checkpoint codec: JSON manifest + raw little-endian float32 blob.
+"""Checkpoint codec: named float32 arrays as a JSON manifest + raw blob.
 
 `Model`/`TensorRecord` are the on-disk form of a `WorldModel` (and of the
-dataset blob); in memory, weights live in `WorldModel`s.
+dataset blob); in memory, weights live in `WorldModel`s.  A tensor's name
+alone says what it is: `WorldModel.named_params()` maps names to roles,
+layers and kinds.
 
-On-disk layout of a model directory:
+On-disk layout of a checkpoint directory:
 
-    manifest.json   {format_version, baseline_bits, blob_crc32, extras,
-                     tensors: [{name, role, layer_index, kind, shape,
-                                offset, length}, ...]}
-    weights.bin     tensors concatenated in manifest order, float32 LE
+    manifest.json   {format_version: 2, blob_crc32, extras,
+                     tensors: [{name, shape}, ...]}
+    weights.bin     tensors back to back in manifest order, float32 LE
+
+Each tensor's offset follows from the shapes before it, and the tensors must
+fill the blob exactly.  Format-1 checkpoints (per-tensor role, layer_index,
+kind, offset and length) are rejected; regenerate them with a fresh
+`quantplan all`.
 
 Tensor data is held in memory as float32 so a save/load cycle is
 bit-exact, including negative zero.
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,129 +33,85 @@ import numpy as np
 
 from .errors import PersistenceError, ValidationError
 
-FORMAT_VERSION = 1
-# storage bits of every tensor a policy leaves unquantized
-BASELINE_BITS = 16
-ROLES = ("encoder", "predictor", "other")
-KINDS = ("linear_weight", "linear_bias", "non_linear_param")
+FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "weights.bin"
 
 # JSON type of each required manifest and tensor descriptor field
-MANIFEST_FIELDS = dict(format_version=int, baseline_bits=int, tensors=list)
-DESCRIPTOR_FIELDS = dict(
-    name=str, role=str, layer_index=int, kind=str, shape=list, offset=int, length=int
-)
+MANIFEST_FIELDS = dict(format_version=int, blob_crc32=int, extras=dict, tensors=list)
+DESCRIPTOR_FIELDS = dict(name=str, shape=list)
 
 
 @dataclass
 class TensorRecord:
     name: str
-    role: str
-    layer_index: int
-    kind: str
-    shape: tuple[int, ...]
     data: np.ndarray
 
     def __post_init__(self):
-        self.shape = tuple(int(s) for s in self.shape)
-        data = np.ascontiguousarray(self.data, dtype=np.float32)
-        if data.size != math.prod(self.shape):
-            raise ValidationError(
-                f"tensor {self.name!r}: {data.size} values do not fill shape {self.shape}"
-            )
-        self.data = data.reshape(self.shape)
-
-    def validate(self) -> None:
-        if self.role not in ROLES:
-            raise ValidationError(f"tensor {self.name!r}: unknown role {self.role!r}")
-        if self.kind not in KINDS:
-            raise ValidationError(f"tensor {self.name!r}: unknown kind {self.kind!r}")
-        if self.layer_index < 0:
-            raise ValidationError(f"tensor {self.name!r}: negative layer_index")
-        if not self.shape or any(s <= 0 for s in self.shape):
-            raise ValidationError(f"tensor {self.name!r}: non-positive shape {self.shape}")
-        if self.kind == "linear_weight" and len(self.shape) != 2:
-            raise ValidationError(
-                f"tensor {self.name!r}: linear_weight must be 2-D, got shape {self.shape}"
-            )
+        self.data = np.asarray(self.data, dtype=np.float32, order="C")
 
 
 @dataclass
 class Model:
-    """A manifest plus its tensor data, always kept consistent."""
+    """Named float32 tensors plus JSON-ready extras."""
 
     tensors: list[TensorRecord] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         names = set()
-        role_layers = set()
         for t in self.tensors:
-            t.validate()
             if t.name in names:
                 raise ValidationError(f"duplicate tensor name {t.name!r}")
             names.add(t.name)
-            if t.kind == "linear_weight":
-                key = (t.role, t.layer_index)
-                if key in role_layers:
-                    raise ValidationError(
-                        f"duplicate (role, layer_index) {key} among linear weights"
-                    )
-                role_layers.add(key)
+            if not t.data.shape or 0 in t.data.shape:
+                raise ValidationError(f"tensor {t.name!r}: empty shape {t.data.shape}")
 
     def tensor(self, name: str) -> TensorRecord:
         for t in self.tensors:
             if t.name == name:
                 return t
-        raise KeyError(name)
-
-    def n_layers(self, role: str) -> int:
-        return sum(1 for t in self.tensors if t.role == role and t.kind == "linear_weight")
+        raise ValidationError(f"model has no tensor {name!r}")
 
 
 def persist_model(model: Model, path: str | Path) -> None:
-    """Write manifest.json + weights.bin under `path` (created if needed).
+    """Write manifest.json + weights.bin as the directory `path`, replacing it.
 
-    Validates everything before touching the filesystem.
+    Validates everything before touching the filesystem.  The files are
+    written into a temporary sibling directory that is then renamed into
+    place, so `path` never holds a manifest next to another checkpoint's blob.
     """
     model.validate()
     path = Path(path)
-    descriptors = []
-    chunks = []
-    offset = 0
-    for t in model.tensors:
-        raw = t.data.astype("<f4", copy=False).tobytes()
-        descriptors.append(
-            {
-                "name": t.name,
-                "role": t.role,
-                "layer_index": t.layer_index,
-                "kind": t.kind,
-                "shape": list(t.shape),
-                "offset": offset,
-                "length": len(raw),
-            }
-        )
-        chunks.append(raw)
-        offset += len(raw)
-    blob = b"".join(chunks)
+    blob = b"".join(t.data.astype("<f4", copy=False).tobytes() for t in model.tensors)
     manifest = {
         "format_version": FORMAT_VERSION,
-        "baseline_bits": BASELINE_BITS,
         "blob_crc32": zlib.crc32(blob),
         "extras": model.extras,
-        "tensors": descriptors,
+        "tensors": [{"name": t.name, "shape": list(t.data.shape)} for t in model.tensors],
     }
+    text = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+    stage = path.with_name(f".{path.name}.tmp")
+    new, old = stage / "new", stage / "old"
     try:
-        path.mkdir(parents=True, exist_ok=True)
-        (path / BLOB_NAME).write_bytes(blob)
-        (path / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=1, sort_keys=True) + "\n"
-        )
+        shutil.rmtree(stage, ignore_errors=True)  # left by an interrupted write
+        new.mkdir(parents=True)
+        (new / BLOB_NAME).write_bytes(blob)
+        (new / MANIFEST_NAME).write_text(text)
+        # a directory cannot be renamed over a non-empty one: move the old one aside
+        if path.exists():
+            path.rename(old)
+        try:
+            new.rename(path)
+        except OSError:
+            if old.exists():
+                old.rename(path)
+            raise
     except OSError as e:
         raise PersistenceError(f"failed to persist model to {path}: {e}") from e
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _check_fields(obj, types: dict[str, type], what: str) -> None:
@@ -177,37 +140,33 @@ def load_model(path: str | Path) -> Model:
     except json.JSONDecodeError as e:
         raise ValidationError(f"malformed manifest {manifest_path}: {e}") from e
     _check_fields(manifest, MANIFEST_FIELDS, f"manifest {manifest_path}")
-    for key, supported in (("format_version", FORMAT_VERSION), ("baseline_bits", BASELINE_BITS)):
-        if manifest[key] != supported:
-            raise ValidationError(f"{manifest_path}: unsupported {key} {manifest[key]!r}")
-    if not isinstance(manifest.get("extras", {}), dict):
-        raise ValidationError(f"{manifest_path}: extras must be an object")
+    if manifest["format_version"] != FORMAT_VERSION:
+        raise ValidationError(
+            f"{manifest_path}: unsupported format_version {manifest['format_version']!r}"
+            f" (this version reads {FORMAT_VERSION}); rerun 'quantplan all'"
+        )
     blob = blob_path.read_bytes()
-    expected_crc = manifest.get("blob_crc32")
-    if expected_crc is not None and zlib.crc32(blob) != expected_crc:
+    if zlib.crc32(blob) != manifest["blob_crc32"]:
         raise ValidationError(f"blob checksum mismatch in {blob_path}")
 
     tensors = []
-    prev_end = 0
+    offset = 0
     for d in manifest["tensors"]:
         name = d.get("name") if isinstance(d, dict) else d
         _check_fields(d, DESCRIPTOR_FIELDS, f"tensor {name!r}")
         shape = tuple(d["shape"])
         if any(type(s) is not int or s < 1 for s in shape):
             raise ValidationError(f"tensor {name!r}: field 'shape' must list positive ints")
-        numel = int(np.prod(shape))
-        if d["length"] != 4 * numel:
+        count = math.prod(shape)
+        if offset + 4 * count > len(blob):
             raise ValidationError(
-                f"tensor {name!r}: length {d['length']} != 4 x shape product {4 * numel}"
+                f"tensor {name!r}: blob too short ({len(blob)} bytes, need {offset + 4 * count})"
             )
-        if d["offset"] < prev_end:
-            raise ValidationError(f"tensor {name!r}: overlapping or non-ascending offset")
-        end = d["offset"] + d["length"]
-        if end > len(blob):
-            raise ValidationError(f"tensor {name!r}: blob too short ({len(blob)} bytes, need {end})")
-        prev_end = end
-        data = np.frombuffer(blob[d["offset"] : end], dtype="<f4").reshape(shape)
-        tensors.append(TensorRecord(name, d["role"], d["layer_index"], d["kind"], shape, data))
-    model = Model(tensors=tensors, extras=manifest.get("extras", {}))
+        data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        tensors.append(TensorRecord(name, data.reshape(shape)))
+        offset += 4 * count
+    if offset != len(blob):
+        raise ValidationError(f"{blob_path}: {len(blob) - offset} bytes follow the last tensor")
+    model = Model(tensors=tensors, extras=manifest["extras"])
     model.validate()
     return model

@@ -8,6 +8,7 @@ from quantplan.cli import main
 from quantplan.config import ExperimentConfig, config_from_dict, load_config
 from quantplan.errors import StageError
 from quantplan.pipeline import run_stage
+from quantplan.store import load_model, persist_model
 
 TINY = {
     "dataset": {"n_traj": 40, "traj_len": 8, "seed": 0},
@@ -143,6 +144,18 @@ def test_eval_rejects_variant_missing_from_sizes(tmp_path):
                                          "run the 'variants' stage first"):
         run_stage(cfg_with(["fp16", "uniform_int8"]), "eval")
     assert not (tmp_path / "out" / "episodes.csv").exists()
+
+
+def test_train_names_tensor_missing_from_dataset(tmp_path, capsys):
+    cfg_path = write_tiny_config(tmp_path)
+    assert main(["gen-data", "--config", str(cfg_path)]) == 0
+    dataset = tmp_path / "out" / "dataset"
+    m = load_model(dataset)
+    m.tensors = [t for t in m.tensors if t.name != "dataset.next_obs"]
+    persist_model(m, dataset)
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    assert "'dataset.next_obs'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model").exists()
 
 
 def test_stage_ordering_errors(tmp_path):

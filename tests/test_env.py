@@ -106,10 +106,12 @@ def test_dataset_count_and_ranges(env_cfg):
 
 
 def test_dataset_replay_exact(env_cfg):
-    ds = gen_dataset(3, 5, 1, env_cfg)
+    traj_len = 5
+    ds = gen_dataset(3, traj_len, 1, env_cfg)
     for i in range(len(ds)):
         nxt = step(ds.state[i], ds.action[i], env_cfg)
-        np.testing.assert_array_equal(nxt, ds.next_state[i])
+        if (i + 1) % traj_len:  # rows are stored trajectory by trajectory
+            np.testing.assert_array_equal(nxt, ds.state[i + 1])
         np.testing.assert_array_equal(render(nxt, env_cfg), ds.next_obs[i])
 
 
@@ -165,6 +167,6 @@ def test_batched_step_and_render_match_rows(env_cfg, rng):
 def test_dataset_bytes_pinned(env_cfg):
     ds = gen_dataset(20, 10, 0, env_cfg)
     h = hashlib.sha256()
-    for a in (ds.obs, ds.action, ds.next_obs, ds.state, ds.next_state):
+    for a in (ds.obs, ds.action, ds.next_obs, ds.state):
         h.update(a.tobytes())
-    assert h.hexdigest() == "704aadc597c80db93d1425a12d873885fd282a7011ae786e9fd5002281e3e07e"
+    assert h.hexdigest() == "1ae5c232b8d944fb21452d3e74ce9e89ac83a929c1dc837f56f57e8ddceb32af"

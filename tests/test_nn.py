@@ -178,7 +178,7 @@ def test_layers_are_views_into_theta(env_cfg):
 
 def test_training_validation(env_cfg):
     ds = gen_dataset(1, 1, 0, env_cfg)
-    empty = Dataset(ds.obs[:0], ds.action[:0], ds.next_obs[:0], ds.state[:0], ds.next_state[:0], env_cfg)
+    empty = Dataset(ds.obs[:0], ds.action[:0], ds.next_obs[:0], ds.state[:0], env_cfg)
     with pytest.raises(ValidationError):
         train_world_model(empty, TrainConfig(epochs=1))
 
@@ -220,7 +220,6 @@ def test_probe_duplication_invariance(trained_model, dataset):
         np.vstack([dataset.action] * 2),
         np.vstack([dataset.next_obs] * 2),
         np.vstack([dataset.state] * 2),
-        np.vstack([dataset.next_state] * 2),
         dataset.cfg,
     )
     fit_state_probe(b, doubled)
@@ -233,7 +232,7 @@ def test_manifest_round_trip_preserves_roles(trained_model, tmp_path):
     back = WorldModel.from_model(load_model(tmp_path))
     obs = np.linspace(0, 1, 256)
     np.testing.assert_array_equal(back.encode(obs), trained_model.encode(obs))
-    assert load_model(tmp_path).n_layers("encoder") == 4
+    assert len(back.dims["encoder"]) == 4
 
 
 def test_from_model_looks_up_tensors_by_name(trained_model, rng):
@@ -245,6 +244,26 @@ def test_from_model_looks_up_tensors_by_name(trained_model, rng):
     )
     m.tensors = [t for t in m.tensors if t.name != "predictor.1.bias"]
     with pytest.raises(ValidationError, match="predictor.1.bias"):
+        WorldModel.from_model(m)
+    m.tensor("encoder.0.weight").data = np.zeros(8)
+    with pytest.raises(ValidationError, match="'encoder.0.weight' has shape \\(8,\\)"):
+        WorldModel.from_model(m)
+
+
+@pytest.mark.parametrize(
+    "name, shape, message",
+    [
+        ("encoder.1.weight", (64, 50), "takes 50 inputs, expected 64"),
+        ("encoder.3.weight", (8, 64), "has 8 outputs, expected 16"),
+        ("predictor.0.weight", (64, 17), "takes 17 inputs, expected 18"),
+        ("predictor.1.weight", (8, 64), "has 8 outputs, expected 16"),
+        ("probe.0.weight", (2, 8), "takes 8 inputs, expected 16"),
+    ],
+)
+def test_from_model_rejects_layers_that_do_not_chain(trained_model, name, shape, message):
+    m = trained_model.to_model()
+    m.tensor(name).data = np.zeros(shape, dtype=np.float32)
+    with pytest.raises(ValidationError, match=f"'{name}' {message}"):
         WorldModel.from_model(m)
 
 

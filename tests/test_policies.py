@@ -176,8 +176,9 @@ def test_apply_policy_matches_checkpoint_oracle(trained_model, tmp_path):
         enc_bits, other_bits = ORACLE_BITS[name]
         oracle = trained_model.to_model()
         for t in oracle.tensors:
-            if t.kind == "linear_weight":
-                b = enc_bits[t.layer_index] if t.role == "encoder" else other_bits
+            stack, layer, kind = t.name.split(".")
+            if kind == "weight":
+                b = enc_bits[int(layer)] if stack == "encoder" else other_bits
                 if b is not None:
                     t.data = fake_quantize_tensor(t.data, b)
         persist_model(oracle, tmp_path / "oracle" / name)

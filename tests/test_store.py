@@ -1,4 +1,7 @@
+import errno
 import json
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +14,9 @@ from quantplan import (
     WorldModel,
     load_model,
     model_size_bytes,
+    PersistenceError,
     persist_model,
 )
-from quantplan.store import BASELINE_BITS
 
 
 def small_model():
@@ -21,8 +24,8 @@ def small_model():
     b = np.array([0.5, -0.5, 0.0, 1.0])
     return Model(
         tensors=[
-            TensorRecord("enc.0.weight", "encoder", 0, "linear_weight", (4, 3), w),
-            TensorRecord("enc.0.bias", "encoder", 0, "linear_bias", (4,), b),
+            TensorRecord("enc.0.weight", w),
+            TensorRecord("enc.0.bias", b),
         ]
     )
 
@@ -31,10 +34,15 @@ def test_round_trip_identity(tmp_path):
     m = small_model()
     persist_model(m, tmp_path)
     loaded = load_model(tmp_path)
-    assert json.loads((tmp_path / "manifest.json").read_text())["baseline_bits"] == BASELINE_BITS
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert sorted(manifest) == ["blob_crc32", "extras", "format_version", "tensors"]
+    assert manifest["format_version"] == 2
+    assert manifest["tensors"] == [
+        {"name": "enc.0.weight", "shape": [4, 3]},
+        {"name": "enc.0.bias", "shape": [4]},
+    ]
     for a, b in zip(m.tensors, loaded.tensors):
-        assert a.name == b.name and a.role == b.role and a.kind == b.kind
-        assert a.layer_index == b.layer_index and a.shape == b.shape
+        assert a.name == b.name and a.data.shape == b.data.shape
         assert a.data.tobytes() == b.data.tobytes()
 
 
@@ -75,39 +83,35 @@ def test_truncated_blob_detected(tmp_path):
         load_model(tmp_path)
 
 
-def test_overlapping_offsets_rejected(tmp_path):
+def test_trailing_blob_bytes_rejected(tmp_path):
     persist_model(small_model(), tmp_path)
+    blob = (tmp_path / "weights.bin").read_bytes() + bytes(64)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["tensors"][1]["offset"] = 0  # overlaps tensor 0
+    manifest["blob_crc32"] = zlib.crc32(blob)
+    (tmp_path / "weights.bin").write_bytes(blob)
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValidationError, match="overlap|checksum"):
+    with pytest.raises(ValidationError, match="64 bytes follow the last tensor"):
+        load_model(tmp_path)
+
+
+def test_missing_blob_crc32_rejected(tmp_path):
+    persist_model(small_model(), tmp_path)
+    blob = bytearray((tmp_path / "weights.bin").read_bytes())
+    blob[5] ^= 0xFF
+    (tmp_path / "weights.bin").write_bytes(bytes(blob))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    del manifest["blob_crc32"]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValidationError, match="missing required field 'blob_crc32'"):
         load_model(tmp_path)
 
 
 def test_unknown_format_version_rejected(tmp_path):
     persist_model(small_model(), tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["format_version"] = 2
+    manifest["format_version"] = 1
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValidationError, match="format_version"):
-        load_model(tmp_path)
-
-
-def test_other_baseline_bits_rejected(tmp_path):
-    persist_model(small_model(), tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["baseline_bits"] = 8
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValidationError, match="baseline_bits"):
-        load_model(tmp_path)
-
-
-def test_unknown_role_rejected(tmp_path):
-    persist_model(small_model(), tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["tensors"][0]["role"] = "decoder"
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValidationError, match="role"):
+    with pytest.raises(ValidationError, match="format_version 1"):
         load_model(tmp_path)
 
 
@@ -129,16 +133,36 @@ def test_invalid_model_writes_nothing(tmp_path):
     assert not out.exists()
 
 
-def test_linear_weight_must_be_2d():
-    with pytest.raises(ValidationError, match="2-D"):
-        Model(
-            tensors=[TensorRecord("w", "encoder", 0, "linear_weight", (8,), np.zeros(8))]
-        ).validate()
+def test_failed_persist_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "m"
+    persist_model(small_model(), path)
+    write_bytes = Path.write_bytes
+
+    def disk_full(self, data):
+        write_bytes(self, data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    other = small_model()
+    other.tensors[0].data += 1.0
+    monkeypatch.setattr(Path, "write_bytes", disk_full)
+    with pytest.raises(PersistenceError):
+        persist_model(other, path)
+    monkeypatch.undo()
+    loaded = load_model(path)
+    assert loaded.tensors[0].data.tobytes() == small_model().tensors[0].data.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["m"]
 
 
-def test_record_data_must_fill_shape():
-    with pytest.raises(ValidationError, match="'w'"):
-        TensorRecord("w", "encoder", 0, "linear_weight", (4, 3), np.zeros(5))
+def test_overwrite_leaves_only_the_new_checkpoint(tmp_path):
+    path = tmp_path / "m"
+    persist_model(small_model(), path)
+    (path / "stale.txt").write_text("left by another writer")
+    other = small_model()
+    other.tensors[0].data += 1.0
+    persist_model(other, path)
+    assert sorted(p.name for p in path.iterdir()) == ["manifest.json", "weights.bin"]
+    assert [p.name for p in tmp_path.iterdir()] == ["m"]
+    assert load_model(path).tensors[0].data.tobytes() == other.tensors[0].data.tobytes()
 
 
 def stacks_model(**dims):
@@ -175,10 +199,9 @@ def test_mixed_larger_than_uniform():
     [
         (lambda m: m["tensors"][0].update(shape=5), "'enc.0.weight': field 'shape'"),
         (lambda m: m.update(tensors=5), "field 'tensors' must be list"),
-        (lambda m: m["tensors"][1].update(offset="0"), "'enc.0.bias': field 'offset'"),
-        (lambda m: m["tensors"][0].update(layer_index="a"), "'enc.0.weight': field 'layer_index'"),
+        (lambda m: m.update(extras=[]), "field 'extras' must be dict"),
     ],
-    ids=["shape", "tensors", "offset", "layer_index"],
+    ids=["shape", "tensors", "extras"],
 )
 def test_mistyped_manifest_field_rejected(tmp_path, edit, message):
     persist_model(small_model(), tmp_path)
