@@ -17,6 +17,7 @@ from quantplan import (
     PersistenceError,
     persist_model,
 )
+from quantplan.nn import init_world_model
 
 
 def small_model():
@@ -131,6 +132,14 @@ def test_invalid_model_writes_nothing(tmp_path):
     with pytest.raises(ValidationError):
         persist_model(m, out)
     assert not out.exists()
+
+
+def test_linear_weight_must_be_2d(tmp_path):
+    m = init_world_model(obs_dim=8).to_model()
+    m.tensor("encoder.0.weight").data = np.zeros(8, dtype=np.float32)
+    persist_model(m, tmp_path)
+    with pytest.raises(ValidationError, match="'encoder.0.weight' has shape \\(8,\\), expected 2-D"):
+        WorldModel.from_model(load_model(tmp_path))
 
 
 def test_failed_persist_keeps_previous_checkpoint(tmp_path, monkeypatch):
