@@ -26,7 +26,6 @@ from .policies import (
     VariantModel,
     apply_policy,
     bits_for_tensor,
-    enumerate_canonical_variants,
     model_size_bytes,
     policy_for_name,
 )

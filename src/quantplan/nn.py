@@ -33,8 +33,8 @@ ENCODER_DEPTH = 4
 PREDICTOR_DEPTH = 2
 ACTION_DIM = 2
 
-# (WorldModel attribute, manifest role) per stack, in theta order
-STACKS = (("encoder", "encoder"), ("predictor", "predictor"), ("probe", "other"))
+# WorldModel stack attributes in theta order; a tensor's role is its stack name
+STACKS = ("encoder", "predictor", "probe")
 # (input, output) width of each stack in a study model; None leaves it free
 STACK_WIDTHS = {
     "encoder": (None, LATENT_DIM),
@@ -87,18 +87,18 @@ class Stack:
                 np.tanh(h, out=h)
         return h
 
-    def backward(self, cache: list, grad_out: np.ndarray):
-        """Returns (grad_input, [dW0, db0, dW1, db1, ...])."""
-        grads = [None] * (2 * len(self.layers))
+    def backward(self, cache: list, grad_out: np.ndarray, grads: Stack) -> np.ndarray:
+        """Write each layer's (dW, db) into the same layer of `grads`; returns grad_input."""
         g = grad_out
         for i in range(len(self.layers) - 1, -1, -1):
             if i < len(self.layers) - 1:
                 act = cache[i + 1]  # this layer's tanh output
                 g = g * (1.0 - act * act)
-            W, _ = self.layers[i]
-            grads[2 * i : 2 * i + 2] = g.T @ cache[i], g.sum(axis=0)
-            g = g @ W
-        return g, grads
+            dW, db = grads.layers[i]
+            np.matmul(g.T, cache[i], out=dW)
+            np.sum(g, axis=0, out=db)
+            g = g @ self.layers[i][0]
+        return g
 
     def flops(self) -> int:
         return sum(2 * W.size for W, _ in self.layers)
@@ -111,9 +111,9 @@ class WorldModel:
 
     def __init__(self, dims: dict, metadata: dict | None = None, dtype=np.float32):
         self.dims = dims
-        self.theta = np.zeros(sum(o * i + o for name, _ in STACKS for o, i in dims[name]), dtype)
+        self.theta = np.zeros(sum(o * i + o for name in STACKS for o, i in dims[name]), dtype)
         offset = 0
-        for name, _ in STACKS:
+        for name in STACKS:
             layers = []
             for out_d, in_d in dims[name]:
                 W = self.theta[offset : offset + out_d * in_d].reshape(out_d, in_d)
@@ -151,14 +151,14 @@ class WorldModel:
     # -- parameter plumbing ------------------------------------------------
 
     def named_params(self):
-        """(name, role, layer_index, kind, view) per parameter tensor, in theta order.
+        """(name, stack, layer_index, kind, view) per parameter tensor, in theta order.
 
         The one statement of what each checkpoint tensor is: checkpoints store
         only names and shapes."""
-        for name, role in STACKS:
-            for i, (W, b) in enumerate(getattr(self, name).layers):
-                yield f"{name}.{i}.weight", role, i, "linear_weight", W
-                yield f"{name}.{i}.bias", role, i, "linear_bias", b
+        for stack in STACKS:
+            for i, (W, b) in enumerate(getattr(self, stack).layers):
+                yield f"{stack}.{i}.weight", stack, i, "linear_weight", W
+                yield f"{stack}.{i}.bias", stack, i, "linear_bias", b
 
     def params_vector(self) -> np.ndarray:
         return self.theta.copy()
@@ -183,13 +183,13 @@ class WorldModel:
         """Inverse of `to_model`; each stack's layers are counted from its
         "{stack}.{i}.weight" names.
 
-        ValidationError names the tensor that is missing or does not chain:
-        each layer takes the previous layer's output width, the encoder ends
-        at LATENT_DIM, the predictor maps LATENT_DIM + ACTION_DIM to
+        ValidationError names the tensor that is missing, unknown or does not
+        chain: each layer takes the previous layer's output width, the encoder
+        ends at LATENT_DIM, the predictor maps LATENT_DIM + ACTION_DIM to
         LATENT_DIM, and the probe takes LATENT_DIM.
         """
         dims = {}
-        for name, _ in STACKS:
+        for name in STACKS:
             width, end = STACK_WIDTHS[name]
             pattern = re.compile(rf"{name}\.\d+\.weight")
             n = sum(pattern.fullmatch(t.name) is not None for t in model.tensors)
@@ -208,7 +208,11 @@ class WorldModel:
             if end not in (None, width):
                 raise ValidationError(f"tensor {weight!r} has {width} outputs, expected {end}")
         wm = cls(dims, dict(model.extras))
-        for name, _, _, _, p in wm.named_params():
+        params = {name: p for name, *_, p in wm.named_params()}
+        for t in model.tensors:
+            if t.name not in params:
+                raise ValidationError(f"unknown tensor {t.name!r}")
+        for name, p in params.items():
             data = model.tensor(name).data
             if data.shape != p.shape:
                 raise ValidationError(f"tensor {name!r} has shape {data.shape}, expected {p.shape}")
@@ -247,7 +251,8 @@ def loss_and_grads(wm: WorldModel, obs, action, next_obs, state, pw: float, sw: 
          + sw * mean_i |probe(enc(o_i)) - s_i|^2
 
     obs and next_obs share one encoder pass over their 2n stacked rows, and
-    one backward pass takes both latents' gradients.
+    one backward pass takes both latents' gradients, written into the views of a
+    gradient WorldModel: the gradient is one flat vector laid out like `theta`.
     """
     obs, action, next_obs, state = (
         np.asarray(x, dtype=wm.theta.dtype) for x in (obs, action, next_obs, state)
@@ -263,12 +268,13 @@ def loss_and_grads(wm: WorldModel, obs, action, next_obs, state, pw: float, sw: 
     r_state = probe_out - state
     loss = pw * np.sum(r_pred * r_pred) / n + sw * np.sum(r_state * r_state) / n
 
+    grad = WorldModel(wm.dims, dtype=wm.theta.dtype)
     g_p = 2.0 * pw * r_pred / n
-    g_pred_in, g_pred_layers = wm.predictor.backward(c_pred, g_p)
-    g_probe_in, g_probe_layers = wm.probe.backward(c_probe, 2.0 * sw * r_state / n)
+    g_pred_in = wm.predictor.backward(c_pred, g_p, grad.predictor)
+    g_probe_in = wm.probe.backward(c_probe, 2.0 * sw * r_state / n, grad.probe)
     g_z = g_pred_in[:, : z.shape[-1]] + g_probe_in
-    _, g_enc_layers = wm.encoder.backward(c_enc, np.concatenate([g_z, -g_p]))
-    return loss, g_enc_layers + g_pred_layers + g_probe_layers
+    wm.encoder.backward(c_enc, np.concatenate([g_z, -g_p]), grad.encoder)
+    return loss, grad.theta
 
 
 def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldModel:
@@ -295,11 +301,10 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
         batch_losses = []
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            loss, grads = loss_and_grads(wm, *(x[idx] for x in data), pw, sw)
+            loss, g = loss_and_grads(wm, *(x[idx] for x in data), pw, sw)
             if not np.isfinite(loss):
                 raise TrainingDivergenceError(f"non-finite training loss: {loss}")
             batch_losses.append(loss)
-            g = np.concatenate([gi.reshape(-1) for gi in grads])
             t += 1
             # a Python float: an np.float64 here would upcast the update to float64
             lr_t = cfg.learning_rate * math.sqrt(1 - beta2**t) / (1 - beta1**t)

@@ -68,9 +68,9 @@ STATS_FILES = {
 
 
 def _out(cfg: ExperimentConfig) -> Path:
-    p = Path(cfg.output_dir)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+    # no mkdir: a stage that fails its prerequisite check leaves no directory,
+    # and persist_model creates the parents of what it writes
+    return Path(cfg.output_dir)
 
 
 def _require(path: Path, stage: str):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .nn import WorldModel
-from .quant import fake_quantize_tensor
+from .quant import MAX_BITS, MIN_BITS, fake_quantize_tensor
 
 RETENTION_SWEEP = (0.0, 0.25, 0.5, 0.75, 1.0)
 # storage bits per value of every tensor a policy leaves unquantized
@@ -37,44 +37,30 @@ CORE_VARIANT_NAMES = (
     "enc4_pred6",
 )
 
-LAYERWISE_VARIANT_NAMES = ("layerwise_int4_25", "layerwise_int4_50", "layerwise_int4_75")
-
-ALL_VARIANT_NAMES = CORE_VARIANT_NAMES + LAYERWISE_VARIANT_NAMES
+# the 0% and 100% points of the layerwise sweep alias uniform_int4 and
+# mixed_int4 and are reported under those names
+ALL_VARIANT_NAMES = CORE_VARIANT_NAMES + tuple(f"layerwise_int4_{p}" for p in (25, 50, 75))
 
 
 @dataclass(frozen=True)
 class AllocationPolicy:
-    """One of: full_precision, uniform, mixed, asymmetric, layerwise.
+    """Bits per network part; None keeps that part at baseline precision.
 
-    uniform/mixed use `bits`; asymmetric uses encoder_bits/predictor_bits;
-    layerwise uses retained_fraction with predictor_bits (default 4).
+    Every predictor and probe weight takes `predictor_bits`.  The first
+    ceil(retained_fraction * n) of the n encoder layers stay at baseline, and
+    every other encoder weight takes `encoder_bits`.
     """
 
-    kind: str
-    bits: int | None = None
-    encoder_bits: int | None = None
-    predictor_bits: int | None = None
-    retained_fraction: float | None = None
+    encoder_bits: int | None
+    predictor_bits: int | None
+    retained_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("full_precision", "uniform", "mixed", "asymmetric", "layerwise"):
-            raise ValidationError(f"unknown policy kind {self.kind!r}")
-        for b in (self.bits, self.encoder_bits, self.predictor_bits):
-            if b is not None and not (2 <= b <= 8):
-                raise ValidationError(f"bitwidth {b} outside [2, 8]")
-        if self.kind in ("uniform", "mixed") and self.bits is None:
-            raise ValidationError(f"{self.kind} policy requires bits")
-        if self.kind == "asymmetric" and (
-            self.encoder_bits is None or self.predictor_bits is None
-        ):
-            raise ValidationError("asymmetric policy requires encoder_bits and predictor_bits")
-        if self.kind == "layerwise":
-            if self.retained_fraction not in RETENTION_SWEEP:
-                raise ValidationError(
-                    f"retained_fraction must be one of {RETENTION_SWEEP}"
-                )
-            if self.predictor_bits is None:
-                object.__setattr__(self, "predictor_bits", 4)
+        for b in (self.encoder_bits, self.predictor_bits):
+            if b is not None and not (MIN_BITS <= b <= MAX_BITS):
+                raise ValidationError(f"bitwidth {b} outside [{MIN_BITS}, {MAX_BITS}]")
+        if self.retained_fraction not in RETENTION_SWEEP:
+            raise ValidationError(f"retained_fraction must be one of {RETENTION_SWEEP}")
 
 
 @dataclass
@@ -89,23 +75,16 @@ class VariantModel:
 def bits_for_tensor(
     policy: AllocationPolicy, role: str, layer_index: int, kind: str, n_encoder_layers: int
 ) -> int | None:
-    """Bitwidth decision for one tensor; None means keep at baseline."""
+    """Bitwidth decision for one tensor; None means keep at baseline.
+
+    `role` is the tensor's stack name: "encoder", "predictor" or "probe"."""
     if kind != "linear_weight":
         return None
-    if policy.kind == "full_precision":
-        return None
-    if policy.kind == "uniform":
-        return policy.bits
-    if policy.kind == "mixed":
-        return None if role == "encoder" else policy.bits
-    if policy.kind == "asymmetric":
-        return policy.encoder_bits if role == "encoder" else policy.predictor_bits
-    # layerwise: protect the first ceil(f * n_layers) encoder layers by
-    # ascending layer_index; everything else follows the predictor bits
     if role != "encoder":
         return policy.predictor_bits
-    n_retained = math.ceil(policy.retained_fraction * n_encoder_layers)
-    return None if layer_index < n_retained else policy.predictor_bits
+    if layer_index < math.ceil(policy.retained_fraction * n_encoder_layers):
+        return None
+    return policy.encoder_bits
 
 
 def _decisions(wm: WorldModel, policy: AllocationPolicy):
@@ -141,15 +120,11 @@ def apply_policy(wm: WorldModel, policy: AllocationPolicy, name: str) -> Variant
 
 # variant name pattern -> the policy built from its matched numbers
 NAME_PATTERNS = {
-    "fp16": lambda: AllocationPolicy("full_precision"),
-    "uniform_int([0-9]+)": lambda b: AllocationPolicy("uniform", bits=int(b)),
-    "mixed_int([0-9]+)": lambda b: AllocationPolicy("mixed", bits=int(b)),
-    "enc([0-9]+)_pred([0-9]+)": lambda e, p: AllocationPolicy(
-        "asymmetric", encoder_bits=int(e), predictor_bits=int(p)
-    ),
-    "layerwise_int4_([0-9]+)": lambda pct: AllocationPolicy(
-        "layerwise", retained_fraction=int(pct) / 100, predictor_bits=4
-    ),
+    "fp16": lambda: AllocationPolicy(None, None),
+    "uniform_int([0-9]+)": lambda b: AllocationPolicy(int(b), int(b)),
+    "mixed_int([0-9]+)": lambda b: AllocationPolicy(None, int(b)),
+    "enc([0-9]+)_pred([0-9]+)": lambda e, p: AllocationPolicy(int(e), int(p)),
+    "layerwise_int4_([0-9]+)": lambda pct: AllocationPolicy(4, 4, int(pct) / 100),
 }
 
 
@@ -162,12 +137,3 @@ def policy_for_name(name: str) -> AllocationPolicy:
             except ValidationError as e:
                 raise ValidationError(f"variant {name!r}: {e}") from e
     raise ValidationError(f"unknown variant name {name!r}")
-
-
-def enumerate_canonical_variants() -> list[tuple[str, AllocationPolicy]]:
-    """All 16 named study policies in canonical order.
-
-    The 0% and 100% retention endpoints of the layerwise sweep alias
-    uniform_int4 and mixed_int4 and are reported under those names.
-    """
-    return [(name, policy_for_name(name)) for name in ALL_VARIANT_NAMES]

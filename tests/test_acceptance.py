@@ -243,7 +243,7 @@ def test_criterion_7_regime_pattern(full_sweep, trained_model, env_cfg):
     if np.mean([r.success for r in collapse_records[3]]) <= 0.25 * fp_success:
         b_star = 3
     else:
-        v2 = apply_policy(trained_model, AllocationPolicy("uniform", bits=2), "uniform_int2")
+        v2 = apply_policy(trained_model, AllocationPolicy(2, 2), "uniform_int2")
         rs2 = run_paired_eval(
             [v2],
             trained_model,

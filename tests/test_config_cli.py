@@ -160,14 +160,13 @@ def test_train_names_tensor_missing_from_dataset(tmp_path, capsys):
 
 def test_stage_ordering_errors(tmp_path):
     cfg = tiny_cfg(tmp_path)
-    with pytest.raises(StageError, match="gen-data"):
-        run_stage(cfg, "train")
-    with pytest.raises(StageError, match="eval"):
-        run_stage(cfg, "stats")
-    with pytest.raises(StageError, match="stats"):
-        run_stage(cfg, "report")
-    with pytest.raises(StageError, match="unknown stage"):
-        run_stage(cfg, "fit")
+    for stage, message in (
+        ("train", "gen-data"), ("stats", "eval"), ("report", "stats"), ("fit", "unknown stage")
+    ):
+        with pytest.raises(StageError, match=message):
+            run_stage(cfg, stage)
+        # a failed stage leaves no side effect, not even an empty output directory
+        assert not (tmp_path / "out").exists(), stage
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from quantplan import (
 from quantplan.env import Dataset
 from quantplan.nn import init_world_model, loss_and_grads
 from quantplan.policies import apply_policy
-from quantplan.store import load_model, persist_model
+from quantplan.store import TensorRecord, load_model, persist_model
 
 
 def tiny_batch(rng, obs_dim, n=8):
@@ -90,6 +90,7 @@ def reference_adam(ds, cfg: TrainConfig) -> np.ndarray:
     wm.set_params_vector(init.theta)
     params = [p for *_, p in wm.named_params()]
     assert all(p.dtype == np.float32 for p in params)
+    ends = np.cumsum([p.size for p in params])
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     order_gen = qrng.stream(0, "train", cfg.seed)
@@ -98,10 +99,11 @@ def reference_adam(ds, cfg: TrainConfig) -> np.ndarray:
         perm = order_gen.permutation(len(ds))
         for lo in range(0, len(ds), cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            _, grads = loss_and_grads(
+            _, grad = loss_and_grads(
                 wm, ds.obs[idx], ds.action[idx], ds.next_obs[idx], ds.state[idx],
                 cfg.prediction_loss_weight, cfg.state_loss_weight,
             )
+            grads = [g.reshape(p.shape) for g, p in zip(np.split(grad, ends[:-1]), params)]
             t += 1
             lr_t = cfg.learning_rate * math.sqrt(1 - 0.999**t) / (1 - 0.9**t)
             for p, g, mi, vi in zip(params, grads, m, v):
@@ -139,9 +141,9 @@ def test_float32_numeric_path(env_cfg):
 
     batch = (ds.obs[:8], ds.action[:8], ds.next_obs[:8], ds.state[:8])
     for inputs in (batch, [x.astype(np.float32) for x in batch]):
-        loss, grads = loss_and_grads(wm, *inputs, 1.0, 1.0)
+        loss, grad = loss_and_grads(wm, *inputs, 1.0, 1.0)
         assert loss.dtype == np.float32
-        assert all(g.dtype == np.float32 for g in grads)
+        assert grad.dtype == np.float32 and grad.shape == wm.theta.shape
 
     u4 = policy_for_name("uniform_int4")
     for model in (init, wm):
@@ -242,6 +244,10 @@ def test_from_model_looks_up_tensors_by_name(trained_model, rng):
     np.testing.assert_array_equal(
         WorldModel.from_model(m).encode(obs), trained_model.encode(obs)
     )
+    m.tensors.append(TensorRecord("encoder.0.scale", np.ones(64)))
+    with pytest.raises(ValidationError, match="unknown tensor 'encoder.0.scale'"):
+        WorldModel.from_model(m)
+    m.tensors.pop()
     m.tensors = [t for t in m.tensors if t.name != "predictor.1.bias"]
     with pytest.raises(ValidationError, match="predictor.1.bias"):
         WorldModel.from_model(m)

@@ -1,7 +1,10 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantplan import (
     ALL_VARIANT_NAMES,
@@ -11,12 +14,13 @@ from quantplan import (
     WorldModel,
     apply_policy,
     bits_for_tensor,
-    enumerate_canonical_variants,
     fake_quantize_tensor,
     model_size_bytes,
     persist_model,
     policy_for_name,
 )
+from quantplan.policies import RETENTION_SWEEP
+from quantplan.quant import MAX_BITS, MIN_BITS
 
 
 def build_model(rng):
@@ -31,30 +35,30 @@ def params(wm):
 
 
 def test_bits_for_tensor_rules():
-    mixed4 = AllocationPolicy("mixed", bits=4)
+    mixed4 = AllocationPolicy(None, 4)
     assert bits_for_tensor(mixed4, "encoder", 0, "linear_weight", 4) is None
     assert bits_for_tensor(mixed4, "predictor", 0, "linear_weight", 4) == 4
-    assert bits_for_tensor(mixed4, "other", 0, "linear_weight", 4) == 4
+    assert bits_for_tensor(mixed4, "probe", 0, "linear_weight", 4) == 4
     assert bits_for_tensor(mixed4, "predictor", 0, "linear_bias", 4) is None
 
-    asym = AllocationPolicy("asymmetric", encoder_bits=6, predictor_bits=4)
+    asym = AllocationPolicy(6, 4)
     assert bits_for_tensor(asym, "encoder", 0, "linear_weight", 4) == 6
     assert bits_for_tensor(asym, "predictor", 0, "linear_weight", 4) == 4
-    assert bits_for_tensor(asym, "other", 0, "linear_weight", 4) == 4
+    assert bits_for_tensor(asym, "probe", 0, "linear_weight", 4) == 4
 
-    # layerwise: unretained encoder layers follow predictor_bits
-    lw8 = AllocationPolicy("layerwise", retained_fraction=0.5, predictor_bits=8)
+    # retained encoder layers stay at baseline, the others take encoder_bits
+    lw8 = AllocationPolicy(8, 8, 0.5)
     decisions = [bits_for_tensor(lw8, "encoder", i, "linear_weight", 4) for i in range(4)]
     assert decisions == [None, None, 8, 8]
     assert bits_for_tensor(lw8, "predictor", 0, "linear_weight", 4) == 8
 
-    full = AllocationPolicy("full_precision")
+    full = AllocationPolicy(None, None)
     assert bits_for_tensor(full, "encoder", 0, "linear_weight", 4) is None
-    assert bits_for_tensor(AllocationPolicy("uniform", bits=3), "other", 0, "linear_weight", 4) == 3
+    assert bits_for_tensor(AllocationPolicy(3, 3), "probe", 0, "linear_weight", 4) == 3
 
 
 def test_layerwise_retention_order():
-    lw = AllocationPolicy("layerwise", retained_fraction=0.5, predictor_bits=4)
+    lw = AllocationPolicy(4, 4, 0.5)
     decisions = [bits_for_tensor(lw, "encoder", i, "linear_weight", 4) for i in range(4)]
     assert decisions == [None, None, 4, 4]
     assert bits_for_tensor(lw, "predictor", 0, "linear_weight", 4) == 4
@@ -62,20 +66,20 @@ def test_layerwise_retention_order():
 
 def test_policy_validation():
     with pytest.raises(ValidationError):
-        AllocationPolicy("uniform")
+        AllocationPolicy(1, 4)
     with pytest.raises(ValidationError):
-        AllocationPolicy("uniform", bits=9)
+        AllocationPolicy(4, 9)
     with pytest.raises(ValidationError):
-        AllocationPolicy("layerwise", retained_fraction=0.3)
-    for name in ("uniform_int99", "uniform_intx", "mixed_int", "enc_pred4", "enc8_pred4_x",
-                 "layerwise_int4_", "layerwise_int4_33"):
+        AllocationPolicy(4, 4, 0.3)
+    for name in ("uniform_int9", "uniform_int99", "uniform_intx", "mixed_int", "enc_pred4",
+                 "enc8_pred4_x", "layerwise_int4_", "layerwise_int4_33"):
         with pytest.raises(ValidationError, match=re.escape(repr(name))):
             policy_for_name(name)
 
 
 def test_full_precision_identity(rng):
     m = build_model(rng)
-    policy = AllocationPolicy("full_precision")
+    policy = AllocationPolicy(None, None)
     v = apply_policy(m, policy, "fp16")
     assert v.wm.theta.tobytes() == m.theta.tobytes()
     assert v.size_bytes == model_size_bytes(m, policy)
@@ -84,7 +88,7 @@ def test_full_precision_identity(rng):
 def test_input_model_unchanged(rng):
     m = build_model(rng)
     before = m.theta.copy()
-    v = apply_policy(m, AllocationPolicy("uniform", bits=3), "uniform_int3")
+    v = apply_policy(m, AllocationPolicy(3, 3), "uniform_int3")
     assert m.theta.tobytes() == before.tobytes()
     assert not np.shares_memory(v.wm.theta, m.theta)
 
@@ -122,24 +126,23 @@ def test_uniform_fidelity_ordering(rng):
 
 def test_layerwise_endpoints_alias(rng):
     m = build_model(rng)
-    lw0 = apply_policy(m, AllocationPolicy("layerwise", retained_fraction=0.0), "lw0")
+    lw0 = apply_policy(m, AllocationPolicy(4, 4, 0.0), "lw0")
     u4 = apply_policy(m, policy_for_name("uniform_int4"), "u4")
-    lw1 = apply_policy(m, AllocationPolicy("layerwise", retained_fraction=1.0), "lw1")
+    lw1 = apply_policy(m, AllocationPolicy(4, 4, 1.0), "lw1")
     m4 = apply_policy(m, policy_for_name("mixed_int4"), "m4")
     assert lw0.wm.theta.tobytes() == u4.wm.theta.tobytes()
     assert lw1.wm.theta.tobytes() == m4.wm.theta.tobytes()
 
 
 def test_enumerate_canonical_variants():
-    variants = enumerate_canonical_variants()
-    names = [n for n, _ in variants]
+    names = list(ALL_VARIANT_NAMES)
     assert len(names) == 16
     assert len(set(names)) == 16
     assert list(CORE_VARIANT_NAMES) == names[:13]
     assert len(CORE_VARIANT_NAMES) == 13  # 13 x (3 + 2) seeds x 10 episodes = 650
     assert {"layerwise_int4_25", "layerwise_int4_50", "layerwise_int4_75"} <= set(names)
-    for name, policy in variants:
-        assert policy_for_name(name) == policy
+    # every name is a distinct policy
+    assert len({policy_for_name(name) for name in names}) == 16
 
 
 def test_size_orderings(rng):
@@ -151,6 +154,36 @@ def test_size_orderings(rng):
         assert size(f"uniform_int{b}") < size(f"mixed_int{b}")
     assert size("uniform_int4") < size("enc6_pred4") < size("mixed_int4")
     assert size("uniform_int4") < size("enc8_pred4") < size("mixed_int4")
+
+
+bitwidths = st.one_of(st.none(), st.integers(MIN_BITS, MAX_BITS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bitwidths, bitwidths, st.sampled_from(RETENTION_SWEEP))
+def test_one_rule_matches_tensor_oracle(encoder_bits, predictor_bits, retained_fraction):
+    """apply_policy and model_size_bytes against the rule applied tensor by tensor."""
+    m = build_model(np.random.default_rng(1234))
+    n_retained = {0.0: 0, 0.25: 1, 0.5: 2, 0.75: 3, 1.0: 4}[retained_fraction]
+    expected, size = [], 0
+    for stack in ("encoder", "predictor", "probe"):
+        for i, (W, b) in enumerate(getattr(m, stack).layers):
+            if stack != "encoder":
+                bits = predictor_bits
+            else:
+                bits = None if i < n_retained else encoder_bits
+            if bits is None:
+                expected.append(W)
+                size += 2 * W.size
+            else:
+                expected.append(fake_quantize_tensor(W, bits))
+                size += math.ceil(W.size * bits / 8) + 4 * W.shape[0]
+            expected.append(b)  # biases are never quantized
+            size += 2 * b.size
+    policy = AllocationPolicy(encoder_bits, predictor_bits, retained_fraction)
+    v = apply_policy(m, policy, "v")
+    assert v.wm.theta.tobytes() == np.concatenate([t.ravel() for t in expected]).tobytes()
+    assert v.size_bytes == model_size_bytes(m, policy) == size
 
 
 # Bits per variant, written out by hand: (encoder layers 0-3, predictor and probe).

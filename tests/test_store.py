@@ -182,24 +182,24 @@ def stacks_model(**dims):
 def test_size_hand_example():
     m = stacks_model(predictor=[(4, 3)])
     # 12 weights at 4 bits (6 B) + 4 row scales (16 B) + 4 biases at 16 bits (8 B)
-    assert model_size_bytes(m, AllocationPolicy("uniform", bits=4)) == 30
+    assert model_size_bytes(m, AllocationPolicy(4, 4)) == 30
     # baseline accounting: 16 parameters at 16 bits, no scales
-    assert model_size_bytes(m, AllocationPolicy("full_precision")) == 32
+    assert model_size_bytes(m, AllocationPolicy(None, None)) == 32
 
 
 def test_size_monotone_in_uniform_bitwidth():
     # wide enough that per-row scale overhead cannot flip the ordering
     m = stacks_model(encoder=[(8, 64)])
-    sizes = [model_size_bytes(m, AllocationPolicy("uniform", bits=b)) for b in (3, 4, 6)]
-    sizes.append(model_size_bytes(m, AllocationPolicy("full_precision")))
+    sizes = [model_size_bytes(m, AllocationPolicy(b, b)) for b in (3, 4, 6)]
+    sizes.append(model_size_bytes(m, AllocationPolicy(None, None)))
     assert sizes == sorted(sizes) and len(set(sizes)) == 4
 
 
 def test_mixed_larger_than_uniform():
     m = stacks_model(encoder=[(8, 64)], predictor=[(8, 64)])
     for b in (3, 4, 6, 8):
-        assert model_size_bytes(m, AllocationPolicy("mixed", bits=b)) > model_size_bytes(
-            m, AllocationPolicy("uniform", bits=b)
+        assert model_size_bytes(m, AllocationPolicy(None, b)) > model_size_bytes(
+            m, AllocationPolicy(b, b)
         )
 
 
