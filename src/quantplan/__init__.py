@@ -15,7 +15,6 @@ from .planner import (
     PlannerBudget,
     RunSet,
     plan_actions,
-    run_episode,
     run_episodes,
     run_paired_eval,
 )
@@ -36,6 +35,7 @@ from .stats import (
     ParetoPoint,
     difficulty_bins,
     matchup_counts,
+    paired_cells,
     paired_delta_ci,
     pareto_frontier,
     sign_test,

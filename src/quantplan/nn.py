@@ -88,16 +88,16 @@ class Stack:
         return h
 
     def backward(self, cache: list, grad_out: np.ndarray, grads: Stack) -> np.ndarray:
-        """Write each layer's (dW, db) into the same layer of `grads`; returns grad_input."""
+        """Write each layer's (dW, db) into the same layer of `grads`; returns the
+        gradient at layer 0's linear output (times layers[0][0] gives grad_input)."""
         g = grad_out
         for i in range(len(self.layers) - 1, -1, -1):
             if i < len(self.layers) - 1:
                 act = cache[i + 1]  # this layer's tanh output
-                g = g * (1.0 - act * act)
+                g = (g @ self.layers[i + 1][0]) * (1.0 - act * act)
             dW, db = grads.layers[i]
             np.matmul(g.T, cache[i], out=dW)
             np.sum(g, axis=0, out=db)
-            g = g @ self.layers[i][0]
         return g
 
     def flops(self) -> int:
@@ -159,12 +159,6 @@ class WorldModel:
             for i, (W, b) in enumerate(getattr(self, stack).layers):
                 yield f"{stack}.{i}.weight", stack, i, "linear_weight", W
                 yield f"{stack}.{i}.bias", stack, i, "linear_bias", b
-
-    def params_vector(self) -> np.ndarray:
-        return self.theta.copy()
-
-    def set_params_vector(self, v: np.ndarray) -> None:
-        self.theta[...] = v
 
     def flops_per_encode(self) -> int:
         return self.encoder.flops()
@@ -270,9 +264,10 @@ def loss_and_grads(wm: WorldModel, obs, action, next_obs, state, pw: float, sw: 
 
     grad = WorldModel(wm.dims, dtype=wm.theta.dtype)
     g_p = 2.0 * pw * r_pred / n
-    g_pred_in = wm.predictor.backward(c_pred, g_p, grad.predictor)
-    g_probe_in = wm.probe.backward(c_probe, 2.0 * sw * r_state / n, grad.probe)
-    g_z = g_pred_in[:, : z.shape[-1]] + g_probe_in
+    # backward stops at layer 0's output, so the encoder's unused input gradient is never formed
+    g_pred = wm.predictor.backward(c_pred, g_p, grad.predictor)
+    g_probe = wm.probe.backward(c_probe, 2.0 * sw * r_state / n, grad.probe)
+    g_z = (g_pred @ wm.predictor.layers[0][0])[:, : z.shape[-1]] + g_probe @ wm.probe.layers[0][0]
     wm.encoder.backward(c_enc, np.concatenate([g_z, -g_p]), grad.encoder)
     return loss, grad.theta
 

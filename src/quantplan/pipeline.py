@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,7 @@ from .stats import (
     compare_records,
     difficulty_bins,
     matchup_counts,
+    paired_cells,
     pareto_frontier,
     spearman,
 )
@@ -57,13 +59,19 @@ COMPARISON_PLAN = [
     ("enc4_pred6", "mixed_int4"),
 ]
 
-# each statistics file and the list it must hold
+# the per-run means in correlations.json, success first
+RUN_POINT_FIELDS = ("success", "mean_state_distance", "visual_embedding_divergence")
+
+NUM = (int, float)
+# each statistics file, its list, and the fields (JSON types) the report reads per entry
 STATS_FILES = {
-    "comparisons.json": "comparisons",
-    "matchups.json": "matchups",
-    "bins.json": "bins",
-    "frontier.json": "frontier",
-    "correlations.json": "run_points",
+    "comparisons.json": ("comparisons", dict(name_a=str, name_b=str, budget=str, delta=NUM,
+                                             ci_low=NUM, ci_high=NUM, p_sign=NUM)),
+    "matchups.json": ("matchups", {}),
+    "bins.json": ("bins", dict(budget=str, variant=str, bin=str, mean_success=NUM)),
+    "frontier.json": ("frontier", dict(variant_name=str, budget=str, success=NUM,
+                                       size_bytes=NUM, non_dominated=bool)),
+    "correlations.json": ("run_points", dict(success=NUM, visual_embedding_divergence=NUM)),
 }
 
 
@@ -161,112 +169,65 @@ def stage_eval(cfg: ExperimentConfig) -> RunSet:
     return run_set
 
 
-def _by_variant_budget(records: list[EpisodeRecord]):
-    out: dict[tuple[str, str], list[EpisodeRecord]] = {}
-    for r in records:
-        out.setdefault((r.variant_name, r.budget_name), []).append(r)
-    return out
+def _mean(recs: list[EpisodeRecord], field: str) -> float:
+    return float(np.mean([getattr(r, field) for r in recs]))
 
 
 def compute_stats(records: list[EpisodeRecord], cfg: ExperimentConfig) -> dict:
-    """All statistics artifacts as one dict of JSON-ready payloads."""
-    groups = _by_variant_budget(records)
-    budgets = sorted({r.budget_name for r in records})
-    variants = sorted({r.variant_name for r in records})
+    """All statistics artifacts as one dict of JSON-ready payloads; ValidationError
+    unless `records` pair up (`paired_cells`)."""
+    cells = paired_cells(records)
+    budgets = sorted({b for _, b in cells})
+    variants = sorted({v for v, _ in cells})
+    plan = [pair for pair in COMPARISON_PLAN if set(pair) <= set(variants)]
 
-    comparisons = []
-    for budget in budgets:
-        for name_a, name_b in COMPARISON_PLAN:
-            if (name_a, budget) in groups and (name_b, budget) in groups:
-                gen = rng.stream(cfg.master_seed, "bootstrap", name_a, name_b, budget)
-                comparisons.append(
-                    asdict(
-                        compare_records(
-                            groups[(name_a, budget)],
-                            groups[(name_b, budget)],
-                            name_a,
-                            name_b,
-                            budget,
-                            gen=gen,
-                        )
-                    )
-                )
+    comparisons = [
+        asdict(compare_records(cells[a, budget], cells[b, budget],
+                               rng.stream(cfg.master_seed, "bootstrap", a, b, budget)))
+        for budget in budgets
+        for a, b in plan
+    ]
 
     matchups = []
-    for name_a, name_b in COMPARISON_PLAN[:4]:
-        per_budget = []
-        for budget in budgets:
-            if (name_a, budget) not in groups or (name_b, budget) not in groups:
-                continue
-            counts = matchup_counts(groups[(name_a, budget)], groups[(name_b, budget)])
-            per_budget.append(
-                {"name_a": name_a, "name_b": name_b, "scope": budget, **asdict(counts)}
-            )
-        matchups.extend(per_budget)
-        if per_budget:
-            matchups.append(
-                {
-                    "name_a": name_a,
-                    "name_b": name_b,
-                    "scope": "pooled",
-                    **{
-                        k: sum(m[k] for m in per_budget)
-                        for k in ("a_only_wins", "b_only_wins", "both_win", "both_fail")
-                    },
-                }
-            )
+    for a, b in (pair for pair in plan if pair in COMPARISON_PLAN[:4]):
+        for scope in budgets + ["pooled"]:
+            # pooling concatenates each variant's cells budget by budget, so they stay paired
+            in_scope = budgets if scope == "pooled" else [scope]
+            pooled = {v: [r for bud in in_scope for r in cells[v, bud]] for v in (a, b)}
+            counts = matchup_counts(pooled[a], pooled[b])
+            matchups.append({"name_a": a, "name_b": b, "scope": scope, **asdict(counts)})
 
-    bins = []
-    for budget in budgets:
-        n_units = len({(r.seed, r.episode_id) for r in records if r.budget_name == budget})
-        n_bins = 3 if n_units >= 30 else 2
-        for variant in variants:
-            if (variant, budget) not in groups:
-                continue
-            for label, n, mean_s in difficulty_bins(records, budget, variant, n_bins):
-                bins.append(
-                    {"budget": budget, "variant": variant, "bin": label,
-                     "n": n, "mean_success": mean_s}
-                )
+    bins = [
+        {"budget": budget, "variant": variant, "bin": label, "n": n, "mean_success": mean_s}
+        for budget in budgets
+        for variant in variants
+        for label, n, mean_s in difficulty_bins(cells[variant, budget])
+    ]
 
     frontier = []
     for budget in budgets:
-        points = []
-        for variant in variants:
-            recs = groups.get((variant, budget))
-            if recs:
-                points.append(
-                    (variant, float(np.mean([r.success for r in recs])),
-                     recs[0].model_size_bytes)
-                )
-        for p in pareto_frontier(points):
-            frontier.append({"budget": budget, **asdict(p)})
+        points = [
+            (v, _mean(cells[v, budget], "success"), cells[v, budget][0].model_size_bytes)
+            for v in variants
+        ]
+        frontier += [{"budget": budget, **asdict(p)} for p in pareto_frontier(points)]
 
     run_points = []
-    for (variant, budget), recs in sorted(groups.items()):
-        for seed in sorted({r.seed for r in recs}):
-            sr = [r for r in recs if r.seed == seed]
+    for (variant, budget), cell in cells.items():
+        for seed, run in groupby(cell, key=lambda r: r.seed):
+            run = list(run)
             run_points.append(
-                {
-                    "variant": variant,
-                    "budget": budget,
-                    "seed": seed,
-                    "success": float(np.mean([r.success for r in sr])),
-                    "mean_state_distance": float(np.mean([r.mean_state_distance for r in sr])),
-                    "visual_embedding_divergence": float(
-                        np.mean([r.visual_embedding_divergence for r in sr])
-                    ),
-                }
+                {"variant": variant, "budget": budget, "seed": seed,
+                 **{f: _mean(run, f) for f in RUN_POINT_FIELDS}}
             )
     correlations = {"n_run_points": len(run_points), "run_points": run_points}
     succ = [p["success"] for p in run_points]
-    for diag in ("mean_state_distance", "visual_embedding_divergence"):
+    for diag in RUN_POINT_FIELDS[1:]:
         try:
-            correlations[f"spearman_success_vs_{diag}"] = spearman(
-                succ, [p[diag] for p in run_points]
-            )
+            rho = spearman(succ, [p[diag] for p in run_points])
         except ValidationError:
-            correlations[f"spearman_success_vs_{diag}"] = None
+            rho = None
+        correlations[f"spearman_success_vs_{diag}"] = rho
 
     return {
         "comparisons.json": {"comparisons": comparisons},
@@ -291,9 +252,16 @@ def stage_report(cfg: ExperimentConfig) -> None:
     from .report import emit_report
 
     out = _out(cfg)
-    artifacts = {
-        name: _read_json(out / name, "stats", key, list) for name, key in STATS_FILES.items()
-    }
+    artifacts = {}
+    for name, (key, fields) in STATS_FILES.items():
+        artifacts[name] = _read_json(out / name, "stats", key, list)
+        for entry in artifacts[name][key]:
+            for field, kind in fields.items():
+                if not isinstance(entry, dict) or not isinstance(entry.get(field), kind):
+                    raise StageError(
+                        f"{out / name} has a {key!r} entry without the {field!r} the report "
+                        f"reads; rerun the 'stats' stage"
+                    )
     emit_report(artifacts, out, cfg)
 
 

@@ -84,7 +84,7 @@ def _success_by(frontier: dict) -> dict[tuple[str, str], float]:
     return {(p["variant_name"], p["budget"]): p["success"] for p in frontier["frontier"]}
 
 
-def write_main_table(frontier: dict, path: Path) -> None:
+def main_table_csv(frontier: dict) -> str:
     success = _success_by(frontier)
     budgets = sorted({b for _, b in success})
     variants = sorted({v for v, _ in success})
@@ -98,7 +98,7 @@ def write_main_table(frontier: dict, path: Path) -> None:
             + [f"{success[(v, b)]:.4f}" if (v, b) in success else "" for b in budgets]
             + [f"{size_mb[v]:.4f}"]
         )
-    path.write_text(buf.getvalue())
+    return buf.getvalue()
 
 
 def frontier_svg(frontier: dict, comment: str) -> str:
@@ -221,14 +221,17 @@ def divergence_scatter_svg(correlations: dict, comment: str) -> str:
 
 
 def emit_report(artifacts: dict, out: Path, cfg: ExperimentConfig) -> None:
-    """Write main_table.csv and the figures from the statistics payloads `artifacts`."""
+    """Write main_table.csv and the figures from the statistics payloads `artifacts`;
+    every output is rendered before the first is written."""
     comment = f"config_hash: {cfg.config_hash()}"
     frontier = artifacts["frontier.json"]
-    write_main_table(frontier, out / "main_table.csv")
-    (out / "frontier.svg").write_text(frontier_svg(frontier, comment))
-    (out / "forest.svg").write_text(forest_svg(artifacts["comparisons.json"], comment))
-    (out / "retention_curve.svg").write_text(retention_curve_svg(frontier, comment))
-    (out / "difficulty.svg").write_text(difficulty_svg(artifacts["bins.json"], comment))
-    (out / "divergence_scatter.svg").write_text(
-        divergence_scatter_svg(artifacts["correlations.json"], comment)
-    )
+    outputs = {
+        "main_table.csv": main_table_csv(frontier),
+        "frontier.svg": frontier_svg(frontier, comment),
+        "forest.svg": forest_svg(artifacts["comparisons.json"], comment),
+        "retention_curve.svg": retention_curve_svg(frontier, comment),
+        "difficulty.svg": difficulty_svg(artifacts["bins.json"], comment),
+        "divergence_scatter.svg": divergence_scatter_svg(artifacts["correlations.json"], comment),
+    }
+    for name, text in outputs.items():
+        (out / name).write_text(text)

@@ -1,4 +1,4 @@
-"""Paired statistics over episode records.
+"""Paired statistics over episode records, read from one paired table (`paired_cells`).
 
 Conventions, fixed here because the source material leaves them open:
 two-sided sign test = doubled smaller exact binomial tail, capped at 1;
@@ -9,6 +9,7 @@ stable, near-equal sizes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -16,6 +17,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .planner import EpisodeRecord
+
+N_RESAMPLES = 4000
+CI_LEVEL = 0.95
 
 
 @dataclass
@@ -38,10 +42,6 @@ class MatchupCounts:
     both_win: int
     both_fail: int
 
-    @property
-    def n_pairs(self) -> int:
-        return self.a_only_wins + self.b_only_wins + self.both_win + self.both_fail
-
 
 @dataclass
 class ParetoPoint:
@@ -51,28 +51,21 @@ class ParetoPoint:
     non_dominated: bool
 
 
-def paired_delta_ci(
-    pairs: list[tuple[float, float]],
-    n_resamples: int = 4000,
-    level: float = 0.95,
-    gen: np.random.Generator | None = None,
-):
-    """Mean paired difference with a percentile bootstrap CI.
+def paired_delta_ci(pairs: list[tuple[float, float]], gen: np.random.Generator):
+    """Mean paired difference with a CI_LEVEL percentile bootstrap CI.
 
     Resampling draws whole (a, b) pairs with replacement, never the two
     sides independently.  Returns (delta, ci_low, ci_high).
     """
     if not pairs:
         raise ValidationError("paired_delta_ci needs at least one pair")
-    if gen is None:
-        gen = np.random.default_rng(0)
     arr = np.asarray(pairs, dtype=np.float64)
     diffs = arr[:, 0] - arr[:, 1]
     delta = float(diffs.mean())
     n = len(diffs)
-    idx = gen.integers(0, n, size=(n_resamples, n))
+    idx = gen.integers(0, n, size=(N_RESAMPLES, n))
     boot = diffs[idx].mean(axis=1)
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - CI_LEVEL) / 2.0
     ci_low = float(np.quantile(boot, alpha))
     ci_high = float(np.quantile(boot, 1.0 - alpha))
     return delta, ci_low, ci_high
@@ -121,73 +114,71 @@ def spearman(x, y) -> float:
     return float(np.dot(rx, ry) / np.sqrt(np.dot(rx, rx) * np.dot(ry, ry)))
 
 
-def _paired_units(records: list[EpisodeRecord]) -> dict[tuple[int, int], EpisodeRecord]:
-    out = {}
+def paired_cells(records: list[EpisodeRecord]) -> dict[tuple[str, str], list[EpisodeRecord]]:
+    """Records per (variant, budget) in key order, each cell sorted by (seed, episode_id).
+
+    ValidationError unless each budget's cells hold the same paired units, each
+    unit once, and every variant has a cell under every budget.
+    """
+    cells: dict[tuple[str, str], list[EpisodeRecord]] = {}
     for r in records:
-        key = (r.seed, r.episode_id)
-        if key in out:
-            raise ValidationError(f"duplicate paired unit {key}")
-        out[key] = r
-    return out
-
-
-def align_pairs(
-    records_a: list[EpisodeRecord], records_b: list[EpisodeRecord]
-) -> list[tuple[EpisodeRecord, EpisodeRecord]]:
-    ua, ub = _paired_units(records_a), _paired_units(records_b)
-    if set(ua) != set(ub):
-        raise ValidationError("paired unit key sets differ between the two record lists")
-    return [(ua[k], ub[k]) for k in sorted(ua)]
+        cells.setdefault((r.variant_name, r.budget_name), []).append(r)
+    variants = sorted({v for v, _ in cells})
+    for budget in sorted({b for _, b in cells}):
+        units = None
+        for variant in variants:
+            cell = cells.get((variant, budget))
+            if cell is None:
+                raise ValidationError(f"variant {variant!r} has no records under budget {budget!r}")
+            cell.sort(key=lambda r: (r.seed, r.episode_id))
+            keys = [(r.seed, r.episode_id) for r in cell]
+            if len(set(keys)) != len(keys):
+                raise ValidationError(f"duplicate paired unit in ({variant!r}, {budget!r})")
+            if units is None:
+                units = keys
+            elif keys != units:
+                raise ValidationError(f"paired units of ({variant!r}, {budget!r}) differ "
+                                      f"from those of ({variants[0]!r}, {budget!r})")
+    return dict(sorted(cells.items()))
 
 
 def compare_records(
-    records_a: list[EpisodeRecord],
-    records_b: list[EpisodeRecord],
-    name_a: str,
-    name_b: str,
-    budget: str,
-    n_resamples: int = 4000,
-    gen: np.random.Generator | None = None,
+    cell_a: list[EpisodeRecord], cell_b: list[EpisodeRecord], gen: np.random.Generator
 ) -> PairedComparison:
-    aligned = align_pairs(records_a, records_b)
-    pairs = [(float(ra.success), float(rb.success)) for ra, rb in aligned]
-    delta, lo, hi = paired_delta_ci(pairs, n_resamples=n_resamples, gen=gen)
+    """Success of cell_a's variant minus cell_b's, over two cells of one budget."""
+    pairs = [(float(a.success), float(b.success)) for a, b in zip(cell_a, cell_b, strict=True)]
+    delta, lo, hi = paired_delta_ci(pairs, gen)
     p, m = sign_test(pairs)
-    return PairedComparison(name_a, name_b, budget, len(pairs), delta, lo, hi, p, m)
+    a, b = cell_a[0], cell_b[0]
+    return PairedComparison(a.variant_name, b.variant_name, a.budget_name, len(pairs),
+                            delta, lo, hi, p, m)
 
 
-def matchup_counts(
-    records_a: list[EpisodeRecord], records_b: list[EpisodeRecord]
-) -> MatchupCounts:
-    aligned = align_pairs(records_a, records_b)
-    a_only = sum(1 for ra, rb in aligned if ra.success and not rb.success)
-    b_only = sum(1 for ra, rb in aligned if rb.success and not ra.success)
-    both = sum(1 for ra, rb in aligned if ra.success and rb.success)
-    neither = sum(1 for ra, rb in aligned if not ra.success and not rb.success)
-    return MatchupCounts(a_only, b_only, both, neither)
+def matchup_counts(cell_a: list[EpisodeRecord], cell_b: list[EpisodeRecord]) -> MatchupCounts:
+    """2x2 success counts over paired records (cells, or cells concatenated budget by budget)."""
+    pairs = zip(cell_a, cell_b, strict=True)
+    counts = Counter((bool(a.success), bool(b.success)) for a, b in pairs)
+    return MatchupCounts(
+        counts[True, False], counts[False, True], counts[True, True], counts[False, False]
+    )
 
 
-def difficulty_bins(
-    records: list[EpisodeRecord], budget: str, variant: str, n_bins: int
-) -> list[tuple[str, int, float]]:
-    """Success means in quantile bins of initial goal distance.
+def difficulty_bins(cell: list[EpisodeRecord]) -> list[tuple[str, int, float]]:
+    """Success means in quantile bins of initial goal distance: thirds from 30
+    paired units up, else halves.
 
     Bin edges come from the paired episode pool, which is identical across
-    variants, so bins line up for paired reading.
+    a budget's cells, so bins line up for paired reading.
     """
-    if n_bins not in (2, 3):
-        raise ValidationError("n_bins must be 2 or 3")
-    recs = [r for r in records if r.budget_name == budget and r.variant_name == variant]
-    if len(recs) < n_bins:
+    n = len(cell)
+    labels = ["low", "mid", "high"] if n >= 30 else ["lower", "upper"]
+    if n < len(labels):
         raise ValidationError("fewer records than bins")
-    recs.sort(key=lambda r: (r.initial_goal_distance, r.seed, r.episode_id))
-    labels = ["lower", "upper"] if n_bins == 2 else ["low", "mid", "high"]
+    recs = sorted(cell, key=lambda r: (r.initial_goal_distance, r.seed, r.episode_id))
     out = []
-    n = len(recs)
-    for i in range(n_bins):
-        lo, hi = (i * n) // n_bins, ((i + 1) * n) // n_bins
-        chunk = recs[lo:hi]
-        out.append((labels[i], len(chunk), float(np.mean([r.success for r in chunk]))))
+    for i, label in enumerate(labels):
+        chunk = recs[(i * n) // len(labels) : ((i + 1) * n) // len(labels)]
+        out.append((label, len(chunk), float(np.mean([r.success for r in chunk]))))
     return out
 
 

@@ -137,17 +137,17 @@ def test_criterion_4_gradient_correctness(rng):
     state = rng.uniform(0, 1, (6, 2))
     _, grads = loss_and_grads(wm, obs, act, nobs, state, 1.0, 1.0)
     analytic = np.concatenate([g.reshape(-1) for g in grads])
-    theta = wm.params_vector()
+    theta = wm.theta.copy()
     h = 1e-6
     for i in rng.choice(theta.size, size=100, replace=False):
         tp, tm = theta.copy(), theta.copy()
         tp[i] += h
         tm[i] -= h
-        wm.set_params_vector(tp)
+        wm.theta[...] = tp
         lp, _ = loss_and_grads(wm, obs, act, nobs, state, 1.0, 1.0)
-        wm.set_params_vector(tm)
+        wm.theta[...] = tm
         lm, _ = loss_and_grads(wm, obs, act, nobs, state, 1.0, 1.0)
-        wm.set_params_vector(theta)
+        wm.theta[...] = theta
         fd = (lp - lm) / (2 * h)
         assert abs(fd - analytic[i]) / max(abs(fd), abs(analytic[i]), 1e-8) < 1e-4
     elapsed = time.time() - t0

@@ -200,13 +200,21 @@ def test_malformed_stage_json_names_file_and_stage(pipeline_out, tmp_path):
     import shutil
     from pathlib import Path
 
+    outputs = ("episodes.csv", "main_table.csv", "frontier.svg", "forest.svg",
+               "retention_curve.svg", "difficulty.svg", "divergence_scatter.svg")
+
     def broken_copy(name, text):
         out = tmp_path / name.replace(".", "_")
         shutil.copytree(pipeline_out.output_dir, out)
-        for artifact in ("episodes.csv", "main_table.csv"):
+        for artifact in outputs:
             (out / artifact).unlink()
         (out / name).write_text(text)
         return dataclasses.replace(pipeline_out, output_dir=str(out)), out
+
+    def edited(name, key, edit):
+        payload = json.loads((Path(pipeline_out.output_dir) / name).read_text())
+        edit(payload[key][-1])
+        return json.dumps(payload)
 
     sizes = json.loads((Path(pipeline_out.output_dir) / "sizes.json").read_text())
     no_size = json.loads(json.dumps(sizes))
@@ -219,13 +227,46 @@ def test_malformed_stage_json_names_file_and_stage(pipeline_out, tmp_path):
         ("sizes.json", "{not json", "eval", r"sizes.json .*rerun the 'variants' stage"),
         ("frontier.json", "{not json", "report", r"frontier.json .*rerun the 'stats' stage"),
         ("bins.json", "[]", "report", r"bins.json .*rerun the 'stats' stage"),
+        # entries the report would fail on after writing its first outputs
+        ("bins.json", edited("bins.json", "bins", lambda e: e.pop("variant")), "report",
+         r"bins.json has a 'bins' entry without the 'variant' .*rerun the 'stats' stage"),
+        ("frontier.json", edited("frontier.json", "frontier", lambda e: e.pop("success")),
+         "report", r"frontier.json has a 'frontier' entry without the 'success' .*'stats' stage"),
+        ("frontier.json", edited("frontier.json", "frontier", lambda e: e.update(size_bytes="1")),
+         "report", r"frontier.json has a 'frontier' entry without the 'size_bytes' "),
+        ("frontier.json", json.dumps({"frontier": [1]}), "report",
+         r"frontier.json has a 'frontier' entry without the 'variant_name' "),
     ]
     for name, text, stage, message in cases:
         cfg, out = broken_copy(name, text)
         with pytest.raises(StageError, match=message):
             run_stage(cfg, stage)
-        assert not (out / "episodes.csv").exists() and not (out / "main_table.csv").exists()
+        assert not any((out / artifact).exists() for artifact in outputs)
         shutil.rmtree(out)
+
+
+def test_stats_rejects_unpaired_episodes(pipeline_out, tmp_path):
+    import dataclasses
+    import shutil
+    from pathlib import Path
+
+    from quantplan.pipeline import STATS_FILES
+
+    lines = (Path(pipeline_out.output_dir) / "episodes.csv").read_text().splitlines(True)
+    fp16 = [i for i, line in enumerate(lines) if line.startswith("fp16,")]
+    cases = {
+        "dropped": lines[: fp16[1]] + lines[fp16[1] + 1 :],
+        "duplicated": lines + [lines[fp16[1]]],
+    }
+    for case, kept in cases.items():
+        out = tmp_path / case
+        shutil.copytree(pipeline_out.output_dir, out)
+        for name in STATS_FILES:
+            (out / name).unlink()
+        (out / "episodes.csv").write_text("".join(kept))
+        with pytest.raises(ValidationError, match="'fp16', 'bA'"):
+            run_stage(dataclasses.replace(pipeline_out, output_dir=str(out)), "stats")
+        assert not any((out / name).exists() for name in STATS_FILES)
 
 
 def test_artifacts_record_config_hash(pipeline_out):

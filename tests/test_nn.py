@@ -34,17 +34,17 @@ def test_gradient_check_matches_finite_differences(rng):
     obs, act, nobs, state = tiny_batch(rng, 6)
     _, grads = loss_and_grads(wm, obs, act, nobs, state, 1.0, 1.0)
     analytic = np.concatenate([g.reshape(-1) for g in grads])
-    theta = wm.params_vector()
+    theta = wm.theta.copy()
     coords = rng.choice(theta.size, size=100, replace=False)
     h = 1e-6
     for i in coords:
         tp = theta.copy(); tp[i] += h
         tm = theta.copy(); tm[i] -= h
-        wm.set_params_vector(tp)
+        wm.theta[...] = tp
         lp, _ = loss_and_grads(wm, obs, act, nobs, state, 1.0, 1.0)
-        wm.set_params_vector(tm)
+        wm.theta[...] = tm
         lm, _ = loss_and_grads(wm, obs, act, nobs, state, 1.0, 1.0)
-        wm.set_params_vector(theta)
+        wm.theta[...] = theta
         fd = (lp - lm) / (2 * h)
         denom = max(abs(fd), abs(analytic[i]), 1e-8)
         assert abs(fd - analytic[i]) / denom < 1e-4
@@ -80,14 +80,14 @@ def test_training_deterministic(env_cfg):
     cfg = TrainConfig(epochs=2)
     a = train_world_model(ds, cfg)
     b = train_world_model(ds, cfg)
-    np.testing.assert_array_equal(a.params_vector(), b.params_vector())
+    np.testing.assert_array_equal(a.theta, b.theta)
 
 
 def reference_adam(ds, cfg: TrainConfig) -> np.ndarray:
     """train_world_model with the float32 Adam update written tensor by tensor."""
     init = init_world_model(ds.obs.shape[1], seed=cfg.seed)
     wm = WorldModel(init.dims)
-    wm.set_params_vector(init.theta)
+    wm.theta[...] = init.theta
     params = [p for *_, p in wm.named_params()]
     assert all(p.dtype == np.float32 for p in params)
     ends = np.cumsum([p.size for p in params])
@@ -119,7 +119,7 @@ def test_flat_adam_matches_per_tensor_reference(env_cfg):
     ds = gen_dataset(20, 5, 0, env_cfg)
     cfg = TrainConfig(epochs=2)
     np.testing.assert_array_equal(
-        train_world_model(ds, cfg).params_vector(), reference_adam(ds, cfg)
+        train_world_model(ds, cfg).theta, reference_adam(ds, cfg)
     )
 
 
@@ -173,7 +173,7 @@ def test_layers_are_views_into_theta(env_cfg):
     assert not np.shares_memory(twin.theta, wm.theta)
     np.testing.assert_array_equal(twin.theta, wm.theta)
     before = wm.encode(ds.obs[0])
-    wm.set_params_vector(0.5 * wm.params_vector())
+    wm.theta[...] = 0.5 * wm.theta
     assert not np.array_equal(wm.encode(ds.obs[0]), before)
     np.testing.assert_array_equal(twin.encode(ds.obs[0]), before)
 

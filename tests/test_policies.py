@@ -51,6 +51,10 @@ def test_bits_for_tensor_rules():
     decisions = [bits_for_tensor(lw8, "encoder", i, "linear_weight", 4) for i in range(4)]
     assert decisions == [None, None, 8, 8]
     assert bits_for_tensor(lw8, "predictor", 0, "linear_weight", 4) == 8
+    # ceil, not floor: a quarter of 3 encoder layers retains one
+    lw4 = AllocationPolicy(4, 4, 0.25)
+    decisions = [bits_for_tensor(lw4, "encoder", i, "linear_weight", 3) for i in range(3)]
+    assert decisions == [None, 4, 4]
 
     full = AllocationPolicy(None, None)
     assert bits_for_tensor(full, "encoder", 0, "linear_weight", 4) is None

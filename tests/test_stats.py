@@ -10,6 +10,7 @@ from quantplan import (
     ValidationError,
     difficulty_bins,
     matchup_counts,
+    paired_cells,
     paired_delta_ci,
     pareto_frontier,
     sign_test,
@@ -88,7 +89,7 @@ def test_bootstrap_width_shrinks_with_duplication(rng):
 
 def test_paired_delta_empty():
     with pytest.raises(ValidationError):
-        paired_delta_ci([])
+        paired_delta_ci([], np.random.default_rng(0))
 
 
 # ---- spearman ----------------------------------------------------------------
@@ -167,26 +168,54 @@ def test_compute_stats_spearman_none_only_when_undefined(monkeypatch):
 def test_tertile_bins():
     records = [rec("v", "bA", s, e, (s + e) % 2, dist=0.1 + 0.01 * (10 * s + e))
                for s in range(3) for e in range(10)]
-    bins = difficulty_bins(records, "bA", "v", 3)
+    bins = difficulty_bins(records)
     assert [b[0] for b in bins] == ["low", "mid", "high"]
     assert [b[1] for b in bins] == [10, 10, 10]
 
 
 def test_half_bins_and_tied_distances():
     records = [rec("v", "bB", s, e, 1, dist=0.5) for s in range(2) for e in range(10)]
-    bins = difficulty_bins(records, "bB", "v", 2)
+    bins = difficulty_bins(records)
+    assert [b[0] for b in bins] == ["lower", "upper"]
     assert [b[1] for b in bins] == [10, 10]
     assert all(b[2] == 1.0 for b in bins)
 
 
 def test_bins_validation():
-    with pytest.raises(ValidationError):
-        difficulty_bins([rec("v", "bA", 0, 0, 1)], "bA", "v", 3)
-    with pytest.raises(ValidationError):
-        difficulty_bins([rec("v", "bA", 0, i, 1) for i in range(9)], "bA", "v", 4)
+    with pytest.raises(ValidationError, match="fewer records than bins"):
+        difficulty_bins([rec("v", "bA", 0, 0, 1)])
+    # 29 paired units still take halves, 30 take thirds
+    assert len(difficulty_bins([rec("v", "bA", 0, i, 1) for i in range(29)])) == 2
+    assert len(difficulty_bins([rec("v", "bA", 0, i, 1) for i in range(30)])) == 3
 
 
-# ---- matchups ------------------------------------------------------------------
+# ---- paired table and matchups --------------------------------------------------
+
+
+def test_paired_cells_sorted_by_unit():
+    records = [rec(v, b, s, e, 1) for b in ("bB", "bA") for v in ("y", "x")
+               for s, e in ((1, 0), (0, 1), (0, 0))]
+    cells = paired_cells(records)
+    assert list(cells) == [("x", "bA"), ("x", "bB"), ("y", "bA"), ("y", "bB")]
+    for cell in cells.values():
+        assert [(r.seed, r.episode_id) for r in cell] == [(0, 0), (0, 1), (1, 0)]
+
+
+def test_paired_cells_rejects_unpaired_records():
+    table = [rec(v, b, 0, e, 1) for v in ("a", "b") for b in ("bA", "bB") for e in range(3)]
+    assert len(paired_cells(table)) == 4
+    cases = {
+        "duplicate paired unit in \\('b', 'bA'\\)": table + [rec("b", "bA", 0, 1, 0)],
+        "paired units of \\('b', 'bB'\\) differ": [
+            r for r in table if (r.variant_name, r.budget_name, r.episode_id) != ("b", "bB", 2)
+        ],
+        "variant 'c' has no records under budget 'bB'": table + [
+            rec("c", "bA", 0, e, 1) for e in range(3)
+        ],
+    }
+    for message, records in cases.items():
+        with pytest.raises(ValidationError, match=message):
+            paired_cells(records)
 
 
 def test_matchup_2x2():
@@ -194,14 +223,6 @@ def test_matchup_2x2():
     b = [rec("b", "bA", 0, i, s) for i, s in enumerate([1, 1, 0, 0])]
     m = matchup_counts(a, b)
     assert (m.a_only_wins, m.b_only_wins, m.both_win, m.both_fail) == (1, 1, 1, 1)
-    assert m.n_pairs == 4
-
-
-def test_matchup_key_mismatch():
-    a = [rec("a", "bA", 0, 0, 1)]
-    b = [rec("b", "bA", 0, 1, 1)]
-    with pytest.raises(ValidationError):
-        matchup_counts(a, b)
 
 
 # ---- pareto ---------------------------------------------------------------------
