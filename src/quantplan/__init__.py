@@ -15,6 +15,7 @@ from .planner import (
     PlannerBudget,
     RunSet,
     plan_actions,
+    run_episode,
     run_episodes,
     run_paired_eval,
 )

@@ -62,17 +62,9 @@ COMPARISON_PLAN = [
 # the per-run means in correlations.json, success first
 RUN_POINT_FIELDS = ("success", "mean_state_distance", "visual_embedding_divergence")
 
-NUM = (int, float)
-# each statistics file, its list, and the fields (JSON types) the report reads per entry
-STATS_FILES = {
-    "comparisons.json": ("comparisons", dict(name_a=str, name_b=str, budget=str, delta=NUM,
-                                             ci_low=NUM, ci_high=NUM, p_sign=NUM)),
-    "matchups.json": ("matchups", {}),
-    "bins.json": ("bins", dict(budget=str, variant=str, bin=str, mean_success=NUM)),
-    "frontier.json": ("frontier", dict(variant_name=str, budget=str, success=NUM,
-                                       size_bytes=NUM, non_dominated=bool)),
-    "correlations.json": ("run_points", dict(success=NUM, visual_embedding_divergence=NUM)),
-}
+# each statistics file and the key of its list
+STATS_FILES = {"comparisons.json": "comparisons", "matchups.json": "matchups", "bins.json": "bins",
+               "frontier.json": "frontier", "correlations.json": "run_points"}
 
 
 def _out(cfg: ExperimentConfig) -> Path:
@@ -249,19 +241,25 @@ def stage_stats(cfg: ExperimentConfig) -> dict:
 
 
 def stage_report(cfg: ExperimentConfig) -> None:
-    from .report import emit_report
+    from .report import ENTRY_FIELDS, NUM, RHO, emit_report
 
     out = _out(cfg)
-    artifacts = {}
-    for name, (key, fields) in STATS_FILES.items():
-        artifacts[name] = _read_json(out / name, "stats", key, list)
+    artifacts = {name: _read_json(out / name, "stats", key, list)
+                 for name, key in STATS_FILES.items()}
+
+    def reject(name: str, fault: str):
+        raise StageError(f"{out / name} has {fault}; rerun the 'stats' stage")
+
+    for name, key in STATS_FILES.items():
         for entry in artifacts[name][key]:
-            for field, kind in fields.items():
+            for field, kind in ENTRY_FIELDS[name].items():
                 if not isinstance(entry, dict) or not isinstance(entry.get(field), kind):
-                    raise StageError(
-                        f"{out / name} has a {key!r} entry without the {field!r} the report "
-                        f"reads; rerun the 'stats' stage"
-                    )
+                    reject(name, f"a {key!r} entry without the {field!r} the report reads")
+    # frontier_svg scales its size axis over the frontier points
+    if not artifacts["frontier.json"]["frontier"]:
+        reject("frontier.json", "an empty 'frontier' list")
+    if not isinstance(artifacts["correlations.json"].get(RHO), NUM + (type(None),)):
+        reject("correlations.json", f"a {RHO!r} that is neither a number nor null")
     emit_report(artifacts, out, cfg)
 
 

@@ -263,6 +263,20 @@ def run_episodes(
     ]
 
 
+def run_episode(
+    variant: VariantModel,
+    fp_wm: WorldModel,
+    spec: EpisodeSpec,
+    budget: PlannerBudget,
+    budget_name: str,
+    cem: CEMConfig,
+    env_cfg: WallEnvConfig,
+    master_seed: int = 0,
+) -> EpisodeRecord:
+    """One episode: `run_episodes` on the single spec `spec`."""
+    return run_episodes(variant, fp_wm, [spec], budget, budget_name, cem, env_cfg, master_seed)[0]
+
+
 def run_paired_eval(
     variants: list[VariantModel],
     fp_wm: WorldModel,

@@ -14,6 +14,20 @@ W, H = 640, 400
 MARGIN = 60
 PLOT_W, PLOT_H = W - 2 * MARGIN, H - 2 * MARGIN
 
+NUM = (int, float)
+# per statistics file, the fields (JSON types) the renderers below read from each entry
+ENTRY_FIELDS = {
+    "comparisons.json": dict(name_a=str, name_b=str, budget=str, delta=NUM, ci_low=NUM,
+                             ci_high=NUM, p_sign=NUM),
+    "matchups.json": {},
+    "bins.json": dict(budget=str, variant=str, bin=str, mean_success=NUM),
+    "frontier.json": dict(variant_name=str, budget=str, success=NUM, size_bytes=NUM,
+                          non_dominated=bool),
+    "correlations.json": dict(success=NUM, visual_embedding_divergence=NUM),
+}
+# the correlation divergence_scatter_svg prints: a number, or null when undefined
+RHO = "spearman_success_vs_visual_embedding_divergence"
+
 
 class Svg:
     def __init__(self, width: int = W, height: int = H, comment: str = ""):
@@ -206,7 +220,7 @@ def difficulty_svg(bins: dict, comment: str) -> str:
 
 def divergence_scatter_svg(correlations: dict, comment: str) -> str:
     svg = Svg(comment=comment)
-    rho = correlations.get("spearman_success_vs_visual_embedding_divergence")
+    rho = correlations.get(RHO)
     rho_txt = f"rho={rho:.3f}" if rho is not None else "rho undefined"
     _axes(svg, f"Run-level success vs visual-embedding divergence ({rho_txt})",
           "visual-embedding divergence", "success")

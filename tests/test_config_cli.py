@@ -219,6 +219,8 @@ def test_malformed_stage_json_names_file_and_stage(pipeline_out, tmp_path):
     sizes = json.loads((Path(pipeline_out.output_dir) / "sizes.json").read_text())
     no_size = json.loads(json.dumps(sizes))
     del no_size["sizes"]["fp16"]["size_bytes"]
+    correlations = json.loads((Path(pipeline_out.output_dir) / "correlations.json").read_text())
+    rho = "spearman_success_vs_visual_embedding_divergence"
     cases = [
         ("sizes.json", json.dumps({"config_hash": sizes["config_hash"]}), "eval",
          r"sizes.json has no JSON dict 'sizes'; rerun the 'variants' stage"),
@@ -236,6 +238,10 @@ def test_malformed_stage_json_names_file_and_stage(pipeline_out, tmp_path):
          "report", r"frontier.json has a 'frontier' entry without the 'size_bytes' "),
         ("frontier.json", json.dumps({"frontier": [1]}), "report",
          r"frontier.json has a 'frontier' entry without the 'variant_name' "),
+        ("frontier.json", json.dumps({"frontier": []}), "report",
+         r"frontier.json has an empty 'frontier' list; rerun the 'stats' stage"),
+        ("correlations.json", json.dumps({**correlations, rho: "0.5"}), "report",
+         rf"correlations.json has a '{rho}' that is neither a number nor null; rerun the 'stats'"),
     ]
     for name, text, stage, message in cases:
         cfg, out = broken_copy(name, text)
