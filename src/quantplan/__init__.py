@@ -22,10 +22,8 @@ from .planner import (
 from .policies import (
     ALL_VARIANT_NAMES,
     CORE_VARIANT_NAMES,
-    AllocationPolicy,
     VariantModel,
     apply_policy,
-    bits_for_tensor,
     model_size_bytes,
     policy_for_name,
 )

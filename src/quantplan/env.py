@@ -32,6 +32,8 @@ class WallEnvConfig:
     def __post_init__(self):
         if not 0.0 < self.wall_x < 1.0:
             raise ValidationError("wall_x must be in (0, 1)")
+        if self.image_side < 1 or self.gap_half_width < 0:
+            raise ValidationError("image_side must be >= 1 and gap_half_width >= 0")
         lo, hi = self.gap_center - self.gap_half_width, self.gap_center + self.gap_half_width
         if lo < 0.0 or hi > 1.0:
             raise ValidationError("gap interval must lie within [0, 1]")

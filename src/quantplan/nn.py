@@ -33,7 +33,7 @@ ENCODER_DEPTH = 4
 PREDICTOR_DEPTH = 2
 ACTION_DIM = 2
 
-# WorldModel stack attributes in theta order; a tensor's role is its stack name
+# WorldModel stack attributes in theta order
 STACKS = ("encoder", "predictor", "probe")
 # (input, output) width of each stack in a study model; None leaves it free
 STACK_WIDTHS = {
@@ -151,14 +151,14 @@ class WorldModel:
     # -- parameter plumbing ------------------------------------------------
 
     def named_params(self):
-        """(name, stack, layer_index, kind, view) per parameter tensor, in theta order.
+        """("{stack}.{i}.weight" or "{stack}.{i}.bias", view) per tensor, in theta order.
 
         The one statement of what each checkpoint tensor is: checkpoints store
         only names and shapes."""
         for stack in STACKS:
             for i, (W, b) in enumerate(getattr(self, stack).layers):
-                yield f"{stack}.{i}.weight", stack, i, "linear_weight", W
-                yield f"{stack}.{i}.bias", stack, i, "linear_bias", b
+                yield f"{stack}.{i}.weight", W
+                yield f"{stack}.{i}.bias", b
 
     def flops_per_encode(self) -> int:
         return self.encoder.flops()
@@ -169,7 +169,7 @@ class WorldModel:
     # -- manifest round trip -------------------------------------------------
 
     def to_model(self) -> Model:
-        tensors = [TensorRecord(name, p) for name, _, _, _, p in self.named_params()]
+        tensors = [TensorRecord(name, p) for name, p in self.named_params()]
         return Model(tensors=tensors, extras=dict(self.metadata))
 
     @classmethod
@@ -202,7 +202,7 @@ class WorldModel:
             if end not in (None, width):
                 raise ValidationError(f"tensor {weight!r} has {width} outputs, expected {end}")
         wm = cls(dims, dict(model.extras))
-        params = {name: p for name, *_, p in wm.named_params()}
+        params = dict(wm.named_params())
         for t in model.tensors:
             if t.name not in params:
                 raise ValidationError(f"unknown tensor {t.name!r}")
@@ -231,8 +231,8 @@ def init_world_model(
         },
         dtype=np.float64,
     )
-    for _, _, _, kind, p in wm.named_params():
-        if kind == "linear_weight":
+    for name, p in wm.named_params():
+        if name.endswith(".weight"):
             bound = np.sqrt(6.0 / sum(p.shape))
             p[...] = gen.uniform(-bound, bound, p.shape)
     return wm

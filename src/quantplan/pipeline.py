@@ -121,7 +121,7 @@ def stage_variants(cfg: ExperimentConfig) -> None:
     base = WorldModel.from_model(load_model(out / "model"))
     sizes = {}
     for name in cfg.variants:
-        v = apply_policy(base, policy_for_name(name), name)
+        v = apply_policy(base, policy_for_name(name, base), name)
         persist_model(v.wm.to_model(), out / "variants" / name)
         sizes[name] = {"size_bytes": v.size_bytes, "size_mb": v.size_bytes / 2**20}
     _write_json(out / "sizes.json", {"sizes": sizes}, cfg)

@@ -338,7 +338,10 @@ def read_episodes_csv(path: str | Path) -> list[EpisodeRecord]:
                 f"{path} line {lineno}: expected {len(parsers)} columns, got {len(row)}"
             )
         try:
-            records.append(EpisodeRecord(*[parse(v) for parse, v in zip(parsers, row)]))
+            record = EpisodeRecord(*[parse(v) for parse, v in zip(parsers, row)])
+            if record.success not in (0, 1):
+                raise ValueError(f"success must be 0 or 1, got {record.success}")
         except ValueError as e:
             raise ValidationError(f"{path} line {lineno}: {e}") from e
+        records.append(record)
     return records

@@ -1,9 +1,7 @@
-"""Bit-allocation policies: map study variant names to per-tensor bitwidths.
+"""Bit-allocation policies: a policy maps weight-tensor names to bitwidths.
 
-A policy decision is either an int bitwidth or None, meaning the tensor
-stays at baseline precision.  Only linear weights are ever quantized.
-Policies act on a `WorldModel` in memory: `apply_policy` fake-quantizes a
-deep copy through its `named_params()` views.
+Every tensor that a policy leaves out, biases included, stays at BASELINE_BITS.
+Study variant names stand for policies through `policy_for_name`.
 """
 
 from __future__ import annotations
@@ -17,7 +15,8 @@ from .errors import ValidationError
 from .nn import WorldModel
 from .quant import MAX_BITS, MIN_BITS, fake_quantize_tensor
 
-RETENTION_SWEEP = (0.0, 0.25, 0.5, 0.75, 1.0)
+# percent of encoder layers, counted from the input, that a layerwise variant keeps at baseline
+RETENTION_SWEEP = (0, 25, 50, 75, 100)
 # storage bits per value of every tensor a policy leaves unquantized
 BASELINE_BITS = 16
 
@@ -39,28 +38,7 @@ CORE_VARIANT_NAMES = (
 
 # the 0% and 100% points of the layerwise sweep alias uniform_int4 and
 # mixed_int4 and are reported under those names
-ALL_VARIANT_NAMES = CORE_VARIANT_NAMES + tuple(f"layerwise_int4_{p}" for p in (25, 50, 75))
-
-
-@dataclass(frozen=True)
-class AllocationPolicy:
-    """Bits per network part; None keeps that part at baseline precision.
-
-    Every predictor and probe weight takes `predictor_bits`.  The first
-    ceil(retained_fraction * n) of the n encoder layers stay at baseline, and
-    every other encoder weight takes `encoder_bits`.
-    """
-
-    encoder_bits: int | None
-    predictor_bits: int | None
-    retained_fraction: float = 0.0
-
-    def __post_init__(self):
-        for b in (self.encoder_bits, self.predictor_bits):
-            if b is not None and not (MIN_BITS <= b <= MAX_BITS):
-                raise ValidationError(f"bitwidth {b} outside [{MIN_BITS}, {MAX_BITS}]")
-        if self.retained_fraction not in RETENTION_SWEEP:
-            raise ValidationError(f"retained_fraction must be one of {RETENTION_SWEEP}")
+ALL_VARIANT_NAMES = CORE_VARIANT_NAMES + tuple(f"layerwise_int4_{p}" for p in RETENTION_SWEEP[1:-1])
 
 
 @dataclass
@@ -72,68 +50,76 @@ class VariantModel:
     size_bytes: int
 
 
-def bits_for_tensor(
-    policy: AllocationPolicy, role: str, layer_index: int, kind: str, n_encoder_layers: int
-) -> int | None:
-    """Bitwidth decision for one tensor; None means keep at baseline.
-
-    `role` is the tensor's stack name: "encoder", "predictor" or "probe"."""
-    if kind != "linear_weight":
-        return None
-    if role != "encoder":
-        return policy.predictor_bits
-    if layer_index < math.ceil(policy.retained_fraction * n_encoder_layers):
-        return None
-    return policy.encoder_bits
+def _check(wm: WorldModel, policy: dict[str, int]) -> None:
+    """ValidationError on a key that is not a weight of wm, or bits outside range."""
+    weights = {name for name, _ in wm.named_params() if name.endswith(".weight")}
+    for name, bits in policy.items():
+        if name not in weights:
+            raise ValidationError(f"policy key {name!r} is not a weight tensor of the model")
+        if type(bits) is not int or not MIN_BITS <= bits <= MAX_BITS:
+            raise ValidationError(f"{name!r}: bitwidth {bits!r} not in {MIN_BITS}..{MAX_BITS}")
 
 
-def _decisions(wm: WorldModel, policy: AllocationPolicy):
-    """(bitwidth or None, parameter view) per tensor of wm, in theta order."""
-    n_enc = len(wm.dims["encoder"])
-    for _, role, i, kind, p in wm.named_params():
-        yield bits_for_tensor(policy, role, i, kind, n_enc), p
-
-
-def model_size_bytes(wm: WorldModel, policy: AllocationPolicy) -> int:
+def model_size_bytes(wm: WorldModel, policy: dict[str, int]) -> int:
     """Storage size under a bit-allocation policy.
 
     Quantized linear weights cost ceil(size*b/8) plus 4 bytes of scale per
     output channel; everything else is accounted at BASELINE_BITS.
     """
+    _check(wm, policy)
     total = 0
-    for b, p in _decisions(wm, policy):
-        if b is None:
-            total += p.size * BASELINE_BITS // 8
+    for name, p in wm.named_params():
+        if name in policy:
+            total += math.ceil(p.size * policy[name] / 8) + 4 * p.shape[0]
         else:
-            total += math.ceil(p.size * b / 8) + 4 * p.shape[0]
+            total += p.size * BASELINE_BITS // 8
     return total
 
 
-def apply_policy(wm: WorldModel, policy: AllocationPolicy, name: str) -> VariantModel:
+def apply_policy(wm: WorldModel, policy: dict[str, int], name: str) -> VariantModel:
     """Fake-quantize a deep copy of wm under policy; the input model is untouched."""
+    size = model_size_bytes(wm, policy)
     out = copy.deepcopy(wm)
-    for b, p in _decisions(out, policy):
-        if b is not None:
-            p[...] = fake_quantize_tensor(p, b)
-    return VariantModel(name, out, model_size_bytes(wm, policy))
+    for tensor, p in out.named_params():
+        if tensor in policy:
+            p[...] = fake_quantize_tensor(p, policy[tensor])
+    return VariantModel(name, out, size)
 
 
-# variant name pattern -> the policy built from its matched numbers
+# variant name pattern -> (encoder bits, predictor and probe bits, retained
+# encoder percent) from its matched numbers; None bits keep a part at baseline
 NAME_PATTERNS = {
-    "fp16": lambda: AllocationPolicy(None, None),
-    "uniform_int([0-9]+)": lambda b: AllocationPolicy(int(b), int(b)),
-    "mixed_int([0-9]+)": lambda b: AllocationPolicy(None, int(b)),
-    "enc([0-9]+)_pred([0-9]+)": lambda e, p: AllocationPolicy(int(e), int(p)),
-    "layerwise_int4_([0-9]+)": lambda pct: AllocationPolicy(4, 4, int(pct) / 100),
+    "fp16": lambda: (None, None, 0),
+    "uniform_int([0-9]+)": lambda b: (int(b), int(b), 0),
+    "mixed_int([0-9]+)": lambda b: (None, int(b), 0),
+    "enc([0-9]+)_pred([0-9]+)": lambda e, p: (int(e), int(p), 0),
+    "layerwise_int4_([0-9]+)": lambda pct: (4, 4, int(pct)),
 }
 
 
-def policy_for_name(name: str) -> AllocationPolicy:
+def policy_for_name(name: str, wm: WorldModel) -> dict[str, int]:
+    """The policy a variant name stands for, over wm's weights.
+
+    Every predictor and probe weight takes the predictor bits.  The first
+    ceil(pct * n / 100) of the n encoder layers stay at baseline, and every
+    other encoder weight takes the encoder bits.
+    """
     for pattern, build in NAME_PATTERNS.items():
         match = re.fullmatch(pattern, name)
         if match:
-            try:
-                return build(*match.groups())
-            except ValidationError as e:
-                raise ValidationError(f"variant {name!r}: {e}") from e
-    raise ValidationError(f"unknown variant name {name!r}")
+            enc_bits, pred_bits, pct = build(*match.groups())
+            break
+    else:
+        raise ValidationError(f"unknown variant name {name!r}")
+    if pct not in RETENTION_SWEEP:
+        raise ValidationError(f"variant {name!r}: retained percent not in {RETENTION_SWEEP}")
+    n_enc = len(wm.dims["encoder"])
+    bits = {f"encoder.{i}.weight": enc_bits for i in range(math.ceil(pct * n_enc / 100), n_enc)}
+    for stack in ("predictor", "probe"):
+        bits |= {f"{stack}.{i}.weight": pred_bits for i in range(len(wm.dims[stack]))}
+    policy = {tensor: b for tensor, b in bits.items() if b is not None}
+    try:
+        _check(wm, policy)
+    except ValidationError as e:
+        raise ValidationError(f"variant {name!r}: {e}") from e
+    return policy

@@ -2,8 +2,8 @@
 
 `Model`/`TensorRecord` are the on-disk form of a `WorldModel` (and of the
 dataset blob); in memory, weights live in `WorldModel`s.  A tensor's name
-alone says what it is: `WorldModel.named_params()` maps each name to its
-stack, layer and kind, and `WorldModel.from_model` rejects any other name.
+alone says what it is: `WorldModel.named_params()` yields every name a
+model has, and `WorldModel.from_model` rejects any other name.
 
 On-disk layout of a checkpoint directory:
 

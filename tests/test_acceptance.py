@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from quantplan import (
-    AllocationPolicy,
     TrainConfig,
     WallEnvConfig,
     apply_policy,
@@ -48,7 +47,9 @@ def report(n, name):
 @pytest.fixture(scope="module")
 def full_sweep(dataset, trained_model, env_cfg):
     cfg = ExperimentConfig()
-    variants = [apply_policy(trained_model, policy_for_name(n), n) for n in cfg.variants]
+    variants = [
+        apply_policy(trained_model, policy_for_name(n, trained_model), n) for n in cfg.variants
+    ]
     run_set = run_paired_eval(
         variants,
         trained_model,
@@ -166,8 +167,8 @@ def test_criterion_5_pairing_protocol(full_sweep, trained_model, env_cfg):
     for v in cfg.variants[1:]:
         assert sorted(units[v]) == reference
     # identical weights under two names -> identical records
-    fp = apply_policy(trained_model, policy_for_name("fp16"), "fp16")
-    twin = apply_policy(trained_model, policy_for_name("fp16"), "fp16_twin")
+    fp = apply_policy(trained_model, policy_for_name("fp16", trained_model), "fp16")
+    twin = apply_policy(trained_model, policy_for_name("fp16", trained_model), "fp16_twin")
     rs = run_paired_eval(
         [fp, twin],
         trained_model,
@@ -243,7 +244,8 @@ def test_criterion_7_regime_pattern(full_sweep, trained_model, env_cfg):
     if np.mean([r.success for r in collapse_records[3]]) <= 0.25 * fp_success:
         b_star = 3
     else:
-        v2 = apply_policy(trained_model, AllocationPolicy(2, 2), "uniform_int2")
+        u2 = policy_for_name("uniform_int2", trained_model)
+        v2 = apply_policy(trained_model, u2, "uniform_int2")
         rs2 = run_paired_eval(
             [v2],
             trained_model,
@@ -279,7 +281,7 @@ def test_criterion_7_regime_pattern(full_sweep, trained_model, env_cfg):
 
 
 def test_criterion_8_size_ordering(trained_model):
-    size = lambda n: model_size_bytes(trained_model, policy_for_name(n))
+    size = lambda n: model_size_bytes(trained_model, policy_for_name(n, trained_model))
     assert size("uniform_int3") < size("uniform_int4") < size("uniform_int6") < size("fp16")
     for b in (3, 4, 6, 8):
         assert size(f"uniform_int{b}") < size(f"mixed_int{b}")

@@ -84,6 +84,9 @@ BUDGET = {"goal_h": 2, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
         ({"env": None}, "env: expected an object"),
         ({"variants": ["fp16", "uniform_int8", "fp16"]}, "variants: duplicate"),
         ({"budgets": {"bA": BUDGET}, "episodes_per_run": 1}, "budgets.bA: .*episodes_per_run"),
+        ({"env": {"image_side": 0}}, "env: image_side must be >= 1"),
+        ({"env": {"image_side": -2}}, "env: image_side must be >= 1"),
+        ({"env": {"gap_half_width": -0.1}}, "env: .*gap_half_width >= 0"),
     ],
 )
 def test_config_rejects_bad_values(data, message):

@@ -139,6 +139,12 @@ def test_env_config_validation():
         WallEnvConfig(max_step=0.0)
     with pytest.raises(ValidationError):
         WallEnvConfig(wall_x=1.5)
+    for side in (0, -2):
+        with pytest.raises(ValidationError, match="image_side must be >= 1"):
+            WallEnvConfig(image_side=side)
+    # a negative half-width closes the gap, so no episode could succeed
+    with pytest.raises(ValidationError, match="gap_half_width >= 0"):
+        WallEnvConfig(gap_half_width=-0.1)
 
 
 def test_batched_step_and_render_match_rows(env_cfg, rng):

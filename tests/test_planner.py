@@ -38,7 +38,7 @@ BB = PlannerBudget(12, 3, 3, (0,))
 @pytest.fixture(scope="module")
 def prepared(trained_model):
     return {
-        n: apply_policy(trained_model, policy_for_name(n), n)
+        n: apply_policy(trained_model, policy_for_name(n, trained_model), n)
         for n in ("fp16", "uniform_int8", "uniform_int3")
     }
 
@@ -181,8 +181,9 @@ def test_csv_round_trip(prepared, trained_model, env_cfg, tmp_path):
     [
         (lambda cols: cols[:9], "line 3: expected 11 columns, got 9"),
         (lambda cols: cols[:4] + ["yes"] + cols[5:], "line 3: invalid literal for int"),
+        (lambda cols: cols[:4] + ["7"] + cols[5:], "line 3: success must be 0 or 1, got 7"),
     ],
-    ids=["truncated_row", "non_numeric_success"],
+    ids=["truncated_row", "non_numeric_success", "success_not_0_or_1"],
 )
 def test_csv_bad_row_names_file_and_line(tmp_path, corrupt, message):
     records = [EpisodeRecord("fp16", "bA", 0, i, 1, 0.5, 4, 1e-3, 0.02, 0.0, 1000) for i in range(2)]

@@ -9,18 +9,21 @@ from hypothesis import strategies as st
 from quantplan import (
     ALL_VARIANT_NAMES,
     CORE_VARIANT_NAMES,
-    AllocationPolicy,
     ValidationError,
     WorldModel,
     apply_policy,
-    bits_for_tensor,
     fake_quantize_tensor,
     model_size_bytes,
     persist_model,
     policy_for_name,
 )
-from quantplan.policies import RETENTION_SWEEP
 from quantplan.quant import MAX_BITS, MIN_BITS
+
+# the weight tensors of build_model, written out by hand
+WEIGHT_NAMES = [
+    f"{stack}.{i}.weight" for stack, n in (("encoder", 4), ("predictor", 2), ("probe", 1))
+    for i in range(n)
+]
 
 
 def build_model(rng):
@@ -29,61 +32,45 @@ def build_model(rng):
     return wm
 
 
-def params(wm):
-    """(role, kind, view) per parameter tensor of wm."""
-    return [(role, kind, p) for _, role, _, kind, p in wm.named_params()]
+def test_bits_for_tensor_rules(rng):
+    m = build_model(rng)
+    enc = lambda *bits: {f"encoder.{i}.weight": b for i, b in enumerate(bits) if b is not None}
+    rest = lambda b: {"predictor.0.weight": b, "predictor.1.weight": b, "probe.0.weight": b}
+    assert policy_for_name("fp16", m) == {}
+    assert policy_for_name("uniform_int3", m) == {**enc(3, 3, 3, 3), **rest(3)}
+    assert policy_for_name("mixed_int4", m) == rest(4)
+    assert policy_for_name("enc6_pred4", m) == {**enc(6, 6, 6, 6), **rest(4)}
 
-
-def test_bits_for_tensor_rules():
-    mixed4 = AllocationPolicy(None, 4)
-    assert bits_for_tensor(mixed4, "encoder", 0, "linear_weight", 4) is None
-    assert bits_for_tensor(mixed4, "predictor", 0, "linear_weight", 4) == 4
-    assert bits_for_tensor(mixed4, "probe", 0, "linear_weight", 4) == 4
-    assert bits_for_tensor(mixed4, "predictor", 0, "linear_bias", 4) is None
-
-    asym = AllocationPolicy(6, 4)
-    assert bits_for_tensor(asym, "encoder", 0, "linear_weight", 4) == 6
-    assert bits_for_tensor(asym, "predictor", 0, "linear_weight", 4) == 4
-    assert bits_for_tensor(asym, "probe", 0, "linear_weight", 4) == 4
-
-    # retained encoder layers stay at baseline, the others take encoder_bits
-    lw8 = AllocationPolicy(8, 8, 0.5)
-    decisions = [bits_for_tensor(lw8, "encoder", i, "linear_weight", 4) for i in range(4)]
-    assert decisions == [None, None, 8, 8]
-    assert bits_for_tensor(lw8, "predictor", 0, "linear_weight", 4) == 8
+    # retained encoder layers stay at baseline, the others take the encoder bits
+    assert policy_for_name("layerwise_int4_50", m) == {**enc(None, None, 4, 4), **rest(4)}
+    assert policy_for_name("layerwise_int4_0", m) == policy_for_name("uniform_int4", m)
+    assert policy_for_name("layerwise_int4_100", m) == policy_for_name("mixed_int4", m)
     # ceil, not floor: a quarter of 3 encoder layers retains one
-    lw4 = AllocationPolicy(4, 4, 0.25)
-    decisions = [bits_for_tensor(lw4, "encoder", i, "linear_weight", 3) for i in range(3)]
-    assert decisions == [None, 4, 4]
-
-    full = AllocationPolicy(None, None)
-    assert bits_for_tensor(full, "encoder", 0, "linear_weight", 4) is None
-    assert bits_for_tensor(AllocationPolicy(3, 3), "probe", 0, "linear_weight", 4) == 3
+    m3 = WorldModel({"encoder": [(6, 8)] * 3, "predictor": [(6, 8)], "probe": [(2, 6)]})
+    assert policy_for_name("layerwise_int4_25", m3) == {
+        "encoder.1.weight": 4, "encoder.2.weight": 4, "predictor.0.weight": 4, "probe.0.weight": 4
+    }
 
 
-def test_layerwise_retention_order():
-    lw = AllocationPolicy(4, 4, 0.5)
-    decisions = [bits_for_tensor(lw, "encoder", i, "linear_weight", 4) for i in range(4)]
-    assert decisions == [None, None, 4, 4]
-    assert bits_for_tensor(lw, "predictor", 0, "linear_weight", 4) == 4
-
-
-def test_policy_validation():
-    with pytest.raises(ValidationError):
-        AllocationPolicy(1, 4)
-    with pytest.raises(ValidationError):
-        AllocationPolicy(4, 9)
-    with pytest.raises(ValidationError):
-        AllocationPolicy(4, 4, 0.3)
+def test_policy_validation(rng):
+    m = build_model(rng)
     for name in ("uniform_int9", "uniform_int99", "uniform_intx", "mixed_int", "enc_pred4",
-                 "enc8_pred4_x", "layerwise_int4_", "layerwise_int4_33"):
+                 "enc1_pred4", "enc8_pred4_x", "layerwise_int4_", "layerwise_int4_33"):
         with pytest.raises(ValidationError, match=re.escape(repr(name))):
-            policy_for_name(name)
+            policy_for_name(name, m)
+    # a map key must be a weight of the model, and its bits lie in [MIN_BITS, MAX_BITS]
+    for key, bits in (("encoder.0.bias", 4), ("encoder.9.weight", 4),
+                      ("probe.0.weight", 1), ("probe.0.weight", 9), ("probe.0.weight", 4.5)):
+        policy = {"encoder.1.weight": 4, key: bits}
+        with pytest.raises(ValidationError, match=re.escape(repr(key))):
+            model_size_bytes(m, policy)
+        with pytest.raises(ValidationError, match=re.escape(repr(key))):
+            apply_policy(m, policy, "v")
 
 
 def test_full_precision_identity(rng):
     m = build_model(rng)
-    policy = AllocationPolicy(None, None)
+    policy = policy_for_name("fp16", m)
     v = apply_policy(m, policy, "fp16")
     assert v.wm.theta.tobytes() == m.theta.tobytes()
     assert v.size_bytes == model_size_bytes(m, policy)
@@ -92,7 +79,7 @@ def test_full_precision_identity(rng):
 def test_input_model_unchanged(rng):
     m = build_model(rng)
     before = m.theta.copy()
-    v = apply_policy(m, AllocationPolicy(3, 3), "uniform_int3")
+    v = apply_policy(m, policy_for_name("uniform_int3", m), "uniform_int3")
     assert m.theta.tobytes() == before.tobytes()
     assert not np.shares_memory(v.wm.theta, m.theta)
 
@@ -100,28 +87,30 @@ def test_input_model_unchanged(rng):
 def test_biases_never_quantized(rng):
     m = build_model(rng)
     for name in ALL_VARIANT_NAMES:
-        v = apply_policy(m, policy_for_name(name), name)
-        for (_, kind, a), (_, _, b) in zip(params(m), params(v.wm)):
-            if kind != "linear_weight":
+        v = apply_policy(m, policy_for_name(name, m), name)
+        for (tensor, a), (_, b) in zip(m.named_params(), v.wm.named_params()):
+            if tensor.endswith(".bias"):
                 assert a.tobytes() == b.tobytes()
 
 
 def test_mixed_keeps_encoder_bit_identical(rng):
     m = build_model(rng)
-    v = apply_policy(m, policy_for_name("mixed_int4"), "mixed_int4")
-    for (role, kind, a), (_, _, b) in zip(params(m), params(v.wm)):
-        if role == "encoder":
+    v = apply_policy(m, policy_for_name("mixed_int4", m), "mixed_int4")
+    for (tensor, a), (_, b) in zip(m.named_params(), v.wm.named_params()):
+        if tensor.startswith("encoder."):
             assert a.tobytes() == b.tobytes()
-        elif kind == "linear_weight":
+        elif tensor.endswith(".weight"):
             assert a.tobytes() != b.tobytes()
 
 
 def test_uniform_fidelity_ordering(rng):
     m = build_model(rng)
-    v3 = apply_policy(m, policy_for_name("uniform_int3"), "u3")
-    v8 = apply_policy(m, policy_for_name("uniform_int8"), "u8")
-    for (_, kind, a), (_, _, b3), (_, _, b8) in zip(params(m), params(v3.wm), params(v8.wm)):
-        if kind != "linear_weight":
+    v3 = apply_policy(m, policy_for_name("uniform_int3", m), "u3")
+    v8 = apply_policy(m, policy_for_name("uniform_int8", m), "u8")
+    for (tensor, a), (_, b3), (_, b8) in zip(
+        m.named_params(), v3.wm.named_params(), v8.wm.named_params()
+    ):
+        if not tensor.endswith(".weight"):
             continue
         e3 = np.max(np.abs(a - b3), axis=1)
         e8 = np.max(np.abs(a - b8), axis=1)
@@ -130,15 +119,15 @@ def test_uniform_fidelity_ordering(rng):
 
 def test_layerwise_endpoints_alias(rng):
     m = build_model(rng)
-    lw0 = apply_policy(m, AllocationPolicy(4, 4, 0.0), "lw0")
-    u4 = apply_policy(m, policy_for_name("uniform_int4"), "u4")
-    lw1 = apply_policy(m, AllocationPolicy(4, 4, 1.0), "lw1")
-    m4 = apply_policy(m, policy_for_name("mixed_int4"), "m4")
+    lw0 = apply_policy(m, policy_for_name("layerwise_int4_0", m), "lw0")
+    u4 = apply_policy(m, policy_for_name("uniform_int4", m), "u4")
+    lw1 = apply_policy(m, policy_for_name("layerwise_int4_100", m), "lw1")
+    m4 = apply_policy(m, policy_for_name("mixed_int4", m), "m4")
     assert lw0.wm.theta.tobytes() == u4.wm.theta.tobytes()
     assert lw1.wm.theta.tobytes() == m4.wm.theta.tobytes()
 
 
-def test_enumerate_canonical_variants():
+def test_enumerate_canonical_variants(rng):
     names = list(ALL_VARIANT_NAMES)
     assert len(names) == 16
     assert len(set(names)) == 16
@@ -146,12 +135,13 @@ def test_enumerate_canonical_variants():
     assert len(CORE_VARIANT_NAMES) == 13  # 13 x (3 + 2) seeds x 10 episodes = 650
     assert {"layerwise_int4_25", "layerwise_int4_50", "layerwise_int4_75"} <= set(names)
     # every name is a distinct policy
-    assert len({policy_for_name(name) for name in names}) == 16
+    m = build_model(rng)
+    assert len({frozenset(policy_for_name(name, m).items()) for name in names}) == 16
 
 
 def test_size_orderings(rng):
     m = build_model(rng)
-    size = lambda n: model_size_bytes(m, policy_for_name(n))
+    size = lambda n: model_size_bytes(m, policy_for_name(n, m))
     assert size("uniform_int3") < size("uniform_int4") < size("uniform_int6")
     assert size("uniform_int6") < size("fp16")
     for b in (3, 4, 6, 8):
@@ -160,22 +150,15 @@ def test_size_orderings(rng):
     assert size("uniform_int4") < size("enc8_pred4") < size("mixed_int4")
 
 
-bitwidths = st.one_of(st.none(), st.integers(MIN_BITS, MAX_BITS))
-
-
 @settings(max_examples=100, deadline=None)
-@given(bitwidths, bitwidths, st.sampled_from(RETENTION_SWEEP))
-def test_one_rule_matches_tensor_oracle(encoder_bits, predictor_bits, retained_fraction):
-    """apply_policy and model_size_bytes against the rule applied tensor by tensor."""
+@given(st.dictionaries(st.sampled_from(WEIGHT_NAMES), st.integers(MIN_BITS, MAX_BITS)))
+def test_one_rule_matches_tensor_oracle(policy):
+    """apply_policy and model_size_bytes against the map applied tensor by tensor."""
     m = build_model(np.random.default_rng(1234))
-    n_retained = {0.0: 0, 0.25: 1, 0.5: 2, 0.75: 3, 1.0: 4}[retained_fraction]
     expected, size = [], 0
     for stack in ("encoder", "predictor", "probe"):
         for i, (W, b) in enumerate(getattr(m, stack).layers):
-            if stack != "encoder":
-                bits = predictor_bits
-            else:
-                bits = None if i < n_retained else encoder_bits
+            bits = policy.get(f"{stack}.{i}.weight")
             if bits is None:
                 expected.append(W)
                 size += 2 * W.size
@@ -184,7 +167,6 @@ def test_one_rule_matches_tensor_oracle(encoder_bits, predictor_bits, retained_f
                 size += math.ceil(W.size * bits / 8) + 4 * W.shape[0]
             expected.append(b)  # biases are never quantized
             size += 2 * b.size
-    policy = AllocationPolicy(encoder_bits, predictor_bits, retained_fraction)
     v = apply_policy(m, policy, "v")
     assert v.wm.theta.tobytes() == np.concatenate([t.ravel() for t in expected]).tobytes()
     assert v.size_bytes == model_size_bytes(m, policy) == size
@@ -220,7 +202,7 @@ def test_apply_policy_matches_checkpoint_oracle(trained_model, tmp_path):
                     t.data = fake_quantize_tensor(t.data, b)
         persist_model(oracle, tmp_path / "oracle" / name)
 
-        v = apply_policy(trained_model, policy_for_name(name), name)
+        v = apply_policy(trained_model, policy_for_name(name, trained_model), name)
         persist_model(v.wm.to_model(), tmp_path / "variant" / name)
         for file in ("weights.bin", "manifest.json"):
             expected = (tmp_path / "oracle" / name / file).read_bytes()

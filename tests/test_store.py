@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from quantplan import (
-    AllocationPolicy,
     Model,
     TensorRecord,
     ValidationError,
@@ -182,25 +181,24 @@ def stacks_model(**dims):
 def test_size_hand_example():
     m = stacks_model(predictor=[(4, 3)])
     # 12 weights at 4 bits (6 B) + 4 row scales (16 B) + 4 biases at 16 bits (8 B)
-    assert model_size_bytes(m, AllocationPolicy(4, 4)) == 30
+    assert model_size_bytes(m, {"predictor.0.weight": 4}) == 30
     # baseline accounting: 16 parameters at 16 bits, no scales
-    assert model_size_bytes(m, AllocationPolicy(None, None)) == 32
+    assert model_size_bytes(m, {}) == 32
 
 
 def test_size_monotone_in_uniform_bitwidth():
     # wide enough that per-row scale overhead cannot flip the ordering
     m = stacks_model(encoder=[(8, 64)])
-    sizes = [model_size_bytes(m, AllocationPolicy(b, b)) for b in (3, 4, 6)]
-    sizes.append(model_size_bytes(m, AllocationPolicy(None, None)))
+    sizes = [model_size_bytes(m, {"encoder.0.weight": b}) for b in (3, 4, 6)]
+    sizes.append(model_size_bytes(m, {}))
     assert sizes == sorted(sizes) and len(set(sizes)) == 4
 
 
 def test_mixed_larger_than_uniform():
     m = stacks_model(encoder=[(8, 64)], predictor=[(8, 64)])
     for b in (3, 4, 6, 8):
-        assert model_size_bytes(m, AllocationPolicy(None, b)) > model_size_bytes(
-            m, AllocationPolicy(b, b)
-        )
+        mixed = {"predictor.0.weight": b}
+        assert model_size_bytes(m, mixed) > model_size_bytes(m, {"encoder.0.weight": b, **mixed})
 
 
 @pytest.mark.parametrize(
