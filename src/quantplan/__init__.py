@@ -13,7 +13,6 @@ from .planner import (
     CEMConfig,
     EpisodeRecord,
     PlannerBudget,
-    RunSet,
     plan_actions,
     run_episode,
     run_episodes,
@@ -22,7 +21,6 @@ from .planner import (
 from .policies import (
     ALL_VARIANT_NAMES,
     CORE_VARIANT_NAMES,
-    VariantModel,
     apply_policy,
     model_size_bytes,
     policy_for_name,

@@ -17,7 +17,7 @@ from .pipeline import STAGES, run_stage
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="quantplan", description=__doc__)
-    p.add_argument("stage", nargs="?", choices=("all",) + STAGES, help="pipeline stage to run")
+    p.add_argument("stage", nargs="?", choices=("all", *STAGES), help="pipeline stage to run")
     p.add_argument("--config", help="experiment config JSON (defaults apply if omitted)")
     p.add_argument("--output", help="override config output_dir")
     return p

@@ -63,6 +63,8 @@ class ExperimentConfig:
                     f"budgets.{name}: {len(budget.seeds)} seed x episodes_per_run "
                     f"{self.episodes_per_run} gives 1 paired unit; the statistics need 2"
                 )
+        if not self.variants:
+            raise ValidationError("variants must name at least one variant")
         for name in self.variants:
             if name not in ALL_VARIANT_NAMES:
                 raise ValidationError(f"variants: unknown variant {name!r}")

@@ -5,8 +5,8 @@ Artifacts land under config.output_dir:
     dataset/            training transitions (manifest + blob)
     model/              trained full-precision world model
     variants/<name>/    fake-quantized variant models
-    sizes.json          per-variant size accounting
-    episodes.csv        paired evaluation results
+    sizes.json          per-variant size accounting, read by the stats stage
+    episodes.csv        paired evaluation results, one row per episode
     comparisons.json, matchups.json, bins.json, frontier.json,
     correlations.json   statistics
     main_table.csv + *.svg   report
@@ -30,14 +30,8 @@ from .config import ExperimentConfig
 from .env import dataset_from_model, dataset_to_model, gen_dataset
 from .errors import StageError, ValidationError
 from .nn import WorldModel, fit_state_probe, train_world_model
-from .planner import (
-    EpisodeRecord,
-    RunSet,
-    read_episodes_csv,
-    run_paired_eval,
-    write_episodes_csv,
-)
-from .policies import VariantModel, apply_policy, policy_for_name
+from .planner import EpisodeRecord, read_episodes_csv, run_paired_eval, write_episodes_csv
+from .policies import apply_policy, model_size_bytes, policy_for_name
 from .stats import (
     compare_records,
     difficulty_bins,
@@ -121,29 +115,22 @@ def stage_variants(cfg: ExperimentConfig) -> None:
     base = WorldModel.from_model(load_model(out / "model"))
     sizes = {}
     for name in cfg.variants:
-        v = apply_policy(base, policy_for_name(name, base), name)
-        persist_model(v.wm.to_model(), out / "variants" / name)
-        sizes[name] = {"size_bytes": v.size_bytes, "size_mb": v.size_bytes / 2**20}
+        policy = policy_for_name(name, base)
+        persist_model(apply_policy(base, policy).to_model(), out / "variants" / name)
+        size = model_size_bytes(base, policy)
+        sizes[name] = {"size_bytes": size, "size_mb": size / 2**20}
     _write_json(out / "sizes.json", {"sizes": sizes}, cfg)
 
 
-def stage_eval(cfg: ExperimentConfig) -> RunSet:
+def stage_eval(cfg: ExperimentConfig) -> None:
     out = _out(cfg)
     _require(out / "model" / "manifest.json", "train")
-    sizes = _read_json(out / "sizes.json", "variants", "sizes", dict)["sizes"]
     fp_wm = WorldModel.from_model(load_model(out / "model"))
-    variants = []
+    variants = {}
     for name in cfg.variants:
         _require(out / "variants" / name / "manifest.json", "variants")
-        entry = sizes.get(name)
-        if not isinstance(entry, dict) or type(entry.get("size_bytes")) is not int:
-            raise StageError(
-                f"the integer size_bytes of variant {name!r} is missing from "
-                f"{out / 'sizes.json'}; run the 'variants' stage first"
-            )
-        wm = WorldModel.from_model(load_model(out / "variants" / name))
-        variants.append(VariantModel(name, wm, entry["size_bytes"]))
-    run_set = run_paired_eval(
+        variants[name] = WorldModel.from_model(load_model(out / "variants" / name))
+    records = run_paired_eval(
         variants,
         fp_wm,
         cfg.budgets,
@@ -152,22 +139,25 @@ def stage_eval(cfg: ExperimentConfig) -> RunSet:
         episodes_per_run=cfg.episodes_per_run,
         master_seed=cfg.master_seed,
     )
-    write_episodes_csv(run_set.records, out / "episodes.csv")
-    _write_json(
-        out / "run_meta.json",
-        {"protocol": run_set.metadata, "n_records": len(run_set.records)},
-        cfg,
-    )
-    return run_set
+    write_episodes_csv(records, out / "episodes.csv")
+    protocol = {
+        "episodes_per_run": cfg.episodes_per_run,
+        "budgets": {name: asdict(b) for name, b in cfg.budgets.items()},
+        "variants": cfg.variants,
+        "master_seed": cfg.master_seed,
+    }
+    _write_json(out / "run_meta.json", {"protocol": protocol, "n_records": len(records)}, cfg)
 
 
 def _mean(recs: list[EpisodeRecord], field: str) -> float:
     return float(np.mean([getattr(r, field) for r in recs]))
 
 
-def compute_stats(records: list[EpisodeRecord], cfg: ExperimentConfig) -> dict:
-    """All statistics artifacts as one dict of JSON-ready payloads; ValidationError
-    unless `records` pair up (`paired_cells`)."""
+def compute_stats(records: list[EpisodeRecord], sizes: dict[str, int],
+                  cfg: ExperimentConfig) -> dict:
+    """All statistics artifacts as one dict of JSON-ready payloads, with each
+    variant's size in bytes from `sizes`; ValidationError unless `records` pair
+    up (`paired_cells`)."""
     cells = paired_cells(records)
     budgets = sorted({b for _, b in cells})
     variants = sorted({v for v, _ in cells})
@@ -198,10 +188,7 @@ def compute_stats(records: list[EpisodeRecord], cfg: ExperimentConfig) -> dict:
 
     frontier = []
     for budget in budgets:
-        points = [
-            (v, _mean(cells[v, budget], "success"), cells[v, budget][0].model_size_bytes)
-            for v in variants
-        ]
+        points = [(v, _mean(cells[v, budget], "success"), sizes[v]) for v in variants]
         frontier += [{"budget": budget, **asdict(p)} for p in pareto_frontier(points)]
 
     run_points = []
@@ -234,7 +221,17 @@ def stage_stats(cfg: ExperimentConfig) -> dict:
     out = _out(cfg)
     _require(out / "episodes.csv", "eval")
     records = read_episodes_csv(out / "episodes.csv")
-    artifacts = compute_stats(records, cfg)
+    entries = _read_json(out / "sizes.json", "variants", "sizes", dict)["sizes"]
+    sizes = {}
+    for name in sorted({r.variant_name for r in records}):
+        entry = entries.get(name)
+        if not isinstance(entry, dict) or type(entry.get("size_bytes")) is not int:
+            raise StageError(
+                f"the integer size_bytes of variant {name!r} is missing from "
+                f"{out / 'sizes.json'}; run the 'variants' stage first"
+            )
+        sizes[name] = entry["size_bytes"]
+    artifacts = compute_stats(records, sizes, cfg)
     for name, payload in artifacts.items():
         _write_json(out / name, payload, cfg)
     return artifacts
@@ -263,22 +260,22 @@ def stage_report(cfg: ExperimentConfig) -> None:
     emit_report(artifacts, out, cfg)
 
 
-STAGES = ("gen-data", "train", "variants", "eval", "stats", "report")
+# each stage by name, in the order 'all' runs them
+STAGES = {
+    "gen-data": stage_gen_data,
+    "train": stage_train,
+    "variants": stage_variants,
+    "eval": stage_eval,
+    "stats": stage_stats,
+    "report": stage_report,
+}
 
 
 def run_stage(cfg: ExperimentConfig, stage: str) -> None:
-    fns = {
-        "gen-data": stage_gen_data,
-        "train": stage_train,
-        "variants": stage_variants,
-        "eval": stage_eval,
-        "stats": stage_stats,
-        "report": stage_report,
-    }
     if stage == "all":
-        for s in STAGES:
-            fns[s](cfg)
+        for fn in STAGES.values():
+            fn(cfg)
         return
-    if stage not in fns:
-        raise StageError(f"unknown stage {stage!r}; choose from {('all',) + STAGES}")
-    fns[stage](cfg)
+    if stage not in STAGES:
+        raise StageError(f"unknown stage {stage!r}; choose from {('all', *STAGES)}")
+    STAGES[stage](cfg)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +40,11 @@ from . import rng
 from .env import EpisodeSpec, WallEnvConfig, render, sample_episode_specs, step
 from .errors import ValidationError
 from .nn import WorldModel
-from .policies import VariantModel
 
 # on-disk column names, one per EpisodeRecord field, in field order
 EPISODES_CSV_HEADER = (
     "variant,budget,seed,episode_id,success,initial_goal_distance,steps_executed,"
-    "runtime_seconds,mean_state_distance,visual_embedding_divergence,model_size_bytes"
+    "runtime_seconds,mean_state_distance,visual_embedding_divergence"
 )
 
 NOMINAL_FLOPS_PER_SECOND = 1e9
@@ -93,13 +92,6 @@ class EpisodeRecord:
     runtime_seconds: float
     mean_state_distance: float
     visual_embedding_divergence: float
-    model_size_bytes: int
-
-
-@dataclass
-class RunSet:
-    records: list[EpisodeRecord]
-    metadata: dict = field(default_factory=dict)
 
 
 def _norm(d: np.ndarray) -> np.ndarray:
@@ -182,7 +174,8 @@ def plan_actions(
 
 
 def run_episodes(
-    variant: VariantModel,
+    name: str,
+    wm: WorldModel,
     fp_wm: WorldModel,
     specs: list[EpisodeSpec],
     budget: PlannerBudget,
@@ -192,14 +185,13 @@ def run_episodes(
     master_seed: int = 0,
 ) -> list[EpisodeRecord]:
     """Play the goal-conditioned episodes `specs` in lockstep under the MPC
-    loop; one record per spec, in spec order.
+    loop with the variant `name`'s model `wm`; one record per spec, in spec order.
 
     Row i of every array belongs to specs[i]; `live` lists the rows still
     playing.  A row leaves on reaching the goal or on a planning failure and
     never comes back, and no row's arithmetic reads another's, so a record
     does not depend on which other specs share the call.
     """
-    wm = variant.wm
     n = len(specs)
     gens = [rng.stream(master_seed, "plan", s.seed, s.episode_id) for s in specs]
     state = np.array([s.start for s in specs], dtype=np.float64)
@@ -245,7 +237,7 @@ def run_episodes(
     flops = n_plans * per_plan + steps * per_step
     return [
         EpisodeRecord(
-            variant_name=variant.variant_name,
+            variant_name=name,
             budget_name=budget_name,
             seed=spec.seed,
             episode_id=spec.episode_id,
@@ -257,14 +249,14 @@ def run_episodes(
             visual_embedding_divergence=(
                 float(np.mean(embed_div[i, : steps[i]])) if steps[i] else 0.0
             ),
-            model_size_bytes=variant.size_bytes,
         )
         for i, spec in enumerate(specs)
     ]
 
 
 def run_episode(
-    variant: VariantModel,
+    name: str,
+    wm: WorldModel,
     fp_wm: WorldModel,
     spec: EpisodeSpec,
     budget: PlannerBudget,
@@ -274,42 +266,34 @@ def run_episode(
     master_seed: int = 0,
 ) -> EpisodeRecord:
     """One episode: `run_episodes` on the single spec `spec`."""
-    return run_episodes(variant, fp_wm, [spec], budget, budget_name, cem, env_cfg, master_seed)[0]
+    return run_episodes(name, wm, fp_wm, [spec], budget, budget_name, cem, env_cfg, master_seed)[0]
 
 
 def run_paired_eval(
-    variants: list[VariantModel],
+    variants: dict[str, WorldModel],
     fp_wm: WorldModel,
     budgets: dict[str, PlannerBudget],
     env_cfg: WallEnvConfig,
     cem: CEMConfig,
     episodes_per_run: int = 10,
     master_seed: int = 0,
-) -> RunSet:
-    """Evaluate every variant on the identical paired episode specs."""
+) -> list[EpisodeRecord]:
+    """Evaluate every variant, a name and its model, on the identical paired
+    episode specs; the records sorted by (variant, budget, seed, episode_id)."""
     if not variants:
         raise ValidationError("no variants to evaluate")
-    names = [v.variant_name for v in variants]
-    if len(set(names)) != len(names):
-        raise ValidationError(f"duplicate variant names in {names}")
 
     records = []
     for budget_name in sorted(budgets):
         budget = budgets[budget_name]
         for seed in budget.seeds:
             specs = sample_episode_specs(seed, episodes_per_run, env_cfg, master_seed)
-            for v in variants:
-                records.extend(
-                    run_episodes(v, fp_wm, specs, budget, budget_name, cem, env_cfg, master_seed)
-                )
+            for name, wm in variants.items():
+                records.extend(run_episodes(
+                    name, wm, fp_wm, specs, budget, budget_name, cem, env_cfg, master_seed
+                ))
     records.sort(key=lambda r: (r.variant_name, r.budget_name, r.seed, r.episode_id))
-    metadata = {
-        "episodes_per_run": episodes_per_run,
-        "budgets": {name: asdict(b) for name, b in budgets.items()},
-        "variants": names,
-        "master_seed": master_seed,
-    }
-    return RunSet(records=records, metadata=metadata)
+    return records
 
 
 def episodes_to_csv(records: list[EpisodeRecord]) -> str:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import copy
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import ValidationError
 from .nn import WorldModel
@@ -41,15 +40,6 @@ CORE_VARIANT_NAMES = (
 ALL_VARIANT_NAMES = CORE_VARIANT_NAMES + tuple(f"layerwise_int4_{p}" for p in RETENTION_SWEEP[1:-1])
 
 
-@dataclass
-class VariantModel:
-    """A fake-quantized world model under its variant name, with its storage size."""
-
-    variant_name: str
-    wm: WorldModel
-    size_bytes: int
-
-
 def _check(wm: WorldModel, policy: dict[str, int]) -> None:
     """ValidationError on a key that is not a weight of wm, or bits outside range."""
     weights = {name for name, _ in wm.named_params() if name.endswith(".weight")}
@@ -76,14 +66,14 @@ def model_size_bytes(wm: WorldModel, policy: dict[str, int]) -> int:
     return total
 
 
-def apply_policy(wm: WorldModel, policy: dict[str, int], name: str) -> VariantModel:
+def apply_policy(wm: WorldModel, policy: dict[str, int]) -> WorldModel:
     """Fake-quantize a deep copy of wm under policy; the input model is untouched."""
-    size = model_size_bytes(wm, policy)
+    _check(wm, policy)
     out = copy.deepcopy(wm)
     for tensor, p in out.named_params():
         if tensor in policy:
             p[...] = fake_quantize_tensor(p, policy[tensor])
-    return VariantModel(name, out, size)
+    return out
 
 
 # variant name pattern -> (encoder bits, predictor and probe bits, retained

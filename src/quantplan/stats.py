@@ -117,9 +117,11 @@ def spearman(x, y) -> float:
 def paired_cells(records: list[EpisodeRecord]) -> dict[tuple[str, str], list[EpisodeRecord]]:
     """Records per (variant, budget) in key order, each cell sorted by (seed, episode_id).
 
-    ValidationError unless each budget's cells hold the same paired units, each
-    unit once, and every variant has a cell under every budget.
+    ValidationError unless there are records, each budget's cells hold the same
+    paired units, each unit once, and every variant has a cell under every budget.
     """
+    if not records:
+        raise ValidationError("no episode records to pair")
     cells: dict[tuple[str, str], list[EpisodeRecord]] = {}
     for r in records:
         cells.setdefault((r.variant_name, r.budget_name), []).append(r)

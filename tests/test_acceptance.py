@@ -47,10 +47,9 @@ def report(n, name):
 @pytest.fixture(scope="module")
 def full_sweep(dataset, trained_model, env_cfg):
     cfg = ExperimentConfig()
-    variants = [
-        apply_policy(trained_model, policy_for_name(n, trained_model), n) for n in cfg.variants
-    ]
-    run_set = run_paired_eval(
+    variants = {n: apply_policy(trained_model, policy_for_name(n, trained_model))
+                for n in cfg.variants}
+    records = run_paired_eval(
         variants,
         trained_model,
         cfg.budgets,
@@ -59,7 +58,7 @@ def full_sweep(dataset, trained_model, env_cfg):
         episodes_per_run=cfg.episodes_per_run,
         master_seed=cfg.master_seed,
     )
-    return cfg, run_set
+    return cfg, records
 
 
 def success_of(records, variant, budget=None):
@@ -157,9 +156,9 @@ def test_criterion_4_gradient_correctness(rng):
 
 
 def test_criterion_5_pairing_protocol(full_sweep, trained_model, env_cfg):
-    cfg, run_set = full_sweep
+    cfg, records = full_sweep
     units = {}
-    for r in run_set.records:
+    for r in records:
         units.setdefault(r.variant_name, []).append(
             (r.budget_name, r.seed, r.episode_id, r.initial_goal_distance)
         )
@@ -167,18 +166,17 @@ def test_criterion_5_pairing_protocol(full_sweep, trained_model, env_cfg):
     for v in cfg.variants[1:]:
         assert sorted(units[v]) == reference
     # identical weights under two names -> identical records
-    fp = apply_policy(trained_model, policy_for_name("fp16", trained_model), "fp16")
-    twin = apply_policy(trained_model, policy_for_name("fp16", trained_model), "fp16_twin")
+    fp = policy_for_name("fp16", trained_model)
     rs = run_paired_eval(
-        [fp, twin],
+        {"fp16": apply_policy(trained_model, fp), "fp16_twin": apply_policy(trained_model, fp)},
         trained_model,
         {"bA": PlannerBudget(9, 2, 2, (0,))},
         env_cfg,
         CEMConfig(),
         episodes_per_run=5,
     )
-    a = [r for r in rs.records if r.variant_name == "fp16"]
-    b = [r for r in rs.records if r.variant_name == "fp16_twin"]
+    a = [r for r in rs if r.variant_name == "fp16"]
+    b = [r for r in rs if r.variant_name == "fp16_twin"]
     for ra, rb in zip(a, b):
         assert (
             ra.success,
@@ -225,8 +223,7 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
 
 
 def test_criterion_7_regime_pattern(full_sweep, trained_model, env_cfg):
-    cfg, run_set = full_sweep
-    records = run_set.records
+    cfg, records = full_sweep
     assert len(records) == 650
 
     # (a) 8-bit stays close to FP16, pooled per budget
@@ -245,9 +242,8 @@ def test_criterion_7_regime_pattern(full_sweep, trained_model, env_cfg):
         b_star = 3
     else:
         u2 = policy_for_name("uniform_int2", trained_model)
-        v2 = apply_policy(trained_model, u2, "uniform_int2")
         rs2 = run_paired_eval(
-            [v2],
+            {"uniform_int2": apply_policy(trained_model, u2)},
             trained_model,
             cfg.budgets,
             env_cfg,
@@ -255,8 +251,8 @@ def test_criterion_7_regime_pattern(full_sweep, trained_model, env_cfg):
             episodes_per_run=cfg.episodes_per_run,
             master_seed=cfg.master_seed,
         )
-        collapse_records[2] = rs2.records
-        if np.mean([r.success for r in rs2.records]) <= 0.25 * fp_success:
+        collapse_records[2] = rs2
+        if np.mean([r.success for r in rs2]) <= 0.25 * fp_success:
             b_star = 2
     assert b_star is not None, "no collapse bitwidth found in {3, 2}"
 
@@ -274,7 +270,9 @@ def test_criterion_7_regime_pattern(full_sweep, trained_model, env_cfg):
         ladder.append(pooled_divergence(None, collapse_records[2]))
     assert all(a < b for a, b in zip(ladder, ladder[1:])), ladder
 
-    stats = compute_stats(records, cfg)
+    sizes = {n: model_size_bytes(trained_model, policy_for_name(n, trained_model))
+             for n in cfg.variants}
+    stats = compute_stats(records, sizes, cfg)
     rho = stats["correlations.json"]["spearman_success_vs_visual_embedding_divergence"]
     assert rho is not None and rho < 0
     report(7, f"regime pattern (collapse at b*={b_star}, rho={rho:.3f})")

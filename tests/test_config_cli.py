@@ -87,6 +87,7 @@ BUDGET = {"goal_h": 2, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
         ({"env": {"image_side": 0}}, "env: image_side must be >= 1"),
         ({"env": {"image_side": -2}}, "env: image_side must be >= 1"),
         ({"env": {"gap_half_width": -0.1}}, "env: .*gap_half_width >= 0"),
+        ({"variants": []}, "variants must name at least one variant"),
     ],
 )
 def test_config_rejects_bad_values(data, message):
@@ -94,18 +95,18 @@ def test_config_rejects_bad_values(data, message):
         config_from_dict(data)
 
 
-def test_duplicate_variants_fail_before_any_artifact(tmp_path):
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"variants": ["fp16", "fp16"]},
+        {"budgets": {"bA": BUDGET}, "episodes_per_run": 1},
+        {"variants": []},
+    ],
+    ids=["duplicate_variants", "single_paired_unit", "no_variants"],
+)
+def test_bad_config_fails_before_any_artifact(tmp_path, bad):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**TINY, "variants": ["fp16", "fp16"],
-                                    "output_dir": str(tmp_path / "out")}))
-    assert main(["all", "--config", str(cfg_path)]) == 1
-    assert not (tmp_path / "out").exists()
-
-
-def test_single_paired_unit_fails_before_any_artifact(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**TINY, "budgets": {"bA": BUDGET}, "episodes_per_run": 1,
-                                    "output_dir": str(tmp_path / "out")}))
+    cfg_path.write_text(json.dumps({**TINY, **bad, "output_dir": str(tmp_path / "out")}))
     assert main(["all", "--config", str(cfg_path)]) == 1
     assert not (tmp_path / "out").exists()
 
@@ -135,7 +136,9 @@ def test_load_config_errors(tmp_path):
         load_config(bad)
 
 
-def test_eval_rejects_variant_missing_from_sizes(tmp_path):
+def test_stats_rejects_variant_missing_from_sizes(tmp_path):
+    from quantplan.pipeline import STATS_FILES
+
     def cfg_with(variants):
         return config_from_dict({**TINY, "train": {"epochs": 2}, "variants": variants,
                                  "output_dir": str(tmp_path / "out")})
@@ -143,10 +146,11 @@ def test_eval_rejects_variant_missing_from_sizes(tmp_path):
     for stage in ("gen-data", "train", "variants"):
         run_stage(cfg_with(["fp16", "uniform_int8"]), stage)
     run_stage(cfg_with(["fp16"]), "variants")  # leaves variants/uniform_int8 behind
+    run_stage(cfg_with(["fp16", "uniform_int8"]), "eval")
     with pytest.raises(StageError, match="'uniform_int8' is missing from .*sizes.json; "
                                          "run the 'variants' stage first"):
-        run_stage(cfg_with(["fp16", "uniform_int8"]), "eval")
-    assert not (tmp_path / "out" / "episodes.csv").exists()
+        run_stage(cfg_with(["fp16", "uniform_int8"]), "stats")
+    assert not any((tmp_path / "out" / name).exists() for name in STATS_FILES)
 
 
 def test_train_names_tensor_missing_from_dataset(tmp_path, capsys):
@@ -203,10 +207,14 @@ def test_malformed_stage_json_names_file_and_stage(pipeline_out, tmp_path):
     import shutil
     from pathlib import Path
 
-    outputs = ("episodes.csv", "main_table.csv", "frontier.svg", "forest.svg",
-               "retention_curve.svg", "difficulty.svg", "divergence_scatter.svg")
+    from quantplan.pipeline import STATS_FILES
 
-    def broken_copy(name, text):
+    report_outputs = ("main_table.csv", "frontier.svg", "forest.svg",
+                      "retention_curve.svg", "difficulty.svg", "divergence_scatter.svg")
+    # what each stage writes, which its failure must leave absent
+    written = {"stats": (*STATS_FILES, *report_outputs), "report": report_outputs}
+
+    def broken_copy(name, text, outputs):
         out = tmp_path / name.replace(".", "_")
         shutil.copytree(pipeline_out.output_dir, out)
         for artifact in outputs:
@@ -225,11 +233,11 @@ def test_malformed_stage_json_names_file_and_stage(pipeline_out, tmp_path):
     correlations = json.loads((Path(pipeline_out.output_dir) / "correlations.json").read_text())
     rho = "spearman_success_vs_visual_embedding_divergence"
     cases = [
-        ("sizes.json", json.dumps({"config_hash": sizes["config_hash"]}), "eval",
+        ("sizes.json", json.dumps({"config_hash": sizes["config_hash"]}), "stats",
          r"sizes.json has no JSON dict 'sizes'; rerun the 'variants' stage"),
-        ("sizes.json", json.dumps(no_size), "eval",
+        ("sizes.json", json.dumps(no_size), "stats",
          r"size_bytes of variant 'fp16' is missing from .*sizes.json; run the 'variants' stage"),
-        ("sizes.json", "{not json", "eval", r"sizes.json .*rerun the 'variants' stage"),
+        ("sizes.json", "{not json", "stats", r"sizes.json .*rerun the 'variants' stage"),
         ("frontier.json", "{not json", "report", r"frontier.json .*rerun the 'stats' stage"),
         ("bins.json", "[]", "report", r"bins.json .*rerun the 'stats' stage"),
         # entries the report would fail on after writing its first outputs
@@ -247,10 +255,10 @@ def test_malformed_stage_json_names_file_and_stage(pipeline_out, tmp_path):
          rf"correlations.json has a '{rho}' that is neither a number nor null; rerun the 'stats'"),
     ]
     for name, text, stage, message in cases:
-        cfg, out = broken_copy(name, text)
+        cfg, out = broken_copy(name, text, written[stage])
         with pytest.raises(StageError, match=message):
             run_stage(cfg, stage)
-        assert not any((out / artifact).exists() for artifact in outputs)
+        assert not any((out / artifact).exists() for artifact in written[stage])
         shutil.rmtree(out)
 
 
@@ -264,16 +272,17 @@ def test_stats_rejects_unpaired_episodes(pipeline_out, tmp_path):
     lines = (Path(pipeline_out.output_dir) / "episodes.csv").read_text().splitlines(True)
     fp16 = [i for i, line in enumerate(lines) if line.startswith("fp16,")]
     cases = {
-        "dropped": lines[: fp16[1]] + lines[fp16[1] + 1 :],
-        "duplicated": lines + [lines[fp16[1]]],
+        "dropped": (lines[: fp16[1]] + lines[fp16[1] + 1 :], "'fp16', 'bA'"),
+        "duplicated": (lines + [lines[fp16[1]]], "'fp16', 'bA'"),
+        "empty": (lines[:1], "no episode records"),
     }
-    for case, kept in cases.items():
+    for case, (kept, message) in cases.items():
         out = tmp_path / case
         shutil.copytree(pipeline_out.output_dir, out)
         for name in STATS_FILES:
             (out / name).unlink()
         (out / "episodes.csv").write_text("".join(kept))
-        with pytest.raises(ValidationError, match="'fp16', 'bA'"):
+        with pytest.raises(ValidationError, match=message):
             run_stage(dataclasses.replace(pipeline_out, output_dir=str(out)), "stats")
         assert not any((out / name).exists() for name in STATS_FILES)
 
@@ -286,6 +295,17 @@ def test_artifacts_record_config_hash(pipeline_out):
     for name in ("sizes.json", "comparisons.json", "run_meta.json"):
         assert json.loads((out / name).read_text())["config_hash"] == h
     assert h in (out / "frontier.svg").read_text()
+
+
+def test_frontier_sizes_are_sizes_json(pipeline_out):
+    from pathlib import Path
+
+    out = Path(pipeline_out.output_dir)
+    sizes = json.loads((out / "sizes.json").read_text())["sizes"]
+    frontier = json.loads((out / "frontier.json").read_text())["frontier"]
+    assert len(frontier) == len(TINY["variants"]) * len(TINY["budgets"])
+    for point in frontier:
+        assert point["size_bytes"] == sizes[point["variant_name"]]["size_bytes"]
 
 
 def test_frontier_star_count(pipeline_out):

@@ -148,7 +148,7 @@ def test_float32_numeric_path(env_cfg):
     for model in (init, wm):
         assert copy.deepcopy(model).theta.dtype == model.theta.dtype
         u4 = policy_for_name("uniform_int4", model)
-        assert apply_policy(model, u4, "u4").wm.theta.dtype == model.theta.dtype
+        assert apply_policy(model, u4).theta.dtype == model.theta.dtype
 
 
 def test_epoch_losses_recorded_and_persisted(env_cfg, tmp_path):
@@ -274,15 +274,15 @@ def test_from_model_rejects_layers_that_do_not_chain(trained_model, name, shape,
 
 
 def test_quantized_encoder_bounded_divergence(trained_model, rng):
-    v8 = apply_policy(trained_model, policy_for_name("uniform_int8", trained_model), "u8").wm
+    v8 = apply_policy(trained_model, policy_for_name("uniform_int8", trained_model))
     obs = rng.uniform(0, 1, 256)
     d8 = np.linalg.norm(v8.encode(obs) - trained_model.encode(obs))
     assert 0 < d8 < 0.5
 
 
 def test_rollout_divergence_direction(trained_model, rng):
-    v3 = apply_policy(trained_model, policy_for_name("uniform_int3", trained_model), "u3").wm
-    v8 = apply_policy(trained_model, policy_for_name("uniform_int8", trained_model), "u8").wm
+    v3 = apply_policy(trained_model, policy_for_name("uniform_int3", trained_model))
+    v8 = apply_policy(trained_model, policy_for_name("uniform_int8", trained_model))
 
     def final_latent(wm, obs, acts):
         z = wm.encode(obs)
@@ -302,7 +302,7 @@ def test_rollout_divergence_direction(trained_model, rng):
 
 
 def test_probe_error_direction_under_quantization(trained_model, dataset):
-    v3 = apply_policy(trained_model, policy_for_name("uniform_int3", trained_model), "u3").wm
+    v3 = apply_policy(trained_model, policy_for_name("uniform_int3", trained_model))
     obs, states = dataset.obs[:200], dataset.state[:200]
     e_fp = np.linalg.norm(
         trained_model.probe_decode(trained_model.encode(obs)) - states, axis=1

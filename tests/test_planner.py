@@ -9,7 +9,6 @@ from quantplan import (
     CEMConfig,
     PlannerBudget,
     ValidationError,
-    VariantModel,
     apply_policy,
     policy_for_name,
     render,
@@ -38,7 +37,7 @@ BB = PlannerBudget(12, 3, 3, (0,))
 @pytest.fixture(scope="module")
 def prepared(trained_model):
     return {
-        n: apply_policy(trained_model, policy_for_name(n, trained_model), n)
+        n: apply_policy(trained_model, policy_for_name(n, trained_model))
         for n in ("fp16", "uniform_int8", "uniform_int3")
     }
 
@@ -78,7 +77,7 @@ def test_identity_predictor_zero_cost(env_cfg):
 
 def test_immediate_success(prepared, trained_model, env_cfg):
     spec = EpisodeSpec(0, 0, (0.48, 0.5), (0.52, 0.5), 0.04)
-    r = run_episodes(prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg)[0]
+    r = run_episodes("fp16", prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg)[0]
     assert r.success == 1 and r.steps_executed == 0
     assert r.mean_state_distance == 0.0 and r.visual_embedding_divergence == 0.0
 
@@ -86,7 +85,8 @@ def test_immediate_success(prepared, trained_model, env_cfg):
 def test_step_caps(prepared, trained_model, env_cfg):
     spec = sample_episode_specs(0, 1, env_cfg)[0]
     for budget, name, cap in ((BA, "bA", 18), (BB, "bB", 36)):
-        r = run_episodes(prepared["uniform_int3"], trained_model, [spec], budget, name, CEMConfig(), env_cfg)[0]
+        r = run_episodes("uniform_int3", prepared["uniform_int3"], trained_model, [spec],
+                         budget, name, CEMConfig(), env_cfg)[0]
         assert r.steps_executed <= cap
     assert BA.goal_h * BA.max_iter == 18
     assert BB.goal_h * BB.max_iter == 36
@@ -94,22 +94,22 @@ def test_step_caps(prepared, trained_model, env_cfg):
 
 def test_fp16_divergence_exactly_zero(prepared, trained_model, env_cfg):
     for spec in sample_episode_specs(1, 3, env_cfg):
-        r = run_episodes(prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg)[0]
+        r = run_episodes("fp16", prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg)[0]
         assert r.visual_embedding_divergence == 0.0
 
 
 def test_paired_eval_counts_and_pairing(prepared, trained_model, env_cfg):
     rs = run_paired_eval(
-        [prepared["fp16"], prepared["uniform_int8"]],
+        {n: prepared[n] for n in ("fp16", "uniform_int8")},
         trained_model,
         {"bA": PlannerBudget(9, 2, 2, (0, 1)), "bB": BB},
         env_cfg,
         CEMConfig(),
         episodes_per_run=3,
     )
-    assert len(rs.records) == 2 * (2 + 1) * 3
+    assert len(rs) == 2 * (2 + 1) * 3
     units = {}
-    for r in rs.records:
+    for r in rs:
         units.setdefault(r.variant_name, set()).add(
             (r.budget_name, r.seed, r.episode_id, r.initial_goal_distance)
         )
@@ -117,18 +117,16 @@ def test_paired_eval_counts_and_pairing(prepared, trained_model, env_cfg):
 
 
 def test_same_weights_two_names_identical_records(prepared, trained_model, env_cfg):
-    fp16 = prepared["fp16"]
-    twin = VariantModel("fp16_twin", fp16.wm, fp16.size_bytes)
     rs = run_paired_eval(
-        [prepared["fp16"], twin],
+        {"fp16": prepared["fp16"], "fp16_twin": prepared["fp16"]},
         trained_model,
         {"bA": BA},
         env_cfg,
         CEMConfig(),
         episodes_per_run=4,
     )
-    a = [r for r in rs.records if r.variant_name == "fp16"]
-    b = [r for r in rs.records if r.variant_name == "fp16_twin"]
+    a = [r for r in rs if r.variant_name == "fp16"]
+    b = [r for r in rs if r.variant_name == "fp16_twin"]
     for ra, rb in zip(a, b):
         assert (ra.seed, ra.episode_id) == (rb.seed, rb.episode_id)
         for f in ("success", "steps_executed", "runtime_seconds",
@@ -139,54 +137,46 @@ def test_same_weights_two_names_identical_records(prepared, trained_model, env_c
 def test_other_variants_leave_records_unchanged(prepared, trained_model, env_cfg):
     def uniform_int8_csv(names):
         rs = run_paired_eval(
-            [prepared[n] for n in names], trained_model, {"bA": BA}, env_cfg,
+            {n: prepared[n] for n in names}, trained_model, {"bA": BA}, env_cfg,
             CEMConfig(), episodes_per_run=3,
         )
-        return episodes_to_csv([r for r in rs.records if r.variant_name == "uniform_int8"])
+        return episodes_to_csv([r for r in rs if r.variant_name == "uniform_int8"])
 
     alone = uniform_int8_csv(["uniform_int8"])
     assert alone.count("\n") == 4
     assert alone == uniform_int8_csv(["fp16", "uniform_int8", "uniform_int3"])
 
 
-def test_duplicate_variant_names_rejected(prepared, trained_model, env_cfg):
-    with pytest.raises(ValidationError, match="duplicate"):
-        run_paired_eval(
-            [prepared["fp16"], prepared["fp16"]],
-            trained_model,
-            {"bA": BA},
-            env_cfg,
-            CEMConfig(),
-        )
-    with pytest.raises(ValidationError):
-        run_paired_eval([], trained_model, {"bA": BA}, env_cfg, CEMConfig())
+def test_no_variants_rejected(trained_model, env_cfg):
+    with pytest.raises(ValidationError, match="no variants"):
+        run_paired_eval({}, trained_model, {"bA": BA}, env_cfg, CEMConfig())
 
 
 def test_csv_round_trip(prepared, trained_model, env_cfg, tmp_path):
     rs = run_paired_eval(
-        [prepared["fp16"]], trained_model, {"bA": BA}, env_cfg, CEMConfig(),
+        {"fp16": prepared["fp16"]}, trained_model, {"bA": BA}, env_cfg, CEMConfig(),
         episodes_per_run=2,
     )
     path = tmp_path / "episodes.csv"
-    write_episodes_csv(rs.records, path)
+    write_episodes_csv(rs, path)
     text = path.read_text()
     assert text.splitlines()[0] == EPISODES_CSV_HEADER
     back = read_episodes_csv(path)
-    assert back == rs.records
+    assert back == rs
     assert len(EPISODES_CSV_HEADER.split(",")) == len(fields(EpisodeRecord))
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda cols: cols[:9], "line 3: expected 11 columns, got 9"),
+        (lambda cols: cols[:9], "line 3: expected 10 columns, got 9"),
         (lambda cols: cols[:4] + ["yes"] + cols[5:], "line 3: invalid literal for int"),
         (lambda cols: cols[:4] + ["7"] + cols[5:], "line 3: success must be 0 or 1, got 7"),
     ],
     ids=["truncated_row", "non_numeric_success", "success_not_0_or_1"],
 )
 def test_csv_bad_row_names_file_and_line(tmp_path, corrupt, message):
-    records = [EpisodeRecord("fp16", "bA", 0, i, 1, 0.5, 4, 1e-3, 0.02, 0.0, 1000) for i in range(2)]
+    records = [EpisodeRecord("fp16", "bA", 0, i, 1, 0.5, 4, 1e-3, 0.02, 0.0) for i in range(2)]
     lines = episodes_to_csv(records).splitlines()
     lines[2] = ",".join(corrupt(lines[2].split(",")))
     path = tmp_path / "episodes.csv"
@@ -198,10 +188,10 @@ def test_csv_bad_row_names_file_and_line(tmp_path, corrupt, message):
 def test_rerun_bit_identical(prepared, trained_model, env_cfg):
     def once():
         rs = run_paired_eval(
-            [prepared["uniform_int8"]], trained_model, {"bA": BA}, env_cfg,
+            {"uniform_int8": prepared["uniform_int8"]}, trained_model, {"bA": BA}, env_cfg,
             CEMConfig(), episodes_per_run=3,
         )
-        return episodes_to_csv(rs.records)
+        return episodes_to_csv(rs)
 
     assert once() == once()
 
@@ -223,7 +213,7 @@ def test_budget_validation():
 def test_batch_shape_independence(prepared, trained_model, env_cfg, variant, budget):
     at_goal = EpisodeSpec(2, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
     specs = sample_episode_specs(2, 4, env_cfg) + [at_goal]
-    args = (prepared[variant], trained_model)
+    args = (variant, prepared[variant], trained_model)
     rest = (budget, "b", CEMConfig(), env_cfg)
     batched = run_episodes(*args, specs, *rest)
     assert episodes_to_csv(batched) == episodes_to_csv([run_episode(*args, s, *rest) for s in specs])
@@ -235,7 +225,8 @@ def test_runtime_seconds_follows_cost_model(prepared, trained_model, env_cfg):
     budget, cem = PlannerBudget(9, 2, 1, (0,)), CEMConfig()
     at_goal = EpisodeSpec(0, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
     specs = [at_goal] + sample_episode_specs(0, 4, env_cfg)
-    records = run_episodes(prepared["uniform_int3"], trained_model, specs, budget, "b", cem, env_cfg)
+    records = run_episodes("uniform_int3", prepared["uniform_int3"], trained_model, specs,
+                           budget, "b", cem, env_cfg)
     enc, pred, probe = (
         sum(2 * W.size for W, _ in stack.layers)
         for stack in (trained_model.encoder, trained_model.predictor, trained_model.probe)
@@ -252,13 +243,12 @@ def test_runtime_seconds_follows_cost_model(prepared, trained_model, env_cfg):
 
 
 def test_planning_failure_is_recorded_per_variant(prepared, trained_model, env_cfg):
-    wm = copy.deepcopy(prepared["fp16"].wm)
-    wm.predictor.layers[1][0][0, 0] = np.inf
-    broken = VariantModel("broken", wm, prepared["fp16"].size_bytes)
+    broken = copy.deepcopy(prepared["fp16"])
+    broken.predictor.layers[1][0][0, 0] = np.inf
     at_goal = EpisodeSpec(0, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
     specs = [at_goal] + sample_episode_specs(0, 3, env_cfg)
     with np.errstate(invalid="ignore", over="ignore"):
-        records = run_episodes(broken, trained_model, specs, BA, "bA", CEMConfig(), env_cfg)
+        records = run_episodes("broken", broken, trained_model, specs, BA, "bA", CEMConfig(), env_cfg)
     assert [r.success for r in records] == [1, 0, 0, 0]
     assert all(r.steps_executed == 0 and r.runtime_seconds == 0.0 for r in records)
 
@@ -266,10 +256,10 @@ def test_planning_failure_is_recorded_per_variant(prepared, trained_model, env_c
         with np.errstate(invalid="ignore", over="ignore"):
             rs = run_paired_eval(variants, trained_model, {"bA": BA, "bB": BB}, env_cfg,
                                  CEMConfig(), episodes_per_run=3)
-        return episodes_to_csv([r for r in rs.records if r.variant_name == "uniform_int8"])
+        return episodes_to_csv([r for r in rs if r.variant_name == "uniform_int8"])
 
-    healthy = prepared["uniform_int8"]
-    assert uniform_int8_csv([broken, healthy]) == uniform_int8_csv([healthy])
+    healthy = {"uniform_int8": prepared["uniform_int8"]}
+    assert uniform_int8_csv({"broken": broken, **healthy}) == uniform_int8_csv(healthy)
 
 
 def test_plan_failure_leaves_other_rows_unchanged(trained_model, env_cfg):

@@ -65,38 +65,37 @@ def test_policy_validation(rng):
         with pytest.raises(ValidationError, match=re.escape(repr(key))):
             model_size_bytes(m, policy)
         with pytest.raises(ValidationError, match=re.escape(repr(key))):
-            apply_policy(m, policy, "v")
+            apply_policy(m, policy)
 
 
 def test_full_precision_identity(rng):
     m = build_model(rng)
     policy = policy_for_name("fp16", m)
-    v = apply_policy(m, policy, "fp16")
-    assert v.wm.theta.tobytes() == m.theta.tobytes()
-    assert v.size_bytes == model_size_bytes(m, policy)
+    assert apply_policy(m, policy).theta.tobytes() == m.theta.tobytes()
+    assert model_size_bytes(m, policy) == 2 * m.theta.size
 
 
 def test_input_model_unchanged(rng):
     m = build_model(rng)
     before = m.theta.copy()
-    v = apply_policy(m, policy_for_name("uniform_int3", m), "uniform_int3")
+    v = apply_policy(m, policy_for_name("uniform_int3", m))
     assert m.theta.tobytes() == before.tobytes()
-    assert not np.shares_memory(v.wm.theta, m.theta)
+    assert not np.shares_memory(v.theta, m.theta)
 
 
 def test_biases_never_quantized(rng):
     m = build_model(rng)
     for name in ALL_VARIANT_NAMES:
-        v = apply_policy(m, policy_for_name(name, m), name)
-        for (tensor, a), (_, b) in zip(m.named_params(), v.wm.named_params()):
+        v = apply_policy(m, policy_for_name(name, m))
+        for (tensor, a), (_, b) in zip(m.named_params(), v.named_params()):
             if tensor.endswith(".bias"):
                 assert a.tobytes() == b.tobytes()
 
 
 def test_mixed_keeps_encoder_bit_identical(rng):
     m = build_model(rng)
-    v = apply_policy(m, policy_for_name("mixed_int4", m), "mixed_int4")
-    for (tensor, a), (_, b) in zip(m.named_params(), v.wm.named_params()):
+    v = apply_policy(m, policy_for_name("mixed_int4", m))
+    for (tensor, a), (_, b) in zip(m.named_params(), v.named_params()):
         if tensor.startswith("encoder."):
             assert a.tobytes() == b.tobytes()
         elif tensor.endswith(".weight"):
@@ -105,10 +104,10 @@ def test_mixed_keeps_encoder_bit_identical(rng):
 
 def test_uniform_fidelity_ordering(rng):
     m = build_model(rng)
-    v3 = apply_policy(m, policy_for_name("uniform_int3", m), "u3")
-    v8 = apply_policy(m, policy_for_name("uniform_int8", m), "u8")
+    v3 = apply_policy(m, policy_for_name("uniform_int3", m))
+    v8 = apply_policy(m, policy_for_name("uniform_int8", m))
     for (tensor, a), (_, b3), (_, b8) in zip(
-        m.named_params(), v3.wm.named_params(), v8.wm.named_params()
+        m.named_params(), v3.named_params(), v8.named_params()
     ):
         if not tensor.endswith(".weight"):
             continue
@@ -119,12 +118,12 @@ def test_uniform_fidelity_ordering(rng):
 
 def test_layerwise_endpoints_alias(rng):
     m = build_model(rng)
-    lw0 = apply_policy(m, policy_for_name("layerwise_int4_0", m), "lw0")
-    u4 = apply_policy(m, policy_for_name("uniform_int4", m), "u4")
-    lw1 = apply_policy(m, policy_for_name("layerwise_int4_100", m), "lw1")
-    m4 = apply_policy(m, policy_for_name("mixed_int4", m), "m4")
-    assert lw0.wm.theta.tobytes() == u4.wm.theta.tobytes()
-    assert lw1.wm.theta.tobytes() == m4.wm.theta.tobytes()
+    lw0 = apply_policy(m, policy_for_name("layerwise_int4_0", m))
+    u4 = apply_policy(m, policy_for_name("uniform_int4", m))
+    lw1 = apply_policy(m, policy_for_name("layerwise_int4_100", m))
+    m4 = apply_policy(m, policy_for_name("mixed_int4", m))
+    assert lw0.theta.tobytes() == u4.theta.tobytes()
+    assert lw1.theta.tobytes() == m4.theta.tobytes()
 
 
 def test_enumerate_canonical_variants(rng):
@@ -167,9 +166,9 @@ def test_one_rule_matches_tensor_oracle(policy):
                 size += math.ceil(W.size * bits / 8) + 4 * W.shape[0]
             expected.append(b)  # biases are never quantized
             size += 2 * b.size
-    v = apply_policy(m, policy, "v")
-    assert v.wm.theta.tobytes() == np.concatenate([t.ravel() for t in expected]).tobytes()
-    assert v.size_bytes == model_size_bytes(m, policy) == size
+    v = apply_policy(m, policy)
+    assert v.theta.tobytes() == np.concatenate([t.ravel() for t in expected]).tobytes()
+    assert model_size_bytes(m, policy) == size
 
 
 # Bits per variant, written out by hand: (encoder layers 0-3, predictor and probe).
@@ -202,11 +201,11 @@ def test_apply_policy_matches_checkpoint_oracle(trained_model, tmp_path):
                     t.data = fake_quantize_tensor(t.data, b)
         persist_model(oracle, tmp_path / "oracle" / name)
 
-        v = apply_policy(trained_model, policy_for_name(name, trained_model), name)
-        persist_model(v.wm.to_model(), tmp_path / "variant" / name)
+        v = apply_policy(trained_model, policy_for_name(name, trained_model))
+        persist_model(v.to_model(), tmp_path / "variant" / name)
         for file in ("weights.bin", "manifest.json"):
             expected = (tmp_path / "oracle" / name / file).read_bytes()
             assert (tmp_path / "variant" / name / file).read_bytes() == expected, (name, file)
-        assert not np.shares_memory(v.wm.theta, trained_model.theta)
-        assert v.wm.metadata is not trained_model.metadata
+        assert not np.shares_memory(v.theta, trained_model.theta)
+        assert v.metadata is not trained_model.metadata
     assert trained_model.theta.tobytes() == theta.tobytes()

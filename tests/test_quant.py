@@ -49,12 +49,16 @@ def test_validation_errors():
 @given(weights, st.integers(2, 8))
 def test_reconstruction_error_bound(W, b):
     q = quantize_tensor(W, b)
+    clip = 2 ** (b - 1) - 1
+    assert q.scales.shape == (W.shape[0],)
+    assert q.codes.shape == q.source_shape == W.shape
+    assert np.all(np.abs(q.codes) <= clip)
+    assert np.all(q.codes[q.scales == 0.0] == 0)
     # the codes are within half a step of W; the float32 output then rounds s * q once
     # more, which at a rounding tie alone can exceed s / 2 (W = [[1, 0.5]], b = 3)
     exact = q.scales[:, None] * q.codes
     assert np.all(np.abs(W.astype(np.float64) - exact) <= q.scales[:, None] / 2 + 1e-9)
     assert dequantize_tensor(q).tobytes() == exact.astype(np.float32).tobytes()
-    assert np.all(np.abs(q.codes) <= 2 ** (b - 1) - 1)
 
 
 @settings(max_examples=200, deadline=None)

@@ -20,7 +20,7 @@ from quantplan.planner import EpisodeRecord
 
 
 def rec(variant, budget, seed, ep, success, dist=0.5):
-    return EpisodeRecord(variant, budget, seed, ep, success, dist, 1, 0.0, 0.0, 0.0, 100)
+    return EpisodeRecord(variant, budget, seed, ep, success, dist, 1, 0.0, 0.0, 0.0)
 
 
 # ---- sign test --------------------------------------------------------------
@@ -150,7 +150,8 @@ def test_compute_stats_spearman_none_only_when_undefined(monkeypatch):
     from quantplan.config import ExperimentConfig
 
     records = [rec(v, "bA", 0, ep, 0) for v in ("a", "b", "c") for ep in range(3)]
-    correlations = pipeline.compute_stats(records, ExperimentConfig())["correlations.json"]
+    sizes = {"a": 100, "b": 100, "c": 100}
+    correlations = pipeline.compute_stats(records, sizes, ExperimentConfig())["correlations.json"]
     assert correlations["spearman_success_vs_mean_state_distance"] is None
     assert correlations["spearman_success_vs_visual_embedding_divergence"] is None
 
@@ -159,7 +160,7 @@ def test_compute_stats_spearman_none_only_when_undefined(monkeypatch):
 
     monkeypatch.setattr(pipeline, "spearman", broken)
     with pytest.raises(RuntimeError, match="bug inside spearman"):
-        pipeline.compute_stats(records, ExperimentConfig())
+        pipeline.compute_stats(records, sizes, ExperimentConfig())
 
 
 # ---- difficulty bins ----------------------------------------------------------
@@ -205,6 +206,7 @@ def test_paired_cells_rejects_unpaired_records():
     table = [rec(v, b, 0, e, 1) for v in ("a", "b") for b in ("bA", "bB") for e in range(3)]
     assert len(paired_cells(table)) == 4
     cases = {
+        "no episode records": [],
         "duplicate paired unit in \\('b', 'bA'\\)": table + [rec("b", "bA", 0, 1, 0)],
         "paired units of \\('b', 'bB'\\) differ": [
             r for r in table if (r.variant_name, r.budget_name, r.episode_id) != ("b", "bB", 2)
