@@ -14,6 +14,7 @@ from .planner import (
     EpisodeRecord,
     PlannerBudget,
     plan_actions,
+    plan_noise,
     run_episode,
     run_episodes,
     run_paired_eval,

@@ -7,6 +7,12 @@ randomness are keyed only by (seed, episode_id), never by variant, so any
 outcome difference between two variants on a paired unit is attributable
 to weights alone.
 
+`plan_noise` draws the planner randomness of one (budget, seed) once, as a
+float64 block of shape (episodes_per_run, max_iter, opt_steps, pop, goal_h, 2)
+(3.3 MB for 30 episodes under the default bB budget), and every variant reads
+that same block; pairing thus holds by construction.  Row i is the sequential
+draw of specs[i]'s "plan" stream, round by round and opt step by opt step.
+
 The episodes of one (variant, budget, seed) are played in lockstep: every
 array holds one row per episode on its leading axis, and an episode's row
 leaves the group when it reaches the goal or its plan fails.  Two rules keep
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -78,6 +85,10 @@ class CEMConfig:
             raise ValidationError("population must be >= 4")
         if not 0.0 < self.elite_fraction <= 0.5:
             raise ValidationError("elite_fraction must be in (0, 0.5]")
+        if not self.init_std > 0.0:
+            raise ValidationError(f"init_std must be > 0, got {self.init_std}")
+        if not self.std_floor >= 0.0:
+            raise ValidationError(f"std_floor must be >= 0, got {self.std_floor}")
 
 
 @dataclass
@@ -103,17 +114,32 @@ def _norm(d: np.ndarray) -> np.ndarray:
     return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
+def plan_noise(
+    specs: list[EpisodeSpec], budget: PlannerBudget, cem: CEMConfig, master_seed: int = 0
+) -> np.ndarray:
+    """The CEM noise of every planning round of each spec's episode, shape
+    (n, max_iter, opt_steps, pop, goal_h, 2): row i holds the first draws of
+    specs[i]'s "plan" stream, and [i, r, k] is its (r * opt_steps + k)-th
+    standard normal (pop, goal_h, 2) draw."""
+    shape = (budget.max_iter, budget.opt_steps, cem.population, budget.goal_h, 2)
+    noise = np.empty((len(specs), *shape))
+    for spec, row in zip(specs, noise):
+        rng.stream(master_seed, "plan", spec.seed, spec.episode_id).standard_normal(out=row)
+    return noise
+
+
 def plan_actions(
     wm: WorldModel,
     current_obs: np.ndarray,
     goal_obs: np.ndarray,
     budget: PlannerBudget,
     cem: CEMConfig,
-    gens: list[np.random.Generator],
+    noise: np.ndarray,
     max_step: float,
 ):
-    """One CEM plan per row of `current_obs`/`goal_obs` (n, obs_dim), drawing
-    row i's noise from gens[i]; returns (plans (n, goal_h, 2), info).
+    """One CEM plan per row of `current_obs`/`goal_obs` (n, obs_dim), with
+    opt step k of row i drawing noise[i, k] from the round's block `noise`
+    (n, opt_steps, pop, goal_h, 2); returns (plans (n, goal_h, 2), info).
 
     info holds per-row arrays `elite_costs` (n, opt_steps),
     `initial_mean_cost`, `final_mean_cost` and `failed`.  A row whose
@@ -122,7 +148,7 @@ def plan_actions(
     read NaN.  The incumbent best sequence is re-injected into each
     population, so a row's best elite cost is non-increasing across iterations.
     """
-    n = len(gens)
+    n = len(noise)
     z0 = wm.encode(current_obs[:, None, :])[:, 0]
     zg = wm.encode(goal_obs[:, None, :])[:, 0]
 
@@ -144,8 +170,9 @@ def plan_actions(
     failed = np.zeros(n, dtype=bool)
 
     for k in range(budget.opt_steps):
-        noise = np.stack([g.standard_normal((pop, h, 2)) for g in gens])
-        seqs = np.clip(noise * std[:, None] + mean[:, None], -max_step, max_step)
+        seqs = noise[:, k] * std[:, None]
+        seqs += mean[:, None]
+        np.clip(seqs, -max_step, max_step, out=seqs)
         if k:
             seqs[:, 0] = best_seq
         c = costs_of(seqs)
@@ -182,10 +209,12 @@ def run_episodes(
     budget_name: str,
     cem: CEMConfig,
     env_cfg: WallEnvConfig,
-    master_seed: int = 0,
+    noise: np.ndarray,
 ) -> list[EpisodeRecord]:
     """Play the goal-conditioned episodes `specs` in lockstep under the MPC
-    loop with the variant `name`'s model `wm`; one record per spec, in spec order.
+    loop with the variant `name`'s model `wm`, planning round r of specs[i]
+    with noise[i, r] of `plan_noise(specs, budget, cem, master_seed)`; one
+    record per spec, in spec order.
 
     Row i of every array belongs to specs[i]; `live` lists the rows still
     playing.  A row leaves on reaching the goal or on a planning failure and
@@ -193,7 +222,6 @@ def run_episodes(
     does not depend on which other specs share the call.
     """
     n = len(specs)
-    gens = [rng.stream(master_seed, "plan", s.seed, s.episode_id) for s in specs]
     state = np.array([s.start for s in specs], dtype=np.float64)
     goal = np.array([s.goal for s in specs], dtype=np.float64)
     goal_obs = render(goal, env_cfg)
@@ -206,12 +234,13 @@ def run_episodes(
     embed_div = np.zeros_like(state_dist)
     live = np.flatnonzero(~success)
 
-    for _ in range(budget.max_iter):
+    for r in range(budget.max_iter):
         if not live.size:
             break
         obs = render(state[live], env_cfg)
-        gens_live = [gens[i] for i in live]
-        plans, info = plan_actions(wm, obs, goal_obs[live], budget, cem, gens_live, env_cfg.max_step)
+        plans, info = plan_actions(
+            wm, obs, goal_obs[live], budget, cem, noise[live, r], env_cfg.max_step
+        )
         ok = ~info["failed"]
         live, plans, obs = live[ok], plans[ok], obs[ok]
         n_plans[live] += 1
@@ -266,7 +295,8 @@ def run_episode(
     master_seed: int = 0,
 ) -> EpisodeRecord:
     """One episode: `run_episodes` on the single spec `spec`."""
-    return run_episodes(name, wm, fp_wm, [spec], budget, budget_name, cem, env_cfg, master_seed)[0]
+    noise = plan_noise([spec], budget, cem, master_seed)
+    return run_episodes(name, wm, fp_wm, [spec], budget, budget_name, cem, env_cfg, noise)[0]
 
 
 def run_paired_eval(
@@ -279,7 +309,8 @@ def run_paired_eval(
     master_seed: int = 0,
 ) -> list[EpisodeRecord]:
     """Evaluate every variant, a name and its model, on the identical paired
-    episode specs; the records sorted by (variant, budget, seed, episode_id)."""
+    episode specs and planner noise; the records sorted by (variant, budget,
+    seed, episode_id)."""
     if not variants:
         raise ValidationError("no variants to evaluate")
 
@@ -288,10 +319,12 @@ def run_paired_eval(
         budget = budgets[budget_name]
         for seed in budget.seeds:
             specs = sample_episode_specs(seed, episodes_per_run, env_cfg, master_seed)
+            noise = plan_noise(specs, budget, cem, master_seed)
             for name, wm in variants.items():
                 records.extend(run_episodes(
-                    name, wm, fp_wm, specs, budget, budget_name, cem, env_cfg, master_seed
+                    name, wm, fp_wm, specs, budget, budget_name, cem, env_cfg, noise
                 ))
+            del noise  # so the next seed's block is not drawn while this one is held
     records.sort(key=lambda r: (r.variant_name, r.budget_name, r.seed, r.episode_id))
     return records
 
@@ -325,6 +358,12 @@ def read_episodes_csv(path: str | Path) -> list[EpisodeRecord]:
             record = EpisodeRecord(*[parse(v) for parse, v in zip(parsers, row)])
             if record.success not in (0, 1):
                 raise ValueError(f"success must be 0 or 1, got {record.success}")
+            if record.steps_executed < 0:
+                raise ValueError(f"steps_executed must be >= 0, got {record.steps_executed}")
+            for f in fields(EpisodeRecord):
+                value = getattr(record, f.name)
+                if f.type == "float" and not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value}")
         except ValueError as e:
             raise ValidationError(f"{path} line {lineno}: {e}") from e
         records.append(record)

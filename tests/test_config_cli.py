@@ -88,6 +88,9 @@ BUDGET = {"goal_h": 2, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
         ({"env": {"image_side": -2}}, "env: image_side must be >= 1"),
         ({"env": {"gap_half_width": -0.1}}, "env: .*gap_half_width >= 0"),
         ({"variants": []}, "variants must name at least one variant"),
+        ({"cem": {"init_std": -1.0}}, "cem: init_std must be > 0"),
+        ({"cem": {"init_std": 0.0}}, "cem: init_std must be > 0"),
+        ({"cem": {"std_floor": -0.5}}, "cem: std_floor must be >= 0"),
     ],
 )
 def test_config_rejects_bad_values(data, message):

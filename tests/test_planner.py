@@ -23,6 +23,7 @@ from quantplan.planner import (
     EpisodeRecord,
     episodes_to_csv,
     plan_actions,
+    plan_noise,
     read_episodes_csv,
     run_episode,
     run_episodes,
@@ -32,6 +33,12 @@ from quantplan.planner import (
 
 BA = PlannerBudget(9, 2, 2, (0,))
 BB = PlannerBudget(12, 3, 3, (0,))
+
+
+def round_noise(budget, *streams):
+    """One planning round's noise block: row i the next draws of streams[i]."""
+    shape = (budget.opt_steps, CEMConfig().population, budget.goal_h, 2)
+    return np.stack([g.standard_normal(shape) for g in streams])
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +52,10 @@ def prepared(trained_model):
 def test_plan_deterministic(trained_model, env_cfg):
     obs = render(np.array([0.2, 0.5]), env_cfg)
     goal = render(np.array([0.8, 0.5]), env_cfg)
-    (p1,), _ = plan_actions(trained_model, obs[None], goal[None], BA, CEMConfig(), [qrng.stream(0, "t")], 0.125)
-    (p2,), _ = plan_actions(trained_model, obs[None], goal[None], BA, CEMConfig(), [qrng.stream(0, "t")], 0.125)
+    (p1,), _ = plan_actions(trained_model, obs[None], goal[None], BA, CEMConfig(),
+                            round_noise(BA, qrng.stream(0, "t")), 0.125)
+    (p2,), _ = plan_actions(trained_model, obs[None], goal[None], BA, CEMConfig(),
+                            round_noise(BA, qrng.stream(0, "t")), 0.125)
     np.testing.assert_array_equal(p1, p2)
     assert p1.shape == (9, 2)
     assert np.all(np.abs(p1) <= 0.125)
@@ -55,9 +64,11 @@ def test_plan_deterministic(trained_model, env_cfg):
 def test_elite_costs_non_increasing(trained_model, env_cfg):
     obs = render(np.array([0.2, 0.5]), env_cfg)
     goal = render(np.array([0.8, 0.5]), env_cfg)
+    budget = PlannerBudget(6, 5, 1, (0,))
     for k in range(10):
         _, info = plan_actions(
-            trained_model, obs[None], goal[None], PlannerBudget(6, 5, 1, (0,)), CEMConfig(), [qrng.stream(0, "e", k)], 0.125
+            trained_model, obs[None], goal[None], budget, CEMConfig(),
+            round_noise(budget, qrng.stream(0, "e", k)), 0.125
         )
         costs = info["elite_costs"][0]
         assert all(a >= b for a, b in zip(costs, costs[1:]))
@@ -70,14 +81,17 @@ def test_identity_predictor_zero_cost(env_cfg):
     W[:, :16] = np.eye(16)
     wm.predictor = Stack([(W, np.zeros(16))])
     obs = render(np.array([0.3, 0.3]), env_cfg)
-    _, info = plan_actions(wm, obs[None], obs[None], BA, CEMConfig(), [qrng.stream(0, "i")], 0.125)
+    _, info = plan_actions(wm, obs[None], obs[None], BA, CEMConfig(),
+                           round_noise(BA, qrng.stream(0, "i")), 0.125)
     assert info["final_mean_cost"] == pytest.approx(0.0, abs=1e-12)
     assert info["final_mean_cost"] <= info["initial_mean_cost"]
 
 
 def test_immediate_success(prepared, trained_model, env_cfg):
     spec = EpisodeSpec(0, 0, (0.48, 0.5), (0.52, 0.5), 0.04)
-    r = run_episodes("fp16", prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg)[0]
+    noise = plan_noise([spec], BA, CEMConfig())
+    r = run_episodes("fp16", prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg,
+                     noise)[0]
     assert r.success == 1 and r.steps_executed == 0
     assert r.mean_state_distance == 0.0 and r.visual_embedding_divergence == 0.0
 
@@ -86,7 +100,7 @@ def test_step_caps(prepared, trained_model, env_cfg):
     spec = sample_episode_specs(0, 1, env_cfg)[0]
     for budget, name, cap in ((BA, "bA", 18), (BB, "bB", 36)):
         r = run_episodes("uniform_int3", prepared["uniform_int3"], trained_model, [spec],
-                         budget, name, CEMConfig(), env_cfg)[0]
+                         budget, name, CEMConfig(), env_cfg, plan_noise([spec], budget, CEMConfig()))[0]
         assert r.steps_executed <= cap
     assert BA.goal_h * BA.max_iter == 18
     assert BB.goal_h * BB.max_iter == 36
@@ -94,7 +108,9 @@ def test_step_caps(prepared, trained_model, env_cfg):
 
 def test_fp16_divergence_exactly_zero(prepared, trained_model, env_cfg):
     for spec in sample_episode_specs(1, 3, env_cfg):
-        r = run_episodes("fp16", prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg)[0]
+        noise = plan_noise([spec], BA, CEMConfig())
+        r = run_episodes("fp16", prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg,
+                         noise)[0]
         assert r.visual_embedding_divergence == 0.0
 
 
@@ -147,6 +163,36 @@ def test_other_variants_leave_records_unchanged(prepared, trained_model, env_cfg
     assert alone == uniform_int8_csv(["fp16", "uniform_int8", "uniform_int3"])
 
 
+@pytest.mark.parametrize("names", [["fp16"], ["fp16", "uniform_int8", "uniform_int3"]],
+                         ids=["1_variant", "3_variants"])
+def test_plan_noise_drawn_once_per_episode(prepared, trained_model, env_cfg, monkeypatch, names):
+    opened = []
+    stream = qrng.stream
+
+    def counting_stream(master_seed, *tags):
+        if tags[0] == "plan":
+            opened.append(tags)
+        return stream(master_seed, *tags)
+
+    monkeypatch.setattr(qrng, "stream", counting_stream)
+    budgets = {"bA": PlannerBudget(9, 2, 2, (0, 1)), "bB": BB}
+    run_paired_eval({n: prepared[n] for n in names}, trained_model, budgets, env_cfg, CEMConfig(),
+                    episodes_per_run=3)
+    assert len(opened) == (2 + 1) * 3
+
+
+def test_plan_noise_is_each_streams_sequential_draws(env_cfg):
+    budget, cem = PlannerBudget(5, 2, 3, (4,)), CEMConfig()
+    specs = sample_episode_specs(4, 3, env_cfg, master_seed=7)
+    noise = plan_noise(specs, budget, cem, master_seed=7)
+    assert noise.shape == (3, budget.max_iter, budget.opt_steps, cem.population, budget.goal_h, 2)
+    for row, spec in zip(noise, specs):
+        g = qrng.stream(7, "plan", spec.seed, spec.episode_id)
+        for r in range(budget.max_iter):
+            for k in range(budget.opt_steps):
+                np.testing.assert_array_equal(row[r, k], g.standard_normal((cem.population, 5, 2)))
+
+
 def test_no_variants_rejected(trained_model, env_cfg):
     with pytest.raises(ValidationError, match="no variants"):
         run_paired_eval({}, trained_model, {"bA": BA}, env_cfg, CEMConfig())
@@ -172,8 +218,14 @@ def test_csv_round_trip(prepared, trained_model, env_cfg, tmp_path):
         (lambda cols: cols[:9], "line 3: expected 10 columns, got 9"),
         (lambda cols: cols[:4] + ["yes"] + cols[5:], "line 3: invalid literal for int"),
         (lambda cols: cols[:4] + ["7"] + cols[5:], "line 3: success must be 0 or 1, got 7"),
+        (lambda cols: cols[:6] + ["-5"] + cols[7:], "line 3: steps_executed must be >= 0, got -5"),
+        (lambda cols: cols[:8] + ["nan"] + cols[9:],
+         "line 3: mean_state_distance must be finite, got nan"),
+        (lambda cols: cols[:9] + ["inf"],
+         "line 3: visual_embedding_divergence must be finite, got inf"),
     ],
-    ids=["truncated_row", "non_numeric_success", "success_not_0_or_1"],
+    ids=["truncated_row", "non_numeric_success", "success_not_0_or_1", "negative_steps",
+         "nan_state_distance", "inf_embedding_divergence"],
 )
 def test_csv_bad_row_names_file_and_line(tmp_path, corrupt, message):
     records = [EpisodeRecord("fp16", "bA", 0, i, 1, 0.5, 4, 1e-3, 0.02, 0.0) for i in range(2)]
@@ -206,6 +258,11 @@ def test_budget_validation():
         CEMConfig(population=2)
     with pytest.raises(ValidationError):
         CEMConfig(elite_fraction=0.9)
+    for init_std in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="init_std must be > 0"):
+            CEMConfig(init_std=init_std)
+    with pytest.raises(ValidationError, match="std_floor must be >= 0"):
+        CEMConfig(std_floor=-0.5)
 
 
 @pytest.mark.parametrize("variant", ["fp16", "uniform_int3"])
@@ -215,7 +272,7 @@ def test_batch_shape_independence(prepared, trained_model, env_cfg, variant, bud
     specs = sample_episode_specs(2, 4, env_cfg) + [at_goal]
     args = (variant, prepared[variant], trained_model)
     rest = (budget, "b", CEMConfig(), env_cfg)
-    batched = run_episodes(*args, specs, *rest)
+    batched = run_episodes(*args, specs, *rest, plan_noise(specs, budget, CEMConfig()))
     assert episodes_to_csv(batched) == episodes_to_csv([run_episode(*args, s, *rest) for s in specs])
     # the rows leave the lockstep group at different steps
     assert len({r.steps_executed for r in batched}) > 1
@@ -226,7 +283,7 @@ def test_runtime_seconds_follows_cost_model(prepared, trained_model, env_cfg):
     at_goal = EpisodeSpec(0, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
     specs = [at_goal] + sample_episode_specs(0, 4, env_cfg)
     records = run_episodes("uniform_int3", prepared["uniform_int3"], trained_model, specs,
-                           budget, "b", cem, env_cfg)
+                           budget, "b", cem, env_cfg, plan_noise(specs, budget, cem))
     enc, pred, probe = (
         sum(2 * W.size for W, _ in stack.layers)
         for stack in (trained_model.encoder, trained_model.predictor, trained_model.probe)
@@ -248,7 +305,8 @@ def test_planning_failure_is_recorded_per_variant(prepared, trained_model, env_c
     at_goal = EpisodeSpec(0, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
     specs = [at_goal] + sample_episode_specs(0, 3, env_cfg)
     with np.errstate(invalid="ignore", over="ignore"):
-        records = run_episodes("broken", broken, trained_model, specs, BA, "bA", CEMConfig(), env_cfg)
+        records = run_episodes("broken", broken, trained_model, specs, BA, "bA", CEMConfig(), env_cfg,
+                               plan_noise(specs, BA, CEMConfig()))
     assert [r.success for r in records] == [1, 0, 0, 0]
     assert all(r.steps_executed == 0 and r.runtime_seconds == 0.0 for r in records)
 
@@ -268,8 +326,8 @@ def test_plan_failure_leaves_other_rows_unchanged(trained_model, env_cfg):
     goal[1] = np.nan  # row 1's costs are NaN from the first population on
 
     def plan(rows):
-        gens = [qrng.stream(0, "f", i) for i in rows]
-        return plan_actions(trained_model, obs[rows], goal[rows], BA, CEMConfig(), gens, 0.125)
+        noise = round_noise(BA, *[qrng.stream(0, "f", i) for i in rows])
+        return plan_actions(trained_model, obs[rows], goal[rows], BA, CEMConfig(), noise, 0.125)
 
     plans, info = plan([0, 1])
     assert info["failed"].tolist() == [False, True]
