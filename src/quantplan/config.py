@@ -9,18 +9,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
+from . import rng
 from .env import WallEnvConfig
 from .errors import ValidationError
 from .nn import TrainConfig
 from .planner import CEMConfig, PlannerBudget
 from .policies import ALL_VARIANT_NAMES, CORE_VARIANT_NAMES
+from .store import json_is, read_json
 
 VARIANT_KEYWORDS = {"core": CORE_VARIANT_NAMES, "all": ALL_VARIANT_NAMES}
+POOLED_SCOPE = "pooled"  # the matchups scope over all budgets; no budget may take the name
 
 
 @dataclass
@@ -54,6 +56,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.budgets:
             raise ValidationError("budgets must name at least one budget")
+        if POOLED_SCOPE in self.budgets:
+            raise ValidationError(f"budgets: {POOLED_SCOPE!r} is reserved for the pooled scope")
+        seeds = [("master_seed", self.master_seed), ("dataset.seed", self.dataset.seed),
+                 ("train.seed", self.train.seed)]
+        seeds += [(f"budgets.{n}.seeds", s) for n, b in self.budgets.items() for s in b.seeds]
+        for where, seed in seeds:
+            if seed not in rng.SEED_RANGE:
+                raise ValidationError(f"{where}: {seed} does not fit the 128-bit signed stream key")
         if self.episodes_per_run < 1:
             raise ValidationError("episodes_per_run must be >= 1")
         for name, budget in self.budgets.items():
@@ -91,12 +101,7 @@ def _value(value, hint, path: str):
         if not isinstance(value, list):
             raise ValidationError(f"config field {path}: expected a list, got {value!r}")
         return origin(_value(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
-    # type(), not isinstance(): bool is an int subclass, and JSON true is not a number
-    if hint is float:
-        ok = type(value) in (int, float) and math.isfinite(value)
-    else:
-        ok = type(value) is hint
-    if not ok:
+    if not json_is(value, hint):
         raise ValidationError(f"config field {path}: expected {hint.__name__}, got {value!r}")
     return value
 
@@ -129,11 +134,4 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"config file {path} is not valid JSON: {e}") from e
-    return config_from_dict(data)
+    return config_from_dict(read_json(path, {}))

@@ -26,12 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .config import ExperimentConfig
+from .config import POOLED_SCOPE, ExperimentConfig
 from .env import dataset_from_model, dataset_to_model, gen_dataset
 from .errors import StageError, ValidationError
 from .nn import WorldModel, fit_state_probe, train_world_model
 from .planner import EpisodeRecord, read_episodes_csv, run_paired_eval, write_episodes_csv
 from .policies import apply_policy, model_size_bytes, policy_for_name
+from .report import ENTRY_FIELDS, RHO, emit_report
 from .stats import (
     compare_records,
     difficulty_bins,
@@ -40,7 +41,7 @@ from .stats import (
     pareto_frontier,
     spearman,
 )
-from .store import load_model, persist_model
+from .store import json_fault, json_is, load_model, persist_model, read_json
 
 COMPARISON_PLAN = [
     ("mixed_int8", "uniform_int8"),
@@ -76,12 +77,10 @@ def _read_json(path: Path, stage: str, key: str, kind: type) -> dict:
     """The JSON object `stage` wrote to `path`; StageError unless its `key` holds a `kind`."""
     _require(path, stage)
     try:
-        payload = json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        payload = None
-    if not isinstance(payload, dict) or not isinstance(payload.get(key), kind):
-        raise StageError(f"{path} has no JSON {kind.__name__} {key!r}; rerun the '{stage}' stage")
-    return payload
+        return read_json(path, {key: kind})
+    except ValidationError as e:
+        raise StageError(f"{path} has no JSON {kind.__name__} {key!r}; "
+                         f"rerun the '{stage}' stage") from e
 
 
 def _write_json(path: Path, payload: dict, cfg: ExperimentConfig) -> None:
@@ -172,9 +171,9 @@ def compute_stats(records: list[EpisodeRecord], sizes: dict[str, int],
 
     matchups = []
     for a, b in (pair for pair in plan if pair in COMPARISON_PLAN[:4]):
-        for scope in budgets + ["pooled"]:
+        for scope in budgets + [POOLED_SCOPE]:
             # pooling concatenates each variant's cells budget by budget, so they stay paired
-            in_scope = budgets if scope == "pooled" else [scope]
+            in_scope = budgets if scope == POOLED_SCOPE else [scope]
             pooled = {v: [r for bud in in_scope for r in cells[v, bud]] for v in (a, b)}
             counts = matchup_counts(pooled[a], pooled[b])
             matchups.append({"name_a": a, "name_b": b, "scope": scope, **asdict(counts)})
@@ -224,13 +223,12 @@ def stage_stats(cfg: ExperimentConfig) -> dict:
     entries = _read_json(out / "sizes.json", "variants", "sizes", dict)["sizes"]
     sizes = {}
     for name in sorted({r.variant_name for r in records}):
-        entry = entries.get(name)
-        if not isinstance(entry, dict) or type(entry.get("size_bytes")) is not int:
+        if json_fault(entries.get(name), {"size_bytes": int}):
             raise StageError(
                 f"the integer size_bytes of variant {name!r} is missing from "
                 f"{out / 'sizes.json'}; run the 'variants' stage first"
             )
-        sizes[name] = entry["size_bytes"]
+        sizes[name] = entries[name]["size_bytes"]
     artifacts = compute_stats(records, sizes, cfg)
     for name, payload in artifacts.items():
         _write_json(out / name, payload, cfg)
@@ -238,8 +236,6 @@ def stage_stats(cfg: ExperimentConfig) -> dict:
 
 
 def stage_report(cfg: ExperimentConfig) -> None:
-    from .report import ENTRY_FIELDS, NUM, RHO, emit_report
-
     out = _out(cfg)
     artifacts = {name: _read_json(out / name, "stats", key, list)
                  for name, key in STATS_FILES.items()}
@@ -250,12 +246,13 @@ def stage_report(cfg: ExperimentConfig) -> None:
     for name, key in STATS_FILES.items():
         for entry in artifacts[name][key]:
             for field, kind in ENTRY_FIELDS[name].items():
-                if not isinstance(entry, dict) or not isinstance(entry.get(field), kind):
+                if json_fault(entry, {field: kind}):
                     reject(name, f"a {key!r} entry without the {field!r} the report reads")
     # frontier_svg scales its size axis over the frontier points
     if not artifacts["frontier.json"]["frontier"]:
         reject("frontier.json", "an empty 'frontier' list")
-    if not isinstance(artifacts["correlations.json"].get(RHO), NUM + (type(None),)):
+    rho = artifacts["correlations.json"].get(RHO)
+    if rho is not None and not json_is(rho, float):
         reject("correlations.json", f"a {RHO!r} that is neither a number nor null")
     emit_report(artifacts, out, cfg)
 

@@ -47,6 +47,7 @@ from . import rng
 from .env import EpisodeSpec, WallEnvConfig, render, sample_episode_specs, step
 from .errors import ValidationError
 from .nn import WorldModel
+from .store import read_text
 
 # on-disk column names, one per EpisodeRecord field, in field order
 EPISODES_CSV_HEADER = (
@@ -339,12 +340,11 @@ def episodes_to_csv(records: list[EpisodeRecord]) -> str:
 
 
 def write_episodes_csv(records: list[EpisodeRecord], path: str | Path) -> None:
-    Path(path).write_text(episodes_to_csv(records))
+    Path(path).write_text(episodes_to_csv(records), encoding="utf-8")
 
 
 def read_episodes_csv(path: str | Path) -> list[EpisodeRecord]:
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != EPISODES_CSV_HEADER:
         raise ValidationError(f"unexpected episodes.csv header in {path}")
     parsers = [{"str": str, "int": int, "float": float}[f.type] for f in fields(EpisodeRecord)]

@@ -14,8 +14,6 @@ from .errors import ValidationError
 from .nn import WorldModel
 from .quant import MAX_BITS, MIN_BITS, fake_quantize_tensor
 
-# percent of encoder layers, counted from the input, that a layerwise variant keeps at baseline
-RETENTION_SWEEP = (0, 25, 50, 75, 100)
 # storage bits per value of every tensor a policy leaves unquantized
 BASELINE_BITS = 16
 
@@ -35,9 +33,11 @@ CORE_VARIANT_NAMES = (
     "enc4_pred6",
 )
 
-# the 0% and 100% points of the layerwise sweep alias uniform_int4 and
-# mixed_int4 and are reported under those names
-ALL_VARIANT_NAMES = CORE_VARIANT_NAMES + tuple(f"layerwise_int4_{p}" for p in RETENTION_SWEEP[1:-1])
+# percent of encoder layers, from the input, that a layerwise variant keeps at baseline ->
+# the name that sweep point is reported under (0% and 100% alias uniform/mixed_int4)
+RETENTION_VARIANTS = {0: "uniform_int4", 25: "layerwise_int4_25", 50: "layerwise_int4_50",
+                      75: "layerwise_int4_75", 100: "mixed_int4"}
+ALL_VARIANT_NAMES = CORE_VARIANT_NAMES + tuple(RETENTION_VARIANTS.values())[1:-1]
 
 
 def _check(wm: WorldModel, policy: dict[str, int]) -> None:
@@ -101,8 +101,8 @@ def policy_for_name(name: str, wm: WorldModel) -> dict[str, int]:
             break
     else:
         raise ValidationError(f"unknown variant name {name!r}")
-    if pct not in RETENTION_SWEEP:
-        raise ValidationError(f"variant {name!r}: retained percent not in {RETENTION_SWEEP}")
+    if pct not in RETENTION_VARIANTS:
+        raise ValidationError(f"variant {name!r}: {pct}% is not a point of the retention sweep")
     n_enc = len(wm.dims["encoder"])
     bits = {f"encoder.{i}.weight": enc_bits for i in range(math.ceil(pct * n_enc / 100), n_enc)}
     for stack in ("predictor", "probe"):

@@ -3,27 +3,28 @@
 from __future__ import annotations
 
 import csv
+import html
 import io
 from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig
+from .policies import RETENTION_VARIANTS
 
 W, H = 640, 400
 MARGIN = 60
 PLOT_W, PLOT_H = W - 2 * MARGIN, H - 2 * MARGIN
 
-NUM = (int, float)
-# per statistics file, the fields (JSON types) the renderers below read from each entry
+# per statistics file, the fields (JSON kinds, see store.json_is) the renderers read per entry
 ENTRY_FIELDS = {
-    "comparisons.json": dict(name_a=str, name_b=str, budget=str, delta=NUM, ci_low=NUM,
-                             ci_high=NUM, p_sign=NUM),
+    "comparisons.json": dict(name_a=str, name_b=str, budget=str, delta=float, ci_low=float,
+                             ci_high=float, p_sign=float),
     "matchups.json": {},
-    "bins.json": dict(budget=str, variant=str, bin=str, mean_success=NUM),
-    "frontier.json": dict(variant_name=str, budget=str, success=NUM, size_bytes=NUM,
+    "bins.json": dict(budget=str, variant=str, bin=str, mean_success=float),
+    "frontier.json": dict(variant_name=str, budget=str, success=float, size_bytes=float,
                           non_dominated=bool),
-    "correlations.json": dict(success=NUM, visual_embedding_divergence=NUM),
+    "correlations.json": dict(success=float, visual_embedding_divergence=float),
 }
 # the correlation divergence_scatter_svg prints: a number, or null when undefined
 RHO = "spearman_success_vs_visual_embedding_divergence"
@@ -66,7 +67,7 @@ class Svg:
     def text(self, x, y, s, size=11, anchor="start"):
         self.parts.append(
             f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
-            f'font-family="sans-serif" text-anchor="{anchor}">{s}</text>'
+            f'font-family="sans-serif" text-anchor="{anchor}">{html.escape(s, quote=False)}</text>'
         )
 
     def render(self) -> str:
@@ -157,17 +158,10 @@ def forest_svg(comparisons: dict, comment: str) -> str:
 
 
 def retention_curve_svg(frontier: dict, comment: str) -> str:
-    """Success vs encoder retention; 0%/100% alias uniform_int4/mixed_int4."""
+    """Success vs encoder retention, each point read under its RETENTION_VARIANTS name."""
     svg = Svg(comment=comment)
     _axes(svg, "Encoder retention sweep (predictor INT4)", "encoder kept at baseline (%)", "success")
     success = _success_by(frontier)
-    alias = {
-        0: "uniform_int4",
-        25: "layerwise_int4_25",
-        50: "layerwise_int4_50",
-        75: "layerwise_int4_75",
-        100: "mixed_int4",
-    }
     budgets = sorted({b for _, b in success})
     fx, *_ = _scale([0, 100], MARGIN + 10, W - MARGIN - 10)
     fy, *_ = _scale([0.0, 1.0], H - MARGIN - 5, MARGIN + 5)
@@ -175,7 +169,7 @@ def retention_curve_svg(frontier: dict, comment: str) -> str:
         color = ["steelblue", "firebrick", "seagreen"][bi % 3]
         pts = [
             (pct, success[(name, budget)])
-            for pct, name in alias.items()
+            for pct, name in RETENTION_VARIANTS.items()
             if (name, budget) in success
         ]
         for (p0, s0), (p1, s1) in zip(pts, pts[1:]):

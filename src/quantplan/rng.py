@@ -12,6 +12,9 @@ import hashlib
 
 import numpy as np
 
+# the ints a key can hold: stream_key packs the master seed and each int tag in 16 signed bytes
+SEED_RANGE = range(-(2**127), 2**127)
+
 
 def stream_key(master_seed: int, *tags: int | str) -> int:
     """Collapse (master_seed, *tags) into a 128-bit integer key."""

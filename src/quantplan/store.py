@@ -1,4 +1,4 @@
-"""Checkpoint codec: named float32 arrays as a JSON manifest + raw blob.
+"""Checkpoint codec, and the one reader and JSON value rule for every file read back.
 
 `Model`/`TensorRecord` are the on-disk form of a `WorldModel` (and of the
 dataset blob); in memory, weights live in `WorldModel`s.  A tensor's name
@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import shutil
+import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -114,16 +115,43 @@ def persist_model(model: Model, path: str | Path) -> None:
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def _check_fields(obj, types: dict[str, type], what: str) -> None:
-    """ValidationError unless `obj` is a JSON object whose fields have the JSON `types`."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{what} must be a JSON object")
-    for key, kind in types.items():
+def json_is(value, kind: type) -> bool:
+    """Whether a decoded JSON value is of the JSON kind `kind`: a float takes a finite
+    int or float, and every other kind must match exactly, so JSON true is not a number."""
+    if kind is float:  # abs(), not math.isfinite(), which raises on an int beyond float range
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is kind  # type(), not isinstance(): bool is an int subclass
+
+
+def json_fault(obj, fields: dict[str, type]) -> str | None:
+    """What keeps `obj` from being a JSON object whose `fields` hold their JSON kinds, or None."""
+    if type(obj) is not dict:
+        return "not a JSON object"
+    for key, kind in fields.items():
         if key not in obj:
-            raise ValidationError(f"{what} is missing required field {key!r}")
-        if type(obj[key]) is not kind:
-            kind_name, value = kind.__name__, obj[key]
-            raise ValidationError(f"{what}: field {key!r} must be {kind_name}, got {value!r}")
+            return f"missing required field {key!r}"
+        if not json_is(obj[key], kind):
+            return f"field {key!r} must be {kind.__name__}, got {obj[key]!r}"
+
+
+def read_text(path: str | Path) -> str:
+    """The text of the UTF-8 file `path`; ValidationError naming it if it cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"{path}: not found, unreadable or not UTF-8 ({e})") from e
+
+
+def read_json(path: str | Path, fields: dict[str, type]) -> dict:
+    """The JSON object in `path` with `fields` of their kinds; ValidationError naming it if not."""
+    text = read_text(path)
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as e:  # ValueError: also an int of too many digits
+        raise ValidationError(f"{path} is not valid JSON: {e}") from e
+    if fault := json_fault(obj, fields):
+        raise ValidationError(f"{path}: {fault}")
+    return obj
 
 
 def load_model(path: str | Path) -> Model:
@@ -131,15 +159,9 @@ def load_model(path: str | Path) -> Model:
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
     blob_path = path / BLOB_NAME
-    if not manifest_path.is_file():
-        raise ValidationError(f"missing manifest file: {manifest_path}")
+    manifest = read_json(manifest_path, MANIFEST_FIELDS)
     if not blob_path.is_file():
         raise ValidationError(f"missing blob file: {blob_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"malformed manifest {manifest_path}: {e}") from e
-    _check_fields(manifest, MANIFEST_FIELDS, f"manifest {manifest_path}")
     if manifest["format_version"] != FORMAT_VERSION:
         raise ValidationError(
             f"{manifest_path}: unsupported format_version {manifest['format_version']!r}"
@@ -153,7 +175,8 @@ def load_model(path: str | Path) -> Model:
     offset = 0
     for d in manifest["tensors"]:
         name = d.get("name") if isinstance(d, dict) else d
-        _check_fields(d, DESCRIPTOR_FIELDS, f"tensor {name!r}")
+        if fault := json_fault(d, DESCRIPTOR_FIELDS):
+            raise ValidationError(f"tensor {name!r}: {fault}")
         shape = tuple(d["shape"])
         if any(type(s) is not int or s < 1 for s in shape):
             raise ValidationError(f"tensor {name!r}: field 'shape' must list positive ints")

@@ -91,6 +91,13 @@ BUDGET = {"goal_h": 2, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
         ({"cem": {"init_std": -1.0}}, "cem: init_std must be > 0"),
         ({"cem": {"init_std": 0.0}}, "cem: init_std must be > 0"),
         ({"cem": {"std_floor": -0.5}}, "cem: std_floor must be >= 0"),
+        ({"train": {"learning_rate": 10**400}}, "train.learning_rate: expected float"),
+        ({"budgets": {"bA": BUDGET, "pooled": BUDGET}}, "budgets: 'pooled' is reserved"),
+        ({"master_seed": 2**127}, "master_seed: .* does not fit the 128-bit"),
+        ({"dataset": {"seed": -(2**127) - 1}}, "dataset.seed: -1.* does not fit"),
+        ({"train": {"seed": 2**127}}, "train.seed: .* does not fit"),
+        ({"budgets": {"bA": {**BUDGET, "seeds": [0, 2**127]}}},
+         "budgets.bA.seeds: .* does not fit"),
     ],
 )
 def test_config_rejects_bad_values(data, message):
@@ -104,8 +111,10 @@ def test_config_rejects_bad_values(data, message):
         {"variants": ["fp16", "fp16"]},
         {"budgets": {"bA": BUDGET}, "episodes_per_run": 1},
         {"variants": []},
+        {"budgets": {"bA": {**BUDGET, "seeds": [0, 2**127]}}},
     ],
-    ids=["duplicate_variants", "single_paired_unit", "no_variants"],
+    ids=["duplicate_variants", "single_paired_unit", "no_variants",
+         "budget_seed_out_of_range"],
 )
 def test_bad_config_fails_before_any_artifact(tmp_path, bad):
     cfg_path = tmp_path / "cfg.json"
@@ -134,9 +143,16 @@ def test_load_config_errors(tmp_path):
     with pytest.raises(ValidationError, match="not found"):
         load_config(tmp_path / "nope.json")
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ValidationError, match="JSON"):
-        load_config(bad)
+    for text, message in (
+        (b"{not json", "not valid JSON"),
+        (b'{"master_seed": 1, "output_dir": "\xff"}', "not UTF-8"),
+        (b"[" * 100_000, "not valid JSON"),  # nested past the decoder's recursion limit
+        (b'{"master_seed": ' + b"1" * 5000 + b"}", "not valid JSON"),  # past int digit limit
+        (b"[]", "not a JSON object"),
+    ):
+        bad.write_bytes(text)
+        with pytest.raises(ValidationError, match=f"{re.escape(str(bad))}.*{message}"):
+            load_config(bad)
 
 
 def test_stats_rejects_variant_missing_from_sizes(tmp_path):
@@ -256,6 +272,16 @@ def test_malformed_stage_json_names_file_and_stage(pipeline_out, tmp_path):
          r"frontier.json has an empty 'frontier' list; rerun the 'stats' stage"),
         ("correlations.json", json.dumps({**correlations, rho: "0.5"}), "report",
          rf"correlations.json has a '{rho}' that is neither a number nor null; rerun the 'stats'"),
+        # JSON true and NaN are not numbers: main_table.csv would print 1.0000 and nan
+        ("frontier.json", edited("frontier.json", "frontier", lambda e: e.update(success=True)),
+         "report", r"frontier.json has a 'frontier' entry without the 'success' "),
+        ("frontier.json", edited("frontier.json", "frontier",
+                                 lambda e: e.update(success=float("nan"))),
+         "report", r"frontier.json has a 'frontier' entry without the 'success' "),
+        ("correlations.json", json.dumps({**correlations, rho: True}), "report",
+         rf"correlations.json has a '{rho}' that is neither a number nor null"),
+        ("correlations.json", json.dumps({**correlations, rho: float("nan")}), "report",
+         rf"correlations.json has a '{rho}' that is neither a number nor null"),
     ]
     for name, text, stage, message in cases:
         cfg, out = broken_copy(name, text, written[stage])
@@ -335,6 +361,23 @@ def test_forest_whiskers_match_comparisons(pipeline_out):
         assert float(m.group(3)) == round(c["ci_high"], 3)
 
 
+def test_report_svgs_parse_with_markup_in_budget_name(tmp_path):
+    from xml.dom import minidom
+
+    budget = {"goal_h": 3, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
+    cfg = config_from_dict({
+        **TINY, "dataset": {"n_traj": 20, "traj_len": 6}, "train": {"epochs": 2},
+        "budgets": {"b&<A>": budget, "bB": budget}, "episodes_per_run": 2,
+        "variants": ["uniform_int4", "mixed_int4"], "output_dir": str(tmp_path / "out"),
+    })
+    run_stage(cfg, "all")
+    svgs = sorted((tmp_path / "out").glob("*.svg"))
+    assert len(svgs) == 5
+    for svg in svgs:
+        minidom.parse(str(svg))
+    assert ">b&amp;&lt;A&gt;</text>" in (tmp_path / "out" / "retention_curve.svg").read_text()
+
+
 def test_main_table_rows(pipeline_out):
     from pathlib import Path
 
@@ -364,3 +407,7 @@ def test_cli_errors(tmp_path, capsys):
     assert "eval" in err
     assert main([]) == 2
     assert main(["train", "--config", str(tmp_path / "missing.json")]) == 1
+    latin1 = '{"output_dir": "%s", "variants": "caf\xe9"}' % (tmp_path / "out")
+    (tmp_path / "latin1.json").write_bytes(latin1.encode("latin-1"))
+    assert main(["all", "--config", str(tmp_path / "latin1.json")]) == 1
+    assert "error:" in capsys.readouterr().err and not (tmp_path / "out").exists()

@@ -237,6 +237,14 @@ def test_csv_bad_row_names_file_and_line(tmp_path, corrupt, message):
         read_episodes_csv(path)
 
 
+def test_csv_not_utf8_names_file(tmp_path):
+    records = [EpisodeRecord("fp16", "bA", 0, i, 1, 0.5, 4, 1e-3, 0.02, 0.0) for i in range(2)]
+    path = tmp_path / "episodes.csv"
+    path.write_bytes(episodes_to_csv(records).replace("bA", "b\xe9").encode("latin-1"))
+    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}: .*not UTF-8"):
+        read_episodes_csv(path)
+
+
 def test_rerun_bit_identical(prepared, trained_model, env_cfg):
     def once():
         rs = run_paired_eval(

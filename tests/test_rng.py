@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from quantplan import rng
 
@@ -27,3 +28,13 @@ def test_key_is_stable():
     first = rng.stream(42, "x").integers(0, 2**31)
     again = rng.stream(42, "x").integers(0, 2**31)
     assert first == again
+
+
+def test_seed_range_is_what_a_key_packs():
+    lo, hi = rng.SEED_RANGE[0], rng.SEED_RANGE[-1]
+    assert rng.stream_key(lo, hi) != rng.stream_key(hi, lo)
+    for outside in (lo - 1, hi + 1):
+        with pytest.raises(OverflowError):
+            rng.stream_key(outside)
+        with pytest.raises(OverflowError):
+            rng.stream_key(0, outside)

@@ -124,6 +124,23 @@ def test_missing_files(tmp_path):
         load_model(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b'{"format_version": 2, "extras": {"note": "caf\xe9"}}', "not UTF-8"),
+        (b"{not json", "not valid JSON"),
+        (b"[" * 100_000, "not valid JSON"),
+        (b"[]", "not a JSON object"),
+    ],
+    ids=["latin1", "not_json", "too_deep", "not_object"],
+)
+def test_unreadable_manifest_names_file(tmp_path, text, message):
+    persist_model(small_model(), tmp_path)
+    (tmp_path / "manifest.json").write_bytes(text)
+    with pytest.raises(ValidationError, match=f"manifest.json.*{message}"):
+        load_model(tmp_path)
+
+
 def test_invalid_model_writes_nothing(tmp_path):
     m = small_model()
     m.tensors.append(m.tensors[0])  # duplicate name
