@@ -67,6 +67,10 @@ class ExperimentConfig:
         if self.episodes_per_run < 1:
             raise ValidationError("episodes_per_run must be >= 1")
         for name, budget in self.budgets.items():
+            try:  # episodes.csv is UTF-8, and a lone surrogate ("\ud800") has no encoding
+                name.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValidationError(f"budgets: name {name!r} is not valid Unicode") from None
             # the statistics split each budget's paired units into at least two bins
             if len(budget.seeds) * self.episodes_per_run < 2:
                 raise ValidationError(

@@ -76,7 +76,7 @@ class Stack:
 
     def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
         """Append each layer's input to `cache` if given: layer i's tanh output is cache[i + 1]."""
-        # in place on the fresh matmul output: no cached array is written after it is appended
+        # in place on the fresh matmul output: forward writes no array after caching it
         h = x
         for i, (W, b) in enumerate(self.layers):
             if cache is not None:
@@ -89,15 +89,22 @@ class Stack:
 
     def backward(self, cache: list, grad_out: np.ndarray, grads: Stack) -> np.ndarray:
         """Write each layer's (dW, db) into the same layer of `grads`; returns the
-        gradient at layer 0's linear output (times layers[0][0] gives grad_input)."""
+        gradient at layer 0's linear output (times layers[0][0] gives grad_input).
+
+        Overwrites every element of `grads`' layers, so one buffer serves every
+        call.  The tanh derivative is formed in place in `cache`, whose tanh
+        outputs are spent by then; `grad_out` is left as it was."""
         g = grad_out
         for i in range(len(self.layers) - 1, -1, -1):
             if i < len(self.layers) - 1:
-                act = cache[i + 1]  # this layer's tanh output
-                g = (g @ self.layers[i + 1][0]) * (1.0 - act * act)
+                act = cache[i + 1]  # this layer's tanh output, read for the last time
+                act *= act
+                np.subtract(1.0, act, out=act)
+                g = g @ self.layers[i + 1][0]
+                g *= act
             dW, db = grads.layers[i]
             np.matmul(g.T, cache[i], out=dW)
-            np.sum(g, axis=0, out=db)
+            np.add.reduce(g, axis=0, out=db)
         return g
 
     def flops(self) -> int:
@@ -238,21 +245,17 @@ def init_world_model(
     return wm
 
 
-def loss_and_grads(wm: WorldModel, obs, action, next_obs, state, pw: float, sw: float):
-    """Training loss and analytic gradients for one mini-batch, in `theta`'s dtype.
+def _loss(wm: WorldModel, obs, action, next_obs, state, pw: float, sw: float, caches=None):
+    """(loss, r_pred, r_state): the forward pass and loss of `loss_and_grads`.
 
-    loss = pw * mean_i |pred(enc(o_i), a_i) - enc(o'_i)|^2
-         + sw * mean_i |probe(enc(o_i)) - s_i|^2
-
-    obs and next_obs share one encoder pass over their 2n stacked rows, and
-    one backward pass takes both latents' gradients, written into the views of a
-    gradient WorldModel: the gradient is one flat vector laid out like `theta`.
+    Without `caches` nothing is kept for a backward pass; with three lists
+    (encoder, predictor, probe) each stack appends its layer inputs to one.
     """
     obs, action, next_obs, state = (
         np.asarray(x, dtype=wm.theta.dtype) for x in (obs, action, next_obs, state)
     )
     n = obs.shape[0]
-    c_enc, c_pred, c_probe = [], [], []
+    c_enc, c_pred, c_probe = caches or (None, None, None)
     z_both = wm.encoder.forward(np.concatenate([obs, next_obs]), c_enc)
     z, z_next = z_both[:n], z_both[n:]
     p = wm.predictor.forward(np.concatenate([z, action], axis=-1), c_pred)
@@ -261,19 +264,51 @@ def loss_and_grads(wm: WorldModel, obs, action, next_obs, state, pw: float, sw: 
     r_pred = p - z_next
     r_state = probe_out - state
     loss = pw * np.sum(r_pred * r_pred) / n + sw * np.sum(r_state * r_state) / n
+    return loss, r_pred, r_state
 
-    grad = WorldModel(wm.dims, dtype=wm.theta.dtype)
-    g_p = 2.0 * pw * r_pred / n
+
+def loss_and_grads(
+    wm: WorldModel, obs, action, next_obs, state, pw: float, sw: float,
+    out: WorldModel | None = None,
+):
+    """Training loss and analytic gradients for one mini-batch, in `theta`'s dtype.
+
+    loss = pw * mean_i |pred(enc(o_i), a_i) - enc(o'_i)|^2
+         + sw * mean_i |probe(enc(o_i)) - s_i|^2
+
+    obs and next_obs share one encoder pass over their 2n stacked rows, and
+    one backward pass takes both latents' gradients, written into the views of
+    `out`, a WorldModel shaped like `wm` (a fresh one if None).  Every element
+    of `out` is overwritten, so a training loop passes the same buffer each step.
+    Returns (loss, out.theta): the gradient is one flat vector laid out like `theta`.
+    """
+    caches = [], [], []
+    c_enc, c_pred, c_probe = caches
+    loss, r_pred, r_state = _loss(wm, obs, action, next_obs, state, pw, sw, caches)
+    if out is None:
+        out = WorldModel(wm.dims, dtype=wm.theta.dtype)
+    n, latent = r_pred.shape
+    g_p, g_s = r_pred, r_state
+    for g, w in ((g_p, pw), (g_s, sw)):  # 2 * w * r / n in place, op by op in that order
+        g *= 2.0 * w
+        g /= n
     # backward stops at layer 0's output, so the encoder's unused input gradient is never formed
-    g_pred = wm.predictor.backward(c_pred, g_p, grad.predictor)
-    g_probe = wm.probe.backward(c_probe, 2.0 * sw * r_state / n, grad.probe)
-    g_z = (g_pred @ wm.predictor.layers[0][0])[:, : z.shape[-1]] + g_probe @ wm.probe.layers[0][0]
-    wm.encoder.backward(c_enc, np.concatenate([g_z, -g_p]), grad.encoder)
-    return loss, grad.theta
+    g_pred = wm.predictor.backward(c_pred, g_p, out.predictor)
+    g_probe = wm.probe.backward(c_probe, g_s, out.probe)
+    g_z = (g_pred @ wm.predictor.layers[0][0])[:, :latent] + g_probe @ wm.probe.layers[0][0]
+    wm.encoder.backward(c_enc, np.concatenate([g_z, -g_p]), out.encoder)
+    return loss, out.theta
 
 
 def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldModel:
-    """Adam training; deterministic given (dataset bytes, cfg, master_seed)."""
+    """Adam training; deterministic given (dataset bytes, cfg, master_seed).
+
+    A step allocates no parameter-sized array: `loss_and_grads` overwrites one
+    gradient buffer, and Adam runs in place through two scratch vectors, op by
+    op in the order of `m = b1*m + (1-b1)*g`, `v = b2*v + (1-b2)*g*g` and
+    `theta -= lr_t*m / (sqrt(v) + eps)`, so each float32 op rounds as there.
+    The initial and final full-dataset losses run the forward pass only.
+    """
     if len(dataset) == 0:
         raise ValidationError("dataset is empty")
     init = init_world_model(dataset.obs.shape[1], master_seed=master_seed, seed=cfg.seed)
@@ -282,13 +317,15 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
     order_gen = rng.stream(master_seed, "train", cfg.seed)
 
     theta = wm.theta
-    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    grad = WorldModel(wm.dims)
+    g = grad.theta
+    m, v, s, d = (np.zeros_like(theta) for _ in range(4))  # s, d: Adam's scratch
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
 
     pw, sw = cfg.prediction_loss_weight, cfg.state_loss_weight
     data = (dataset.obs, dataset.action, dataset.next_obs, dataset.state)
-    initial_loss, _ = loss_and_grads(wm, *data, pw, sw)
+    initial_loss, _, _ = _loss(wm, *data, pw, sw)
     n = len(dataset)
     epoch_losses = []
     for _ in range(cfg.epochs):
@@ -296,7 +333,7 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
         batch_losses = []
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            loss, g = loss_and_grads(wm, *(x[idx] for x in data), pw, sw)
+            loss, _ = loss_and_grads(wm, *(x[idx] for x in data), pw, sw, grad)
             if not np.isfinite(loss):
                 raise TrainingDivergenceError(f"non-finite training loss: {loss}")
             batch_losses.append(loss)
@@ -304,13 +341,20 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
             # a Python float: an np.float64 here would upcast the update to float64
             lr_t = cfg.learning_rate * math.sqrt(1 - beta2**t) / (1 - beta1**t)
             m *= beta1
-            m += (1 - beta1) * g
+            np.multiply(g, 1 - beta1, out=s)
+            m += s
             v *= beta2
-            v += (1 - beta2) * g * g
-            theta -= lr_t * m / (np.sqrt(v) + eps)
+            np.multiply(g, 1 - beta2, out=s)
+            s *= g
+            v += s
+            np.multiply(m, lr_t, out=s)
+            np.sqrt(v, out=d)
+            d += eps
+            s /= d
+            theta -= s
         epoch_losses.append(float(np.mean(batch_losses)))
 
-    final_loss, _ = loss_and_grads(wm, *data, pw, sw)
+    final_loss, _, _ = _loss(wm, *data, pw, sw)
     wm.metadata["train"] = {
         "initial_loss": float(initial_loss),
         "final_loss": float(final_loss),

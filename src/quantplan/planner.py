@@ -349,12 +349,11 @@ def read_episodes_csv(path: str | Path) -> list[EpisodeRecord]:
         raise ValidationError(f"unexpected episodes.csv header in {path}")
     parsers = [{"str": str, "int": int, "float": float}[f.type] for f in fields(EpisodeRecord)]
     records = []
-    for lineno, row in enumerate(csv.reader(lines[1:]), start=2):
-        if len(row) != len(parsers):
-            raise ValidationError(
-                f"{path} line {lineno}: expected {len(parsers)} columns, got {len(row)}"
-            )
-        try:
+    rows = csv.reader(lines[1:])
+    try:
+        for row in rows:
+            if len(row) != len(parsers):
+                raise ValueError(f"expected {len(parsers)} columns, got {len(row)}")
             record = EpisodeRecord(*[parse(v) for parse, v in zip(parsers, row)])
             if record.success not in (0, 1):
                 raise ValueError(f"success must be 0 or 1, got {record.success}")
@@ -364,7 +363,8 @@ def read_episodes_csv(path: str | Path) -> list[EpisodeRecord]:
                 value = getattr(record, f.name)
                 if f.type == "float" and not math.isfinite(value):
                     raise ValueError(f"{f.name} must be finite, got {value}")
-        except ValueError as e:
-            raise ValidationError(f"{path} line {lineno}: {e}") from e
-        records.append(record)
+            records.append(record)
+    except (ValueError, csv.Error) as e:  # csv.Error: e.g. a field over csv.field_size_limit()
+        # line_num counts the lines after the header the reader has consumed
+        raise ValidationError(f"{path} line {rows.line_num + 1}: {e}") from e
     return records

@@ -98,6 +98,7 @@ BUDGET = {"goal_h": 2, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
         ({"train": {"seed": 2**127}}, "train.seed: .* does not fit"),
         ({"budgets": {"bA": {**BUDGET, "seeds": [0, 2**127]}}},
          "budgets.bA.seeds: .* does not fit"),
+        ({"budgets": {"bA": BUDGET, "\ud800": BUDGET}}, r"budgets: name '\\ud800' is not valid"),
     ],
 )
 def test_config_rejects_bad_values(data, message):
@@ -112,9 +113,10 @@ def test_config_rejects_bad_values(data, message):
         {"budgets": {"bA": BUDGET}, "episodes_per_run": 1},
         {"variants": []},
         {"budgets": {"bA": {**BUDGET, "seeds": [0, 2**127]}}},
+        {"budgets": {"bA": BUDGET, "\ud800": BUDGET}},
     ],
     ids=["duplicate_variants", "single_paired_unit", "no_variants",
-         "budget_seed_out_of_range"],
+         "budget_seed_out_of_range", "budget_name_not_utf8"],
 )
 def test_bad_config_fails_before_any_artifact(tmp_path, bad):
     cfg_path = tmp_path / "cfg.json"

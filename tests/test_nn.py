@@ -49,6 +49,15 @@ def test_gradient_check_matches_finite_differences(rng):
         denom = max(abs(fd), abs(analytic[i]), 1e-8)
         assert abs(fd - analytic[i]) / denom < 1e-4
 
+    # a reused buffer, holding NaN and then another batch's gradient, comes back
+    # holding exactly the fresh buffer's gradient: each call overwrites every element
+    out = WorldModel(wm.dims, dtype=wm.theta.dtype)
+    out.theta[...] = np.nan
+    loss_and_grads(wm, *tiny_batch(rng, 6), 1.0, 1.0, out)
+    _, reused = loss_and_grads(wm, obs, act, nobs, state, 1.0, 1.0, out)
+    assert reused is out.theta
+    np.testing.assert_array_equal(reused, grads)
+
 
 def test_encode_deterministic_and_shapes(trained_model):
     obs = np.zeros(256)
@@ -81,6 +90,20 @@ def test_training_deterministic(env_cfg):
     a = train_world_model(ds, cfg)
     b = train_world_model(ds, cfg)
     np.testing.assert_array_equal(a.theta, b.theta)
+
+
+def test_recorded_losses_are_full_dataset_losses(env_cfg):
+    ds = gen_dataset(20, 5, 0, env_cfg)
+    cfg = TrainConfig(epochs=2, prediction_loss_weight=0.5, state_loss_weight=2.0)
+    trained = train_world_model(ds, cfg)
+    init = init_world_model(ds.obs.shape[1], seed=cfg.seed)
+    start = WorldModel(init.dims)
+    start.theta[...] = init.theta
+    data = (ds.obs, ds.action, ds.next_obs, ds.state)
+    meta = trained.metadata["train"]
+    for wm, key in ((start, "initial_loss"), (trained, "final_loss")):
+        loss, _ = loss_and_grads(wm, *data, cfg.prediction_loss_weight, cfg.state_loss_weight)
+        assert meta[key] == float(loss)
 
 
 def reference_adam(ds, cfg: TrainConfig) -> np.ndarray:

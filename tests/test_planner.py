@@ -223,9 +223,10 @@ def test_csv_round_trip(prepared, trained_model, env_cfg, tmp_path):
          "line 3: mean_state_distance must be finite, got nan"),
         (lambda cols: cols[:9] + ["inf"],
          "line 3: visual_embedding_divergence must be finite, got inf"),
+        (lambda cols: ["x" * 200_000] + cols[1:], "line 3: field larger than field limit"),
     ],
     ids=["truncated_row", "non_numeric_success", "success_not_0_or_1", "negative_steps",
-         "nan_state_distance", "inf_embedding_divergence"],
+         "nan_state_distance", "inf_embedding_divergence", "field_over_csv_limit"],
 )
 def test_csv_bad_row_names_file_and_line(tmp_path, corrupt, message):
     records = [EpisodeRecord("fp16", "bA", 0, i, 1, 0.5, 4, 1e-3, 0.02, 0.0) for i in range(2)]
