@@ -1,7 +1,17 @@
 """Mixed-bit weight quantization study harness for latent world-model planning."""
 
 from .config import ExperimentConfig, config_from_dict, load_config
-from .env import Dataset, EpisodeSpec, WallEnvConfig, gen_dataset, render, sample_episode_specs, step
+from .env import (
+    Dataset,
+    EpisodeSpec,
+    WallEnvConfig,
+    gen_dataset,
+    observations,
+    pixel,
+    render,
+    sample_episode_specs,
+    step,
+)
 from .errors import (
     PersistenceError,
     StageError,
@@ -13,6 +23,7 @@ from .planner import (
     CEMConfig,
     EpisodeRecord,
     PlannerBudget,
+    observation_latents,
     plan_actions,
     plan_noise,
     run_episode,

@@ -25,6 +25,15 @@ VARIANT_KEYWORDS = {"core": CORE_VARIANT_NAMES, "all": ALL_VARIANT_NAMES}
 POOLED_SCOPE = "pooled"  # the matchups scope over all budgets; no budget may take the name
 
 
+def _require_utf8(what: str, text: str) -> None:
+    """Files and paths are written as UTF-8, in which a lone surrogate
+    (JSON "\\ud800") has no encoding."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"{what} {text!r} is not valid Unicode") from None
+
+
 @dataclass
 class DatasetConfig:
     n_traj: int = 200
@@ -66,11 +75,9 @@ class ExperimentConfig:
                 raise ValidationError(f"{where}: {seed} does not fit the 128-bit signed stream key")
         if self.episodes_per_run < 1:
             raise ValidationError("episodes_per_run must be >= 1")
+        _require_utf8("output_dir:", self.output_dir)
         for name, budget in self.budgets.items():
-            try:  # episodes.csv is UTF-8, and a lone surrogate ("\ud800") has no encoding
-                name.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ValidationError(f"budgets: name {name!r} is not valid Unicode") from None
+            _require_utf8("budgets: name", name)  # a key of episodes.csv and of rng streams
             # the statistics split each budget's paired units into at least two bins
             if len(budget.seeds) * self.episodes_per_run < 2:
                 raise ValidationError(

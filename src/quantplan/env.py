@@ -3,8 +3,10 @@
 A point agent lives in the unit square.  A vertical wall at x = wall_x
 blocks movement except through a gap; start and goal of every episode are
 on opposite sides of the wall, so success requires planning through the
-gap.  Observations are small grayscale images.  Everything is a pure
-function of its inputs; all randomness flows through explicit streams.
+gap.  Observations are small grayscale images: the fixed wall background
+with the agent's pixel lit, so there are only image_side**2 of them
+(`observations`).  Everything is a pure function of its inputs; all
+randomness flows through explicit streams.
 """
 
 from __future__ import annotations
@@ -88,18 +90,40 @@ def step(state: np.ndarray, action: np.ndarray, cfg: WallEnvConfig) -> np.ndarra
     return cand.reshape(np.shape(state))
 
 
-def render(state: np.ndarray, cfg: WallEnvConfig) -> np.ndarray:
-    """Grayscale observation per row of `state` (..., 2), flattened row-major in [0, 1]."""
-    pos = np.asarray(state, dtype=np.float64).reshape(-1, 2)
+def pixel(state: np.ndarray, cfg: WallEnvConfig) -> np.ndarray:
+    """Flat index r * image_side + c of the agent's pixel per row of `state` (..., 2)."""
+    pos = np.asarray(state, dtype=np.float64)
+    side = cfg.image_side
+    r = np.minimum(np.floor(pos[..., 1] * side).astype(np.intp), side - 1)
+    c = np.minimum(np.floor(pos[..., 0] * side).astype(np.intp), side - 1)
+    return r * side + c
+
+
+def _background(cfg: WallEnvConfig) -> np.ndarray:
+    """The observation without the agent, flattened row-major: the wall column
+    reads 0.5 on every row whose centre is outside the gap."""
     side = cfg.image_side
     background = np.zeros((side, side))
     wall_col = min(int(np.floor(cfg.wall_x * side)), side - 1)
     background[~_in_gap((np.arange(side) + 0.5) / side, cfg), wall_col] = 0.5
-    img = np.tile(background.reshape(-1), (len(pos), 1))
-    r = np.minimum(np.floor(pos[:, 1] * side).astype(np.intp), side - 1)
-    c = np.minimum(np.floor(pos[:, 0] * side).astype(np.intp), side - 1)
-    img[np.arange(len(pos)), r * side + c] = 1.0
-    return img.reshape(np.shape(state)[:-1] + (side * side,))
+    return background.reshape(-1)
+
+
+def observations(cfg: WallEnvConfig) -> np.ndarray:
+    """Every observation there is, shape (image_side**2, image_side**2): row p
+    is `render` of a state on pixel p (see `pixel`)."""
+    obs = np.tile(_background(cfg), (cfg.image_side**2, 1))
+    np.fill_diagonal(obs, 1.0)
+    return obs
+
+
+def render(state: np.ndarray, cfg: WallEnvConfig) -> np.ndarray:
+    """Grayscale observation per row of `state` (..., 2), flattened row-major in [0, 1]:
+    the background with the agent's `pixel` at 1.0."""
+    p = pixel(state, cfg)
+    img = np.tile(_background(cfg), (p.size, 1))
+    img[np.arange(p.size), p.reshape(-1)] = 1.0
+    return img.reshape(p.shape + img.shape[-1:])
 
 
 def _uniform_on_side(gen: np.random.Generator, left: bool, cfg: WallEnvConfig) -> np.ndarray:

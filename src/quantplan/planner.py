@@ -29,8 +29,18 @@ the group:
 Variants are not stacked into one group, so adding a variant never changes
 another's records and temporaries stay small.
 
+An observation is the fixed wall background plus the agent's pixel, so a
+model's encoder has only image_side**2 distinct inputs.  `run_paired_eval`
+encodes them once per model (`observation_latents`, one row per pixel of
+`env.pixel`), and every encode of the eval is a row lookup: the current and
+goal latents that `plan_actions` takes, the executed plan's start latent and
+the embedding divergence.  Each row is encoded as its own (1, obs_dim) slice,
+so by rule 1 it is bit-equal to encoding that observation when it occurs.
+
 runtime_seconds is a deterministic cost model (counted forward-pass flops
 at a nominal 1 GFLOP/s), not wall clock, so output files are byte-stable.
+It charges the encodes a deployed planner makes, which sees camera images
+rather than a pixel index: 3 per plan and 2 per step, table or not.
 """
 
 from __future__ import annotations
@@ -44,7 +54,17 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .env import EpisodeSpec, WallEnvConfig, render, sample_episode_specs, step
+# render is unused here, but perfbench/test_perfbench.py checks that the tracer
+# rebinds this import site
+from .env import (  # noqa: F401
+    EpisodeSpec,
+    WallEnvConfig,
+    observations,
+    pixel,
+    render,
+    sample_episode_specs,
+    step,
+)
 from .errors import ValidationError
 from .nn import WorldModel
 from .store import read_text
@@ -129,18 +149,30 @@ def plan_noise(
     return noise
 
 
+def observation_latents(models: list[WorldModel], env_cfg: WallEnvConfig) -> list[np.ndarray]:
+    """Each model's latent of every observation, shape (image_side**2, latent):
+    row p encodes `env.observations(env_cfg)[p]`, the agent on pixel p.
+
+    Each row is encoded as its own (1, obs_dim) slice, so by rule 1 it is
+    bit-equal to encoding that observation alone.  All models read one
+    float32 copy of the table, which loses nothing: its pixel values are 0,
+    0.5 and 1."""
+    obs = observations(env_cfg).astype(np.float32)[:, None, :]
+    return [wm.encode(obs)[:, 0] for wm in models]
+
+
 def plan_actions(
     wm: WorldModel,
-    current_obs: np.ndarray,
-    goal_obs: np.ndarray,
+    z0: np.ndarray,
+    zg: np.ndarray,
     budget: PlannerBudget,
     cem: CEMConfig,
     noise: np.ndarray,
     max_step: float,
 ):
-    """One CEM plan per row of `current_obs`/`goal_obs` (n, obs_dim), with
-    opt step k of row i drawing noise[i, k] from the round's block `noise`
-    (n, opt_steps, pop, goal_h, 2); returns (plans (n, goal_h, 2), info).
+    """One CEM plan per row of the current and goal latents `z0`/`zg`
+    (n, latent), with opt step k of row i drawing noise[i, k] from the round's
+    block `noise` (n, opt_steps, pop, goal_h, 2); returns (plans (n, goal_h, 2), info).
 
     info holds per-row arrays `elite_costs` (n, opt_steps),
     `initial_mean_cost`, `final_mean_cost` and `failed`.  A row whose
@@ -150,14 +182,14 @@ def plan_actions(
     population, so a row's best elite cost is non-increasing across iterations.
     """
     n = len(noise)
-    z0 = wm.encode(current_obs[:, None, :])[:, 0]
-    zg = wm.encode(goal_obs[:, None, :])[:, 0]
 
     def costs_of(seqs: np.ndarray) -> np.ndarray:
-        # seqs (n, pop, h, 2) -> final-latent costs (n, pop)
+        # seqs (n, pop, h, 2) -> final-latent costs (n, pop); the actions are cast
+        # to the model dtype once, time on the leading axis, not at every predict_next
+        actions = np.moveaxis(seqs, 2, 0).astype(wm.theta.dtype)
         z = np.repeat(z0[:, None, :], seqs.shape[1], axis=1)
-        for t in range(seqs.shape[2]):
-            z = wm.predict_next(z, seqs[:, :, t, :])
+        for a in actions:
+            z = wm.predict_next(z, a)
         return np.linalg.norm(z - zg[:, None, :], axis=-1)
 
     h, pop = budget.goal_h, cem.population
@@ -211,11 +243,14 @@ def run_episodes(
     cem: CEMConfig,
     env_cfg: WallEnvConfig,
     noise: np.ndarray,
+    latents: np.ndarray,
+    fp_latents: np.ndarray,
 ) -> list[EpisodeRecord]:
     """Play the goal-conditioned episodes `specs` in lockstep under the MPC
     loop with the variant `name`'s model `wm`, planning round r of specs[i]
     with noise[i, r] of `plan_noise(specs, budget, cem, master_seed)`; one
-    record per spec, in spec order.
+    record per spec, in spec order.  `latents` and `fp_latents` are
+    `observation_latents` of `wm` and `fp_wm`: every encode is a row lookup.
 
     Row i of every array belongs to specs[i]; `live` lists the rows still
     playing.  A row leaves on reaching the goal or on a planning failure and
@@ -225,7 +260,7 @@ def run_episodes(
     n = len(specs)
     state = np.array([s.start for s in specs], dtype=np.float64)
     goal = np.array([s.goal for s in specs], dtype=np.float64)
-    goal_obs = render(goal, env_cfg)
+    z_goal = latents[pixel(goal, env_cfg)]
     tau = env_cfg.success_radius
 
     success = _norm(state - goal) <= tau
@@ -238,14 +273,14 @@ def run_episodes(
     for r in range(budget.max_iter):
         if not live.size:
             break
-        obs = render(state[live], env_cfg)
+        z_now = latents[pixel(state[live], env_cfg)]
         plans, info = plan_actions(
-            wm, obs, goal_obs[live], budget, cem, noise[live, r], env_cfg.max_step
+            wm, z_now, z_goal[live], budget, cem, noise[live, r], env_cfg.max_step
         )
         ok = ~info["failed"]
-        live, plans, obs = live[ok], plans[ok], obs[ok]
+        live, plans = live[ok], plans[ok]
         n_plans[live] += 1
-        z_var = wm.encode(obs[:, None, :])
+        z_var = z_now[ok, None]
         for t in range(budget.goal_h):
             if not live.size:
                 break
@@ -253,9 +288,9 @@ def run_episodes(
             k = steps[live]
             steps[live] += 1
             z_var = wm.predict_next(z_var, plans[:, None, t])
-            obs_t = render(state[live], env_cfg)[:, None, :]
             state_dist[live, k] = _norm(fp_wm.probe_decode(z_var)[:, 0] - state[live])
-            embed_div[live, k] = _norm((wm.encode(obs_t) - fp_wm.encode(obs_t))[:, 0])
+            p = pixel(state[live], env_cfg)
+            embed_div[live, k] = _norm(latents[p] - fp_latents[p])
             done = _norm(state[live] - goal[live]) <= tau
             success[live[done]] = True
             live, plans, z_var = live[~done], plans[~done], z_var[~done]
@@ -297,7 +332,10 @@ def run_episode(
 ) -> EpisodeRecord:
     """One episode: `run_episodes` on the single spec `spec`."""
     noise = plan_noise([spec], budget, cem, master_seed)
-    return run_episodes(name, wm, fp_wm, [spec], budget, budget_name, cem, env_cfg, noise)[0]
+    latents = observation_latents([wm, fp_wm], env_cfg)
+    return run_episodes(
+        name, wm, fp_wm, [spec], budget, budget_name, cem, env_cfg, noise, *latents
+    )[0]
 
 
 def run_paired_eval(
@@ -315,6 +353,8 @@ def run_paired_eval(
     if not variants:
         raise ValidationError("no variants to evaluate")
 
+    *tables, fp_latents = observation_latents([*variants.values(), fp_wm], env_cfg)
+    latents = dict(zip(variants, tables))
     records = []
     for budget_name in sorted(budgets):
         budget = budgets[budget_name]
@@ -323,7 +363,8 @@ def run_paired_eval(
             noise = plan_noise(specs, budget, cem, master_seed)
             for name, wm in variants.items():
                 records.extend(run_episodes(
-                    name, wm, fp_wm, specs, budget, budget_name, cem, env_cfg, noise
+                    name, wm, fp_wm, specs, budget, budget_name, cem, env_cfg, noise,
+                    latents[name], fp_latents,
                 ))
             del noise  # so the next seed's block is not drawn while this one is held
     records.sort(key=lambda r: (r.variant_name, r.budget_name, r.seed, r.episode_id))

@@ -99,6 +99,7 @@ BUDGET = {"goal_h": 2, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
         ({"budgets": {"bA": {**BUDGET, "seeds": [0, 2**127]}}},
          "budgets.bA.seeds: .* does not fit"),
         ({"budgets": {"bA": BUDGET, "\ud800": BUDGET}}, r"budgets: name '\\ud800' is not valid"),
+        ({"output_dir": "out\ud800"}, r"output_dir: 'out\\ud800' is not valid"),
     ],
 )
 def test_config_rejects_bad_values(data, message):
@@ -114,13 +115,15 @@ def test_config_rejects_bad_values(data, message):
         {"variants": []},
         {"budgets": {"bA": {**BUDGET, "seeds": [0, 2**127]}}},
         {"budgets": {"bA": BUDGET, "\ud800": BUDGET}},
+        {"output_dir": "out\ud800"},
     ],
     ids=["duplicate_variants", "single_paired_unit", "no_variants",
-         "budget_seed_out_of_range", "budget_name_not_utf8"],
+         "budget_seed_out_of_range", "budget_name_not_utf8", "output_dir_not_utf8"],
 )
 def test_bad_config_fails_before_any_artifact(tmp_path, bad):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**TINY, **bad, "output_dir": str(tmp_path / "out")}))
+    # a case's own output_dir has no encoding, so no directory of that name can appear
+    cfg_path.write_text(json.dumps({**TINY, "output_dir": str(tmp_path / "out"), **bad}))
     assert main(["all", "--config", str(cfg_path)]) == 1
     assert not (tmp_path / "out").exists()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quantplan import ValidationError, WallEnvConfig, gen_dataset, render, sample_episode_specs, step
-from quantplan.env import dataset_from_model, dataset_to_model
+from quantplan.env import dataset_from_model, dataset_to_model, observations, pixel
 from quantplan.store import load_model, persist_model
 
 
@@ -168,6 +168,24 @@ def test_batched_step_and_render_match_rows(env_cfg, rng):
     assert images.shape == (len(batch), 256)
     for s, img in zip(batch, images):
         np.testing.assert_array_equal(img, render(s, env_cfg))
+
+
+def test_render_is_the_observation_of_its_pixel(env_cfg, rng):
+    side, x = env_cfg.image_side, env_cfg.wall_x
+    edges = [[1.0, 1.0], [1.0, 0.3], [0.0, 1.0], [0.0, 0.0],
+             [x, 0.5], [x, 0.05], [x, 1.0]]  # the last three on the wall column, in and out of the gap
+    states = np.concatenate([edges, rng.uniform(0, 1, (63, 2))])
+    assert pixel(states[:7], env_cfg).tolist() == [255, 79, 240, 0, 136, 8, 248]
+    table = observations(env_cfg)
+    for s in states:
+        np.testing.assert_array_equal(render(s, env_cfg), table[pixel(s, env_cfg)])
+    for batch in (states, states.reshape(7, 10, 2)):
+        assert pixel(batch, env_cfg).shape == batch.shape[:-1]
+        np.testing.assert_array_equal(render(batch, env_cfg), table[pixel(batch, env_cfg)])
+    # row p is the background with a 1.0 on pixel p; background[q] read off row q + 1
+    n = side * side
+    background = table[(np.arange(n) + 1) % n, np.arange(n)]
+    np.testing.assert_array_equal(table, np.where(np.eye(n, dtype=bool), 1.0, background))
 
 
 def test_dataset_bytes_pinned(env_cfg):

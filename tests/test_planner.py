@@ -15,13 +15,14 @@ from quantplan import (
     sample_episode_specs,
 )
 from quantplan import rng as qrng
-from quantplan.env import EpisodeSpec
+from quantplan.env import EpisodeSpec, pixel
 from quantplan.nn import Stack, WorldModel, init_world_model
 from quantplan.planner import (
     EPISODES_CSV_HEADER,
     _norm,
     EpisodeRecord,
     episodes_to_csv,
+    observation_latents,
     plan_actions,
     plan_noise,
     read_episodes_csv,
@@ -41,6 +42,17 @@ def round_noise(budget, *streams):
     return np.stack([g.standard_normal(shape) for g in streams])
 
 
+def latents_of(wm, obs):
+    """`wm`'s latent per row of the observations `obs` (n, obs_dim)."""
+    return wm.encode(obs[:, None, :])[:, 0]
+
+
+def play(name, wm, fp_wm, specs, budget, budget_name, cem, env_cfg, noise):
+    """`run_episodes` with the observation latents of `wm` and `fp_wm`."""
+    return run_episodes(name, wm, fp_wm, specs, budget, budget_name, cem, env_cfg, noise,
+                        *observation_latents([wm, fp_wm], env_cfg))
+
+
 @pytest.fixture(scope="module")
 def prepared(trained_model):
     return {
@@ -49,12 +61,25 @@ def prepared(trained_model):
     }
 
 
+@pytest.mark.parametrize("variant", ["fp16", "uniform_int3"])
+def test_observation_latents_equal_one_observation_encodes(prepared, env_cfg, rng, variant):
+    # rule 1 for the table: a row is the latent of encoding that observation alone
+    wm = prepared[variant]
+    (table,) = observation_latents([wm], env_cfg)
+    assert table.shape == (env_cfg.image_side ** 2, 16) and table.dtype == np.float32
+    for s in rng.uniform(0, 1, (64, 2)):
+        np.testing.assert_array_equal(table[pixel(s, env_cfg)],
+                                      wm.encode(render(s, env_cfg)[None, None])[0, 0])
+
+
 def test_plan_deterministic(trained_model, env_cfg):
     obs = render(np.array([0.2, 0.5]), env_cfg)
     goal = render(np.array([0.8, 0.5]), env_cfg)
-    (p1,), _ = plan_actions(trained_model, obs[None], goal[None], BA, CEMConfig(),
+    (p1,), _ = plan_actions(trained_model, latents_of(trained_model, obs[None]),
+                            latents_of(trained_model, goal[None]), BA, CEMConfig(),
                             round_noise(BA, qrng.stream(0, "t")), 0.125)
-    (p2,), _ = plan_actions(trained_model, obs[None], goal[None], BA, CEMConfig(),
+    (p2,), _ = plan_actions(trained_model, latents_of(trained_model, obs[None]),
+                            latents_of(trained_model, goal[None]), BA, CEMConfig(),
                             round_noise(BA, qrng.stream(0, "t")), 0.125)
     np.testing.assert_array_equal(p1, p2)
     assert p1.shape == (9, 2)
@@ -67,7 +92,8 @@ def test_elite_costs_non_increasing(trained_model, env_cfg):
     budget = PlannerBudget(6, 5, 1, (0,))
     for k in range(10):
         _, info = plan_actions(
-            trained_model, obs[None], goal[None], budget, CEMConfig(),
+            trained_model, latents_of(trained_model, obs[None]),
+            latents_of(trained_model, goal[None]), budget, CEMConfig(),
             round_noise(budget, qrng.stream(0, "e", k)), 0.125
         )
         costs = info["elite_costs"][0]
@@ -81,7 +107,8 @@ def test_identity_predictor_zero_cost(env_cfg):
     W[:, :16] = np.eye(16)
     wm.predictor = Stack([(W, np.zeros(16))])
     obs = render(np.array([0.3, 0.3]), env_cfg)
-    _, info = plan_actions(wm, obs[None], obs[None], BA, CEMConfig(),
+    z = latents_of(wm, obs[None])
+    _, info = plan_actions(wm, z, z, BA, CEMConfig(),
                            round_noise(BA, qrng.stream(0, "i")), 0.125)
     assert info["final_mean_cost"] == pytest.approx(0.0, abs=1e-12)
     assert info["final_mean_cost"] <= info["initial_mean_cost"]
@@ -90,7 +117,7 @@ def test_identity_predictor_zero_cost(env_cfg):
 def test_immediate_success(prepared, trained_model, env_cfg):
     spec = EpisodeSpec(0, 0, (0.48, 0.5), (0.52, 0.5), 0.04)
     noise = plan_noise([spec], BA, CEMConfig())
-    r = run_episodes("fp16", prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg,
+    r = play("fp16", prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg,
                      noise)[0]
     assert r.success == 1 and r.steps_executed == 0
     assert r.mean_state_distance == 0.0 and r.visual_embedding_divergence == 0.0
@@ -99,7 +126,7 @@ def test_immediate_success(prepared, trained_model, env_cfg):
 def test_step_caps(prepared, trained_model, env_cfg):
     spec = sample_episode_specs(0, 1, env_cfg)[0]
     for budget, name, cap in ((BA, "bA", 18), (BB, "bB", 36)):
-        r = run_episodes("uniform_int3", prepared["uniform_int3"], trained_model, [spec],
+        r = play("uniform_int3", prepared["uniform_int3"], trained_model, [spec],
                          budget, name, CEMConfig(), env_cfg, plan_noise([spec], budget, CEMConfig()))[0]
         assert r.steps_executed <= cap
     assert BA.goal_h * BA.max_iter == 18
@@ -109,7 +136,7 @@ def test_step_caps(prepared, trained_model, env_cfg):
 def test_fp16_divergence_exactly_zero(prepared, trained_model, env_cfg):
     for spec in sample_episode_specs(1, 3, env_cfg):
         noise = plan_noise([spec], BA, CEMConfig())
-        r = run_episodes("fp16", prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg,
+        r = play("fp16", prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg,
                          noise)[0]
         assert r.visual_embedding_divergence == 0.0
 
@@ -281,7 +308,7 @@ def test_batch_shape_independence(prepared, trained_model, env_cfg, variant, bud
     specs = sample_episode_specs(2, 4, env_cfg) + [at_goal]
     args = (variant, prepared[variant], trained_model)
     rest = (budget, "b", CEMConfig(), env_cfg)
-    batched = run_episodes(*args, specs, *rest, plan_noise(specs, budget, CEMConfig()))
+    batched = play(*args, specs, *rest, plan_noise(specs, budget, CEMConfig()))
     assert episodes_to_csv(batched) == episodes_to_csv([run_episode(*args, s, *rest) for s in specs])
     # the rows leave the lockstep group at different steps
     assert len({r.steps_executed for r in batched}) > 1
@@ -291,7 +318,7 @@ def test_runtime_seconds_follows_cost_model(prepared, trained_model, env_cfg):
     budget, cem = PlannerBudget(9, 2, 1, (0,)), CEMConfig()
     at_goal = EpisodeSpec(0, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
     specs = [at_goal] + sample_episode_specs(0, 4, env_cfg)
-    records = run_episodes("uniform_int3", prepared["uniform_int3"], trained_model, specs,
+    records = play("uniform_int3", prepared["uniform_int3"], trained_model, specs,
                            budget, "b", cem, env_cfg, plan_noise(specs, budget, cem))
     enc, pred, probe = (
         sum(2 * W.size for W, _ in stack.layers)
@@ -314,7 +341,7 @@ def test_planning_failure_is_recorded_per_variant(prepared, trained_model, env_c
     at_goal = EpisodeSpec(0, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
     specs = [at_goal] + sample_episode_specs(0, 3, env_cfg)
     with np.errstate(invalid="ignore", over="ignore"):
-        records = run_episodes("broken", broken, trained_model, specs, BA, "bA", CEMConfig(), env_cfg,
+        records = play("broken", broken, trained_model, specs, BA, "bA", CEMConfig(), env_cfg,
                                plan_noise(specs, BA, CEMConfig()))
     assert [r.success for r in records] == [1, 0, 0, 0]
     assert all(r.steps_executed == 0 and r.runtime_seconds == 0.0 for r in records)
@@ -336,7 +363,8 @@ def test_plan_failure_leaves_other_rows_unchanged(trained_model, env_cfg):
 
     def plan(rows):
         noise = round_noise(BA, *[qrng.stream(0, "f", i) for i in rows])
-        return plan_actions(trained_model, obs[rows], goal[rows], BA, CEMConfig(), noise, 0.125)
+        return plan_actions(trained_model, latents_of(trained_model, obs[rows]),
+                            latents_of(trained_model, goal[rows]), BA, CEMConfig(), noise, 0.125)
 
     plans, info = plan([0, 1])
     assert info["failed"].tolist() == [False, True]
