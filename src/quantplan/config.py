@@ -25,13 +25,11 @@ VARIANT_KEYWORDS = {"core": CORE_VARIANT_NAMES, "all": ALL_VARIANT_NAMES}
 POOLED_SCOPE = "pooled"  # the matchups scope over all budgets; no budget may take the name
 
 
-def _require_utf8(what: str, text: str) -> None:
-    """Files and paths are written as UTF-8, in which a lone surrogate
-    (JSON "\\ud800") has no encoding."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValidationError(f"{what} {text!r} is not valid Unicode") from None
+def _xml_forbids(c: str) -> bool:
+    """Whether XML 1.0, and so SVG text, forbids the character `c`: a C0 control but tab, LF
+    and CR (NUL, which no path can hold, among them), a lone surrogate (JSON "\\ud800", which
+    UTF-8 cannot encode), U+FFFE or U+FFFF."""
+    return c < " " and c not in "\t\n\r" or "\ud800" <= c <= "\udfff" or c in "\ufffe\uffff"
 
 
 @dataclass
@@ -75,9 +73,12 @@ class ExperimentConfig:
                 raise ValidationError(f"{where}: {seed} does not fit the 128-bit signed stream key")
         if self.episodes_per_run < 1:
             raise ValidationError("episodes_per_run must be >= 1")
-        _require_utf8("output_dir:", self.output_dir)
+        for what, text in [("output_dir:", self.output_dir),
+                           *[("budgets: name", name) for name in self.budgets]]:
+            if bad := next(filter(_xml_forbids, text), None):
+                raise ValidationError(f"{what} {text!r} is not valid text: {bad!r} "
+                                      "is not a character XML 1.0 allows")
         for name, budget in self.budgets.items():
-            _require_utf8("budgets: name", name)  # a key of episodes.csv and of rng streams
             # the statistics split each budget's paired units into at least two bins
             if len(budget.seeds) * self.episodes_per_run < 2:
                 raise ValidationError(

@@ -4,7 +4,6 @@ Artifacts land under config.output_dir:
 
     dataset/            training transitions (manifest + blob)
     model/              trained full-precision world model
-    variants/<name>/    fake-quantized variant models
     sizes.json          per-variant size accounting, read by the stats stage
     episodes.csv        paired evaluation results, one row per episode
     comparisons.json, matchups.json, bins.json, frontier.json,
@@ -13,7 +12,7 @@ Artifacts land under config.output_dir:
     run_meta.json       config hash covering the CSV/SVG artifacts
 
 Each stage checks for the artifacts of its prerequisite stage and raises
-StageError naming the stage to run first.
+StageError naming the stage to run first; eval builds each variant from model/.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ def _read_json(path: Path, stage: str, key: str, kind: type) -> dict:
 
 def _write_json(path: Path, payload: dict, cfg: ExperimentConfig) -> None:
     payload = {"config_hash": cfg.config_hash(), **payload}
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def stage_gen_data(cfg: ExperimentConfig) -> None:
@@ -114,9 +113,7 @@ def stage_variants(cfg: ExperimentConfig) -> None:
     base = WorldModel.from_model(load_model(out / "model"))
     sizes = {}
     for name in cfg.variants:
-        policy = policy_for_name(name, base)
-        persist_model(apply_policy(base, policy).to_model(), out / "variants" / name)
-        size = model_size_bytes(base, policy)
+        size = model_size_bytes(base, policy_for_name(name, base))
         sizes[name] = {"size_bytes": size, "size_mb": size / 2**20}
     _write_json(out / "sizes.json", {"sizes": sizes}, cfg)
 
@@ -125,10 +122,7 @@ def stage_eval(cfg: ExperimentConfig) -> None:
     out = _out(cfg)
     _require(out / "model" / "manifest.json", "train")
     fp_wm = WorldModel.from_model(load_model(out / "model"))
-    variants = {}
-    for name in cfg.variants:
-        _require(out / "variants" / name / "manifest.json", "variants")
-        variants[name] = WorldModel.from_model(load_model(out / "variants" / name))
+    variants = {name: apply_policy(fp_wm, policy_for_name(name, fp_wm)) for name in cfg.variants}
     records = run_paired_eval(
         variants,
         fp_wm,

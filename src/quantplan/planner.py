@@ -67,7 +67,7 @@ from .env import (  # noqa: F401
 )
 from .errors import ValidationError
 from .nn import WorldModel
-from .store import read_text
+from .store import csv_text, read_text
 
 # on-disk column names, one per EpisodeRecord field, in field order
 EPISODES_CSV_HEADER = (
@@ -372,12 +372,8 @@ def run_paired_eval(
 
 
 def episodes_to_csv(records: list[EpisodeRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(EPISODES_CSV_HEADER.split(","))
     # columns in EpisodeRecord field order; csv writes a float as its repr
-    writer.writerows(vars(r).values() for r in records)
-    return buf.getvalue()
+    return csv_text([EPISODES_CSV_HEADER.split(","), *(vars(r).values() for r in records)])
 
 
 def write_episodes_csv(records: list[EpisodeRecord], path: str | Path) -> None:
@@ -385,12 +381,13 @@ def write_episodes_csv(records: list[EpisodeRecord], path: str | Path) -> None:
 
 
 def read_episodes_csv(path: str | Path) -> list[EpisodeRecord]:
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != EPISODES_CSV_HEADER:
+    header, _, body = read_text(path).partition("\n")
+    if header != EPISODES_CSV_HEADER:
         raise ValidationError(f"unexpected episodes.csv header in {path}")
     parsers = [{"str": str, "int": int, "float": float}[f.type] for f in fields(EpisodeRecord)]
     records = []
-    rows = csv.reader(lines[1:])
+    # csv, not str.splitlines(), splits the rows, so a name may hold U+0085, U+2028, CR or LF
+    rows = csv.reader(io.StringIO(body, newline=""))
     try:
         for row in rows:
             if len(row) != len(parsers):

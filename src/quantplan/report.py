@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import csv
 import html
-import io
 from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .policies import RETENTION_VARIANTS
+from .store import csv_text
 
 W, H = 640, 400
 MARGIN = 60
@@ -104,16 +103,9 @@ def main_table_csv(frontier: dict) -> str:
     budgets = sorted({b for _, b in success})
     variants = sorted({v for v, _ in success})
     size_mb = {p["variant_name"]: p["size_bytes"] / 2**20 for p in frontier["frontier"]}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["variant"] + [f"success_{b}" for b in budgets] + ["size_mb"])
-    for v in variants:
-        writer.writerow(
-            [v]
-            + [f"{success[(v, b)]:.4f}" if (v, b) in success else "" for b in budgets]
-            + [f"{size_mb[v]:.4f}"]
-        )
-    return buf.getvalue()
+    rows = [[v] + [f"{success[(v, b)]:.4f}" if (v, b) in success else "" for b in budgets]
+            + [f"{size_mb[v]:.4f}"] for v in variants]
+    return csv_text([["variant"] + [f"success_{b}" for b in budgets] + ["size_mb"], *rows])
 
 
 def frontier_svg(frontier: dict, comment: str) -> str:
@@ -242,4 +234,4 @@ def emit_report(artifacts: dict, out: Path, cfg: ExperimentConfig) -> None:
         "divergence_scatter.svg": divergence_scatter_svg(artifacts["correlations.json"], comment),
     }
     for name, text in outputs.items():
-        (out / name).write_text(text)
+        (out / name).write_text(text, encoding="utf-8")

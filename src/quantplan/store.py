@@ -1,4 +1,4 @@
-"""Checkpoint codec, and the one reader and JSON value rule for every file read back.
+"""Checkpoint codec; the one reader, JSON value rule and CSV writer of every file.
 
 `Model`/`TensorRecord` are the on-disk form of a `WorldModel` (and of the
 dataset blob); in memory, weights live in `WorldModel`s.  A tensor's name
@@ -22,6 +22,8 @@ bit-exact, including negative zero.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import shutil
@@ -99,7 +101,7 @@ def persist_model(model: Model, path: str | Path) -> None:
         shutil.rmtree(stage, ignore_errors=True)  # left by an interrupted write
         new.mkdir(parents=True)
         (new / BLOB_NAME).write_bytes(blob)
-        (new / MANIFEST_NAME).write_text(text)
+        (new / MANIFEST_NAME).write_text(text, encoding="utf-8")
         # a directory cannot be renamed over a non-empty one: move the old one aside
         if path.exists():
             path.rename(old)
@@ -134,10 +136,21 @@ def json_fault(obj, fields: dict[str, type]) -> str | None:
             return f"field {key!r} must be {kind.__name__}, got {obj[key]!r}"
 
 
+def csv_text(rows) -> str:
+    """`rows` as CSV text with LF line ends.  csv leaves a field holding a lone CR unquoted,
+    and its reader ends the row there, so a row with such a field quotes all its strings."""
+    buf = io.StringIO()
+    plain = csv.writer(buf, lineterminator="\n")
+    quoting = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+    for row in rows:
+        (quoting if any("\r" in f for f in row if type(f) is str) else plain).writerow(row)
+    return buf.getvalue()
+
+
 def read_text(path: str | Path) -> str:
-    """The text of the UTF-8 file `path`; ValidationError naming it if it cannot be read."""
+    """The UTF-8 text of `path`, line breaks as stored; ValidationError naming it if unreadable."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"{path}: not found, unreadable or not UTF-8 ({e})") from e
 

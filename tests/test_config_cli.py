@@ -8,6 +8,7 @@ from quantplan.cli import main
 from quantplan.config import ExperimentConfig, config_from_dict, load_config
 from quantplan.errors import StageError
 from quantplan.pipeline import run_stage
+from quantplan.planner import read_episodes_csv
 from quantplan.store import load_model, persist_model
 
 TINY = {
@@ -23,6 +24,10 @@ TINY = {
                  "mixed_int3", "enc6_pred4", "enc4_pred8"],
     "master_seed": 0,
 }
+
+
+REPORT_OUTPUTS = ("main_table.csv", "frontier.svg", "forest.svg", "retention_curve.svg",
+                  "difficulty.svg", "divergence_scatter.svg")
 
 
 def tiny_cfg(tmp_path, name="out"):
@@ -100,6 +105,10 @@ BUDGET = {"goal_h": 2, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
          "budgets.bA.seeds: .* does not fit"),
         ({"budgets": {"bA": BUDGET, "\ud800": BUDGET}}, r"budgets: name '\\ud800' is not valid"),
         ({"output_dir": "out\ud800"}, r"output_dir: 'out\\ud800' is not valid"),
+        ({"budgets": {"bA": BUDGET, "b\x00A": BUDGET}},
+         r"budgets: name 'b\\x00A' is not valid text: '\\x00' is not a character XML"),
+        ({"budgets": {"bA": BUDGET, "b\uffffA": BUDGET}}, r"budgets: name 'b\\uffffA' is not valid"),
+        ({"output_dir": "out\x00x"}, r"output_dir: 'out\\x00x' is not valid"),
     ],
 )
 def test_config_rejects_bad_values(data, message):
@@ -116,13 +125,16 @@ def test_config_rejects_bad_values(data, message):
         {"budgets": {"bA": {**BUDGET, "seeds": [0, 2**127]}}},
         {"budgets": {"bA": BUDGET, "\ud800": BUDGET}},
         {"output_dir": "out\ud800"},
+        {"budgets": {"bA": BUDGET, "b\x00A": BUDGET}},
+        {"output_dir": "out\x00x"},
     ],
     ids=["duplicate_variants", "single_paired_unit", "no_variants",
-         "budget_seed_out_of_range", "budget_name_not_utf8", "output_dir_not_utf8"],
+         "budget_seed_out_of_range", "budget_name_not_utf8", "output_dir_not_utf8",
+         "budget_name_nul", "output_dir_nul"],
 )
 def test_bad_config_fails_before_any_artifact(tmp_path, bad):
     cfg_path = tmp_path / "cfg.json"
-    # a case's own output_dir has no encoding, so no directory of that name can appear
+    # a case's own output_dir cannot name a directory, so none of that name can appear
     cfg_path.write_text(json.dumps({**TINY, "output_dir": str(tmp_path / "out"), **bad}))
     assert main(["all", "--config", str(cfg_path)]) == 1
     assert not (tmp_path / "out").exists()
@@ -169,12 +181,79 @@ def test_stats_rejects_variant_missing_from_sizes(tmp_path):
 
     for stage in ("gen-data", "train", "variants"):
         run_stage(cfg_with(["fp16", "uniform_int8"]), stage)
-    run_stage(cfg_with(["fp16"]), "variants")  # leaves variants/uniform_int8 behind
+    run_stage(cfg_with(["fp16"]), "variants")  # sizes.json now lacks uniform_int8
     run_stage(cfg_with(["fp16", "uniform_int8"]), "eval")
     with pytest.raises(StageError, match="'uniform_int8' is missing from .*sizes.json; "
                                          "run the 'variants' stage first"):
         run_stage(cfg_with(["fp16", "uniform_int8"]), "stats")
     assert not any((tmp_path / "out" / name).exists() for name in STATS_FILES)
+
+
+def test_eval_quantizes_the_model_it_loads(tmp_path):
+    def cfg_with(epochs, name):
+        return config_from_dict({**TINY, "train": {"epochs": epochs},
+                                 "variants": ["fp16", "uniform_int4"],
+                                 "output_dir": str(tmp_path / name)})
+
+    for stage in ("gen-data", "train", "variants"):
+        run_stage(cfg_with(2, "out"), stage)
+    run_stage(cfg_with(3, "out"), "train")  # a new model/; the variants stage is not rerun
+    run_stage(cfg_with(3, "out"), "eval")
+    for stage in ("gen-data", "train", "variants", "eval"):
+        run_stage(cfg_with(3, "fresh"), stage)
+    episodes = (tmp_path / "out" / "episodes.csv").read_bytes()
+    fp16 = [r for r in read_episodes_csv(tmp_path / "out" / "episodes.csv")
+            if r.variant_name == "fp16"]
+    assert fp16 and all(r.visual_embedding_divergence == 0.0 for r in fp16)
+    assert episodes == (tmp_path / "fresh" / "episodes.csv").read_bytes()
+
+
+def test_csv_files_read_back_line_breaking_budget_names(tmp_path):
+    import csv
+
+    # str.splitlines() breaks a line at each of these, and csv's writer quotes only LF
+    names = ["b\rA", "b\nA", "b\r\nA", "b\x85A", "b\u2028A", "b\u2029A"]
+    budget = {"goal_h": 3, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
+    cfg = config_from_dict({
+        **TINY, "dataset": {"n_traj": 20, "traj_len": 6}, "train": {"epochs": 2},
+        "budgets": {name: budget for name in names}, "episodes_per_run": 2,
+        "variants": ["uniform_int4", "mixed_int4"], "output_dir": str(tmp_path / "out"),
+    })
+    run_stage(cfg, "all")
+    records = read_episodes_csv(tmp_path / "out" / "episodes.csv")
+    assert sorted({r.budget_name for r in records}) == sorted(names)
+    assert len(records) == 2 * len(names) * 2
+    with open(tmp_path / "out" / "main_table.csv", newline="", encoding="utf-8") as f:
+        table = list(csv.reader(f))
+    assert table[0] == ["variant", *(f"success_{name}" for name in sorted(names)), "size_mb"]
+    assert [row[0] for row in table[1:]] == ["mixed_int4", "uniform_int4"]
+
+
+def test_report_is_utf8_under_an_ascii_locale(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import quantplan
+
+    budget = {"goal_h": 3, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        **TINY, "dataset": {"n_traj": 20, "traj_len": 6}, "train": {"epochs": 2},
+        "budgets": {"caf\xe9": budget, "bB": budget}, "episodes_per_run": 2,
+        "variants": ["uniform_int4", "mixed_int4"], "output_dir": str(tmp_path / "out"),
+    }))
+    src = str(Path(quantplan.__file__).parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-m", "quantplan.cli", "all", "--config", str(cfg_path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    for name in REPORT_OUTPUTS:
+        text = (tmp_path / "out" / name).read_bytes().decode("utf-8")
+        # the scatter plots unlabelled run points
+        assert ("caf\xe9" in text) == (name != "divergence_scatter.svg"), name
 
 
 def test_train_names_tensor_missing_from_dataset(tmp_path, capsys):
@@ -222,8 +301,7 @@ def test_pipeline_artifacts(pipeline_out):
     lines = (out / "episodes.csv").read_text().splitlines()
     n_expected = len(TINY["variants"]) * 2 * 1 * TINY["episodes_per_run"]
     assert len(lines) == 1 + n_expected
-    for v in TINY["variants"]:
-        assert (out / "variants" / v / "weights.bin").exists()
+    assert not (out / "variants").exists()  # eval builds each variant from model/
 
 
 def test_malformed_stage_json_names_file_and_stage(pipeline_out, tmp_path):
@@ -233,10 +311,8 @@ def test_malformed_stage_json_names_file_and_stage(pipeline_out, tmp_path):
 
     from quantplan.pipeline import STATS_FILES
 
-    report_outputs = ("main_table.csv", "frontier.svg", "forest.svg",
-                      "retention_curve.svg", "difficulty.svg", "divergence_scatter.svg")
     # what each stage writes, which its failure must leave absent
-    written = {"stats": (*STATS_FILES, *report_outputs), "report": report_outputs}
+    written = {"stats": (*STATS_FILES, *REPORT_OUTPUTS), "report": REPORT_OUTPUTS}
 
     def broken_copy(name, text, outputs):
         out = tmp_path / name.replace(".", "_")
