@@ -8,6 +8,7 @@ Stages: gen-data, train, variants, eval, stats, report, all.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .config import ExperimentConfig, load_config
@@ -30,8 +31,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
-        if args.output:
-            cfg.output_dir = args.output
+        if args.output:  # replace runs ExperimentConfig's checks on the new output_dir
+            cfg = dataclasses.replace(cfg, output_dir=args.output)
         run_stage(cfg, args.stage)
     except (ValidationError, StageError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -7,20 +7,23 @@ randomness are keyed only by (seed, episode_id), never by variant, so any
 outcome difference between two variants on a paired unit is attributable
 to weights alone.
 
-`plan_noise` draws the planner randomness of one (budget, seed) once, as a
-float64 block of shape (episodes_per_run, max_iter, opt_steps, pop, goal_h, 2)
-(3.3 MB for 30 episodes under the default bB budget), and every variant reads
-that same block; pairing thus holds by construction.  Row i is the sequential
-draw of specs[i]'s "plan" stream, round by round and opt step by opt step.
+Each budget is played round-major.  `plan_noise` opens each episode spec's
+"plan" stream once per budget and, for each planning round, fills one float64
+buffer of shape (n_specs, opt_steps, pop, goal_h, 2) with that round's draws
+(2.2 MB for the 60 specs of bB at 2 seeds x 30 episodes).  Every variant plays
+the round from that same buffer before the next round is drawn, so pairing
+holds by construction and the eval never holds more than one round of noise.
+Row i of round r is draws r * opt_steps ... (r + 1) * opt_steps - 1 of
+specs[i]'s stream, the same draws as if the episode's noise came at once.
 
-The episodes of one (variant, budget, seed) are played in lockstep: every
-array holds one row per episode on its leading axis, and an episode's row
-leaves the group when it reaches the goal or its plan fails.  Two rules keep
-each record bit-equal to playing that episode alone, whatever else shares
-the group:
+Each variant plays all episodes of a budget, every seed's, as one lockstep
+group that keeps its state from round to round: every array holds one row per
+episode on its leading axis, and an episode's row leaves the group when it
+reaches the goal or its plan fails.  Two rules keep each record bit-equal to
+playing that episode alone, whatever else shares the group:
 
 1. Every matmul keeps one episode's operand as its last two dims, e.g. a
-   single observation as an (n, 1, k) slice and a CEM population as
+   single latent as an (n, 1, k) slice and a CEM population as
    (n, pop, 18).  numpy makes one BLAS call per slice, so a slice's result
    does not depend on n; one flat (n, k) product would.
 2. Per-row vector norms go through one BLAS dot per row (`_norm`), as the
@@ -29,18 +32,26 @@ the group:
 Variants are not stacked into one group, so adding a variant never changes
 another's records and temporaries stay small.
 
+A CEM rollout runs through one (n, m, latent + 2) predictor input buffer: each
+step casts its actions into the last columns, and the predictor's last layer
+writes the next latent into the first.  `plan_actions` also returns the
+per-step latents of the rollout that scores its final plan, and the execution
+loop reads these for the state probe: they are the same (n, 1, 18) slices of
+the same inputs as a `predict_next` chain over the executed plan.
+
 An observation is the fixed wall background plus the agent's pixel, so a
 model's encoder has only image_side**2 distinct inputs.  `run_paired_eval`
 encodes them once per model (`observation_latents`, one row per pixel of
 `env.pixel`), and every encode of the eval is a row lookup: the current and
-goal latents that `plan_actions` takes, the executed plan's start latent and
-the embedding divergence.  Each row is encoded as its own (1, obs_dim) slice,
-so by rule 1 it is bit-equal to encoding that observation when it occurs.
+goal latents that `plan_actions` takes and the embedding divergence.  Each
+row is encoded as its own (1, obs_dim) slice, so by rule 1 it is bit-equal to
+encoding that observation when it occurs.
 
 runtime_seconds is a deterministic cost model (counted forward-pass flops
 at a nominal 1 GFLOP/s), not wall clock, so output files are byte-stable.
 It charges the encodes a deployed planner makes, which sees camera images
-rather than a pixel index: 3 per plan and 2 per step, table or not.
+rather than a pixel index: 3 per plan and 2 per step, table or not, and one
+predict per step, although the step's latent is read from the plan's rollout.
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -137,16 +149,19 @@ def _norm(d: np.ndarray) -> np.ndarray:
 
 def plan_noise(
     specs: list[EpisodeSpec], budget: PlannerBudget, cem: CEMConfig, master_seed: int = 0
-) -> np.ndarray:
-    """The CEM noise of every planning round of each spec's episode, shape
-    (n, max_iter, opt_steps, pop, goal_h, 2): row i holds the first draws of
-    specs[i]'s "plan" stream, and [i, r, k] is its (r * opt_steps + k)-th
-    standard normal (pop, goal_h, 2) draw."""
-    shape = (budget.max_iter, budget.opt_steps, cem.population, budget.goal_h, 2)
-    noise = np.empty((len(specs), *shape))
-    for spec, row in zip(specs, noise):
-        rng.stream(master_seed, "plan", spec.seed, spec.episode_id).standard_normal(out=row)
-    return noise
+) -> Iterator[np.ndarray]:
+    """The CEM noise of the episodes `specs`, one planning round at a time.
+
+    Opens each spec's "plan" stream once, then yields max_iter times one float64
+    buffer of shape (n, opt_steps, pop, goal_h, 2), refilled in place: in round r,
+    [i, k] holds the (r * opt_steps + k)-th standard normal (pop, goal_h, 2) draw
+    of specs[i]'s stream."""
+    streams = [rng.stream(master_seed, "plan", s.seed, s.episode_id) for s in specs]
+    noise = np.empty((len(specs), budget.opt_steps, cem.population, budget.goal_h, 2))
+    for _ in range(budget.max_iter):
+        for g, row in zip(streams, noise):
+            g.standard_normal(out=row)
+        yield noise
 
 
 def observation_latents(models: list[WorldModel], env_cfg: WallEnvConfig) -> list[np.ndarray]:
@@ -168,28 +183,40 @@ def plan_actions(
     budget: PlannerBudget,
     cem: CEMConfig,
     noise: np.ndarray,
+    live: np.ndarray,
     max_step: float,
 ):
     """One CEM plan per row of the current and goal latents `z0`/`zg`
-    (n, latent), with opt step k of row i drawing noise[i, k] from the round's
-    block `noise` (n, opt_steps, pop, goal_h, 2); returns (plans (n, goal_h, 2), info).
+    (n, latent).  Row j is the episode of row live[j] of the round's noise block
+    `noise` (N, opt_steps, pop, goal_h, 2), and its opt step k draws
+    noise[live[j], k].  Returns (plans (n, goal_h, 2), latents (n, goal_h,
+    latent), info): latents[:, t] is the predicted latent after a plan's first
+    t + 1 actions, the rollout that scored it, bit-equal to chaining
+    `predict_next` over the plan from z0.
 
     info holds per-row arrays `elite_costs` (n, opt_steps),
     `initial_mean_cost`, `final_mean_cost` and `failed`.  A row whose
     population costs turn non-finite fails but stays in the batch, where no
     other row reads it; its plan, final cost and elite costs from that step on
-    read NaN.  The incumbent best sequence is re-injected into each
-    population, so a row's best elite cost is non-increasing across iterations.
+    read NaN, and its latents are not to be read.  The incumbent best sequence
+    is re-injected into each population, so a row's best elite cost is
+    non-increasing across iterations.
     """
-    n = len(noise)
+    n, dim = z0.shape
 
-    def costs_of(seqs: np.ndarray) -> np.ndarray:
-        # seqs (n, pop, h, 2) -> final-latent costs (n, pop); the actions are cast
-        # to the model dtype once, time on the leading axis, not at every predict_next
-        actions = np.moveaxis(seqs, 2, 0).astype(wm.theta.dtype)
-        z = np.repeat(z0[:, None, :], seqs.shape[1], axis=1)
-        for a in actions:
-            z = wm.predict_next(z, a)
+    def costs_of(seqs: np.ndarray, path: np.ndarray | None = None) -> np.ndarray:
+        # seqs (n, m, h, 2) -> final-latent costs (n, m).  One (n, m, latent + 2)
+        # buffer is the predictor's input at every step: the step's actions are
+        # cast into its last columns, and the predictor writes the next latent
+        # into its first.  path (n, h, latent) gets each step's latent of m = 1.
+        buf = np.empty((*seqs.shape[:2], dim + seqs.shape[-1]), wm.theta.dtype)
+        z = buf[..., :dim]
+        z[...] = z0[:, None]
+        for t in range(seqs.shape[2]):
+            buf[..., dim:] = seqs[:, :, t]
+            wm.predictor.forward(buf, out=z)
+            if path is not None:
+                path[:, t] = z[:, 0]
         return np.linalg.norm(z - zg[:, None, :], axis=-1)
 
     h, pop = budget.goal_h, cem.population
@@ -203,7 +230,8 @@ def plan_actions(
     failed = np.zeros(n, dtype=bool)
 
     for k in range(budget.opt_steps):
-        seqs = noise[:, k] * std[:, None]
+        seqs = noise[live, k]
+        seqs *= std[:, None]
         seqs += mean[:, None]
         np.clip(seqs, -max_step, max_step, out=seqs)
         if k:
@@ -221,7 +249,8 @@ def plan_actions(
         best_seq[better] = elites[better, 0]
 
     plans = np.clip(mean, -max_step, max_step)
-    final_mean_cost = costs_of(plans[:, None])[:, 0]
+    latents = np.empty((n, h, dim), wm.theta.dtype)
+    final_mean_cost = costs_of(plans[:, None], latents)[:, 0]
     plans[failed] = np.nan
     final_mean_cost[failed] = np.nan
     info = {
@@ -230,93 +259,102 @@ def plan_actions(
         "final_mean_cost": final_mean_cost,
         "failed": failed,
     }
-    return plans, info
+    return plans, latents, info
 
 
 def run_episodes(
-    name: str,
-    wm: WorldModel,
+    variants: dict[str, WorldModel],
     fp_wm: WorldModel,
     specs: list[EpisodeSpec],
     budget: PlannerBudget,
     budget_name: str,
     cem: CEMConfig,
     env_cfg: WallEnvConfig,
-    noise: np.ndarray,
-    latents: np.ndarray,
+    latents: dict[str, np.ndarray],
     fp_latents: np.ndarray,
+    master_seed: int = 0,
 ) -> list[EpisodeRecord]:
-    """Play the goal-conditioned episodes `specs` in lockstep under the MPC
-    loop with the variant `name`'s model `wm`, planning round r of specs[i]
-    with noise[i, r] of `plan_noise(specs, budget, cem, master_seed)`; one
-    record per spec, in spec order.  `latents` and `fp_latents` are
-    `observation_latents` of `wm` and `fp_wm`: every encode is a row lookup.
+    """Play the goal-conditioned episodes `specs` under the MPC loop with every
+    variant of `variants`, a name and its model; one record per variant and
+    spec, variant by variant in spec order.  `latents[name]` and `fp_latents`
+    are `observation_latents` of each variant's model and of `fp_wm`: every
+    encode is a row lookup.
 
-    Row i of every array belongs to specs[i]; `live` lists the rows still
-    playing.  A row leaves on reaching the goal or on a planning failure and
-    never comes back, and no row's arithmetic reads another's, so a record
-    does not depend on which other specs share the call.
+    Each variant plays every spec in one lockstep group.  Row [v, i] of every
+    array belongs to variant v's episode of specs[i], and lives[v] lists
+    variant v's rows still playing.  A row leaves on reaching the goal or on a
+    planning failure and never comes back, and no row's arithmetic reads
+    another's, so a record does not depend on which other specs or variants
+    share the call.  Rounds are the outer loop: round r's noise is drawn once
+    by `plan_noise(specs, budget, cem, master_seed)` and every group plays
+    round r from it before round r + 1 is drawn.
     """
-    n = len(specs)
-    state = np.array([s.start for s in specs], dtype=np.float64)
+    n, h = len(specs), budget.goal_h
+    start = np.array([s.start for s in specs], dtype=np.float64)
     goal = np.array([s.goal for s in specs], dtype=np.float64)
-    z_goal = latents[pixel(goal, env_cfg)]
+    goal_px = pixel(goal, env_cfg)
     tau = env_cfg.success_radius
 
-    success = _norm(state - goal) <= tau
-    steps = np.zeros(n, dtype=np.int64)
-    n_plans = np.zeros(n, dtype=np.int64)
-    state_dist = np.zeros((n, budget.max_iter * budget.goal_h))
+    shape = (len(variants), n)
+    state = np.broadcast_to(start, (*shape, 2)).copy()
+    success = np.broadcast_to(_norm(start - goal) <= tau, shape).copy()
+    steps = np.zeros(shape, dtype=np.int64)
+    n_plans = np.zeros(shape, dtype=np.int64)
+    state_dist = np.zeros((*shape, budget.max_iter * h))
     embed_div = np.zeros_like(state_dist)
-    live = np.flatnonzero(~success)
+    lives = [np.flatnonzero(~success[0])] * len(variants)
 
-    for r in range(budget.max_iter):
-        if not live.size:
-            break
-        z_now = latents[pixel(state[live], env_cfg)]
-        plans, info = plan_actions(
-            wm, z_now, z_goal[live], budget, cem, noise[live, r], env_cfg.max_step
-        )
-        ok = ~info["failed"]
-        live, plans = live[ok], plans[ok]
-        n_plans[live] += 1
-        z_var = z_now[ok, None]
-        for t in range(budget.goal_h):
+    for noise in plan_noise(specs, budget, cem, master_seed):
+        for v, (name, wm) in enumerate(variants.items()):
+            live, table = lives[v], latents[name]
             if not live.size:
-                break
-            state[live] = step(state[live], plans[:, t], env_cfg)
-            k = steps[live]
-            steps[live] += 1
-            z_var = wm.predict_next(z_var, plans[:, None, t])
-            state_dist[live, k] = _norm(fp_wm.probe_decode(z_var)[:, 0] - state[live])
-            p = pixel(state[live], env_cfg)
-            embed_div[live, k] = _norm(latents[p] - fp_latents[p])
-            done = _norm(state[live] - goal[live]) <= tau
-            success[live[done]] = True
-            live, plans, z_var = live[~done], plans[~done], z_var[~done]
+                continue
+            z_now = table[pixel(state[v, live], env_cfg)]
+            plans, z_plan, info = plan_actions(
+                wm, z_now, table[goal_px[live]], budget, cem, noise, live, env_cfg.max_step
+            )
+            ok = ~info["failed"]
+            live, plans, z_plan = live[ok], plans[ok], z_plan[ok]
+            n_plans[v, live] += 1
+            for t in range(h):
+                if not live.size:
+                    break
+                s = step(state[v, live], plans[:, t], env_cfg)
+                state[v, live] = s
+                k = steps[v, live]
+                steps[v, live] += 1
+                state_dist[v, live, k] = _norm(fp_wm.probe_decode(z_plan[:, t, None])[:, 0] - s)
+                p = pixel(s, env_cfg)
+                embed_div[v, live, k] = _norm(table[p] - fp_latents[p])
+                done = _norm(s - goal[live]) <= tau
+                success[v, live[done]] = True
+                live, plans, z_plan = live[~done], plans[~done], z_plan[~done]
+            lives[v] = live
+        if not any(live.size for live in lives):
+            break
 
-    # the cost model of the README's "Evaluation" section
-    enc, pred = wm.flops_per_encode(), wm.flops_per_predict()
-    per_plan = 3 * enc + (2 + budget.opt_steps * cem.population) * budget.goal_h * pred
-    per_step = 2 * enc + pred + fp_wm.probe.flops()
-    flops = n_plans * per_plan + steps * per_step
-    return [
-        EpisodeRecord(
-            variant_name=name,
-            budget_name=budget_name,
-            seed=spec.seed,
-            episode_id=spec.episode_id,
-            success=int(success[i]),
-            initial_goal_distance=spec.initial_goal_distance,
-            steps_executed=int(steps[i]),
-            runtime_seconds=int(flops[i]) / NOMINAL_FLOPS_PER_SECOND,
-            mean_state_distance=float(np.mean(state_dist[i, : steps[i]])) if steps[i] else 0.0,
-            visual_embedding_divergence=(
-                float(np.mean(embed_div[i, : steps[i]])) if steps[i] else 0.0
-            ),
-        )
-        for i, spec in enumerate(specs)
-    ]
+    records = []
+    for v, (name, wm) in enumerate(variants.items()):
+        # the cost model of the README's "Evaluation" section
+        enc, pred = wm.flops_per_encode(), wm.flops_per_predict()
+        per_plan = 3 * enc + (2 + budget.opt_steps * cem.population) * h * pred
+        per_step = 2 * enc + pred + fp_wm.probe.flops()
+        flops = n_plans[v] * per_plan + steps[v] * per_step
+        for i, spec in enumerate(specs):
+            k = steps[v, i]
+            records.append(EpisodeRecord(
+                variant_name=name,
+                budget_name=budget_name,
+                seed=spec.seed,
+                episode_id=spec.episode_id,
+                success=int(success[v, i]),
+                initial_goal_distance=spec.initial_goal_distance,
+                steps_executed=int(k),
+                runtime_seconds=int(flops[i]) / NOMINAL_FLOPS_PER_SECOND,
+                mean_state_distance=float(np.mean(state_dist[v, i, :k])) if k else 0.0,
+                visual_embedding_divergence=float(np.mean(embed_div[v, i, :k])) if k else 0.0,
+            ))
+    return records
 
 
 def run_episode(
@@ -330,12 +368,10 @@ def run_episode(
     env_cfg: WallEnvConfig,
     master_seed: int = 0,
 ) -> EpisodeRecord:
-    """One episode: `run_episodes` on the single spec `spec`."""
-    noise = plan_noise([spec], budget, cem, master_seed)
-    latents = observation_latents([wm, fp_wm], env_cfg)
-    return run_episodes(
-        name, wm, fp_wm, [spec], budget, budget_name, cem, env_cfg, noise, *latents
-    )[0]
+    """One episode: `run_episodes` on the single variant `name` and spec `spec`."""
+    table, fp_latents = observation_latents([wm, fp_wm], env_cfg)
+    return run_episodes({name: wm}, fp_wm, [spec], budget, budget_name, cem, env_cfg,
+                        {name: table}, fp_latents, master_seed)[0]
 
 
 def run_paired_eval(
@@ -349,7 +385,8 @@ def run_paired_eval(
 ) -> list[EpisodeRecord]:
     """Evaluate every variant, a name and its model, on the identical paired
     episode specs and planner noise; the records sorted by (variant, budget,
-    seed, episode_id)."""
+    seed, episode_id).  Each budget is one `run_episodes` call over the specs
+    of all its seeds."""
     if not variants:
         raise ValidationError("no variants to evaluate")
 
@@ -358,15 +395,10 @@ def run_paired_eval(
     records = []
     for budget_name in sorted(budgets):
         budget = budgets[budget_name]
-        for seed in budget.seeds:
-            specs = sample_episode_specs(seed, episodes_per_run, env_cfg, master_seed)
-            noise = plan_noise(specs, budget, cem, master_seed)
-            for name, wm in variants.items():
-                records.extend(run_episodes(
-                    name, wm, fp_wm, specs, budget, budget_name, cem, env_cfg, noise,
-                    latents[name], fp_latents,
-                ))
-            del noise  # so the next seed's block is not drawn while this one is held
+        specs = [spec for seed in budget.seeds
+                 for spec in sample_episode_specs(seed, episodes_per_run, env_cfg, master_seed)]
+        records += run_episodes(variants, fp_wm, specs, budget, budget_name, cem, env_cfg,
+                                latents, fp_latents, master_seed)
     records.sort(key=lambda r: (r.variant_name, r.budget_name, r.seed, r.episode_id))
     return records
 

@@ -481,6 +481,13 @@ def test_cli_output_override(tmp_path):
     assert (alt / "dataset" / "manifest.json").exists()
 
 
+def test_cli_output_override_is_checked(tmp_path, capsys):
+    # --output passes the same output_dir check as a config file's output_dir
+    assert main(["gen-data", "--output", str(tmp_path / "a\x01b")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_errors(tmp_path, capsys):
     cfg_path = write_tiny_config(tmp_path)
     assert main(["stats", "--config", str(cfg_path), "--output", str(tmp_path / "empty")]) == 1

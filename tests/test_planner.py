@@ -47,10 +47,11 @@ def latents_of(wm, obs):
     return wm.encode(obs[:, None, :])[:, 0]
 
 
-def play(name, wm, fp_wm, specs, budget, budget_name, cem, env_cfg, noise):
-    """`run_episodes` with the observation latents of `wm` and `fp_wm`."""
-    return run_episodes(name, wm, fp_wm, specs, budget, budget_name, cem, env_cfg, noise,
-                        *observation_latents([wm, fp_wm], env_cfg))
+def play(name, wm, fp_wm, specs, budget, budget_name, cem, env_cfg):
+    """`run_episodes` of the one variant `name` with the observation latents of `wm` and `fp_wm`."""
+    table, fp_latents = observation_latents([wm, fp_wm], env_cfg)
+    return run_episodes({name: wm}, fp_wm, specs, budget, budget_name, cem, env_cfg,
+                        {name: table}, fp_latents)
 
 
 @pytest.fixture(scope="module")
@@ -75,12 +76,12 @@ def test_observation_latents_equal_one_observation_encodes(prepared, env_cfg, rn
 def test_plan_deterministic(trained_model, env_cfg):
     obs = render(np.array([0.2, 0.5]), env_cfg)
     goal = render(np.array([0.8, 0.5]), env_cfg)
-    (p1,), _ = plan_actions(trained_model, latents_of(trained_model, obs[None]),
-                            latents_of(trained_model, goal[None]), BA, CEMConfig(),
-                            round_noise(BA, qrng.stream(0, "t")), 0.125)
-    (p2,), _ = plan_actions(trained_model, latents_of(trained_model, obs[None]),
-                            latents_of(trained_model, goal[None]), BA, CEMConfig(),
-                            round_noise(BA, qrng.stream(0, "t")), 0.125)
+    (p1,), _, _ = plan_actions(trained_model, latents_of(trained_model, obs[None]),
+                               latents_of(trained_model, goal[None]), BA, CEMConfig(),
+                               round_noise(BA, qrng.stream(0, "t")), np.arange(1), 0.125)
+    (p2,), _, _ = plan_actions(trained_model, latents_of(trained_model, obs[None]),
+                               latents_of(trained_model, goal[None]), BA, CEMConfig(),
+                               round_noise(BA, qrng.stream(0, "t")), np.arange(1), 0.125)
     np.testing.assert_array_equal(p1, p2)
     assert p1.shape == (9, 2)
     assert np.all(np.abs(p1) <= 0.125)
@@ -91,10 +92,10 @@ def test_elite_costs_non_increasing(trained_model, env_cfg):
     goal = render(np.array([0.8, 0.5]), env_cfg)
     budget = PlannerBudget(6, 5, 1, (0,))
     for k in range(10):
-        _, info = plan_actions(
+        _, _, info = plan_actions(
             trained_model, latents_of(trained_model, obs[None]),
             latents_of(trained_model, goal[None]), budget, CEMConfig(),
-            round_noise(budget, qrng.stream(0, "e", k)), 0.125
+            round_noise(budget, qrng.stream(0, "e", k)), np.arange(1), 0.125
         )
         costs = info["elite_costs"][0]
         assert all(a >= b for a, b in zip(costs, costs[1:]))
@@ -108,17 +109,15 @@ def test_identity_predictor_zero_cost(env_cfg):
     wm.predictor = Stack([(W, np.zeros(16))])
     obs = render(np.array([0.3, 0.3]), env_cfg)
     z = latents_of(wm, obs[None])
-    _, info = plan_actions(wm, z, z, BA, CEMConfig(),
-                           round_noise(BA, qrng.stream(0, "i")), 0.125)
+    _, _, info = plan_actions(wm, z, z, BA, CEMConfig(),
+                              round_noise(BA, qrng.stream(0, "i")), np.arange(1), 0.125)
     assert info["final_mean_cost"] == pytest.approx(0.0, abs=1e-12)
     assert info["final_mean_cost"] <= info["initial_mean_cost"]
 
 
 def test_immediate_success(prepared, trained_model, env_cfg):
     spec = EpisodeSpec(0, 0, (0.48, 0.5), (0.52, 0.5), 0.04)
-    noise = plan_noise([spec], BA, CEMConfig())
-    r = play("fp16", prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg,
-                     noise)[0]
+    r = play("fp16", prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg)[0]
     assert r.success == 1 and r.steps_executed == 0
     assert r.mean_state_distance == 0.0 and r.visual_embedding_divergence == 0.0
 
@@ -127,7 +126,7 @@ def test_step_caps(prepared, trained_model, env_cfg):
     spec = sample_episode_specs(0, 1, env_cfg)[0]
     for budget, name, cap in ((BA, "bA", 18), (BB, "bB", 36)):
         r = play("uniform_int3", prepared["uniform_int3"], trained_model, [spec],
-                         budget, name, CEMConfig(), env_cfg, plan_noise([spec], budget, CEMConfig()))[0]
+                 budget, name, CEMConfig(), env_cfg)[0]
         assert r.steps_executed <= cap
     assert BA.goal_h * BA.max_iter == 18
     assert BB.goal_h * BB.max_iter == 36
@@ -135,9 +134,7 @@ def test_step_caps(prepared, trained_model, env_cfg):
 
 def test_fp16_divergence_exactly_zero(prepared, trained_model, env_cfg):
     for spec in sample_episode_specs(1, 3, env_cfg):
-        noise = plan_noise([spec], BA, CEMConfig())
-        r = play("fp16", prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg,
-                         noise)[0]
+        r = play("fp16", prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg)[0]
         assert r.visual_embedding_divergence == 0.0
 
 
@@ -178,16 +175,35 @@ def test_same_weights_two_names_identical_records(prepared, trained_model, env_c
 
 
 def test_other_variants_leave_records_unchanged(prepared, trained_model, env_cfg):
+    # each variant's lockstep group holds every seed of a budget
+    budgets = {"bA": PlannerBudget(9, 2, 2, (0, 1)), "bB": BB}
+
     def uniform_int8_csv(names):
         rs = run_paired_eval(
-            {n: prepared[n] for n in names}, trained_model, {"bA": BA}, env_cfg,
+            {n: prepared[n] for n in names}, trained_model, budgets, env_cfg,
             CEMConfig(), episodes_per_run=3,
         )
         return episodes_to_csv([r for r in rs if r.variant_name == "uniform_int8"])
 
     alone = uniform_int8_csv(["uniform_int8"])
-    assert alone.count("\n") == 4
+    assert alone.count("\n") == 1 + (2 + 1) * 3
     assert alone == uniform_int8_csv(["fp16", "uniform_int8", "uniform_int3"])
+
+
+def test_grouping_seeds_is_invisible(prepared, trained_model, env_cfg):
+    # a budget's seeds share each variant's lockstep group and each round's noise
+    # block; seed 0's records do not depend on which other seeds share them, or in
+    # which order
+    def seed0_csv(seeds):
+        budgets = {"bA": PlannerBudget(9, 2, 2, seeds), "bB": PlannerBudget(12, 3, 3, seeds)}
+        rs = run_paired_eval({n: prepared[n] for n in ("fp16", "uniform_int3")}, trained_model,
+                             budgets, env_cfg, CEMConfig(), episodes_per_run=3)
+        return episodes_to_csv([r for r in rs if r.seed == 0])
+
+    alone = seed0_csv((0,))
+    assert alone.count("\n") == 1 + 2 * 2 * 3
+    assert seed0_csv((0, 1)) == alone
+    assert seed0_csv((1, 0)) == alone
 
 
 @pytest.mark.parametrize("names", [["fp16"], ["fp16", "uniform_int8", "uniform_int3"]],
@@ -196,28 +212,51 @@ def test_plan_noise_drawn_once_per_episode(prepared, trained_model, env_cfg, mon
     opened = []
     stream = qrng.stream
 
+    class Counted:
+        """A "plan" stream that counts its draws."""
+
+        def __init__(self, g):
+            self.g, self.draws = g, 0
+
+        def standard_normal(self, *args, **kwargs):
+            self.draws += 1
+            return self.g.standard_normal(*args, **kwargs)
+
     def counting_stream(master_seed, *tags):
-        if tags[0] == "plan":
-            opened.append(tags)
-        return stream(master_seed, *tags)
+        if tags[0] != "plan":
+            return stream(master_seed, *tags)
+        opened.append(Counted(stream(master_seed, *tags)))
+        return opened[-1]
 
     monkeypatch.setattr(qrng, "stream", counting_stream)
     budgets = {"bA": PlannerBudget(9, 2, 2, (0, 1)), "bB": BB}
     run_paired_eval({n: prepared[n] for n in names}, trained_model, budgets, env_cfg, CEMConfig(),
                     episodes_per_run=3)
+    # each stream is opened once per budget (budgets run in name order) ...
     assert len(opened) == (2 + 1) * 3
+    for streams, budget in ((opened[:6], budgets["bA"]), (opened[6:], BB)):
+        # ... and each round is drawn once, for every spec and variant at once
+        draws = {g.draws for g in streams}
+        assert len(draws) == 1 and 1 <= draws.pop() <= budget.max_iter
 
 
 def test_plan_noise_is_each_streams_sequential_draws(env_cfg):
     budget, cem = PlannerBudget(5, 2, 3, (4,)), CEMConfig()
     specs = sample_episode_specs(4, 3, env_cfg, master_seed=7)
-    noise = plan_noise(specs, budget, cem, master_seed=7)
-    assert noise.shape == (3, budget.max_iter, budget.opt_steps, cem.population, budget.goal_h, 2)
-    for row, spec in zip(noise, specs):
+    blocks, rounds = [], []
+    for noise in plan_noise(specs, budget, cem, master_seed=7):
+        blocks.append(noise)
+        rounds.append(noise.copy())
+    assert len(rounds) == budget.max_iter
+    assert all(block is blocks[0] for block in blocks)  # one buffer, refilled each round
+    assert blocks[0].shape == (3, budget.opt_steps, cem.population, budget.goal_h, 2)
+    for i, spec in enumerate(specs):
         g = qrng.stream(7, "plan", spec.seed, spec.episode_id)
+        # round r of spec i is draws r * opt_steps ... (r + 1) * opt_steps - 1 of its stream
         for r in range(budget.max_iter):
             for k in range(budget.opt_steps):
-                np.testing.assert_array_equal(row[r, k], g.standard_normal((cem.population, 5, 2)))
+                np.testing.assert_array_equal(rounds[r][i, k],
+                                              g.standard_normal((cem.population, 5, 2)))
 
 
 def test_no_variants_rejected(trained_model, env_cfg):
@@ -308,7 +347,7 @@ def test_batch_shape_independence(prepared, trained_model, env_cfg, variant, bud
     specs = sample_episode_specs(2, 4, env_cfg) + [at_goal]
     args = (variant, prepared[variant], trained_model)
     rest = (budget, "b", CEMConfig(), env_cfg)
-    batched = play(*args, specs, *rest, plan_noise(specs, budget, CEMConfig()))
+    batched = play(*args, specs, *rest)
     assert episodes_to_csv(batched) == episodes_to_csv([run_episode(*args, s, *rest) for s in specs])
     # the rows leave the lockstep group at different steps
     assert len({r.steps_executed for r in batched}) > 1
@@ -319,7 +358,7 @@ def test_runtime_seconds_follows_cost_model(prepared, trained_model, env_cfg):
     at_goal = EpisodeSpec(0, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
     specs = [at_goal] + sample_episode_specs(0, 4, env_cfg)
     records = play("uniform_int3", prepared["uniform_int3"], trained_model, specs,
-                           budget, "b", cem, env_cfg, plan_noise(specs, budget, cem))
+                   budget, "b", cem, env_cfg)
     enc, pred, probe = (
         sum(2 * W.size for W, _ in stack.layers)
         for stack in (trained_model.encoder, trained_model.predictor, trained_model.probe)
@@ -341,8 +380,7 @@ def test_planning_failure_is_recorded_per_variant(prepared, trained_model, env_c
     at_goal = EpisodeSpec(0, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
     specs = [at_goal] + sample_episode_specs(0, 3, env_cfg)
     with np.errstate(invalid="ignore", over="ignore"):
-        records = play("broken", broken, trained_model, specs, BA, "bA", CEMConfig(), env_cfg,
-                               plan_noise(specs, BA, CEMConfig()))
+        records = play("broken", broken, trained_model, specs, BA, "bA", CEMConfig(), env_cfg)
     assert [r.success for r in records] == [1, 0, 0, 0]
     assert all(r.steps_executed == 0 and r.runtime_seconds == 0.0 for r in records)
 
@@ -361,17 +399,39 @@ def test_plan_failure_leaves_other_rows_unchanged(trained_model, env_cfg):
     goal = render(np.array([[0.8, 0.5], [0.7, 0.9]]), env_cfg)
     goal[1] = np.nan  # row 1's costs are NaN from the first population on
 
-    def plan(rows):
-        noise = round_noise(BA, *[qrng.stream(0, "f", i) for i in rows])
-        return plan_actions(trained_model, latents_of(trained_model, obs[rows]),
-                            latents_of(trained_model, goal[rows]), BA, CEMConfig(), noise, 0.125)
+    noise = round_noise(BA, qrng.stream(0, "f", 0), qrng.stream(0, "f", 1))
 
-    plans, info = plan([0, 1])
+    def plan(rows):
+        return plan_actions(trained_model, latents_of(trained_model, obs[rows]),
+                            latents_of(trained_model, goal[rows]), BA, CEMConfig(), noise,
+                            np.array(rows), 0.125)
+
+    plans, _, info = plan([0, 1])
     assert info["failed"].tolist() == [False, True]
     assert np.isnan(plans[1]).all() and np.isnan(info["final_mean_cost"][1])
-    alone, alone_info = plan([0])
+    alone, _, alone_info = plan([0])
     np.testing.assert_array_equal(plans[:1], alone)
     np.testing.assert_array_equal(info["elite_costs"][:1], alone_info["elite_costs"])
+
+
+def test_plan_latents_equal_chained_predict_next(trained_model, env_cfg):
+    # the executed plan's latents come from the rollout that scored it, bit-equal to
+    # the predict_next chain over that plan which the execution loop would otherwise run
+    obs = render(np.array([[0.2, 0.5], [0.3, 0.2], [0.6, 0.8]]), env_cfg)
+    goal = render(np.array([[0.8, 0.5], [0.7, 0.9], [0.1, 0.1]]), env_cfg)
+    goal[1] = np.nan  # row 1 fails
+    z0 = latents_of(trained_model, obs)
+    noise = round_noise(BB, *[qrng.stream(0, "l", i) for i in range(3)])
+    plans, latents, info = plan_actions(trained_model, z0, latents_of(trained_model, goal), BB,
+                                        CEMConfig(), noise, np.arange(3), 0.125)
+    assert info["failed"].tolist() == [False, True, False]
+    assert latents.shape == (3, BB.goal_h, 16) and latents.dtype == np.float32
+    # a failed row leaves the episode group before execution: nothing reads its latents
+    ok = ~info["failed"]
+    z = z0[ok, None]
+    for t in range(BB.goal_h):
+        z = trained_model.predict_next(z, plans[ok, None, t])
+        np.testing.assert_array_equal(latents[ok, t], z[:, 0])
 
 
 def test_row_norm_equals_one_row_norm(rng):
