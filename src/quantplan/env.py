@@ -99,31 +99,23 @@ def pixel(state: np.ndarray, cfg: WallEnvConfig) -> np.ndarray:
     return r * side + c
 
 
-def _background(cfg: WallEnvConfig) -> np.ndarray:
-    """The observation without the agent, flattened row-major: the wall column
-    reads 0.5 on every row whose centre is outside the gap."""
+def observations(cfg: WallEnvConfig) -> np.ndarray:
+    """Every observation there is, shape (image_side**2, image_side**2): row p
+    is the agent on pixel p (see `pixel`), flattened row-major in [0, 1].  The
+    agent's pixel reads 1.0 and the wall column 0.5 on every row whose centre
+    is outside the gap."""
     side = cfg.image_side
     background = np.zeros((side, side))
     wall_col = min(int(np.floor(cfg.wall_x * side)), side - 1)
     background[~_in_gap((np.arange(side) + 0.5) / side, cfg), wall_col] = 0.5
-    return background.reshape(-1)
-
-
-def observations(cfg: WallEnvConfig) -> np.ndarray:
-    """Every observation there is, shape (image_side**2, image_side**2): row p
-    is `render` of a state on pixel p (see `pixel`)."""
-    obs = np.tile(_background(cfg), (cfg.image_side**2, 1))
+    obs = np.tile(background.reshape(-1), (side**2, 1))
     np.fill_diagonal(obs, 1.0)
     return obs
 
 
 def render(state: np.ndarray, cfg: WallEnvConfig) -> np.ndarray:
-    """Grayscale observation per row of `state` (..., 2), flattened row-major in [0, 1]:
-    the background with the agent's `pixel` at 1.0."""
-    p = pixel(state, cfg)
-    img = np.tile(_background(cfg), (p.size, 1))
-    img[np.arange(p.size), p.reshape(-1)] = 1.0
-    return img.reshape(p.shape + img.shape[-1:])
+    """The observation per row of `state` (..., 2): `observations` at its `pixel`."""
+    return observations(cfg)[pixel(state, cfg)]
 
 
 def _uniform_on_side(gen: np.random.Generator, left: bool, cfg: WallEnvConfig) -> np.ndarray:

@@ -46,12 +46,6 @@ encodes them once per model (`observation_latents`, one row per pixel of
 goal latents that `plan_actions` takes and the embedding divergence.  Each
 row is encoded as its own (1, obs_dim) slice, so by rule 1 it is bit-equal to
 encoding that observation when it occurs.
-
-runtime_seconds is a deterministic cost model (counted forward-pass flops
-at a nominal 1 GFLOP/s), not wall clock, so output files are byte-stable.
-It charges the encodes a deployed planner makes, which sees camera images
-rather than a pixel index: 3 per plan and 2 per step, table or not, and one
-predict per step, although the step's latent is read from the plan's rollout.
 """
 
 from __future__ import annotations
@@ -84,10 +78,8 @@ from .store import csv_text, read_text
 # on-disk column names, one per EpisodeRecord field, in field order
 EPISODES_CSV_HEADER = (
     "variant,budget,seed,episode_id,success,initial_goal_distance,steps_executed,"
-    "runtime_seconds,mean_state_distance,visual_embedding_divergence"
+    "plan_rounds,mean_state_distance,visual_embedding_divergence"
 )
-
-NOMINAL_FLOPS_PER_SECOND = 1e9
 
 
 @dataclass(frozen=True)
@@ -133,7 +125,7 @@ class EpisodeRecord:
     success: int
     initial_goal_distance: float
     steps_executed: int
-    runtime_seconds: float
+    plan_rounds: int  # plans the episode ran that did not fail
     mean_state_distance: float
     visual_embedding_divergence: float
 
@@ -334,12 +326,7 @@ def run_episodes(
             break
 
     records = []
-    for v, (name, wm) in enumerate(variants.items()):
-        # the cost model of the README's "Evaluation" section
-        enc, pred = wm.flops_per_encode(), wm.flops_per_predict()
-        per_plan = 3 * enc + (2 + budget.opt_steps * cem.population) * h * pred
-        per_step = 2 * enc + pred + fp_wm.probe.flops()
-        flops = n_plans[v] * per_plan + steps[v] * per_step
+    for v, name in enumerate(variants):
         for i, spec in enumerate(specs):
             k = steps[v, i]
             records.append(EpisodeRecord(
@@ -350,7 +337,7 @@ def run_episodes(
                 success=int(success[v, i]),
                 initial_goal_distance=spec.initial_goal_distance,
                 steps_executed=int(k),
-                runtime_seconds=int(flops[i]) / NOMINAL_FLOPS_PER_SECOND,
+                plan_rounds=int(n_plans[v, i]),
                 mean_state_distance=float(np.mean(state_dist[v, i, :k])) if k else 0.0,
                 visual_embedding_divergence=float(np.mean(embed_div[v, i, :k])) if k else 0.0,
             ))
@@ -427,8 +414,9 @@ def read_episodes_csv(path: str | Path) -> list[EpisodeRecord]:
             record = EpisodeRecord(*[parse(v) for parse, v in zip(parsers, row)])
             if record.success not in (0, 1):
                 raise ValueError(f"success must be 0 or 1, got {record.success}")
-            if record.steps_executed < 0:
-                raise ValueError(f"steps_executed must be >= 0, got {record.steps_executed}")
+            for name in ("steps_executed", "plan_rounds"):
+                if getattr(record, name) < 0:
+                    raise ValueError(f"{name} must be >= 0, got {getattr(record, name)}")
             for f in fields(EpisodeRecord):
                 value = getattr(record, f.name)
                 if f.type == "float" and not math.isfinite(value):

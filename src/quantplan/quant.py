@@ -28,8 +28,7 @@ MAX_BITS = 8
 class QuantizedTensor:
     bitwidth: int
     scales: np.ndarray  # float64, one per output channel
-    codes: np.ndarray  # int32, shape == source_shape
-    source_shape: tuple[int, int]
+    codes: np.ndarray  # int32, the source matrix's shape
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -57,7 +56,7 @@ def quantize_tensor(W: np.ndarray, b: int) -> QuantizedTensor:
     codes = np.clip(_round_half_away(W64 * clip / safe), -clip, clip)
     codes = np.where(rowmax > 0, codes, 0.0).astype(np.int32)
     scales = (rowmax[:, 0] / clip).astype(np.float64)
-    return QuantizedTensor(int(b), scales, codes, (W64.shape[0], W64.shape[1]))
+    return QuantizedTensor(int(b), scales, codes)
 
 
 def dequantize_tensor(Q: QuantizedTensor) -> np.ndarray:

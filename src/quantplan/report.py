@@ -30,14 +30,13 @@ RHO = "spearman_success_vs_visual_embedding_divergence"
 
 
 class Svg:
-    def __init__(self, width: int = W, height: int = H, comment: str = ""):
+    def __init__(self, comment: str):
         self.parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
+            f'viewBox="0 0 {W} {H}">',
+            f"<!-- {comment} -->",
+            f'<rect width="{W}" height="{H}" fill="white"/>',
         ]
-        if comment:
-            self.parts.append(f"<!-- {comment} -->")
-        self.parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
 
     def line(self, x1, y1, x2, y2, color="black", width=1):
         self.parts.append(
@@ -53,14 +52,14 @@ class Svg:
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" fill="{color}"/>'
         )
 
-    def star(self, x, y, r=7, color="goldenrod"):
+    def star(self, x, y):
         pts = []
         for i in range(10):
-            rr = r if i % 2 == 0 else r * 0.4
+            rr = 7 if i % 2 == 0 else 7 * 0.4
             ang = -np.pi / 2 + i * np.pi / 5
             pts.append(f"{x + rr * np.cos(ang):.2f},{y + rr * np.sin(ang):.2f}")
         self.parts.append(
-            f'<polygon class="star" points="{" ".join(pts)}" fill="{color}" stroke="black"/>'
+            f'<polygon class="star" points="{" ".join(pts)}" fill="goldenrod" stroke="black"/>'
         )
 
     def text(self, x, y, s, size=11, anchor="start"):
@@ -82,7 +81,7 @@ def _scale(vals, lo_px, hi_px):
     def f(v):
         return lo_px + (v - vmin) / span * (hi_px - lo_px)
 
-    return f, vmin, vmax
+    return f
 
 
 def _axes(svg: Svg, title: str, xlabel: str, ylabel: str):
@@ -113,8 +112,8 @@ def frontier_svg(frontier: dict, comment: str) -> str:
     pts = frontier["frontier"]
     _axes(svg, "Planning success vs model size", "model size (MB)", "success")
     sizes = [p["size_bytes"] / 2**20 for p in pts]
-    fx, *_ = _scale(sizes, MARGIN + 10, W - MARGIN - 10)
-    fy, *_ = _scale([0.0, 1.0], H - MARGIN - 5, MARGIN + 5)
+    fx = _scale(sizes, MARGIN + 10, W - MARGIN - 10)
+    fy = _scale([0.0, 1.0], H - MARGIN - 5, MARGIN + 5)
     colors = {}
     for p in pts:
         b = p["budget"]
@@ -134,7 +133,7 @@ def forest_svg(comparisons: dict, comment: str) -> str:
     _axes(svg, "Paired success deltas (95% bootstrap CI)", "delta", "")
     los = [c["ci_low"] for c in comps] or [-1]
     his = [c["ci_high"] for c in comps] or [1]
-    fx, *_ = _scale([min(los + [0]), max(his + [0])], MARGIN + 10, W - MARGIN - 10)
+    fx = _scale([min(los + [0]), max(his + [0])], MARGIN + 10, W - MARGIN - 10)
     svg.line(fx(0), MARGIN, fx(0), H - MARGIN, color="gray")
     n = max(len(comps), 1)
     for i, c in enumerate(comps):
@@ -155,8 +154,8 @@ def retention_curve_svg(frontier: dict, comment: str) -> str:
     _axes(svg, "Encoder retention sweep (predictor INT4)", "encoder kept at baseline (%)", "success")
     success = _success_by(frontier)
     budgets = sorted({b for _, b in success})
-    fx, *_ = _scale([0, 100], MARGIN + 10, W - MARGIN - 10)
-    fy, *_ = _scale([0.0, 1.0], H - MARGIN - 5, MARGIN + 5)
+    fx = _scale([0, 100], MARGIN + 10, W - MARGIN - 10)
+    fy = _scale([0.0, 1.0], H - MARGIN - 5, MARGIN + 5)
     for bi, budget in enumerate(budgets):
         color = ["steelblue", "firebrick", "seagreen"][bi % 3]
         pts = [
@@ -183,7 +182,7 @@ def difficulty_svg(bins: dict, comment: str) -> str:
         rows = bins["bins"]
     keys = sorted({(b["budget"], b["bin"]) for b in rows})
     variants = sorted({b["variant"] for b in rows})
-    fy, *_ = _scale([0.0, 1.0], H - MARGIN, MARGIN + 5)
+    fy = _scale([0.0, 1.0], H - MARGIN, MARGIN + 5)
     group_w = PLOT_W / max(len(keys), 1)
     bar_w = group_w / (len(variants) + 1)
     colors = ["steelblue", "firebrick", "seagreen", "goldenrod"]
@@ -213,8 +212,8 @@ def divergence_scatter_svg(correlations: dict, comment: str) -> str:
     pts = correlations["run_points"]
     if pts:
         xs = [p["visual_embedding_divergence"] for p in pts]
-        fx, *_ = _scale(xs, MARGIN + 10, W - MARGIN - 10)
-        fy, *_ = _scale([0.0, 1.0], H - MARGIN - 5, MARGIN + 5)
+        fx = _scale(xs, MARGIN + 10, W - MARGIN - 10)
+        fy = _scale([0.0, 1.0], H - MARGIN - 5, MARGIN + 5)
         for p in pts:
             svg.circle(fx(p["visual_embedding_divergence"]), fy(p["success"]), r=3)
     return svg.render()

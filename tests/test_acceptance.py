@@ -181,13 +181,13 @@ def test_criterion_5_pairing_protocol(full_sweep, trained_model, env_cfg):
         assert (
             ra.success,
             ra.steps_executed,
-            ra.runtime_seconds,
+            ra.plan_rounds,
             ra.mean_state_distance,
             ra.visual_embedding_divergence,
         ) == (
             rb.success,
             rb.steps_executed,
-            rb.runtime_seconds,
+            rb.plan_rounds,
             rb.mean_state_distance,
             rb.visual_embedding_divergence,
         )

@@ -169,7 +169,7 @@ def test_same_weights_two_names_identical_records(prepared, trained_model, env_c
     b = [r for r in rs if r.variant_name == "fp16_twin"]
     for ra, rb in zip(a, b):
         assert (ra.seed, ra.episode_id) == (rb.seed, rb.episode_id)
-        for f in ("success", "steps_executed", "runtime_seconds",
+        for f in ("success", "steps_executed", "plan_rounds",
                   "mean_state_distance", "visual_embedding_divergence"):
             assert getattr(ra, f) == getattr(rb, f)
 
@@ -285,6 +285,7 @@ def test_csv_round_trip(prepared, trained_model, env_cfg, tmp_path):
         (lambda cols: cols[:4] + ["yes"] + cols[5:], "line 3: invalid literal for int"),
         (lambda cols: cols[:4] + ["7"] + cols[5:], "line 3: success must be 0 or 1, got 7"),
         (lambda cols: cols[:6] + ["-5"] + cols[7:], "line 3: steps_executed must be >= 0, got -5"),
+        (lambda cols: cols[:7] + ["-1"] + cols[8:], "line 3: plan_rounds must be >= 0, got -1"),
         (lambda cols: cols[:8] + ["nan"] + cols[9:],
          "line 3: mean_state_distance must be finite, got nan"),
         (lambda cols: cols[:9] + ["inf"],
@@ -292,10 +293,11 @@ def test_csv_round_trip(prepared, trained_model, env_cfg, tmp_path):
         (lambda cols: ["x" * 200_000] + cols[1:], "line 3: field larger than field limit"),
     ],
     ids=["truncated_row", "non_numeric_success", "success_not_0_or_1", "negative_steps",
-         "nan_state_distance", "inf_embedding_divergence", "field_over_csv_limit"],
+         "negative_plan_rounds", "nan_state_distance", "inf_embedding_divergence",
+         "field_over_csv_limit"],
 )
 def test_csv_bad_row_names_file_and_line(tmp_path, corrupt, message):
-    records = [EpisodeRecord("fp16", "bA", 0, i, 1, 0.5, 4, 1e-3, 0.02, 0.0) for i in range(2)]
+    records = [EpisodeRecord("fp16", "bA", 0, i, 1, 0.5, 4, 1, 0.02, 0.0) for i in range(2)]
     lines = episodes_to_csv(records).splitlines()
     lines[2] = ",".join(corrupt(lines[2].split(",")))
     path = tmp_path / "episodes.csv"
@@ -305,7 +307,7 @@ def test_csv_bad_row_names_file_and_line(tmp_path, corrupt, message):
 
 
 def test_csv_not_utf8_names_file(tmp_path):
-    records = [EpisodeRecord("fp16", "bA", 0, i, 1, 0.5, 4, 1e-3, 0.02, 0.0) for i in range(2)]
+    records = [EpisodeRecord("fp16", "bA", 0, i, 1, 0.5, 4, 1, 0.02, 0.0) for i in range(2)]
     path = tmp_path / "episodes.csv"
     path.write_bytes(episodes_to_csv(records).replace("bA", "b\xe9").encode("latin-1"))
     with pytest.raises(ValidationError, match=f"{re.escape(str(path))}: .*not UTF-8"):
@@ -353,25 +355,19 @@ def test_batch_shape_independence(prepared, trained_model, env_cfg, variant, bud
     assert len({r.steps_executed for r in batched}) > 1
 
 
-def test_runtime_seconds_follows_cost_model(prepared, trained_model, env_cfg):
-    budget, cem = PlannerBudget(9, 2, 1, (0,)), CEMConfig()
+def test_plan_rounds_counts_the_plans_run(prepared, trained_model, env_cfg):
     at_goal = EpisodeSpec(0, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
-    specs = [at_goal] + sample_episode_specs(0, 4, env_cfg)
-    records = play("uniform_int3", prepared["uniform_int3"], trained_model, specs,
-                   budget, "b", cem, env_cfg)
-    enc, pred, probe = (
-        sum(2 * W.size for W, _ in stack.layers)
-        for stack in (trained_model.encoder, trained_model.predictor, trained_model.probe)
-    )
-    # max_iter 1: one plan per episode not at its goal, whose 2 encodes and
-    # (2 + opt_steps * pop) rollouts of goal_h predicts are charged with the
-    # encode that executes it; each step adds 2 encodes, a predict and a probe
-    per_plan = 2 * enc + (2 + 2 * cem.population) * 9 * pred + enc
-    per_step = 2 * enc + pred + probe
-    assert records[0].runtime_seconds == 0.0
+    specs = [at_goal] + sample_episode_specs(0, 6, env_cfg)
+    args = ("uniform_int3", prepared["uniform_int3"], trained_model, specs)
+    once = play(*args, PlannerBudget(9, 2, 1, (0,)), "b", CEMConfig(), env_cfg)
+    assert [r.plan_rounds for r in once] == [0] + [1] * 6
+    records = play(*args, BB, "bB", CEMConfig(), env_cfg)
+    assert records[0].plan_rounds == 0
+    # every plan but the last runs all goal_h steps; a miss runs max_iter plans
     for r in records[1:]:
-        assert r.steps_executed > 0
-        assert r.runtime_seconds == (per_plan + r.steps_executed * per_step) / 1e9
+        assert (r.plan_rounds - 1) * BB.goal_h < r.steps_executed <= r.plan_rounds * BB.goal_h
+    missed = [r for r in records if not r.success]
+    assert missed and all(r.plan_rounds == BB.max_iter for r in missed)
 
 
 def test_planning_failure_is_recorded_per_variant(prepared, trained_model, env_cfg):
@@ -382,7 +378,7 @@ def test_planning_failure_is_recorded_per_variant(prepared, trained_model, env_c
     with np.errstate(invalid="ignore", over="ignore"):
         records = play("broken", broken, trained_model, specs, BA, "bA", CEMConfig(), env_cfg)
     assert [r.success for r in records] == [1, 0, 0, 0]
-    assert all(r.steps_executed == 0 and r.runtime_seconds == 0.0 for r in records)
+    assert all(r.steps_executed == 0 and r.plan_rounds == 0 for r in records)
 
     def uniform_int8_csv(variants):
         with np.errstate(invalid="ignore", over="ignore"):

@@ -51,7 +51,7 @@ def test_reconstruction_error_bound(W, b):
     q = quantize_tensor(W, b)
     clip = 2 ** (b - 1) - 1
     assert q.scales.shape == (W.shape[0],)
-    assert q.codes.shape == q.source_shape == W.shape
+    assert q.codes.shape == W.shape
     assert np.all(np.abs(q.codes) <= clip)
     assert np.all(q.codes[q.scales == 0.0] == 0)
     # the codes are within half a step of W; the float32 output then rounds s * q once

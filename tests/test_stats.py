@@ -20,7 +20,7 @@ from quantplan.planner import EpisodeRecord
 
 
 def rec(variant, budget, seed, ep, success, dist=0.5):
-    return EpisodeRecord(variant, budget, seed, ep, success, dist, 1, 0.0, 0.0, 0.0)
+    return EpisodeRecord(variant, budget, seed, ep, success, dist, 1, 1, 0.0, 0.0)
 
 
 # ---- sign test --------------------------------------------------------------
