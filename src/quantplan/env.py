@@ -11,7 +11,7 @@ randomness flows through explicit streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,21 +53,23 @@ class EpisodeSpec:
 
 
 # the Dataset arrays a dataset checkpoint stores, in blob order
-DATASET_ARRAYS = ("obs", "action", "next_obs", "state")
+DATASET_ARRAYS = ("pixel", "action", "next_pixel", "state")
 
 
 @dataclass
 class Dataset:
-    """Random-policy transitions used to train the world model."""
+    """Random-policy transitions used to train the world model.  A transition's
+    observations are rows of `observations(cfg)`: the agent's `pixel` before and
+    after the step."""
 
-    obs: np.ndarray  # (n, image_side**2)
+    pixel: np.ndarray  # (n,) int
     action: np.ndarray  # (n, 2)
-    next_obs: np.ndarray  # (n, image_side**2)
+    next_pixel: np.ndarray  # (n,) int
     state: np.ndarray  # (n, 2)
     cfg: WallEnvConfig = field(default_factory=WallEnvConfig)
 
     def __len__(self) -> int:
-        return self.obs.shape[0]
+        return self.pixel.shape[0]
 
 
 def _in_gap(y, cfg: WallEnvConfig):
@@ -171,24 +173,46 @@ def gen_dataset(
     actions = np.array([g.uniform(-cfg.max_step, cfg.max_step, size=(traj_len, 2)) for g in gens])
     for t in range(traj_len):
         states[:, t + 1] = step(states[:, t], actions[:, t], cfg)
-    obs = render(states, cfg)
+    pix = pixel(states, cfg)
     return Dataset(
-        obs=obs[:, :-1].reshape(-1, obs.shape[-1]),
+        pixel=pix[:, :-1].reshape(-1),
         action=actions.reshape(-1, 2),
-        next_obs=obs[:, 1:].reshape(-1, obs.shape[-1]),
+        next_pixel=pix[:, 1:].reshape(-1),
         state=states[:, :-1].reshape(-1, 2),
         cfg=cfg,
     )
 
 
 def dataset_to_model(ds: Dataset) -> Model:
-    """Pack a dataset into the manifest+blob persistence convention."""
+    """Pack a dataset into the manifest+blob persistence convention.  Pixels are
+    stored as float32, exact below 2**24; extras record the env they index."""
     tensors = [TensorRecord(f"dataset.{name}", getattr(ds, name)) for name in DATASET_ARRAYS]
-    extras = {"dataset": True, "image_side": ds.cfg.image_side}
+    extras = {"dataset": True, "env": asdict(ds.cfg)}
     return Model(tensors=tensors, extras=extras)
 
 
 def dataset_from_model(model: Model, cfg: WallEnvConfig) -> Dataset:
-    """The stored float32 arrays; ValidationError names a missing one."""
+    """The stored arrays, pixels as ints; ValidationError names the tensor that is
+    missing, misshapen or holds a pixel that is not an int in [0, image_side**2),
+    and names the env if the dataset was generated under another one."""
     arrays = {name: model.tensor(f"dataset.{name}").data for name in DATASET_ARRAYS}
+    n = len(arrays["pixel"])
+    for name, a in arrays.items():
+        shape = (n,) if name.endswith("pixel") else (n, 2)
+        if a.shape != shape:
+            raise ValidationError(f"tensor 'dataset.{name}' has shape {a.shape}, expected "
+                                  f"{shape}: {n} rows, as 'dataset.pixel'")
+    for name in ("pixel", "next_pixel"):
+        a = arrays[name]
+        if not np.all((a == np.floor(a)) & (a >= 0) & (a < cfg.image_side**2)):
+            raise ValidationError(
+                f"tensor 'dataset.{name}' holds a pixel that is not an int in "
+                f"[0, {cfg.image_side**2})"
+            )
+        arrays[name] = a.astype(np.intp)
+    if model.extras.get("env") != asdict(cfg):
+        raise ValidationError(
+            f"dataset extras 'env' {model.extras.get('env')} is not the config's env "
+            f"{asdict(cfg)}; rerun the 'gen-data' stage"
+        )
     return Dataset(**arrays, cfg=cfg)

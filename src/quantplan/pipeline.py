@@ -2,7 +2,7 @@
 
 Artifacts land under config.output_dir:
 
-    dataset/            training transitions (manifest + blob)
+    dataset/            training transitions: agent pixels, actions, states
     model/              trained full-precision world model
     sizes.json          per-variant size accounting, read by the stats stage
     episodes.csv        paired evaluation results, one row per episode

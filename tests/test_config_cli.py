@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from quantplan import ValidationError
@@ -261,10 +262,54 @@ def test_train_names_tensor_missing_from_dataset(tmp_path, capsys):
     assert main(["gen-data", "--config", str(cfg_path)]) == 0
     dataset = tmp_path / "out" / "dataset"
     m = load_model(dataset)
-    m.tensors = [t for t in m.tensors if t.name != "dataset.next_obs"]
+    m.tensors = [t for t in m.tensors if t.name != "dataset.next_pixel"]
     persist_model(m, dataset)
     assert main(["train", "--config", str(cfg_path)]) == 1
-    assert "'dataset.next_obs'" in capsys.readouterr().err
+    assert "'dataset.next_pixel'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model").exists()
+
+
+def _edit_tensor(name, change):
+    def edit(m):
+        t = m.tensor(f"dataset.{name}")
+        t.data = np.asarray(change(t.data), dtype=np.float32)
+    return edit
+
+
+def _set_row(a, i, value):
+    a = a.copy()
+    a[i] = value
+    return a
+
+
+BAD_DATASETS = {
+    "state_one_row_short": (_edit_tensor("state", lambda a: a[:-1]), "'dataset.state'"),
+    "pixel_one_row_long": (_edit_tensor("pixel", lambda a: np.append(a, 0)), "'dataset.action'"),
+    "action_width_1": (_edit_tensor("action", lambda a: a[:, :1]), "'dataset.action'"),
+    "state_width_3": (_edit_tensor("state", lambda a: np.hstack([a, a[:, :1]])), "'dataset.state'"),
+    "pixel_not_integral": (_edit_tensor("pixel", lambda a: _set_row(a, 3, 7.5)), "'dataset.pixel'"),
+    "pixel_nan": (_edit_tensor("pixel", lambda a: _set_row(a, 3, np.nan)), "'dataset.pixel'"),
+    "next_pixel_negative": (
+        _edit_tensor("next_pixel", lambda a: _set_row(a, 0, -1)), "'dataset.next_pixel'"),
+    "next_pixel_past_table": (
+        _edit_tensor("next_pixel", lambda a: _set_row(a, 5, 256)), "'dataset.next_pixel'"),
+    "other_env": (lambda m: m.extras["env"].update(wall_x=0.4), "env"),
+    "no_env": (lambda m: m.extras.pop("env"), "env"),
+}
+
+
+@pytest.mark.parametrize("fault", BAD_DATASETS)
+def test_bad_dataset_fails_train_before_any_model(tmp_path, capsys, fault):
+    edit, named = BAD_DATASETS[fault]
+    cfg_path = write_tiny_config(tmp_path)
+    assert main(["gen-data", "--config", str(cfg_path)]) == 0
+    dataset = tmp_path / "out" / "dataset"
+    m = load_model(dataset)
+    edit(m)
+    persist_model(m, dataset)
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
     assert not (tmp_path / "out" / "model").exists()
 
 

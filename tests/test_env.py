@@ -101,7 +101,8 @@ def test_specs_validation(env_cfg):
 def test_dataset_count_and_ranges(env_cfg):
     ds = gen_dataset(2, 3, 0, env_cfg)
     assert len(ds) == 6
-    assert np.all((ds.obs >= 0) & (ds.obs <= 1))
+    for p in (ds.pixel, ds.next_pixel):
+        assert p.dtype.kind == "i" and np.all((p >= 0) & (p < env_cfg.image_side**2))
     assert np.all(np.abs(ds.action) <= env_cfg.max_step)
 
 
@@ -112,13 +113,14 @@ def test_dataset_replay_exact(env_cfg):
         nxt = step(ds.state[i], ds.action[i], env_cfg)
         if (i + 1) % traj_len:  # rows are stored trajectory by trajectory
             np.testing.assert_array_equal(nxt, ds.state[i + 1])
-        np.testing.assert_array_equal(render(nxt, env_cfg), ds.next_obs[i])
+        np.testing.assert_array_equal(render(nxt, env_cfg), observations(env_cfg)[ds.next_pixel[i]])
 
 
 def test_dataset_deterministic(env_cfg):
     a = gen_dataset(2, 4, 3, env_cfg)
     b = gen_dataset(2, 4, 3, env_cfg)
-    np.testing.assert_array_equal(a.obs, b.obs)
+    np.testing.assert_array_equal(a.pixel, b.pixel)
+    np.testing.assert_array_equal(a.next_pixel, b.next_pixel)
     np.testing.assert_array_equal(a.action, b.action)
 
 
@@ -126,9 +128,11 @@ def test_dataset_persistence_round_trip(env_cfg, tmp_path):
     ds = gen_dataset(2, 3, 0, env_cfg)
     persist_model(dataset_to_model(ds), tmp_path)
     back = dataset_from_model(load_model(tmp_path), env_cfg)
-    np.testing.assert_array_equal(
-        back.obs, ds.obs.astype(np.float32).astype(np.float64)
-    )
+    for name in ("pixel", "next_pixel"):
+        assert getattr(back, name).dtype.kind == "i"
+        np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
+    for name in ("action", "state"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(ds, name).astype(np.float32))
     assert len(back) == len(ds)
 
 
@@ -189,8 +193,17 @@ def test_render_is_the_observation_of_its_pixel(env_cfg, rng):
 
 
 def test_dataset_bytes_pinned(env_cfg):
+    # the hash of the rendered images, so the pixels index the same observations
     ds = gen_dataset(20, 10, 0, env_cfg)
+    table = observations(env_cfg)
     h = hashlib.sha256()
-    for a in (ds.obs, ds.action, ds.next_obs, ds.state):
+    for a in (table[ds.pixel], ds.action, table[ds.next_pixel], ds.state):
         h.update(a.tobytes())
     assert h.hexdigest() == "1ae5c232b8d944fb21452d3e74ce9e89ac83a929c1dc837f56f57e8ddceb32af"
+
+
+def test_dataset_pixels_index_the_rendered_states(dataset, env_cfg):
+    table = observations(env_cfg)
+    np.testing.assert_array_equal(table[dataset.pixel], render(dataset.state, env_cfg))
+    next_state = step(dataset.state, dataset.action, env_cfg)
+    np.testing.assert_array_equal(table[dataset.next_pixel], render(next_state, env_cfg))

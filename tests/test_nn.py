@@ -14,8 +14,8 @@ from quantplan import (
     policy_for_name,
     train_world_model,
 )
-from quantplan.env import Dataset
-from quantplan.nn import init_world_model, loss_and_grads
+from quantplan.env import Dataset, WallEnvConfig, observations
+from quantplan.nn import _dataset_loss, _loss, init_world_model, loss_and_grads
 from quantplan.policies import apply_policy
 from quantplan.store import TensorRecord, load_model, persist_model
 
@@ -96,10 +96,11 @@ def test_recorded_losses_are_full_dataset_losses(env_cfg):
     ds = gen_dataset(20, 5, 0, env_cfg)
     cfg = TrainConfig(epochs=2, prediction_loss_weight=0.5, state_loss_weight=2.0)
     trained = train_world_model(ds, cfg)
-    init = init_world_model(ds.obs.shape[1], seed=cfg.seed)
+    table = observations(env_cfg)
+    init = init_world_model(table.shape[1], seed=cfg.seed)
     start = WorldModel(init.dims)
     start.theta[...] = init.theta
-    data = (ds.obs, ds.action, ds.next_obs, ds.state)
+    data = (table[ds.pixel], ds.action, table[ds.next_pixel], ds.state)
     meta = trained.metadata["train"]
     for wm, key in ((start, "initial_loss"), (trained, "final_loss")):
         loss, _ = loss_and_grads(wm, *data, cfg.prediction_loss_weight, cfg.state_loss_weight)
@@ -108,7 +109,8 @@ def test_recorded_losses_are_full_dataset_losses(env_cfg):
 
 def reference_adam(ds, cfg: TrainConfig) -> np.ndarray:
     """train_world_model with the float32 Adam update written tensor by tensor."""
-    init = init_world_model(ds.obs.shape[1], seed=cfg.seed)
+    table = observations(ds.cfg)
+    init = init_world_model(table.shape[1], seed=cfg.seed)
     wm = WorldModel(init.dims)
     wm.theta[...] = init.theta
     params = [p for _, p in wm.named_params()]
@@ -123,7 +125,7 @@ def reference_adam(ds, cfg: TrainConfig) -> np.ndarray:
         for lo in range(0, len(ds), cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
             _, grad = loss_and_grads(
-                wm, ds.obs[idx], ds.action[idx], ds.next_obs[idx], ds.state[idx],
+                wm, table[ds.pixel[idx]], ds.action[idx], table[ds.next_pixel[idx]], ds.state[idx],
                 cfg.prediction_loss_weight, cfg.state_loss_weight,
             )
             grads = [g.reshape(p.shape) for g, p in zip(np.split(grad, ends[:-1]), params)]
@@ -148,21 +150,22 @@ def test_flat_adam_matches_per_tensor_reference(env_cfg):
 
 def test_float32_numeric_path(env_cfg):
     ds = gen_dataset(20, 5, 0, env_cfg)
-    init = init_world_model(ds.obs.shape[1])
+    table = observations(env_cfg)
+    init = init_world_model(table.shape[1])
     assert init.theta.dtype == np.float64
     wm = train_world_model(ds, TrainConfig(epochs=1))
     fit_state_probe(wm, ds)
     assert wm.theta.dtype == np.float32
     assert WorldModel.from_model(wm.to_model()).theta.dtype == np.float32
 
-    obs = ds.obs[:3].astype(np.float64)
+    obs = table[ds.pixel[:3]]
     z = wm.encode(obs)
     z64 = z.astype(np.float64)
     assert z.dtype == np.float32
     assert wm.predict_next(z64, ds.action[:3].astype(np.float64)).dtype == np.float32
     assert wm.probe_decode(z64).dtype == np.float32
 
-    batch = (ds.obs[:8], ds.action[:8], ds.next_obs[:8], ds.state[:8])
+    batch = (table[ds.pixel[:8]], ds.action[:8], table[ds.next_pixel[:8]], ds.state[:8])
     for inputs in (batch, [x.astype(np.float32) for x in batch]):
         loss, grad = loss_and_grads(wm, *inputs, 1.0, 1.0)
         assert loss.dtype == np.float32
@@ -195,26 +198,45 @@ def test_layers_are_views_into_theta(env_cfg):
                 assert np.shares_memory(W, model.theta) and np.shares_memory(b, model.theta)
     assert not np.shares_memory(twin.theta, wm.theta)
     np.testing.assert_array_equal(twin.theta, wm.theta)
-    before = wm.encode(ds.obs[0])
+    obs = observations(env_cfg)[ds.pixel[0]]
+    before = wm.encode(obs)
     wm.theta[...] = 0.5 * wm.theta
-    assert not np.array_equal(wm.encode(ds.obs[0]), before)
-    np.testing.assert_array_equal(twin.encode(ds.obs[0]), before)
+    assert not np.array_equal(wm.encode(obs), before)
+    np.testing.assert_array_equal(twin.encode(obs), before)
 
 
 def test_training_validation(env_cfg):
     ds = gen_dataset(1, 1, 0, env_cfg)
-    empty = Dataset(ds.obs[:0], ds.action[:0], ds.next_obs[:0], ds.state[:0], env_cfg)
+    empty = Dataset(ds.pixel[:0], ds.action[:0], ds.next_pixel[:0], ds.state[:0], env_cfg)
     with pytest.raises(ValidationError):
         train_world_model(empty, TrainConfig(epochs=1))
 
 
-def test_probe_validation_error(trained_model, dataset):
+def test_probe_validation_error(trained_model, dataset, env_cfg):
     # held-out 10% split by index
     n = len(dataset)
     cut = n - n // 10
-    z = trained_model.encode(dataset.obs[cut:])
+    z = trained_model.encode(observations(env_cfg)[dataset.pixel[cut:]])
     err = np.linalg.norm(trained_model.probe_decode(z) - dataset.state[cut:], axis=1).mean()
     assert err < 0.15
+
+
+def test_table_paths_equal_the_explicit_image_paths(trained_model, dataset, env_cfg):
+    # the full-dataset loss and the probe fit encode the 256-row table once and gather
+    # latents by pixel; at the default env that equals encoding every image, bit for bit
+    table = observations(env_cfg).astype(np.float32)
+    obs, next_obs = table[dataset.pixel], table[dataset.next_pixel]
+    explicit, _, _ = _loss(trained_model, obs, dataset.action, next_obs, dataset.state, 0.5, 2.0)
+    gathered = _dataset_loss(trained_model, table, dataset, 0.5, 2.0)
+    assert gathered.dtype == explicit.dtype and gathered.tobytes() == explicit.tobytes()
+
+    fitted = fit_state_probe(copy.deepcopy(trained_model), dataset)
+    z = trained_model.encode(obs)
+    A = np.hstack([z, np.ones((len(z), 1))])
+    sol = np.linalg.lstsq(A, dataset.state, rcond=None)[0]
+    W, b = fitted.probe.layers[0]
+    assert W.tobytes() == sol[:-1].T.astype(np.float32).tobytes()
+    assert b.tobytes() == sol[-1].astype(np.float32).tobytes()
 
 
 def test_probe_exact_linear_fit(rng):
@@ -225,9 +247,10 @@ def test_probe_exact_linear_fit(rng):
     states = z @ A.T + b
 
     class FakeDS:
-        obs = z  # encode bypassed below
+        pixel = np.arange(len(z))  # gathers every row of z, the encode output below
+        cfg = WallEnvConfig()
     ds = FakeDS()
-    wm.encode = lambda o: o  # latent passthrough for the synthetic check
+    wm.encode = lambda o: z  # the synthetic latents stand in for the table's
     ds.state = states
     fit_state_probe(wm, ds)
     resid = wm.probe_decode(z) - states
@@ -241,9 +264,9 @@ def test_probe_duplication_invariance(trained_model, dataset):
     b = copy.deepcopy(trained_model)
     fit_state_probe(a, dataset)
     doubled = Dataset(
-        np.vstack([dataset.obs] * 2),
+        np.concatenate([dataset.pixel] * 2),
         np.vstack([dataset.action] * 2),
-        np.vstack([dataset.next_obs] * 2),
+        np.concatenate([dataset.next_pixel] * 2),
         np.vstack([dataset.state] * 2),
         dataset.cfg,
     )
@@ -324,9 +347,9 @@ def test_rollout_divergence_direction(trained_model, rng):
     assert np.mean(d3s) > np.mean(d8s)
 
 
-def test_probe_error_direction_under_quantization(trained_model, dataset):
+def test_probe_error_direction_under_quantization(trained_model, dataset, env_cfg):
     v3 = apply_policy(trained_model, policy_for_name("uniform_int3", trained_model))
-    obs, states = dataset.obs[:200], dataset.state[:200]
+    obs, states = observations(env_cfg)[dataset.pixel[:200]], dataset.state[:200]
     e_fp = np.linalg.norm(
         trained_model.probe_decode(trained_model.encode(obs)) - states, axis=1
     ).mean()
