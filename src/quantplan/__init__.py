@@ -23,7 +23,6 @@ from .planner import (
     CEMConfig,
     EpisodeRecord,
     PlannerBudget,
-    observation_latents,
     plan_actions,
     plan_noise,
     run_episode,

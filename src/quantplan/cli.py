@@ -12,7 +12,7 @@ import dataclasses
 import sys
 
 from .config import ExperimentConfig, load_config
-from .errors import StageError, ValidationError
+from .errors import StageError, TrainingDivergenceError, ValidationError
 from .pipeline import STAGES, run_stage
 
 
@@ -34,7 +34,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.output:  # replace runs ExperimentConfig's checks on the new output_dir
             cfg = dataclasses.replace(cfg, output_dir=args.output)
         run_stage(cfg, args.stage)
-    except (ValidationError, StageError) as e:
+    except (ValidationError, StageError, TrainingDivergenceError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

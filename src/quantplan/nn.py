@@ -250,23 +250,10 @@ def init_world_model(
     return wm
 
 
-def _loss(wm: WorldModel, obs, action, next_obs, state, pw: float, sw: float, caches=None):
-    """(loss, r_pred, r_state): the forward pass and loss of `loss_and_grads`.
-
-    Without `caches` nothing is kept for a backward pass; with three lists
-    (encoder, predictor, probe) each stack appends its layer inputs to one.
-    """
-    obs, next_obs = (np.asarray(x, dtype=wm.theta.dtype) for x in (obs, next_obs))
-    n = obs.shape[0]
-    c_enc, c_pred, c_probe = caches or (None, None, None)
-    z_both = wm.encoder.forward(np.concatenate([obs, next_obs]), c_enc)
-    return _latent_loss(wm, z_both[:n], z_both[n:], action, state, pw, sw, (c_pred, c_probe))
-
-
 def _latent_loss(wm: WorldModel, z, z_next, action, state, pw: float, sw: float,
                  caches=(None, None)):
-    """`_loss` from the latents of obs and next_obs on; `caches` holds the
-    predictor's and the probe's lists, or Nones."""
+    """(loss, r_pred, r_state) of `loss_and_grads` from the latents of obs and
+    next_obs on; `caches` holds the predictor's and the probe's lists, or Nones."""
     action, state = (np.asarray(x, dtype=wm.theta.dtype) for x in (action, state))
     n = z.shape[0]
     c_pred, c_probe = caches
@@ -280,13 +267,13 @@ def _latent_loss(wm: WorldModel, z, z_next, action, state, pw: float, sw: float,
 
 
 def _dataset_loss(wm: WorldModel, table: np.ndarray, dataset, pw: float, sw: float):
-    """`_loss` over the whole dataset, with no backward pass: the table's rows are
-    encoded once as one 2-D product and each transition's latents are gathered by
-    pixel.  A row of an M-row float32 product equals that row of a product of up
-    to 8000 rows once M >= 76 for every layer shape (measured with OpenBLAS
-    0.3.31; the 64->16 layer is the last to agree), so with the default 256-row
-    table and 38 or more transitions (2n >= 76 rows) this is bit-equal to `_loss`
-    on the gathered images."""
+    """The training loss over the whole dataset, with no backward pass: the
+    table's rows are encoded once as one 2-D product and each transition's
+    latents are gathered by pixel.  A row of an M-row float32 product equals
+    that row of a product of up to 8000 rows once M >= 76 for every layer shape
+    (measured with OpenBLAS 0.3.31; the 64->16 layer is the last to agree), so
+    with the default 256-row table and 38 or more transitions (2n >= 76 rows)
+    this is bit-equal to `loss_and_grads`' loss on the gathered images."""
     z = wm.encode(table)
     return _latent_loss(wm, z[dataset.pixel], z[dataset.next_pixel], dataset.action,
                         dataset.state, pw, sw)[0]
@@ -307,12 +294,15 @@ def loss_and_grads(
     of `out` is overwritten, so a training loop passes the same buffer each step.
     Returns (loss, out.theta): the gradient is one flat vector laid out like `theta`.
     """
-    caches = [], [], []
-    c_enc, c_pred, c_probe = caches
-    loss, r_pred, r_state = _loss(wm, obs, action, next_obs, state, pw, sw, caches)
+    c_enc, c_pred, c_probe = [], [], []  # each stack's layer inputs
+    obs, next_obs = (np.asarray(x, dtype=wm.theta.dtype) for x in (obs, next_obs))
+    n = obs.shape[0]
+    z_both = wm.encoder.forward(np.concatenate([obs, next_obs]), c_enc)
+    loss, r_pred, r_state = _latent_loss(wm, z_both[:n], z_both[n:], action, state, pw, sw,
+                                         (c_pred, c_probe))
     if out is None:
         out = WorldModel(wm.dims, dtype=wm.theta.dtype)
-    n, latent = r_pred.shape
+    latent = r_pred.shape[1]
     g_p, g_s = r_pred, r_state
     for g, w in ((g_p, pw), (g_s, sw)):  # 2 * w * r / n in place, op by op in that order
         g *= 2.0 * w
@@ -334,7 +324,8 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
     `theta -= lr_t*m / (sqrt(v) + eps)`, so each float32 op rounds as there.
     A step's observations are rows of the float32 `env.observations` table,
     gathered by the batch's pixels.  The initial and final full-dataset losses
-    run the forward pass only (`_dataset_loss`).
+    run the forward pass only (`_dataset_loss`).  A non-finite batch loss or
+    final loss raises TrainingDivergenceError, so no diverged model is returned.
     """
     if len(dataset) == 0:
         raise ValidationError("dataset is empty")
@@ -384,6 +375,8 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
         epoch_losses.append(float(np.mean(batch_losses)))
 
     final_loss = _dataset_loss(wm, table, dataset, pw, sw)
+    if not np.isfinite(final_loss):  # the batches' losses can all be finite before it
+        raise TrainingDivergenceError(f"non-finite final training loss: {final_loss}")
     wm.metadata["train"] = {
         "initial_loss": float(initial_loss),
         "final_loss": float(final_loss),

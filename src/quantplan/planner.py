@@ -22,8 +22,8 @@ episode on its leading axis, and an episode's row leaves the group when it
 reaches the goal or its plan fails.  Two rules keep each record bit-equal to
 playing that episode alone, whatever else shares the group:
 
-1. Every matmul keeps one episode's operand as its last two dims, e.g. a
-   single latent as an (n, 1, k) slice and a CEM population as
+1. Every per-episode matmul keeps one episode's operand as its last two dims,
+   e.g. a single latent as an (n, 1, k) slice and a CEM population as
    (n, pop, 18).  numpy makes one BLAS call per slice, so a slice's result
    does not depend on n; one flat (n, k) product would.
 2. Per-row vector norms go through one BLAS dot per row (`_norm`), as the
@@ -40,12 +40,13 @@ loop reads these for the state probe: they are the same (n, 1, 18) slices of
 the same inputs as a `predict_next` chain over the executed plan.
 
 An observation is the fixed wall background plus the agent's pixel, so a
-model's encoder has only image_side**2 distinct inputs.  `run_paired_eval`
-encodes them once per model (`observation_latents`, one row per pixel of
-`env.pixel`), and every encode of the eval is a row lookup: the current and
-goal latents that `plan_actions` takes and the embedding divergence.  Each
-row is encoded as its own (1, obs_dim) slice, so by rule 1 it is bit-equal to
-encoding that observation when it occurs.
+model's encoder has only image_side**2 distinct inputs.  `run_episodes`
+encodes them once per model, as one 2-D product of the whole observation table
+`env.observations`, the same encode as training's full-dataset loss and probe
+fit.  Every encode of the eval is then a row lookup by `env.pixel`: the current
+and goal latents that `plan_actions` takes and the embedding divergence.  The
+table belongs to a model, not to an episode, so rule 1 does not apply to it:
+every record reads the same rows whatever shares its group.
 """
 
 from __future__ import annotations
@@ -156,18 +157,6 @@ def plan_noise(
         yield noise
 
 
-def observation_latents(models: list[WorldModel], env_cfg: WallEnvConfig) -> list[np.ndarray]:
-    """Each model's latent of every observation, shape (image_side**2, latent):
-    row p encodes `env.observations(env_cfg)[p]`, the agent on pixel p.
-
-    Each row is encoded as its own (1, obs_dim) slice, so by rule 1 it is
-    bit-equal to encoding that observation alone.  All models read one
-    float32 copy of the table, which loses nothing: its pixel values are 0,
-    0.5 and 1."""
-    obs = observations(env_cfg).astype(np.float32)[:, None, :]
-    return [wm.encode(obs)[:, 0] for wm in models]
-
-
 def plan_actions(
     wm: WorldModel,
     z0: np.ndarray,
@@ -262,15 +251,13 @@ def run_episodes(
     budget_name: str,
     cem: CEMConfig,
     env_cfg: WallEnvConfig,
-    latents: dict[str, np.ndarray],
-    fp_latents: np.ndarray,
     master_seed: int = 0,
 ) -> list[EpisodeRecord]:
     """Play the goal-conditioned episodes `specs` under the MPC loop with every
     variant of `variants`, a name and its model; one record per variant and
-    spec, variant by variant in spec order.  `latents[name]` and `fp_latents`
-    are `observation_latents` of each variant's model and of `fp_wm`: every
-    encode is a row lookup.
+    spec, variant by variant in spec order.  Each model's latent table is its
+    encode of `env.observations(env_cfg)`, one 2-D product, and every encode of
+    the loop is a row lookup into it.
 
     Each variant plays every spec in one lockstep group.  Row [v, i] of every
     array belongs to variant v's episode of specs[i], and lives[v] lists
@@ -295,10 +282,13 @@ def run_episodes(
     state_dist = np.zeros((*shape, budget.max_iter * h))
     embed_div = np.zeros_like(state_dist)
     lives = [np.flatnonzero(~success[0])] * len(variants)
+    obs = observations(env_cfg).astype(np.float32)  # 0, 0.5 and 1: exact
+    *tables, fp_table = [wm.encode(obs) for wm in (*variants.values(), fp_wm)]
+    del obs  # the rounds never read it, and their temporaries set the peak RSS
 
     for noise in plan_noise(specs, budget, cem, master_seed):
-        for v, (name, wm) in enumerate(variants.items()):
-            live, table = lives[v], latents[name]
+        for v, wm in enumerate(variants.values()):
+            live, table = lives[v], tables[v]
             if not live.size:
                 continue
             z_now = table[pixel(state[v, live], env_cfg)]
@@ -317,7 +307,7 @@ def run_episodes(
                 steps[v, live] += 1
                 state_dist[v, live, k] = _norm(fp_wm.probe_decode(z_plan[:, t, None])[:, 0] - s)
                 p = pixel(s, env_cfg)
-                embed_div[v, live, k] = _norm(table[p] - fp_latents[p])
+                embed_div[v, live, k] = _norm(table[p] - fp_table[p])
                 done = _norm(s - goal[live]) <= tau
                 success[v, live[done]] = True
                 live, plans, z_plan = live[~done], plans[~done], z_plan[~done]
@@ -356,9 +346,8 @@ def run_episode(
     master_seed: int = 0,
 ) -> EpisodeRecord:
     """One episode: `run_episodes` on the single variant `name` and spec `spec`."""
-    table, fp_latents = observation_latents([wm, fp_wm], env_cfg)
     return run_episodes({name: wm}, fp_wm, [spec], budget, budget_name, cem, env_cfg,
-                        {name: table}, fp_latents, master_seed)[0]
+                        master_seed)[0]
 
 
 def run_paired_eval(
@@ -377,15 +366,13 @@ def run_paired_eval(
     if not variants:
         raise ValidationError("no variants to evaluate")
 
-    *tables, fp_latents = observation_latents([*variants.values(), fp_wm], env_cfg)
-    latents = dict(zip(variants, tables))
     records = []
     for budget_name in sorted(budgets):
         budget = budgets[budget_name]
         specs = [spec for seed in budget.seeds
                  for spec in sample_episode_specs(seed, episodes_per_run, env_cfg, master_seed)]
         records += run_episodes(variants, fp_wm, specs, budget, budget_name, cem, env_cfg,
-                                latents, fp_latents, master_seed)
+                                master_seed)
     records.sort(key=lambda r: (r.variant_name, r.budget_name, r.seed, r.episode_id))
     return records
 

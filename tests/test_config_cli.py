@@ -544,3 +544,23 @@ def test_cli_errors(tmp_path, capsys):
     (tmp_path / "latin1.json").write_bytes(latin1.encode("latin-1"))
     assert main(["all", "--config", str(tmp_path / "latin1.json")]) == 1
     assert "error:" in capsys.readouterr().err and not (tmp_path / "out").exists()
+
+
+def test_cli_reports_a_diverged_training_run(tmp_path, capsys):
+    # the run's one batch has a finite loss; its final full-dataset loss is not
+    data = {"train": {"epochs": 1, "learning_rate": 1e30}, "dataset": {"n_traj": 5},
+            "variants": ["fp16"], "output_dir": str(tmp_path / "out")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["all", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite final training loss"), err
+    assert not (tmp_path / "out" / "model").exists()
+
+
+def test_cli_reports_an_unwritable_output_dir(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert main(["gen-data", "--output", str(tmp_path / "file" / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: failed to persist model"), err

@@ -15,7 +15,7 @@ from quantplan import (
     train_world_model,
 )
 from quantplan.env import Dataset, WallEnvConfig, observations
-from quantplan.nn import _dataset_loss, _loss, init_world_model, loss_and_grads
+from quantplan.nn import _dataset_loss, init_world_model, loss_and_grads
 from quantplan.policies import apply_policy
 from quantplan.store import TensorRecord, load_model, persist_model
 
@@ -226,7 +226,8 @@ def test_table_paths_equal_the_explicit_image_paths(trained_model, dataset, env_
     # latents by pixel; at the default env that equals encoding every image, bit for bit
     table = observations(env_cfg).astype(np.float32)
     obs, next_obs = table[dataset.pixel], table[dataset.next_pixel]
-    explicit, _, _ = _loss(trained_model, obs, dataset.action, next_obs, dataset.state, 0.5, 2.0)
+    explicit = loss_and_grads(trained_model, obs, dataset.action, next_obs, dataset.state,
+                              0.5, 2.0)[0]
     gathered = _dataset_loss(trained_model, table, dataset, 0.5, 2.0)
     assert gathered.dtype == explicit.dtype and gathered.tobytes() == explicit.tobytes()
 

@@ -14,15 +14,15 @@ from quantplan import (
     render,
     sample_episode_specs,
 )
+from quantplan import planner
 from quantplan import rng as qrng
-from quantplan.env import EpisodeSpec, pixel
+from quantplan.env import EpisodeSpec, observations, pixel, step
 from quantplan.nn import Stack, WorldModel, init_world_model
 from quantplan.planner import (
     EPISODES_CSV_HEADER,
     _norm,
     EpisodeRecord,
     episodes_to_csv,
-    observation_latents,
     plan_actions,
     plan_noise,
     read_episodes_csv,
@@ -47,13 +47,6 @@ def latents_of(wm, obs):
     return wm.encode(obs[:, None, :])[:, 0]
 
 
-def play(name, wm, fp_wm, specs, budget, budget_name, cem, env_cfg):
-    """`run_episodes` of the one variant `name` with the observation latents of `wm` and `fp_wm`."""
-    table, fp_latents = observation_latents([wm, fp_wm], env_cfg)
-    return run_episodes({name: wm}, fp_wm, specs, budget, budget_name, cem, env_cfg,
-                        {name: table}, fp_latents)
-
-
 @pytest.fixture(scope="module")
 def prepared(trained_model):
     return {
@@ -63,14 +56,25 @@ def prepared(trained_model):
 
 
 @pytest.mark.parametrize("variant", ["fp16", "uniform_int3"])
-def test_observation_latents_equal_one_observation_encodes(prepared, env_cfg, rng, variant):
-    # rule 1 for the table: a row is the latent of encoding that observation alone
+def test_eval_reads_the_training_table_rows(prepared, trained_model, env_cfg, monkeypatch,
+                                            variant):
+    # the eval's latents are rows of one 2-D encode of the observation table, the
+    # encode the full-dataset loss and the probe fit read
+    reached = []
+
+    def recording_step(state, action, cfg):
+        reached.append(step(state, action, cfg))
+        return reached[-1]
+
+    monkeypatch.setattr(planner, "step", recording_step)
     wm = prepared[variant]
-    (table,) = observation_latents([wm], env_cfg)
-    assert table.shape == (env_cfg.image_side ** 2, 16) and table.dtype == np.float32
-    for s in rng.uniform(0, 1, (64, 2)):
-        np.testing.assert_array_equal(table[pixel(s, env_cfg)],
-                                      wm.encode(render(s, env_cfg)[None, None])[0, 0])
+    records = run_episodes({variant: wm}, trained_model, sample_episode_specs(0, 4, env_cfg),
+                           PlannerBudget(1, 1, 1, (0,)), "b", CEMConfig(), env_cfg)
+    assert [r.steps_executed for r in records] == [1] * 4
+    (s,) = reached  # the one step of every episode at once
+    obs, p = observations(env_cfg), pixel(s, env_cfg)
+    divergence = _norm(wm.encode(obs)[p] - trained_model.encode(obs)[p])
+    assert [r.visual_embedding_divergence for r in records] == divergence.tolist()
 
 
 def test_plan_deterministic(trained_model, env_cfg):
@@ -117,7 +121,8 @@ def test_identity_predictor_zero_cost(env_cfg):
 
 def test_immediate_success(prepared, trained_model, env_cfg):
     spec = EpisodeSpec(0, 0, (0.48, 0.5), (0.52, 0.5), 0.04)
-    r = play("fp16", prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg)[0]
+    r = run_episodes({"fp16": prepared["fp16"]}, trained_model, [spec], BA, "bA", CEMConfig(),
+                     env_cfg)[0]
     assert r.success == 1 and r.steps_executed == 0
     assert r.mean_state_distance == 0.0 and r.visual_embedding_divergence == 0.0
 
@@ -125,8 +130,8 @@ def test_immediate_success(prepared, trained_model, env_cfg):
 def test_step_caps(prepared, trained_model, env_cfg):
     spec = sample_episode_specs(0, 1, env_cfg)[0]
     for budget, name, cap in ((BA, "bA", 18), (BB, "bB", 36)):
-        r = play("uniform_int3", prepared["uniform_int3"], trained_model, [spec],
-                 budget, name, CEMConfig(), env_cfg)[0]
+        r = run_episodes({"uniform_int3": prepared["uniform_int3"]}, trained_model, [spec],
+                         budget, name, CEMConfig(), env_cfg)[0]
         assert r.steps_executed <= cap
     assert BA.goal_h * BA.max_iter == 18
     assert BB.goal_h * BB.max_iter == 36
@@ -134,7 +139,8 @@ def test_step_caps(prepared, trained_model, env_cfg):
 
 def test_fp16_divergence_exactly_zero(prepared, trained_model, env_cfg):
     for spec in sample_episode_specs(1, 3, env_cfg):
-        r = play("fp16", prepared["fp16"], trained_model, [spec], BA, "bA", CEMConfig(), env_cfg)[0]
+        r = run_episodes({"fp16": prepared["fp16"]}, trained_model, [spec], BA, "bA", CEMConfig(),
+                         env_cfg)[0]
         assert r.visual_embedding_divergence == 0.0
 
 
@@ -349,7 +355,7 @@ def test_batch_shape_independence(prepared, trained_model, env_cfg, variant, bud
     specs = sample_episode_specs(2, 4, env_cfg) + [at_goal]
     args = (variant, prepared[variant], trained_model)
     rest = (budget, "b", CEMConfig(), env_cfg)
-    batched = play(*args, specs, *rest)
+    batched = run_episodes({variant: prepared[variant]}, trained_model, specs, *rest)
     assert episodes_to_csv(batched) == episodes_to_csv([run_episode(*args, s, *rest) for s in specs])
     # the rows leave the lockstep group at different steps
     assert len({r.steps_executed for r in batched}) > 1
@@ -358,10 +364,10 @@ def test_batch_shape_independence(prepared, trained_model, env_cfg, variant, bud
 def test_plan_rounds_counts_the_plans_run(prepared, trained_model, env_cfg):
     at_goal = EpisodeSpec(0, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
     specs = [at_goal] + sample_episode_specs(0, 6, env_cfg)
-    args = ("uniform_int3", prepared["uniform_int3"], trained_model, specs)
-    once = play(*args, PlannerBudget(9, 2, 1, (0,)), "b", CEMConfig(), env_cfg)
+    args = ({"uniform_int3": prepared["uniform_int3"]}, trained_model, specs)
+    once = run_episodes(*args, PlannerBudget(9, 2, 1, (0,)), "b", CEMConfig(), env_cfg)
     assert [r.plan_rounds for r in once] == [0] + [1] * 6
-    records = play(*args, BB, "bB", CEMConfig(), env_cfg)
+    records = run_episodes(*args, BB, "bB", CEMConfig(), env_cfg)
     assert records[0].plan_rounds == 0
     # every plan but the last runs all goal_h steps; a miss runs max_iter plans
     for r in records[1:]:
@@ -376,7 +382,8 @@ def test_planning_failure_is_recorded_per_variant(prepared, trained_model, env_c
     at_goal = EpisodeSpec(0, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
     specs = [at_goal] + sample_episode_specs(0, 3, env_cfg)
     with np.errstate(invalid="ignore", over="ignore"):
-        records = play("broken", broken, trained_model, specs, BA, "bA", CEMConfig(), env_cfg)
+        records = run_episodes({"broken": broken}, trained_model, specs, BA, "bA", CEMConfig(),
+                               env_cfg)
     assert [r.success for r in records] == [1, 0, 0, 0]
     assert all(r.steps_executed == 0 and r.plan_rounds == 0 for r in records)
 
