@@ -31,7 +31,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
-        if args.output:  # replace runs ExperimentConfig's checks on the new output_dir
+        if args.output is not None:  # replace runs ExperimentConfig's checks on the new output_dir
             cfg = dataclasses.replace(cfg, output_dir=args.output)
         run_stage(cfg, args.stage)
     except (ValidationError, StageError, TrainingDivergenceError, OSError) as e:

@@ -73,6 +73,8 @@ class ExperimentConfig:
                 raise ValidationError(f"{where}: {seed} does not fit the 128-bit signed stream key")
         if self.episodes_per_run < 1:
             raise ValidationError("episodes_per_run must be >= 1")
+        if not self.output_dir:  # Path("") is the current directory
+            raise ValidationError("output_dir must not be empty")
         for what, text in [("output_dir:", self.output_dir),
                            *[("budgets: name", name) for name in self.budgets]]:
             if bad := next(filter(_xml_forbids, text), None):

@@ -110,6 +110,7 @@ BUDGET = {"goal_h": 2, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
          r"budgets: name 'b\\x00A' is not valid text: '\\x00' is not a character XML"),
         ({"budgets": {"bA": BUDGET, "b\uffffA": BUDGET}}, r"budgets: name 'b\\uffffA' is not valid"),
         ({"output_dir": "out\x00x"}, r"output_dir: 'out\\x00x' is not valid"),
+        ({"output_dir": ""}, "output_dir must not be empty"),
     ],
 )
 def test_config_rejects_bad_values(data, message):
@@ -531,6 +532,15 @@ def test_cli_output_override_is_checked(tmp_path, capsys):
     assert main(["gen-data", "--output", str(tmp_path / "a\x01b")]) == 1
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_empty_output_override_is_checked(tmp_path, monkeypatch, capsys):
+    # an empty --output is an override like any other, and fails the output_dir check
+    cfg_path = write_tiny_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-data", "--config", str(cfg_path), "--output", ""]) == 1
+    assert "output_dir must not be empty" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_cli_errors(tmp_path, capsys):

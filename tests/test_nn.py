@@ -107,7 +107,7 @@ def test_recorded_losses_are_full_dataset_losses(env_cfg):
         assert meta[key] == float(loss)
 
 
-def reference_adam(ds, cfg: TrainConfig) -> np.ndarray:
+def reference_adam(ds, cfg: TrainConfig) -> dict[str, np.ndarray]:
     """train_world_model with the float32 Adam update written tensor by tensor."""
     table = observations(ds.cfg)
     init = init_world_model(table.shape[1], seed=cfg.seed)
@@ -115,7 +115,8 @@ def reference_adam(ds, cfg: TrainConfig) -> np.ndarray:
     wm.theta[...] = init.theta
     params = [p for _, p in wm.named_params()]
     assert all(p.dtype == np.float32 for p in params)
-    ends = np.cumsum([p.size for p in params])
+    grad = WorldModel(wm.dims)  # each tensor's gradient is read through its own view
+    grads = [g for _, g in grad.named_params()]
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     order_gen = qrng.stream(0, "train", cfg.seed)
@@ -124,11 +125,10 @@ def reference_adam(ds, cfg: TrainConfig) -> np.ndarray:
         perm = order_gen.permutation(len(ds))
         for lo in range(0, len(ds), cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            _, grad = loss_and_grads(
+            loss_and_grads(
                 wm, table[ds.pixel[idx]], ds.action[idx], table[ds.next_pixel[idx]], ds.state[idx],
-                cfg.prediction_loss_weight, cfg.state_loss_weight,
+                cfg.prediction_loss_weight, cfg.state_loss_weight, grad,
             )
-            grads = [g.reshape(p.shape) for g, p in zip(np.split(grad, ends[:-1]), params)]
             t += 1
             lr_t = cfg.learning_rate * math.sqrt(1 - 0.999**t) / (1 - 0.9**t)
             for p, g, mi, vi in zip(params, grads, m, v):
@@ -137,15 +137,17 @@ def reference_adam(ds, cfg: TrainConfig) -> np.ndarray:
                 vi *= 0.999
                 vi += (1 - 0.999) * g * g
                 p -= lr_t * mi / (np.sqrt(vi) + 1e-8)
-    return np.concatenate([p.reshape(-1) for p in params])
+    return {name: p.copy() for name, p in wm.named_params()}
 
 
 def test_flat_adam_matches_per_tensor_reference(env_cfg):
     ds = gen_dataset(20, 5, 0, env_cfg)
     cfg = TrainConfig(epochs=2)
-    np.testing.assert_array_equal(
-        train_world_model(ds, cfg).theta, reference_adam(ds, cfg)
-    )
+    trained = train_world_model(ds, cfg)
+    expected = reference_adam(ds, cfg)
+    assert sum(p.size for p in expected.values()) == trained.theta.size
+    for name, p in trained.named_params():
+        np.testing.assert_array_equal(p, expected[name], err_msg=name)
 
 
 def test_float32_numeric_path(env_cfg):
@@ -205,6 +207,25 @@ def test_layers_are_views_into_theta(env_cfg):
     np.testing.assert_array_equal(twin.encode(obs), before)
 
 
+def test_forward_weights_are_contiguous_in_out_blocks_of_theta():
+    # theta stores each weight as its (in, out) transpose, so Stack.forward's h @ W.T
+    # reads a C-contiguous matrix and takes BLAS's NN gemm, whatever made the model
+    base = init_world_model(obs_dim=6, encoder_depth=3)
+    loaded = WorldModel.from_model(base.to_model())
+    models = {
+        "init_world_model": base,
+        "WorldModel(dims)": WorldModel(base.dims),
+        "from_model": loaded,
+        "deepcopy": copy.deepcopy(loaded),
+        "apply_policy": apply_policy(loaded, policy_for_name("uniform_int4", loaded)),
+    }
+    for how, model in models.items():
+        for stack in (model.encoder, model.predictor, model.probe):
+            for W, _ in stack.layers:
+                assert W.T.flags.c_contiguous, how
+                assert np.shares_memory(W, model.theta), how
+
+
 def test_training_validation(env_cfg):
     ds = gen_dataset(1, 1, 0, env_cfg)
     empty = Dataset(ds.pixel[:0], ds.action[:0], ds.next_pixel[:0], ds.state[:0], env_cfg)
@@ -221,23 +242,35 @@ def test_probe_validation_error(trained_model, dataset, env_cfg):
     assert err < 0.15
 
 
-def test_table_paths_equal_the_explicit_image_paths(trained_model, dataset, env_cfg):
-    # the full-dataset loss and the probe fit encode the 256-row table once and gather
-    # latents by pixel; at the default env that equals encoding every image, bit for bit
-    table = observations(env_cfg).astype(np.float32)
-    obs, next_obs = table[dataset.pixel], table[dataset.next_pixel]
-    explicit = loss_and_grads(trained_model, obs, dataset.action, next_obs, dataset.state,
-                              0.5, 2.0)[0]
-    gathered = _dataset_loss(trained_model, table, dataset, 0.5, 2.0)
+def assert_table_paths_equal_image_paths(wm, ds):
+    """The full-dataset loss and the probe fit, which encode the observation table once
+    and gather latents by pixel, equal encoding every image, bit for bit."""
+    table = observations(ds.cfg).astype(np.float32)
+    obs, next_obs = table[ds.pixel], table[ds.next_pixel]
+    explicit = loss_and_grads(wm, obs, ds.action, next_obs, ds.state, 0.5, 2.0)[0]
+    gathered = _dataset_loss(wm, table, ds, 0.5, 2.0)
     assert gathered.dtype == explicit.dtype and gathered.tobytes() == explicit.tobytes()
 
-    fitted = fit_state_probe(copy.deepcopy(trained_model), dataset)
-    z = trained_model.encode(obs)
+    fitted = fit_state_probe(copy.deepcopy(wm), ds)
+    z = wm.encode(obs)
     A = np.hstack([z, np.ones((len(z), 1))])
-    sol = np.linalg.lstsq(A, dataset.state, rcond=None)[0]
+    sol = np.linalg.lstsq(A, ds.state, rcond=None)[0]
     W, b = fitted.probe.layers[0]
     assert W.tobytes() == sol[:-1].T.astype(np.float32).tobytes()
     assert b.tobytes() == sol[-1].astype(np.float32).tobytes()
+
+
+def test_table_paths_equal_the_explicit_image_paths(trained_model, dataset):
+    assert_table_paths_equal_image_paths(trained_model, dataset)
+
+
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_table_paths_equal_the_image_paths_on_small_datasets(trained_model, dataset, env_cfg, n):
+    # a row of an M-row NN product equals that row of the 256-row table encode for every
+    # M >= 2, so the table paths need no minimum dataset size
+    small = Dataset(dataset.pixel[:n], dataset.action[:n], dataset.next_pixel[:n],
+                    dataset.state[:n], env_cfg)
+    assert_table_paths_equal_image_paths(trained_model, small)
 
 
 def test_probe_exact_linear_fit(rng):

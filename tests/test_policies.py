@@ -167,7 +167,10 @@ def test_one_rule_matches_tensor_oracle(policy):
             expected.append(b)  # biases are never quantized
             size += 2 * b.size
     v = apply_policy(m, policy)
-    assert v.theta.tobytes() == np.concatenate([t.ravel() for t in expected]).tobytes()
+    params = [p for _, p in v.named_params()]
+    assert sum(p.size for p in params) == v.theta.size
+    for p, t in zip(params, expected, strict=True):  # logical (out, in) bytes, tensor by tensor
+        assert p.dtype == t.dtype and p.tobytes() == t.tobytes()
     assert model_size_bytes(m, policy) == size
 
 
