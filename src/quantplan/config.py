@@ -25,13 +25,6 @@ VARIANT_KEYWORDS = {"core": CORE_VARIANT_NAMES, "all": ALL_VARIANT_NAMES}
 POOLED_SCOPE = "pooled"  # the matchups scope over all budgets; no budget may take the name
 
 
-def _xml_forbids(c: str) -> bool:
-    """Whether XML 1.0, and so SVG text, forbids the character `c`: a C0 control but tab, LF
-    and CR (NUL, which no path can hold, among them), a lone surrogate (JSON "\\ud800", which
-    UTF-8 cannot encode), U+FFFE or U+FFFF."""
-    return c < " " and c not in "\t\n\r" or "\ud800" <= c <= "\udfff" or c in "\ufffe\uffff"
-
-
 @dataclass
 class DatasetConfig:
     n_traj: int = 200
@@ -75,11 +68,12 @@ class ExperimentConfig:
             raise ValidationError("episodes_per_run must be >= 1")
         if not self.output_dir:  # Path("") is the current directory
             raise ValidationError("output_dir must not be empty")
+        # printable: no line break to split a CSV row, and every character XML 1.0 allows
         for what, text in [("output_dir:", self.output_dir),
                            *[("budgets: name", name) for name in self.budgets]]:
-            if bad := next(filter(_xml_forbids, text), None):
+            if bad := next((c for c in text if not c.isprintable()), None):
                 raise ValidationError(f"{what} {text!r} is not valid text: {bad!r} "
-                                      "is not a character XML 1.0 allows")
+                                      "is not printable")
         for name, budget in self.budgets.items():
             # the statistics split each budget's paired units into at least two bins
             if len(budget.seeds) * self.episodes_per_run < 2:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import copy
 import math
-import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -41,12 +40,6 @@ ACTION_DIM = 2
 
 # WorldModel stack attributes in theta order
 STACKS = ("encoder", "predictor", "probe")
-# (input, output) width of each stack in a study model; None leaves it free
-STACK_WIDTHS = {
-    "encoder": (None, LATENT_DIM),
-    "predictor": (LATENT_DIM + ACTION_DIM, LATENT_DIM),
-    "probe": (LATENT_DIM, None),
-}
 
 
 @dataclass(frozen=True)
@@ -65,9 +58,15 @@ class TrainConfig:
             raise ValidationError("loss weights must be positive")
 
 
-def _mlp_dims(in_dim: int, out_dim: int, depth: int) -> list[tuple[int, int]]:
-    dims = [in_dim] + [HIDDEN_DIM] * (depth - 1) + [out_dim]
-    return list(zip(dims[1:], dims[:-1]))  # (out, in) per layer
+def study_dims(obs_dim: int, latent_dim: int = LATENT_DIM, encoder_depth: int = ENCODER_DEPTH,
+               predictor_depth: int = PREDICTOR_DEPTH) -> dict[str, list[tuple[int, int]]]:
+    """Each STACKS attribute's (out, in) layer shapes; the defaults give the study model."""
+    widths = {
+        "encoder": [obs_dim, *[HIDDEN_DIM] * (encoder_depth - 1), latent_dim],
+        "predictor": [latent_dim + ACTION_DIM, *[HIDDEN_DIM] * (predictor_depth - 1), latent_dim],
+        "probe": [latent_dim, 2],
+    }
+    return {name: list(zip(w[1:], w[:-1])) for name, w in widths.items()}  # (out, in) pairs
 
 
 class Stack:
@@ -192,42 +191,24 @@ class WorldModel:
 
     @classmethod
     def from_model(cls, model: Model) -> "WorldModel":
-        """Inverse of `to_model`; each stack's layers are counted from its
-        "{stack}.{i}.weight" names.
-
-        ValidationError names the tensor that is missing, unknown or does not
-        chain: each layer takes the previous layer's output width, the encoder
-        ends at LATENT_DIM, the predictor maps LATENT_DIM + ACTION_DIM to
-        LATENT_DIM, and the probe takes LATENT_DIM.
-        """
-        dims = {}
-        for name in STACKS:
-            width, end = STACK_WIDTHS[name]
-            pattern = re.compile(rf"{name}\.\d+\.weight")
-            n = sum(pattern.fullmatch(t.name) is not None for t in model.tensors)
-            dims[name] = []
-            for i in range(max(n, 1)):  # a stack without layers fails on "{stack}.0.weight"
-                weight = f"{name}.{i}.weight"
-                shape = model.tensor(weight).data.shape
-                if len(shape) != 2:
-                    raise ValidationError(f"tensor {weight!r} has shape {shape}, expected 2-D")
-                if width not in (None, shape[1]):
-                    raise ValidationError(
-                        f"tensor {weight!r} takes {shape[1]} inputs, expected {width}"
-                    )
-                width = shape[0]
-                dims[name].append(shape)
-            if end not in (None, width):
-                raise ValidationError(f"tensor {weight!r} has {width} outputs, expected {end}")
-        wm = cls(dims, dict(model.extras))
+        """Inverse of `to_model` for the study model (`study_dims`) of any observation width;
+        ValidationError names a tensor that is missing, unknown or of another shape."""
+        shape = model.tensor("encoder.0.weight").data.shape
+        if len(shape) != 2:
+            raise ValidationError(f"tensor 'encoder.0.weight' has shape {shape}, expected 2-D")
+        wm = cls(study_dims(shape[1]), dict(model.extras))
         params = dict(wm.named_params())
-        for t in model.tensors:
-            if t.name not in params:
-                raise ValidationError(f"unknown tensor {t.name!r}")
+        if unknown := [t.name for t in model.tensors if t.name not in params]:
+            raise ValidationError(f"unknown tensor {unknown[0]!r}")
         for name, p in params.items():
             data = model.tensor(name).data
-            if data.shape != p.shape:
-                raise ValidationError(f"tensor {name!r} has shape {data.shape}, expected {p.shape}")
+            got, want = data.shape, p.shape
+            if len(got) != len(want):
+                raise ValidationError(f"tensor {name!r} has shape {got}, expected {want}")
+            if got[1:] != want[1:]:  # only a weight has an input width
+                raise ValidationError(f"tensor {name!r} takes {got[1]} inputs, expected {want[1]}")
+            if got != want:
+                raise ValidationError(f"tensor {name!r} has {got[0]} outputs, expected {want[0]}")
             p[...] = data
         return wm
 
@@ -241,14 +222,8 @@ def init_world_model(
     predictor_depth: int = PREDICTOR_DEPTH,
 ) -> WorldModel:
     gen = rng.stream(master_seed, "init", seed)
-    wm = WorldModel(
-        {
-            "encoder": _mlp_dims(obs_dim, latent_dim, encoder_depth),
-            "predictor": _mlp_dims(latent_dim + ACTION_DIM, latent_dim, predictor_depth),
-            "probe": _mlp_dims(latent_dim, 2, 1),
-        },
-        dtype=np.float64,
-    )
+    dims = study_dims(obs_dim, latent_dim, encoder_depth, predictor_depth)
+    wm = WorldModel(dims, dtype=np.float64)
     for name, p in wm.named_params():
         if name.endswith(".weight"):
             bound = np.sqrt(6.0 / sum(p.shape))

@@ -392,7 +392,7 @@ def read_episodes_csv(path: str | Path) -> list[EpisodeRecord]:
         raise ValidationError(f"unexpected episodes.csv header in {path}")
     parsers = [{"str": str, "int": int, "float": float}[f.type] for f in fields(EpisodeRecord)]
     records = []
-    # csv, not str.splitlines(), splits the rows, so a name may hold U+0085, U+2028, CR or LF
+    # a budget name holds no line break, but it may hold the commas and quotes csv escapes
     rows = csv.reader(io.StringIO(body, newline=""))
     try:
         for row in rows:

@@ -78,11 +78,9 @@ def sign_test(pairs: list[tuple[float, float]]) -> tuple[float, int]:
     m = wins + losses
     if m == 0:
         return 1.0, 0
-    k = wins
-    denom = 2.0**m
-    lower = sum(comb(m, i) for i in range(0, k + 1)) / denom
-    upper = sum(comb(m, i) for i in range(k, m + 1)) / denom
-    return min(1.0, 2.0 * min(lower, upper)), m
+    # by symmetry the smaller tail is the lower one at min(wins, losses); int / int cannot overflow
+    tail = sum(comb(m, i) for i in range(min(wins, losses) + 1)) / 2**m
+    return min(1.0, 2.0 * tail), m
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

@@ -137,13 +137,9 @@ def json_fault(obj, fields: dict[str, type]) -> str | None:
 
 
 def csv_text(rows) -> str:
-    """`rows` as CSV text with LF line ends.  csv leaves a field holding a lone CR unquoted,
-    and its reader ends the row there, so a row with such a field quotes all its strings."""
+    """`rows` as CSV text, one LF-ended line per row: no field holds a line break."""
     buf = io.StringIO()
-    plain = csv.writer(buf, lineterminator="\n")
-    quoting = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
-    for row in rows:
-        (quoting if any("\r" in f for f in row if type(f) is str) else plain).writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
@@ -155,11 +151,18 @@ def read_text(path: str | Path) -> str:
         raise ValidationError(f"{path}: not found, unreadable or not UTF-8 ({e})") from e
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:  # json.loads' object_pairs_hook
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return dict(pairs)
+
+
 def read_json(path: str | Path, fields: dict[str, type]) -> dict:
-    """The JSON object in `path` with `fields` of their kinds; ValidationError naming it if not."""
+    """The JSON object in `path`, no key repeated, `fields` of their kinds; else ValidationError."""
     text = read_text(path)
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as e:  # ValueError: also an int of too many digits
         raise ValidationError(f"{path} is not valid JSON: {e}") from e
     if fault := json_fault(obj, fields):

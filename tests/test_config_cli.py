@@ -1,16 +1,21 @@
+import csv
+import io
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quantplan import ValidationError
 from quantplan.cli import main
 from quantplan.config import ExperimentConfig, config_from_dict, load_config
 from quantplan.errors import StageError
 from quantplan.pipeline import run_stage
-from quantplan.planner import read_episodes_csv
-from quantplan.store import load_model, persist_model
+from quantplan.planner import EpisodeRecord, read_episodes_csv, write_episodes_csv
+from quantplan.report import main_table_csv
+from quantplan.store import TensorRecord, load_model, persist_model
 
 TINY = {
     "dataset": {"n_traj": 40, "traj_len": 8, "seed": 0},
@@ -107,7 +112,7 @@ BUDGET = {"goal_h": 2, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
         ({"budgets": {"bA": BUDGET, "\ud800": BUDGET}}, r"budgets: name '\\ud800' is not valid"),
         ({"output_dir": "out\ud800"}, r"output_dir: 'out\\ud800' is not valid"),
         ({"budgets": {"bA": BUDGET, "b\x00A": BUDGET}},
-         r"budgets: name 'b\\x00A' is not valid text: '\\x00' is not a character XML"),
+         r"budgets: name 'b\\x00A' is not valid text: '\\x00' is not printable"),
         ({"budgets": {"bA": BUDGET, "b\uffffA": BUDGET}}, r"budgets: name 'b\\uffffA' is not valid"),
         ({"output_dir": "out\x00x"}, r"output_dir: 'out\\x00x' is not valid"),
         ({"output_dir": ""}, "output_dir must not be empty"),
@@ -129,16 +134,37 @@ def test_config_rejects_bad_values(data, message):
         {"output_dir": "out\ud800"},
         {"budgets": {"bA": BUDGET, "b\x00A": BUDGET}},
         {"output_dir": "out\x00x"},
+        *({"budgets": {"bA": BUDGET, f"b{c}A": BUDGET}} for c in "\r\n\t\u2028"),
     ],
     ids=["duplicate_variants", "single_paired_unit", "no_variants",
          "budget_seed_out_of_range", "budget_name_not_utf8", "output_dir_not_utf8",
-         "budget_name_nul", "output_dir_nul"],
+         "budget_name_nul", "output_dir_nul", "budget_name_cr", "budget_name_lf",
+         "budget_name_tab", "budget_name_u2028"],
 )
-def test_bad_config_fails_before_any_artifact(tmp_path, bad):
+def test_bad_config_fails_before_any_artifact(tmp_path, capsys, bad):
     cfg_path = tmp_path / "cfg.json"
     # a case's own output_dir cannot name a directory, so none of that name can appear
     cfg_path.write_text(json.dumps({**TINY, "output_dir": str(tmp_path / "out"), **bad}))
     assert main(["all", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"episodes_per_run": 10, "episodes_per_run": 3, '
+         '"train": {"epochs": 5}, "train": {"batch_size": 8}}', "episodes_per_run"),
+        ('{"train": {"epochs": 5, "epochs": 6}}', "epochs"),
+    ],
+    ids=["top_level", "nested"],
+)
+def test_repeated_config_key_fails_before_any_artifact(tmp_path, capsys, text, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["all", "--config", str(cfg_path), "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"repeated key {key!r}" in err, err
     assert not (tmp_path / "out").exists()
 
 
@@ -210,25 +236,36 @@ def test_eval_quantizes_the_model_it_loads(tmp_path):
     assert episodes == (tmp_path / "fresh" / "episodes.csv").read_bytes()
 
 
-def test_csv_files_read_back_line_breaking_budget_names(tmp_path):
-    import csv
+@pytest.mark.parametrize(
+    "name", ["b\rA", "b\nA", "b\r\nA", "b\x85A", "b\u2028A", "b\u2029A", "b\tA"]
+)
+def test_config_rejects_line_breaking_names(name):
+    # str.splitlines() breaks a line at each of these but tab, which CSV and SVG text mangle
+    message = f"is not valid text: {re.escape(repr(name[1]))} is not printable"
+    with pytest.raises(ValidationError, match=f"budgets: name {re.escape(repr(name))} {message}"):
+        config_from_dict({"budgets": {name: BUDGET}})
+    with pytest.raises(ValidationError, match=f"output_dir: {re.escape(repr(name))} {message}"):
+        config_from_dict({"output_dir": name})
 
-    # str.splitlines() breaks a line at each of these, and csv's writer quotes only LF
-    names = ["b\rA", "b\nA", "b\r\nA", "b\x85A", "b\u2028A", "b\u2029A"]
-    budget = {"goal_h": 3, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
-    cfg = config_from_dict({
-        **TINY, "dataset": {"n_traj": 20, "traj_len": 6}, "train": {"epochs": 2},
-        "budgets": {name: budget for name in names}, "episodes_per_run": 2,
-        "variants": ["uniform_int4", "mixed_int4"], "output_dir": str(tmp_path / "out"),
-    })
-    run_stage(cfg, "all")
-    records = read_episodes_csv(tmp_path / "out" / "episodes.csv")
-    assert sorted({r.budget_name for r in records}) == sorted(names)
-    assert len(records) == 2 * len(names) * 2
-    with open(tmp_path / "out" / "main_table.csv", newline="", encoding="utf-8") as f:
-        table = list(csv.reader(f))
-    assert table[0] == ["variant", *(f"success_{name}" for name in sorted(names)), "size_mb"]
-    assert [row[0] for row in table[1:]] == ["mixed_int4", "uniform_int4"]
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.text(min_size=1, max_size=6))
+@example(name='b,"A')
+def test_accepted_budget_names_read_back_from_csv_files(tmp_path_factory, name):
+    try:
+        config_from_dict({"budgets": {name: BUDGET}})
+    except ValidationError:
+        return
+    records = [EpisodeRecord("fp16", name, 0, i, 1, 0.5, 4, 1, 0.02, 0.0) for i in range(2)]
+    path = tmp_path_factory.mktemp("csv") / "episodes.csv"
+    write_episodes_csv(records, path)
+    assert read_episodes_csv(path) == records
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + len(records)
+    point = {"variant_name": "fp16", "budget": name, "success": 0.5, "size_bytes": 1000}
+    table = main_table_csv({"frontier": [point]})
+    assert len(table.splitlines()) == 2
+    assert next(csv.reader(io.StringIO(table, newline=""))) == ["variant", f"success_{name}",
+                                                                  "size_mb"]
 
 
 def test_report_is_utf8_under_an_ascii_locale(tmp_path):
@@ -297,6 +334,23 @@ BAD_DATASETS = {
     "other_env": (lambda m: m.extras["env"].update(wall_x=0.4), "env"),
     "no_env": (lambda m: m.extras.pop("env"), "env"),
 }
+
+
+@pytest.mark.parametrize("stage, output", [("variants", "sizes.json"), ("eval", "episodes.csv")])
+def test_checkpoint_with_a_fifth_encoder_layer_fails_before_any_output(tmp_path, capsys, stage,
+                                                                      output):
+    cfg_path = write_tiny_config(tmp_path)
+    for prior in ("gen-data", "train"):
+        assert main([prior, "--config", str(cfg_path)]) == 0
+    model = tmp_path / "out" / "model"
+    m = load_model(model)
+    m.tensors += [TensorRecord("encoder.4.weight", np.eye(16)),
+                  TensorRecord("encoder.4.bias", np.zeros(16))]
+    persist_model(m, model)
+    assert main([stage, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown tensor 'encoder.4.weight'" in err, err
+    assert not (tmp_path / "out" / output).exists()
 
 
 @pytest.mark.parametrize("fault", BAD_DATASETS)

@@ -210,7 +210,7 @@ def test_layers_are_views_into_theta(env_cfg):
 def test_forward_weights_are_contiguous_in_out_blocks_of_theta():
     # theta stores each weight as its (in, out) transpose, so Stack.forward's h @ W.T
     # reads a C-contiguous matrix and takes BLAS's NN gemm, whatever made the model
-    base = init_world_model(obs_dim=6, encoder_depth=3)
+    base = init_world_model(obs_dim=6)
     loaded = WorldModel.from_model(base.to_model())
     models = {
         "init_world_model": base,
@@ -350,6 +350,15 @@ def test_from_model_rejects_layers_that_do_not_chain(trained_model, name, shape,
     m = trained_model.to_model()
     m.tensor(name).data = np.zeros(shape, dtype=np.float32)
     with pytest.raises(ValidationError, match=f"'{name}' {message}"):
+        WorldModel.from_model(m)
+
+
+def test_from_model_rejects_a_fifth_encoder_layer(trained_model):
+    # 16 -> 16 chains after the encoder's last layer, but the study encoder has four
+    m = trained_model.to_model()
+    m.tensors += [TensorRecord("encoder.4.weight", np.eye(16)),
+                  TensorRecord("encoder.4.bias", np.zeros(16))]
+    with pytest.raises(ValidationError, match="unknown tensor 'encoder.4.weight'"):
         WorldModel.from_model(m)
 
 

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -54,6 +55,14 @@ def test_sign_test_matches_enumeration_oracle():
             p, nt = sign_test(pairs)
             assert nt == m
             assert p == pytest.approx(sign_test_oracle(m, k), abs=1e-15)
+
+
+def test_sign_test_past_the_float_range_of_two_to_the_m():
+    # 2.0**m overflows from m = 1024 on; the tail is the exact quotient, rounded once
+    p, m = sign_test([(1, 0)] * 540 + [(0, 1)] * 660)
+    assert m == 1200
+    assert p == float(2 * Fraction(sum(comb(1200, i) for i in range(541)), 2**1200))
+    assert sign_test([(1, 0)] * 1100) == (0.0, 1100)  # 2**-1099 is below the smallest float
 
 
 # ---- paired delta / bootstrap ------------------------------------------------

@@ -131,8 +131,9 @@ def test_missing_files(tmp_path):
         (b"{not json", "not valid JSON"),
         (b"[" * 100_000, "not valid JSON"),
         (b"[]", "not a JSON object"),
+        (b'{"format_version": 2, "extras": {}, "extras": {"a": 1}}', "repeated key 'extras'"),
     ],
-    ids=["latin1", "not_json", "too_deep", "not_object"],
+    ids=["latin1", "not_json", "too_deep", "not_object", "repeated_key"],
 )
 def test_unreadable_manifest_names_file(tmp_path, text, message):
     persist_model(small_model(), tmp_path)
