@@ -34,7 +34,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.output is not None:  # replace runs ExperimentConfig's checks on the new output_dir
             cfg = dataclasses.replace(cfg, output_dir=args.output)
         run_stage(cfg, args.stage)
-    except (ValidationError, StageError, TrainingDivergenceError, OSError) as e:
+    except (ValidationError, StageError, TrainingDivergenceError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

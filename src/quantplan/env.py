@@ -105,9 +105,10 @@ def observations(cfg: WallEnvConfig) -> np.ndarray:
     """Every observation there is, shape (image_side**2, image_side**2): row p
     is the agent on pixel p (see `pixel`), flattened row-major in [0, 1].  The
     agent's pixel reads 1.0 and the wall column 0.5 on every row whose centre
-    is outside the gap."""
+    is outside the gap.  Float32, the dtype every encode computes in, holds
+    0, 0.5 and 1 exactly."""
     side = cfg.image_side
-    background = np.zeros((side, side))
+    background = np.zeros((side, side), np.float32)
     wall_col = min(int(np.floor(cfg.wall_x * side)), side - 1)
     background[~_in_gap((np.arange(side) + 0.5) / side, cfg), wall_col] = 0.5
     obs = np.tile(background.reshape(-1), (side**2, 1))
@@ -116,7 +117,7 @@ def observations(cfg: WallEnvConfig) -> np.ndarray:
 
 
 def render(state: np.ndarray, cfg: WallEnvConfig) -> np.ndarray:
-    """The observation per row of `state` (..., 2): `observations` at its `pixel`."""
+    """The float32 observation per row of `state` (..., 2): `observations` at its `pixel`."""
     return observations(cfg)[pixel(state, cfg)]
 
 

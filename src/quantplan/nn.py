@@ -310,7 +310,7 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
     """
     if len(dataset) == 0:
         raise ValidationError("dataset is empty")
-    table = observations(dataset.cfg).astype(np.float32)  # 0, 0.5 and 1: exact
+    table = observations(dataset.cfg)
     init = init_world_model(table.shape[1], master_seed=master_seed, seed=cfg.seed)
     wm = WorldModel(init.dims)
     wm.theta[...] = init.theta

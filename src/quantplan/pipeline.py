@@ -31,7 +31,7 @@ from .errors import StageError, ValidationError
 from .nn import WorldModel, fit_state_probe, train_world_model
 from .planner import EpisodeRecord, read_episodes_csv, run_paired_eval, write_episodes_csv
 from .policies import apply_policy, model_size_bytes, policy_for_name
-from .report import ENTRY_FIELDS, RHO, emit_report
+from .report import RHO, STATS_FILES, emit_report
 from .stats import (
     compare_records,
     difficulty_bins,
@@ -55,10 +55,6 @@ COMPARISON_PLAN = [
 
 # the per-run means in correlations.json, success first
 RUN_POINT_FIELDS = ("success", "mean_state_distance", "visual_embedding_divergence")
-
-# each statistics file and the key of its list
-STATS_FILES = {"comparisons.json": "comparisons", "matchups.json": "matchups", "bins.json": "bins",
-               "frontier.json": "frontier", "correlations.json": "run_points"}
 
 
 def _out(cfg: ExperimentConfig) -> Path:
@@ -192,7 +188,11 @@ def compute_stats(records: list[EpisodeRecord], sizes: dict[str, int],
                 {"variant": variant, "budget": budget, "seed": seed,
                  **{f: _mean(run, f) for f in RUN_POINT_FIELDS}}
             )
-    correlations = {"n_run_points": len(run_points), "run_points": run_points}
+    lists = (comparisons, matchups, bins, frontier, run_points)
+    artifacts = {name: {key: entries}
+                 for (name, (key, _)), entries in zip(STATS_FILES.items(), lists, strict=True)}
+    correlations = artifacts["correlations.json"]
+    correlations["n_run_points"] = len(run_points)
     succ = [p["success"] for p in run_points]
     for diag in RUN_POINT_FIELDS[1:]:
         try:
@@ -200,14 +200,7 @@ def compute_stats(records: list[EpisodeRecord], sizes: dict[str, int],
         except ValidationError:
             rho = None
         correlations[f"spearman_success_vs_{diag}"] = rho
-
-    return {
-        "comparisons.json": {"comparisons": comparisons},
-        "matchups.json": {"matchups": matchups},
-        "bins.json": {"bins": bins},
-        "frontier.json": {"frontier": frontier},
-        "correlations.json": correlations,
-    }
+    return artifacts
 
 
 def stage_stats(cfg: ExperimentConfig) -> dict:
@@ -232,14 +225,14 @@ def stage_stats(cfg: ExperimentConfig) -> dict:
 def stage_report(cfg: ExperimentConfig) -> None:
     out = _out(cfg)
     artifacts = {name: _read_json(out / name, "stats", key, list)
-                 for name, key in STATS_FILES.items()}
+                 for name, (key, _) in STATS_FILES.items()}
 
     def reject(name: str, fault: str):
         raise StageError(f"{out / name} has {fault}; rerun the 'stats' stage")
 
-    for name, key in STATS_FILES.items():
+    for name, (key, entry_fields) in STATS_FILES.items():
         for entry in artifacts[name][key]:
-            for field, kind in ENTRY_FIELDS[name].items():
+            for field, kind in entry_fields.items():
                 if json_fault(entry, {field: kind}):
                     reject(name, f"a {key!r} entry without the {field!r} the report reads")
     # frontier_svg scales its size axis over the frontier points

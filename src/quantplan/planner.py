@@ -35,18 +35,21 @@ another's records and temporaries stay small.
 A CEM rollout runs through one (n, m, latent + 2) predictor input buffer: each
 step casts its actions into the last columns, and the predictor's last layer
 writes the next latent into the first.  `plan_actions` also returns the
-per-step latents of the rollout that scores its final plan, and the execution
-loop reads these for the state probe: they are the same (n, 1, 18) slices of
-the same inputs as a `predict_next` chain over the executed plan.
+per-step latents of the rollout that scores its final plan: they are the same
+(n, 1, 18) slices of the same inputs as a `predict_next` chain over the
+executed plan.  The fp model's state probe decodes them once per plan, one
+(1, latent) slice per step as rule 1 asks, and each executed step reads its row.
 
 An observation is the fixed wall background plus the agent's pixel, so a
 model's encoder has only image_side**2 distinct inputs.  `run_episodes`
-encodes them once per model, as one 2-D product of the whole observation table
-`env.observations`, the same encode as training's full-dataset loss and probe
-fit.  Every encode of the eval is then a row lookup by `env.pixel`: the current
-and goal latents that `plan_actions` takes and the embedding divergence.  The
-table belongs to a model, not to an episode, so rule 1 does not apply to it:
-every record reads the same rows whatever shares its group.
+encodes them once per model, as one 2-D product of the float32 observation
+table `env.observations`, the same encode as training's full-dataset loss and
+probe fit.  Every encode of the eval is then a row lookup by `env.pixel`: the
+current and goal latents that `plan_actions` takes.  Each variant's embedding
+divergence is a table too, built once: row p is `_norm` of its latent row p
+minus the fp model's.  These tables belong to a model, not to an episode, so
+rule 1 does not apply to them: every record reads the same rows whatever shares
+its group.  The step loop calls no model: it steps the env and reads rows.
 """
 
 from __future__ import annotations
@@ -209,6 +212,7 @@ def plan_actions(
     best_cost = np.full(n, np.inf)
     elite_costs = np.full((n, budget.opt_steps), np.nan)
     failed = np.zeros(n, dtype=bool)
+    rows = np.arange(n)[:, None]
 
     for k in range(budget.opt_steps):
         seqs = noise[live, k]
@@ -220,10 +224,10 @@ def plan_actions(
         c = costs_of(seqs)
         failed |= ~np.all(np.isfinite(c), axis=1)
         order = np.argsort(c, axis=1, kind="stable")[:, :n_elite]
-        elites = np.take_along_axis(seqs, order[:, :, None, None], axis=1)
+        elites = seqs[rows, order]
         mean = elites.mean(axis=1)
         std = np.maximum(elites.std(axis=1), cem.std_floor)
-        top = np.take_along_axis(c, order[:, :1], axis=1)[:, 0]
+        top = c[rows[:, 0], order[:, 0]]
         elite_costs[~failed, k] = top[~failed]
         better = top < best_cost
         best_cost[better] = top[better]
@@ -257,7 +261,7 @@ def run_episodes(
     variant of `variants`, a name and its model; one record per variant and
     spec, variant by variant in spec order.  Each model's latent table is its
     encode of `env.observations(env_cfg)`, one 2-D product, and every encode of
-    the loop is a row lookup into it.
+    the loop is a row lookup into it, as is every step's embedding divergence.
 
     Each variant plays every spec in one lockstep group.  Row [v, i] of every
     array belongs to variant v's episode of specs[i], and lives[v] lists
@@ -282,9 +286,10 @@ def run_episodes(
     state_dist = np.zeros((*shape, budget.max_iter * h))
     embed_div = np.zeros_like(state_dist)
     lives = [np.flatnonzero(~success[0])] * len(variants)
-    obs = observations(env_cfg).astype(np.float32)  # 0, 0.5 and 1: exact
+    obs = observations(env_cfg)
     *tables, fp_table = [wm.encode(obs) for wm in (*variants.values(), fp_wm)]
     del obs  # the rounds never read it, and their temporaries set the peak RSS
+    divs = [_norm(table - fp_table) for table in tables]
 
     for noise in plan_noise(specs, budget, cem, master_seed):
         for v, wm in enumerate(variants.values()):
@@ -296,7 +301,8 @@ def run_episodes(
                 wm, z_now, table[goal_px[live]], budget, cem, noise, live, env_cfg.max_step
             )
             ok = ~info["failed"]
-            live, plans, z_plan = live[ok], plans[ok], z_plan[ok]
+            live, plans = live[ok], plans[ok]
+            pos = fp_wm.probe_decode(z_plan[ok, :, None])  # (m, h, 1, 2)
             n_plans[v, live] += 1
             for t in range(h):
                 if not live.size:
@@ -305,12 +311,11 @@ def run_episodes(
                 state[v, live] = s
                 k = steps[v, live]
                 steps[v, live] += 1
-                state_dist[v, live, k] = _norm(fp_wm.probe_decode(z_plan[:, t, None])[:, 0] - s)
-                p = pixel(s, env_cfg)
-                embed_div[v, live, k] = _norm(table[p] - fp_table[p])
+                state_dist[v, live, k] = _norm(pos[:, t, 0] - s)
+                embed_div[v, live, k] = divs[v][pixel(s, env_cfg)]
                 done = _norm(s - goal[live]) <= tau
                 success[v, live[done]] = True
-                live, plans, z_plan = live[~done], plans[~done], z_plan[~done]
+                live, plans, pos = live[~done], plans[~done], pos[~done]
             lives[v] = live
         if not any(live.size for live in lives):
             break

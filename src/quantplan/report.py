@@ -15,15 +15,16 @@ W, H = 640, 400
 MARGIN = 60
 PLOT_W, PLOT_H = W - 2 * MARGIN, H - 2 * MARGIN
 
-# per statistics file, the fields (JSON kinds, see store.json_is) the renderers read per entry
-ENTRY_FIELDS = {
-    "comparisons.json": dict(name_a=str, name_b=str, budget=str, delta=float, ci_low=float,
-                             ci_high=float, p_sign=float),
-    "matchups.json": {},
-    "bins.json": dict(budget=str, variant=str, bin=str, mean_success=float),
-    "frontier.json": dict(variant_name=str, budget=str, success=float, size_bytes=float,
-                          non_dominated=bool),
-    "correlations.json": dict(success=float, visual_embedding_divergence=float),
+# each statistics file, in the order the stats stage builds them: the key of its
+# list and the fields (JSON kinds, see store.json_is) the renderers read per entry
+STATS_FILES = {
+    "comparisons.json": ("comparisons", dict(name_a=str, name_b=str, budget=str, delta=float,
+                                             ci_low=float, ci_high=float, p_sign=float)),
+    "matchups.json": ("matchups", {}),
+    "bins.json": ("bins", dict(budget=str, variant=str, bin=str, mean_success=float)),
+    "frontier.json": ("frontier", dict(variant_name=str, budget=str, success=float,
+                                       size_bytes=float, non_dominated=bool)),
+    "correlations.json": ("run_points", dict(success=float, visual_embedding_divergence=float)),
 }
 # the correlation divergence_scatter_svg prints: a number, or null when undefined
 RHO = "spearman_success_vs_visual_embedding_divergence"

@@ -295,6 +295,17 @@ def test_report_is_utf8_under_an_ascii_locale(tmp_path):
         assert ("caf\xe9" in text) == (name != "divergence_scatter.svg"), name
 
 
+def test_memory_error_prints_one_error_line(monkeypatch, capsys):
+    # a stage's failed allocation is reported like any other failure; no real
+    # allocation is attempted, whether the OS would refuse one depends on the machine
+    def refuse(cfg, stage):
+        raise MemoryError("Unable to allocate 589. TiB for an array")
+
+    monkeypatch.setattr("quantplan.cli.run_stage", refuse)
+    assert main(["train"]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 589. TiB for an array\n"
+
+
 def test_train_names_tensor_missing_from_dataset(tmp_path, capsys):
     cfg_path = write_tiny_config(tmp_path)
     assert main(["gen-data", "--config", str(cfg_path)]) == 0

@@ -192,10 +192,17 @@ def test_render_is_the_observation_of_its_pixel(env_cfg, rng):
     np.testing.assert_array_equal(table, np.where(np.eye(n, dtype=bool), 1.0, background))
 
 
+def test_observations_are_float32(env_cfg):
+    # the dtype every encode computes in; 0, 0.5 and 1 are exact in it
+    assert observations(env_cfg).dtype == np.float32
+    assert render(np.array([0.3, 0.6]), env_cfg).dtype == np.float32
+
+
 def test_dataset_bytes_pinned(env_cfg):
-    # the hash of the rendered images, so the pixels index the same observations
+    # the hash of the rendered images, so the pixels index the same observations;
+    # hashed as float64, the dtype the table was first pinned in
     ds = gen_dataset(20, 10, 0, env_cfg)
-    table = observations(env_cfg)
+    table = observations(env_cfg).astype(np.float64)
     h = hashlib.sha256()
     for a in (table[ds.pixel], ds.action, table[ds.next_pixel], ds.state):
         h.update(a.tobytes())

@@ -77,6 +77,22 @@ def test_eval_reads_the_training_table_rows(prepared, trained_model, env_cfg, mo
     assert [r.visual_embedding_divergence for r in records] == divergence.tolist()
 
 
+def test_state_probe_decodes_each_plan_once(prepared, trained_model, env_cfg, monkeypatch):
+    # the step loop reads the probe's positions of a plan's latents, decoded once per plan
+    calls = []
+    decode = WorldModel.probe_decode
+
+    def counting_decode(self, latent):
+        calls.append(latent.shape)
+        return decode(self, latent)
+
+    monkeypatch.setattr(WorldModel, "probe_decode", counting_decode)
+    records = run_episodes(prepared, trained_model, sample_episode_specs(0, 6, env_cfg), BB, "bB",
+                           CEMConfig(), env_cfg)
+    assert max(r.steps_executed for r in records) > BB.goal_h
+    assert 0 < len(calls) <= len(prepared) * BB.max_iter
+
+
 def test_plan_deterministic(trained_model, env_cfg):
     obs = render(np.array([0.2, 0.5]), env_cfg)
     goal = render(np.array([0.8, 0.5]), env_cfg)
