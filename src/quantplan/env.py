@@ -20,6 +20,10 @@ from .errors import ValidationError
 from .store import Model, TensorRecord
 
 WALL_EPS = 1e-3
+# `observations` holds image_side**4 float32 values, which train and eval allocate, and
+# dataset/ stores pixels as float32, exact only below 2**24; at 128 the table is 1 GiB
+# and every pixel index is exact
+MAX_IMAGE_SIDE = 128
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,8 @@ class WallEnvConfig:
             raise ValidationError("wall_x must be in (0, 1)")
         if self.image_side < 1 or self.gap_half_width < 0:
             raise ValidationError("image_side must be >= 1 and gap_half_width >= 0")
+        if self.image_side > MAX_IMAGE_SIDE:
+            raise ValidationError(f"image_side must be <= {MAX_IMAGE_SIDE}, got {self.image_side}")
         lo, hi = self.gap_center - self.gap_half_width, self.gap_center + self.gap_half_width
         if lo < 0.0 or hi > 1.0:
             raise ValidationError("gap interval must lie within [0, 1]")

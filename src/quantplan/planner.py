@@ -41,15 +41,15 @@ executed plan.  The fp model's state probe decodes them once per plan, one
 (1, latent) slice per step as rule 1 asks, and each executed step reads its row.
 
 An observation is the fixed wall background plus the agent's pixel, so a
-model's encoder has only image_side**2 distinct inputs.  `run_episodes`
-encodes them once per model, as one 2-D product of the float32 observation
-table `env.observations`, the same encode as training's full-dataset loss and
-probe fit.  Every encode of the eval is then a row lookup by `env.pixel`: the
-current and goal latents that `plan_actions` takes.  Each variant's embedding
-divergence is a table too, built once: row p is `_norm` of its latent row p
-minus the fp model's.  These tables belong to a model, not to an episode, so
-rule 1 does not apply to them: every record reads the same rows whatever shares
-its group.  The step loop calls no model: it steps the env and reads rows.
+model's encoder has only image_side**2 distinct inputs.  `run_episodes` encodes
+them once per model as training's full-dataset loss and probe fit do, in one
+2-D product of the float32 observation table `env.observations`.  Every encode
+of the eval is then a row lookup by `env.pixel`.  Each variant's embedding
+divergence is a table too: row p is `_norm` of its latent row p minus the fp
+model's.  These tables belong to a model, not to an episode, so rule 1 does not
+apply to them: every record reads the same rows whatever shares its group.  The
+eval reads a variant as its latent table, divergence table and predictor, and
+the fp model as its table and probe: the step loop calls no model.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from .env import (  # noqa: F401
     step,
 )
 from .errors import ValidationError
-from .nn import WorldModel
+from .nn import Stack, WorldModel
 from .store import csv_text, read_text
 
 # on-disk column names, one per EpisodeRecord field, in field order
@@ -161,7 +161,7 @@ def plan_noise(
 
 
 def plan_actions(
-    wm: WorldModel,
+    predictor: Stack,
     z0: np.ndarray,
     zg: np.ndarray,
     budget: PlannerBudget,
@@ -170,13 +170,13 @@ def plan_actions(
     live: np.ndarray,
     max_step: float,
 ):
-    """One CEM plan per row of the current and goal latents `z0`/`zg`
-    (n, latent).  Row j is the episode of row live[j] of the round's noise block
-    `noise` (N, opt_steps, pop, goal_h, 2), and its opt step k draws
-    noise[live[j], k].  Returns (plans (n, goal_h, 2), latents (n, goal_h,
-    latent), info): latents[:, t] is the predicted latent after a plan's first
-    t + 1 actions, the rollout that scored it, bit-equal to chaining
-    `predict_next` over the plan from z0.
+    """One CEM plan per row of the current and goal latents `z0`/`zg` (n, latent),
+    rows of a variant's latent table, rolled out by its `predictor`: forward(buf,
+    out=z) writes the next latent, in z0's dtype.  Row j's opt step k draws
+    noise[live[j], k] of the round's noise block `noise` (N, opt_steps, pop, goal_h,
+    2).  Returns (plans (n, goal_h, 2), latents (n, goal_h, latent), info):
+    latents[:, t] is the predicted latent after a plan's first t + 1 actions, the
+    rollout that scored it, bit-equal to a `predict_next` chain from z0.
 
     info holds per-row arrays `elite_costs` (n, opt_steps),
     `initial_mean_cost`, `final_mean_cost` and `failed`.  A row whose
@@ -193,12 +193,12 @@ def plan_actions(
         # buffer is the predictor's input at every step: the step's actions are
         # cast into its last columns, and the predictor writes the next latent
         # into its first.  path (n, h, latent) gets each step's latent of m = 1.
-        buf = np.empty((*seqs.shape[:2], dim + seqs.shape[-1]), wm.theta.dtype)
+        buf = np.empty((*seqs.shape[:2], dim + seqs.shape[-1]), z0.dtype)
         z = buf[..., :dim]
         z[...] = z0[:, None]
         for t in range(seqs.shape[2]):
             buf[..., dim:] = seqs[:, :, t]
-            wm.predictor.forward(buf, out=z)
+            predictor.forward(buf, out=z)
             if path is not None:
                 path[:, t] = z[:, 0]
         return np.linalg.norm(z - zg[:, None, :], axis=-1)
@@ -234,7 +234,7 @@ def plan_actions(
         best_seq[better] = elites[better, 0]
 
     plans = np.clip(mean, -max_step, max_step)
-    latents = np.empty((n, h, dim), wm.theta.dtype)
+    latents = np.empty((n, h, dim), z0.dtype)
     final_mean_cost = costs_of(plans[:, None], latents)[:, 0]
     plans[failed] = np.nan
     final_mean_cost[failed] = np.nan
@@ -259,9 +259,9 @@ def run_episodes(
 ) -> list[EpisodeRecord]:
     """Play the goal-conditioned episodes `specs` under the MPC loop with every
     variant of `variants`, a name and its model; one record per variant and
-    spec, variant by variant in spec order.  Each model's latent table is its
-    encode of `env.observations(env_cfg)`, one 2-D product, and every encode of
-    the loop is a row lookup into it, as is every step's embedding divergence.
+    spec, variant by variant in spec order.  The rounds read a variant only as its
+    latent table, its 2-D encode of `env.observations(env_cfg)`, its divergence
+    table (row-wise distance to fp_wm's) and its predictor, and fp_wm as its probe.
 
     Each variant plays every spec in one lockstep group.  Row [v, i] of every
     array belongs to variant v's episode of specs[i], and lives[v] lists
@@ -289,17 +289,17 @@ def run_episodes(
     obs = observations(env_cfg)
     *tables, fp_table = [wm.encode(obs) for wm in (*variants.values(), fp_wm)]
     del obs  # the rounds never read it, and their temporaries set the peak RSS
-    divs = [_norm(table - fp_table) for table in tables]
+    # all the rounds read of a variant: its latent table, divergence table and predictor
+    plays = [(t, _norm(t - fp_table), wm.predictor) for t, wm in zip(tables, variants.values())]
 
     for noise in plan_noise(specs, budget, cem, master_seed):
-        for v, wm in enumerate(variants.values()):
-            live, table = lives[v], tables[v]
+        for v, (table, div, predictor) in enumerate(plays):
+            live = lives[v]
             if not live.size:
                 continue
             z_now = table[pixel(state[v, live], env_cfg)]
-            plans, z_plan, info = plan_actions(
-                wm, z_now, table[goal_px[live]], budget, cem, noise, live, env_cfg.max_step
-            )
+            plans, z_plan, info = plan_actions(predictor, z_now, table[goal_px[live]], budget,
+                                               cem, noise, live, env_cfg.max_step)
             ok = ~info["failed"]
             live, plans = live[ok], plans[ok]
             pos = fp_wm.probe_decode(z_plan[ok, :, None])  # (m, h, 1, 2)
@@ -312,7 +312,7 @@ def run_episodes(
                 k = steps[v, live]
                 steps[v, live] += 1
                 state_dist[v, live, k] = _norm(pos[:, t, 0] - s)
-                embed_div[v, live, k] = divs[v][pixel(s, env_cfg)]
+                embed_div[v, live, k] = div[pixel(s, env_cfg)]
                 done = _norm(s - goal[live]) <= tau
                 success[v, live[done]] = True
                 live, plans, pos = live[~done], plans[~done], pos[~done]

@@ -116,6 +116,7 @@ BUDGET = {"goal_h": 2, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
         ({"budgets": {"bA": BUDGET, "b\uffffA": BUDGET}}, r"budgets: name 'b\\uffffA' is not valid"),
         ({"output_dir": "out\x00x"}, r"output_dir: 'out\\x00x' is not valid"),
         ({"output_dir": ""}, "output_dir must not be empty"),
+        ({"env": {"image_side": 129}}, "env: image_side must be <= 128, got 129"),
     ],
 )
 def test_config_rejects_bad_values(data, message):
@@ -148,6 +149,18 @@ def test_bad_config_fails_before_any_artifact(tmp_path, capsys, bad):
     assert main(["all", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_oversized_image_side_fails_before_gen_data(tmp_path, capsys):
+    # its observation table would be 3000**4 float32 values (295 TiB), which train
+    # would try to allocate; the config check refuses it before any stage runs
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY, "env": {"image_side": 3000},
+                                    "output_dir": str(tmp_path / "out")}))
+    assert main(["all", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config field env: image_side must be <= 128, got 3000\n", err
+    assert not (tmp_path / "out" / "dataset").exists()
 
 
 @pytest.mark.parametrize(

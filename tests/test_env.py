@@ -143,9 +143,11 @@ def test_env_config_validation():
         WallEnvConfig(max_step=0.0)
     with pytest.raises(ValidationError):
         WallEnvConfig(wall_x=1.5)
-    for side in (0, -2):
-        with pytest.raises(ValidationError, match="image_side must be >= 1"):
+    for side, message in ((0, "image_side must be >= 1"), (-2, "image_side must be >= 1"),
+                          (129, "image_side must be <= 128, got 129")):
+        with pytest.raises(ValidationError, match=message):
             WallEnvConfig(image_side=side)
+    WallEnvConfig(image_side=128)  # the bound itself is accepted
     # a negative half-width closes the gap, so no episode could succeed
     with pytest.raises(ValidationError, match="gap_half_width >= 0"):
         WallEnvConfig(gap_half_width=-0.1)

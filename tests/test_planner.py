@@ -17,7 +17,7 @@ from quantplan import (
 from quantplan import planner
 from quantplan import rng as qrng
 from quantplan.env import EpisodeSpec, observations, pixel, step
-from quantplan.nn import Stack, WorldModel, init_world_model
+from quantplan.nn import Stack, WorldModel
 from quantplan.planner import (
     EPISODES_CSV_HEADER,
     _norm,
@@ -96,10 +96,10 @@ def test_state_probe_decodes_each_plan_once(prepared, trained_model, env_cfg, mo
 def test_plan_deterministic(trained_model, env_cfg):
     obs = render(np.array([0.2, 0.5]), env_cfg)
     goal = render(np.array([0.8, 0.5]), env_cfg)
-    (p1,), _, _ = plan_actions(trained_model, latents_of(trained_model, obs[None]),
+    (p1,), _, _ = plan_actions(trained_model.predictor, latents_of(trained_model, obs[None]),
                                latents_of(trained_model, goal[None]), BA, CEMConfig(),
                                round_noise(BA, qrng.stream(0, "t")), np.arange(1), 0.125)
-    (p2,), _, _ = plan_actions(trained_model, latents_of(trained_model, obs[None]),
+    (p2,), _, _ = plan_actions(trained_model.predictor, latents_of(trained_model, obs[None]),
                                latents_of(trained_model, goal[None]), BA, CEMConfig(),
                                round_noise(BA, qrng.stream(0, "t")), np.arange(1), 0.125)
     np.testing.assert_array_equal(p1, p2)
@@ -113,7 +113,7 @@ def test_elite_costs_non_increasing(trained_model, env_cfg):
     budget = PlannerBudget(6, 5, 1, (0,))
     for k in range(10):
         _, _, info = plan_actions(
-            trained_model, latents_of(trained_model, obs[None]),
+            trained_model.predictor, latents_of(trained_model, obs[None]),
             latents_of(trained_model, goal[None]), budget, CEMConfig(),
             round_noise(budget, qrng.stream(0, "e", k)), np.arange(1), 0.125
         )
@@ -122,14 +122,13 @@ def test_elite_costs_non_increasing(trained_model, env_cfg):
         assert info["final_mean_cost"] <= info["initial_mean_cost"]
 
 
-def test_identity_predictor_zero_cost(env_cfg):
-    wm = init_world_model(obs_dim=256)
-    W = np.zeros((16, 18))
+def test_identity_predictor_zero_cost(trained_model, env_cfg):
+    # plan_actions reads only the predictor's forward, so a bare Stack plans
+    W = np.zeros((16, 18), np.float32)
     W[:, :16] = np.eye(16)
-    wm.predictor = Stack([(W, np.zeros(16))])
-    obs = render(np.array([0.3, 0.3]), env_cfg)
-    z = latents_of(wm, obs[None])
-    _, _, info = plan_actions(wm, z, z, BA, CEMConfig(),
+    identity = Stack([(W, np.zeros(16, np.float32))])
+    z = latents_of(trained_model, render(np.array([0.3, 0.3]), env_cfg)[None])
+    _, _, info = plan_actions(identity, z, z, BA, CEMConfig(),
                               round_noise(BA, qrng.stream(0, "i")), np.arange(1), 0.125)
     assert info["final_mean_cost"] == pytest.approx(0.0, abs=1e-12)
     assert info["final_mean_cost"] <= info["initial_mean_cost"]
@@ -194,6 +193,21 @@ def test_same_weights_two_names_identical_records(prepared, trained_model, env_c
         for f in ("success", "steps_executed", "plan_rounds",
                   "mean_state_distance", "visual_embedding_divergence"):
             assert getattr(ra, f) == getattr(rb, f)
+
+
+def test_eval_never_reads_a_variants_probe(prepared, trained_model, env_cfg):
+    # every variant's latents are decoded with the fp probe, so a NaN probe changes no record
+    blind = copy.deepcopy(prepared["uniform_int8"])
+    for W, b in blind.probe.layers:
+        W[...] = np.nan
+        b[...] = np.nan
+
+    def records_csv(wm):
+        rs = run_paired_eval({"uniform_int8": wm}, trained_model, {"bA": BA, "bB": BB}, env_cfg,
+                             CEMConfig(), episodes_per_run=3)
+        return episodes_to_csv(rs)
+
+    assert records_csv(blind) == records_csv(prepared["uniform_int8"])
 
 
 def test_other_variants_leave_records_unchanged(prepared, trained_model, env_cfg):
@@ -421,7 +435,7 @@ def test_plan_failure_leaves_other_rows_unchanged(trained_model, env_cfg):
     noise = round_noise(BA, qrng.stream(0, "f", 0), qrng.stream(0, "f", 1))
 
     def plan(rows):
-        return plan_actions(trained_model, latents_of(trained_model, obs[rows]),
+        return plan_actions(trained_model.predictor, latents_of(trained_model, obs[rows]),
                             latents_of(trained_model, goal[rows]), BA, CEMConfig(), noise,
                             np.array(rows), 0.125)
 
@@ -441,8 +455,9 @@ def test_plan_latents_equal_chained_predict_next(trained_model, env_cfg):
     goal[1] = np.nan  # row 1 fails
     z0 = latents_of(trained_model, obs)
     noise = round_noise(BB, *[qrng.stream(0, "l", i) for i in range(3)])
-    plans, latents, info = plan_actions(trained_model, z0, latents_of(trained_model, goal), BB,
-                                        CEMConfig(), noise, np.arange(3), 0.125)
+    plans, latents, info = plan_actions(trained_model.predictor, z0,
+                                        latents_of(trained_model, goal), BB, CEMConfig(), noise,
+                                        np.arange(3), 0.125)
     assert info["failed"].tolist() == [False, True, False]
     assert latents.shape == (3, BB.goal_h, 16) and latents.dtype == np.float32
     # a failed row leaves the episode group before execution: nothing reads its latents
