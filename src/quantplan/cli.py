@@ -11,6 +11,8 @@ import argparse
 import dataclasses
 import sys
 
+import numpy as np
+
 from .config import ExperimentConfig, load_config
 from .errors import StageError, TrainingDivergenceError, ValidationError
 from .pipeline import STAGES, run_stage
@@ -33,7 +35,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.output is not None:  # replace runs ExperimentConfig's checks on the new output_dir
             cfg = dataclasses.replace(cfg, output_dir=args.output)
-        run_stage(cfg, args.stage)
+        # training and the planner turn non-finite values into an error or a failed row,
+        # so numpy's overflow warnings would only print ahead of the one error line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            run_stage(cfg, args.stage)
     except (ValidationError, StageError, TrainingDivergenceError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from . import rng
-from .env import WallEnvConfig
+from .env import MAX_ARRAY_BYTES, WallEnvConfig
 from .errors import ValidationError
 from .nn import TrainConfig
 from .planner import CEMConfig, PlannerBudget
@@ -23,6 +24,13 @@ from .store import json_is, read_json
 
 VARIANT_KEYWORDS = {"core": CORE_VARIANT_NAMES, "all": ALL_VARIANT_NAMES}
 POOLED_SCOPE = "pooled"  # the matchups scope over all budgets; no budget may take the name
+
+
+def _check_fits(what: str, shape: tuple[int, ...]) -> None:
+    """ValidationError unless a float64 array of `shape` fits in `env.MAX_ARRAY_BYTES`."""
+    if 8 * math.prod(shape) > MAX_ARRAY_BYTES:
+        raise ValidationError(f"{what} = {shape} takes more than "
+                              f"{MAX_ARRAY_BYTES >> 30} GiB as float64")
 
 
 @dataclass
@@ -34,6 +42,8 @@ class DatasetConfig:
     def __post_init__(self):
         if self.n_traj < 1 or self.traj_len < 1:
             raise ValidationError("dataset.n_traj and dataset.traj_len must be >= 1")
+        _check_fits("gen_dataset's states (n_traj, traj_len + 1, 2)",
+                    (self.n_traj, self.traj_len + 1, 2))
 
 
 @dataclass
@@ -75,12 +85,19 @@ class ExperimentConfig:
                 raise ValidationError(f"{what} {text!r} is not valid text: {bad!r} "
                                       "is not printable")
         for name, budget in self.budgets.items():
+            n_specs = len(budget.seeds) * self.episodes_per_run
             # the statistics split each budget's paired units into at least two bins
-            if len(budget.seeds) * self.episodes_per_run < 2:
+            if n_specs < 2:
                 raise ValidationError(
                     f"budgets.{name}: {len(budget.seeds)} seed x episodes_per_run "
                     f"{self.episodes_per_run} gives 1 paired unit; the statistics need 2"
                 )
+            _check_fits(f"budgets.{name}: the round noise block (seeds x episodes_per_run, "
+                        "opt_steps, cem.population, goal_h, 2)",
+                        (n_specs, budget.opt_steps, self.cem.population, budget.goal_h, 2))
+            _check_fits(f"budgets.{name}: the record arrays (variants, seeds x "
+                        "episodes_per_run, max_iter x goal_h)",
+                        (len(self.variants), n_specs, budget.max_iter * budget.goal_h))
         if not self.variants:
             raise ValidationError("variants must name at least one variant")
         for name in self.variants:

@@ -24,6 +24,9 @@ WALL_EPS = 1e-3
 # dataset/ stores pixels as float32, exact only below 2**24; at 128 the table is 1 GiB
 # and every pixel index is exact
 MAX_IMAGE_SIDE = 128
+# no array a config sizes may pass that table: one too large to allocate would fail only
+# in the stage that allocates it, after earlier stages have written files
+MAX_ARRAY_BYTES = 4 * MAX_IMAGE_SIDE**4
 
 
 @dataclass(frozen=True)

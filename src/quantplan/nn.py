@@ -373,13 +373,15 @@ def fit_state_probe(wm: WorldModel, dataset) -> WorldModel:
     The latents are gathered by pixel from one 2-D encode of the observation
     table, bit-equal to encoding the gathered images from 2 transitions on
     (see `_dataset_loss`).
-    The fit is solved in float64 and written into `theta`'s dtype.  The
+    The targets are read in `theta`'s dtype, as every pass here reads its
+    inputs, so a fresh dataset and its float32 `dataset/` reload fit the same
+    probe.  The fit is solved in float64 and written into `theta`'s dtype.  The
     encoder is untouched; a rank-deficient fit sets a warning flag in the
     model metadata instead of failing.
     """
     z = wm.encode(observations(dataset.cfg))[dataset.pixel]
     A = np.hstack([z, np.ones((z.shape[0], 1))])  # the float64 ones column makes A float64
-    sol, _, rank, _ = np.linalg.lstsq(A, dataset.state, rcond=None)
+    sol, _, rank, _ = np.linalg.lstsq(A, np.asarray(dataset.state, wm.theta.dtype), rcond=None)
     W, b = wm.probe.layers[0]
     W[...] = sol[:-1].T  # in place, so the probe stays a view into theta
     b[...] = sol[-1]

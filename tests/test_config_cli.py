@@ -117,11 +117,26 @@ BUDGET = {"goal_h": 2, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
         ({"output_dir": "out\x00x"}, r"output_dir: 'out\\x00x' is not valid"),
         ({"output_dir": ""}, "output_dir must not be empty"),
         ({"env": {"image_side": 129}}, "env: image_side must be <= 128, got 129"),
+        ({"cem": {"population": 10**9}, "budgets": {"bA": {**BUDGET, "goal_h": 10**6}}},
+         r"budgets.bA: the round noise block .* = \(10, 1, 1000000000, 1000000, 2\)"),
+        ({"cem": {"population": 10**9}}, r"budgets.bA: .*cem.population.* more than 1 GiB"),
+        ({"dataset": {"n_traj": 10**12}},
+         r"dataset: gen_dataset's states \(n_traj, .* more than 1 GiB"),
+        ({"episodes_per_run": 10**12}, r"budgets.bA: .*episodes_per_run.* more than 1 GiB"),
+        ({"budgets": {"bA": {**BUDGET, "max_iter": 10**9}}},
+         r"budgets.bA: the record arrays .* = \(13, 10, 2000000000\)"),
     ],
 )
 def test_config_rejects_bad_values(data, message):
     with pytest.raises(ValidationError, match=message):
         config_from_dict(data)
+
+
+def test_config_size_bound_is_inclusive():
+    # (2**25, 2, 2) float64 states take exactly 1 GiB; one trajectory more does not fit
+    config_from_dict({"dataset": {"n_traj": 2**25, "traj_len": 1}})
+    with pytest.raises(ValidationError, match="more than 1 GiB"):
+        config_from_dict({"dataset": {"n_traj": 2**25 + 1, "traj_len": 1}})
 
 
 @pytest.mark.parametrize(
@@ -136,11 +151,13 @@ def test_config_rejects_bad_values(data, message):
         {"budgets": {"bA": BUDGET, "b\x00A": BUDGET}},
         {"output_dir": "out\x00x"},
         *({"budgets": {"bA": BUDGET, f"b{c}A": BUDGET}} for c in "\r\n\t\u2028"),
+        # eval would allocate bA's (3, 2, 10**9, 5, 2) float64 noise block per round (447 GiB)
+        {"cem": {"population": 10**9}},
     ],
     ids=["duplicate_variants", "single_paired_unit", "no_variants",
          "budget_seed_out_of_range", "budget_name_not_utf8", "output_dir_not_utf8",
          "budget_name_nul", "output_dir_nul", "budget_name_cr", "budget_name_lf",
-         "budget_name_tab", "budget_name_u2028"],
+         "budget_name_tab", "budget_name_u2028", "noise_block_over_1_gib"],
 )
 def test_bad_config_fails_before_any_artifact(tmp_path, capsys, bad):
     cfg_path = tmp_path / "cfg.json"
@@ -645,6 +662,29 @@ def test_cli_reports_a_diverged_training_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite final training loss"), err
     assert not (tmp_path / "out" / "model").exists()
+
+
+def test_cli_reports_a_diverged_training_run_in_one_line(tmp_path, capsys):
+    # no errstate here: main keeps the run's overflows from printing numpy warnings,
+    # which this suite's filterwarnings would turn into errors
+    data = {"train": {"epochs": 1, "learning_rate": 1e30}, "dataset": {"n_traj": 5},
+            "variants": ["fp16"], "output_dir": str(tmp_path / "out")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["all", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite final training loss") and err.count("\n") == 1, err
+
+
+def test_default_stages_train_the_conftest_model(tmp_path, trained_model):
+    # the acceptance criteria evaluate the conftest model, from an in-memory float64
+    # dataset; the default run trains on its float32 dataset/ reload, to the same bytes
+    cfg = ExperimentConfig(output_dir=str(tmp_path / "out"))
+    run_stage(cfg, "gen-data")
+    run_stage(cfg, "train")
+    persist_model(trained_model.to_model(), tmp_path / "conftest")
+    weights = [(tmp_path / d / "weights.bin").read_bytes() for d in ("out/model", "conftest")]
+    assert weights[0] == weights[1]
 
 
 def test_cli_reports_an_unwritable_output_dir(tmp_path, capsys):

@@ -14,7 +14,7 @@ from quantplan import (
     policy_for_name,
     train_world_model,
 )
-from quantplan.env import Dataset, WallEnvConfig, observations
+from quantplan.env import Dataset, WallEnvConfig, dataset_from_model, dataset_to_model, observations
 from quantplan.nn import _dataset_loss, init_world_model, loss_and_grads
 from quantplan.policies import apply_policy
 from quantplan.store import TensorRecord, load_model, persist_model
@@ -254,7 +254,7 @@ def assert_table_paths_equal_image_paths(wm, ds):
     fitted = fit_state_probe(copy.deepcopy(wm), ds)
     z = wm.encode(obs)
     A = np.hstack([z, np.ones((len(z), 1))])
-    sol = np.linalg.lstsq(A, ds.state, rcond=None)[0]
+    sol = np.linalg.lstsq(A, np.asarray(ds.state, np.float32), rcond=None)[0]
     W, b = fitted.probe.layers[0]
     assert W.tobytes() == sol[:-1].T.astype(np.float32).tobytes()
     assert b.tobytes() == sol[-1].astype(np.float32).tobytes()
@@ -306,6 +306,18 @@ def test_probe_duplication_invariance(trained_model, dataset):
     )
     fit_state_probe(b, doubled)
     np.testing.assert_allclose(a.probe.layers[0][0], b.probe.layers[0][0], atol=1e-6)
+
+
+def test_fresh_and_reloaded_dataset_train_the_same_model(env_cfg, tmp_path):
+    # gen_dataset's states are float64 and dataset/ stores them as float32; every pass
+    # reads them in theta's dtype, so both datasets give the same model, probe included
+    fresh = gen_dataset(20, 5, 0, env_cfg)
+    persist_model(dataset_to_model(fresh), tmp_path)
+    reloaded = dataset_from_model(load_model(tmp_path), env_cfg)
+    assert fresh.state.dtype == np.float64 and reloaded.state.dtype == np.float32
+    a, b = (fit_state_probe(train_world_model(ds, TrainConfig(epochs=2)), ds)
+            for ds in (fresh, reloaded))
+    assert a.theta.tobytes() == b.theta.tobytes()
 
 
 def test_manifest_round_trip_preserves_roles(trained_model, tmp_path):
