@@ -177,10 +177,12 @@ def gen_dataset(
     """
     if n_traj < 1 or traj_len < 1:
         raise ValidationError("n_traj and traj_len must be >= 1")
-    gens = [rng.stream(master_seed, "dataset", seed, k) for k in range(n_traj)]
     states = np.empty((n_traj, traj_len + 1, 2))
-    states[:, 0] = [g.uniform(0.0, 1.0, size=2) for g in gens]
-    actions = np.array([g.uniform(-cfg.max_step, cfg.max_step, size=(traj_len, 2)) for g in gens])
+    actions = np.empty((n_traj, traj_len, 2))
+    for k in range(n_traj):
+        g = rng.stream(master_seed, "dataset", seed, k)
+        states[k, 0] = g.uniform(0.0, 1.0, size=2)
+        actions[k] = g.uniform(-cfg.max_step, cfg.max_step, size=(traj_len, 2))
     for t in range(traj_len):
         states[:, t + 1] = step(states[:, t], actions[:, t], cfg)
     pix = pixel(states, cfg)

@@ -79,18 +79,15 @@ class Stack:
     def in_dim(self) -> int:
         return self.layers[0][0].shape[1]
 
-    def forward(
-        self, x: np.ndarray, cache: list | None = None, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Append each layer's input to `cache` if given: layer i's tanh output is cache[i + 1].
-        The last layer writes into `out` if given, which may be a view into `x`."""
+    def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
+        """Append each layer's input to `cache` if given: layer i's tanh output is cache[i + 1]."""
         # in place on the fresh matmul output: forward writes no array after caching it
         h = x
         last = len(self.layers) - 1
         for i, (W, b) in enumerate(self.layers):
             if cache is not None:
                 cache.append(h)
-            h = np.matmul(h, W.T, out=out if i == last else None)
+            h = h @ W.T
             h += b
             if i < last:
                 np.tanh(h, out=h)

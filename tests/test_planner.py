@@ -17,9 +17,11 @@ from quantplan import (
 from quantplan import planner
 from quantplan import rng as qrng
 from quantplan.env import EpisodeSpec, observations, pixel, step
-from quantplan.nn import Stack, WorldModel
+from quantplan.nn import Stack, WorldModel, study_dims
 from quantplan.planner import (
     EPISODES_CSV_HEADER,
+    _fold,
+    _folded_forward,
     _norm,
     EpisodeRecord,
     episodes_to_csv,
@@ -466,6 +468,40 @@ def test_plan_latents_equal_chained_predict_next(trained_model, env_cfg):
     for t in range(BB.goal_h):
         z = trained_model.predict_next(z, plans[ok, None, t])
         np.testing.assert_array_equal(latents[ok, t], z[:, 0])
+
+
+def random_predictor(depth, rng):
+    """The float32 predictor Stack of a study model with `depth` predictor layers and
+    random parameters, laid out in theta as a trained model's are."""
+    wm = WorldModel(study_dims(4, predictor_depth=depth))
+    wm.theta[...] = 0.3 * rng.standard_normal(wm.theta.size)
+    return wm.predictor
+
+
+@pytest.mark.parametrize("bad", [None, np.inf, np.nan], ids=["finite", "inf", "nan"])
+@pytest.mark.parametrize("n", [1, 2, 90])
+@pytest.mark.parametrize("m", [64, 1], ids=["population", "row"])
+@pytest.mark.parametrize("depth", [1, 2, 3], ids=["1-layer", "trained-2-layer", "3-layer"])
+def test_folded_step_equals_stack_forward(trained_model, env_cfg, rng, depth, m, n, bad):
+    # the rollout's bias-folded step must round as Stack.forward, NaN for NaN: a BLAS
+    # core that does not sum each output over k in order fails here
+    stack = trained_model.predictor if depth == 2 else random_predictor(depth, rng)
+    table = trained_model.encode(observations(env_cfg))
+    x = np.empty((n, m, 18), np.float32)
+    x[..., :16] = table[rng.integers(len(table), size=(n, m))]
+    x[..., 16:] = rng.uniform(-0.125, 0.125, (n, m, 2))
+    if bad is not None:
+        x[-1, -1, 0] = bad  # one row's latent
+    buf = np.concatenate([x, np.ones((n, m, 1), np.float32)], axis=-1)
+    folds = _fold(stack, np.float32)
+    # the workspaces start as NaN: the step writes every column before reading it
+    hidden = [np.full((n, m, A.shape[1] + 1), np.nan, np.float32) for A in folds[:-1]]
+    with np.errstate(invalid="ignore"):
+        _folded_forward(folds, buf, hidden)
+        expected = stack.forward(x)
+    np.testing.assert_array_equal(buf[..., :16], expected)
+    np.testing.assert_array_equal(buf[..., 16:], np.concatenate(
+        [x[..., 16:], np.ones((n, m, 1), np.float32)], axis=-1))
 
 
 def test_row_norm_equals_one_row_norm(rng):
