@@ -14,10 +14,12 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from . import rng
 from .env import MAX_ARRAY_BYTES, WallEnvConfig
 from .errors import ValidationError
-from .nn import TrainConfig
+from .nn import HIDDEN_DIM, TrainConfig
 from .planner import CEMConfig, PlannerBudget
 from .policies import ALL_VARIANT_NAMES, CORE_VARIANT_NAMES
 from .store import json_is, read_json
@@ -26,11 +28,11 @@ VARIANT_KEYWORDS = {"core": CORE_VARIANT_NAMES, "all": ALL_VARIANT_NAMES}
 POOLED_SCOPE = "pooled"  # the matchups scope over all budgets; no budget may take the name
 
 
-def _check_fits(what: str, shape: tuple[int, ...]) -> None:
-    """ValidationError unless a float64 array of `shape` fits in `env.MAX_ARRAY_BYTES`."""
-    if 8 * math.prod(shape) > MAX_ARRAY_BYTES:
+def _check_fits(what: str, shape: tuple[int, ...], dtype: str = "float64") -> None:
+    """ValidationError unless an array of `shape` and `dtype` fits in `env.MAX_ARRAY_BYTES`."""
+    if np.dtype(dtype).itemsize * math.prod(shape) > MAX_ARRAY_BYTES:
         raise ValidationError(f"{what} = {shape} takes more than "
-                              f"{MAX_ARRAY_BYTES >> 30} GiB as float64")
+                              f"{MAX_ARRAY_BYTES >> 30} GiB as {dtype}")
 
 
 @dataclass
@@ -76,6 +78,10 @@ class ExperimentConfig:
                 raise ValidationError(f"{where}: {seed} does not fit the 128-bit signed stream key")
         if self.episodes_per_run < 1:
             raise ValidationError("episodes_per_run must be >= 1")
+        # the train stage's full-dataset loss runs the predictor on every transition at once
+        _check_fits("dataset: the full-dataset loss's predictor activations (n_traj x "
+                    f"traj_len, {HIDDEN_DIM} + 1)",
+                    (self.dataset.n_traj * self.dataset.traj_len, HIDDEN_DIM + 1), "float32")
         if not self.output_dir:  # Path("") is the current directory
             raise ValidationError("output_dir must not be empty")
         # printable: no line break to split a CSV row, and every character XML 1.0 allows

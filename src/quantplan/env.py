@@ -110,17 +110,20 @@ def pixel(state: np.ndarray, cfg: WallEnvConfig) -> np.ndarray:
     return r * side + c
 
 
-def observations(cfg: WallEnvConfig) -> np.ndarray:
+def observations(cfg: WallEnvConfig, ones: bool = False) -> np.ndarray:
     """Every observation there is, shape (image_side**2, image_side**2): row p
     is the agent on pixel p (see `pixel`), flattened row-major in [0, 1].  The
     agent's pixel reads 1.0 and the wall column 0.5 on every row whose centre
     is outside the gap.  Float32, the dtype every encode computes in, holds
-    0, 0.5 and 1 exactly."""
+    0, 0.5 and 1 exactly.  With `ones`, each row ends in one more column of
+    1.0: the encoder's input as its first layer block reads it (`nn.Stack`)."""
     side = cfg.image_side
     background = np.zeros((side, side), np.float32)
     wall_col = min(int(np.floor(cfg.wall_x * side)), side - 1)
     background[~_in_gap((np.arange(side) + 0.5) / side, cfg), wall_col] = 0.5
-    obs = np.tile(background.reshape(-1), (side**2, 1))
+    obs = np.empty((side**2, side**2 + ones), np.float32)
+    obs[:, : side**2] = background.reshape(-1)
+    obs[:, side**2 :] = 1.0
     np.fill_diagonal(obs, 1.0)
     return obs
 

@@ -8,15 +8,20 @@ by hand so gradients can be checked against finite differences.
 
 Every parameter lives in one contiguous float32 vector `WorldModel.theta`, and
 training and evaluation compute in float32; float64 is used only for init and
-gradient checks (`init_world_model`).  Each Stack layer's (W, b) are reshaped
-views into theta, stack by stack in STACKS order (encoder, predictor, probe),
-each weight followed by its bias (out,).  A weight is stored as its (in, out)
-transpose in C order and W is the transposed view, logically (out, in): every
-forward product h @ W.T then reads a C-contiguous matrix and takes BLAS's
-plain NN gemm, which at the eval's predictor shapes is 1.3-2.6x faster
-than the transposed-B path an (out, in) block would take.  Manifest tensors
-("encoder.0.weight", ...) follow the same order, and a checkpoint still
-stores each weight as (out, in) in C order.
+gradient checks (`init_world_model`).  A layer is the contiguous (in + 1, out)
+block [Wᵀ; b] of theta, its weight's (in, out) transpose in C order followed by
+its bias (out,), stack by stack in STACKS order (encoder, predictor, probe).
+Every pass runs on the blocks: a layer's input ends in a ones column, so the
+forward is one product x1 @ [Wᵀ; b], a plain NN gemm (1.3-2.6x faster at the
+eval's predictor shapes than the transposed-B path an (out, in) weight would
+take), and the backward's [dWᵀ; db] is one TN gemm x1ᵀ @ g written into the
+gradient's block.  OpenBLAS's float32 kernels sum each output over k in order,
+so the ones column, times 1.0 and summed last, rounds the forward as
+fl(fl(x @ W.T) + b), and the bias row of x1ᵀ @ g is the sequential row sum
+np.add.reduce(g, axis=0); tests pin both.  A layer's (W, b) are views of its
+block, W the (out, in) transpose, for quantization, policies and manifests.
+Manifest tensors ("encoder.0.weight", ...) follow theta order, and a
+checkpoint still stores each weight as (out, in) in C order.
 """
 
 from __future__ import annotations
@@ -70,47 +75,59 @@ def study_dims(obs_dim: int, latent_dim: int = LATENT_DIM, encoder_depth: int = 
 
 
 class Stack:
-    """A stack of linear layers with tanh between them (linear final layer)."""
+    """A stack of linear layers with tanh between them (linear final layer).
 
-    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]]):
-        self.layers = layers  # list of (W (out,in), b (out,))
+    Layer i is blocks[i], the (in + 1, out) matrix [Wᵀ; b]: an input row
+    ending in 1 times it is the layer's affine map."""
+
+    def __init__(self, blocks: list[np.ndarray]):
+        self.blocks = blocks
+        self.layers = [(A[:-1].T, A[-1]) for A in blocks]  # (W (out, in), b (out,)) views
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0][0].shape[1]
+        return self.blocks[0].shape[0] - 1
 
-    def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
-        """Append each layer's input to `cache` if given: layer i's tanh output is cache[i + 1]."""
-        # in place on the fresh matmul output: forward writes no array after caching it
-        h = x
-        last = len(self.layers) - 1
-        for i, (W, b) in enumerate(self.layers):
-            if cache is not None:
-                cache.append(h)
-            h = h @ W.T
-            h += b
-            if i < last:
-                np.tanh(h, out=h)
-        return h
+    def workspaces(self, lead: tuple[int, ...]) -> list[np.ndarray]:
+        """One (*lead, out + 1) array per hidden layer, for `forward` to write into."""
+        return [np.empty((*lead, A.shape[1] + 1), A.dtype) for A in self.blocks[:-1]]
+
+    def forward(self, x1: np.ndarray, hidden: list | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """The output for the rows of x1 (..., in + 1), whose last column is 1.
+
+        Hidden layer i is one matmul into hidden[i] (fresh `workspaces` if None),
+        then tanh over all of it, then its last column set to 1: the next layer's
+        input.  So [x1, *hidden] is every layer's input, the cache `backward`
+        reads.  The last layer writes into `out` (a fresh array if None)."""
+        if hidden is None:
+            hidden = self.workspaces(x1.shape[:-1])
+        x = x1
+        for A, h in zip(self.blocks, hidden):
+            np.matmul(x, A, out=h[..., :-1])
+            np.tanh(h, out=h)  # one contiguous pass: 1.8x faster than over the strided h[..., :-1]
+            h[..., -1] = 1
+            x = h
+        return np.matmul(x, self.blocks[-1], out=out)
 
     def backward(self, cache: list, grad_out: np.ndarray, grads: Stack) -> np.ndarray:
-        """Write each layer's (dW, db) into the same layer of `grads`; returns the
-        gradient at layer 0's linear output (times layers[0][0] gives grad_input).
+        """Write each layer's [dWᵀ; db] into the same block of `grads`, one gemm
+        x1ᵀ @ g of the layer's input x1 = cache[i] (2-D) and the gradient g at its
+        output; returns the gradient at layer 0's output.
 
-        Overwrites every element of `grads`' layers, so one buffer serves every
+        Overwrites every element of `grads`' blocks, so one buffer serves every
         call.  The tanh derivative is formed in place in `cache`, whose tanh
         outputs are spent by then; `grad_out` is left as it was."""
         g = grad_out
-        for i in range(len(self.layers) - 1, -1, -1):
-            if i < len(self.layers) - 1:
+        last = len(self.blocks) - 1
+        for i in range(last, -1, -1):
+            if i < last:
                 act = cache[i + 1]  # this layer's tanh output, read for the last time
                 act *= act
                 np.subtract(1.0, act, out=act)
                 g = g @ self.layers[i + 1][0]
-                g *= act
-            dW, db = grads.layers[i]
-            np.matmul(g.T, cache[i], out=dW)
-            np.add.reduce(g, axis=0, out=db)
+                g *= act[:, :-1]
+            np.matmul(cache[i].T, g, out=grads.blocks[i])
         return g
 
     def flops(self) -> int:
@@ -118,23 +135,21 @@ class Stack:
 
 
 class WorldModel:
-    """Encoder, predictor and probe Stacks whose layers are views into `theta`;
-    `dims` maps each STACKS attribute to its (out, in) layer shapes, and
-    inputs are cast to `theta`'s dtype, so every pass computes in it."""
+    """Encoder, predictor and probe Stacks whose layer blocks are views into
+    `theta`; `dims` maps each STACKS attribute to its (out, in) layer shapes,
+    and inputs are cast to `theta`'s dtype, so every pass computes in it."""
 
     def __init__(self, dims: dict, metadata: dict | None = None, dtype=np.float32):
         self.dims = dims
-        self.theta = np.zeros(sum(o * i + o for name in STACKS for o, i in dims[name]), dtype)
+        self.theta = np.zeros(sum((i + 1) * o for name in STACKS for o, i in dims[name]), dtype)
         offset = 0
         for name in STACKS:
-            layers = []
+            blocks = []
             for out_d, in_d in dims[name]:
-                # stored (in, out) in C order, so forward's h @ W.T is an NN gemm
-                W = self.theta[offset : offset + out_d * in_d].reshape(in_d, out_d).T
-                offset += W.size
-                layers.append((W, self.theta[offset : offset + out_d]))
-                offset += out_d
-            setattr(self, name, Stack(layers))
+                size = (in_d + 1) * out_d
+                blocks.append(self.theta[offset : offset + size].reshape(in_d + 1, out_d))
+                offset += size
+            setattr(self, name, Stack(blocks))
         self.metadata = metadata or {}
 
     def __deepcopy__(self, memo):
@@ -145,22 +160,35 @@ class WorldModel:
 
     # -- forward passes ----------------------------------------------------
 
-    def _check(self, x: np.ndarray, dim: int, what: str) -> np.ndarray:
-        x = np.asarray(x, dtype=self.theta.dtype)
-        if x.shape[-1] != dim:
-            raise ValidationError(f"{what} must have last dimension {dim}, got {x.shape}")
-        return x
+    def _ones(self, *parts) -> np.ndarray:
+        """The (what, x, dim) parts side by side and a ones column, in `theta`'s dtype;
+        ValidationError names a part whose last dimension is not dim."""
+        for what, x, dim in parts:
+            if np.shape(x)[-1:] != (dim,):
+                raise ValidationError(f"{what} must have last dimension {dim}, got {np.shape(x)}")
+        x1 = np.empty((*np.shape(parts[0][1])[:-1], sum(p[2] for p in parts) + 1),
+                      self.theta.dtype)
+        col = 0
+        for _, x, dim in parts:
+            x1[..., col : col + dim] = x
+            col += dim
+        x1[..., -1] = 1
+        return x1
 
     def encode(self, obs: np.ndarray) -> np.ndarray:
-        return self.encoder.forward(self._check(obs, self.encoder.in_dim, "observation"))
+        """Latents of obs (..., obs_dim), or of obs (..., obs_dim + 1) ending in a
+        ones column, as `env.observations(cfg, ones=True)` gives it: read in place."""
+        obs = np.asarray(obs, dtype=self.theta.dtype)
+        if obs.shape[-1:] != (self.encoder.in_dim + 1,):
+            obs = self._ones(("observation", obs, self.encoder.in_dim))
+        return self.encoder.forward(obs)
 
     def predict_next(self, latent: np.ndarray, action: np.ndarray) -> np.ndarray:
-        z = self._check(latent, LATENT_DIM, "latent")
-        a = self._check(action, ACTION_DIM, "action")
-        return self.predictor.forward(np.concatenate([z, a], axis=-1))
+        return self.predictor.forward(
+            self._ones(("latent", latent, LATENT_DIM), ("action", action, ACTION_DIM)))
 
     def probe_decode(self, latent: np.ndarray) -> np.ndarray:
-        return self.probe.forward(self._check(latent, LATENT_DIM, "latent"))
+        return self.probe.forward(self._ones(("latent", latent, LATENT_DIM)))
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -228,38 +256,55 @@ def init_world_model(
     return wm
 
 
-def _latent_loss(wm: WorldModel, z, z_next, action, state, pw: float, sw: float,
-                 caches=(None, None)):
-    """(loss, r_pred, r_state) of `loss_and_grads` from the latents of obs and
-    next_obs on; `caches` holds the predictor's and the probe's lists, or Nones."""
-    action, state = (np.asarray(x, dtype=wm.theta.dtype) for x in (action, state))
-    n = z.shape[0]
-    c_pred, c_probe = caches
-    p = wm.predictor.forward(np.concatenate([z, action], axis=-1), c_pred)
-    probe_out = wm.probe.forward(z, c_probe)
+class _Workspace:
+    """Every activation `loss_and_grads` writes for a batch of up to `rows`
+    transitions, each layer input ending in a ones column: the encoder's input
+    `x` (the obs rows, then the next_obs rows) and hidden layers, its output
+    `z` ([latent | 1], the probe's input), and the predictor's input `p`
+    ([latent | action | 1]) and hidden layers.  A short batch uses the first rows."""
 
-    r_pred = p - z_next
-    r_state = probe_out - state
+    def __init__(self, wm: WorldModel, rows: int):
+        dtype = wm.theta.dtype
+        self.x = np.empty((2 * rows, wm.encoder.in_dim + 1), dtype)
+        self.enc = wm.encoder.workspaces((2 * rows,))
+        self.z = np.empty((2 * rows, wm.probe.in_dim + 1), dtype)
+        self.p = np.empty((rows, wm.predictor.in_dim + 1), dtype)
+        self.pred = wm.predictor.workspaces((rows,))
+        for a in (self.x, self.z, self.p):
+            a[:, -1] = 1
+
+
+def _latent_loss(wm: WorldModel, z1, p1, z_next, state, pw: float, sw: float, hidden=None):
+    """(loss, r_pred, r_state) of `loss_and_grads` from the probe's input
+    z1 = [z | 1] and the predictor's input p1 = [z | action | 1], z the latents
+    of obs, and the latents z_next of next_obs on; the predictor's hidden
+    layers go into `hidden` (fresh arrays if None)."""
+    n = len(z_next)
+    r_pred = wm.predictor.forward(p1, hidden) - z_next
+    r_state = wm.probe.forward(z1) - np.asarray(state, dtype=wm.theta.dtype)
     loss = pw * np.sum(r_pred * r_pred) / n + sw * np.sum(r_state * r_state) / n
     return loss, r_pred, r_state
 
 
 def _dataset_loss(wm: WorldModel, table: np.ndarray, dataset, pw: float, sw: float):
     """The training loss over the whole dataset, with no backward pass: the
-    table's rows are encoded once as one 2-D product and each transition's
-    latents are gathered by pixel.  A row of an M-row float32 NN product equals
-    that row of a product of up to 8000 rows for every M >= 2, at every layer
-    shape (measured with OpenBLAS 0.3.31; a 1-row product goes through gemv
-    and may differ), so with the default 256-row table and any dataset (2n >= 2
-    rows) this is bit-equal to `loss_and_grads`' loss on the gathered images."""
+    ones-augmented table's rows are encoded once as one 2-D product and each
+    transition's latents are gathered by pixel.  A row of an M-row float32 NN
+    product equals that row of a product of up to 8000 rows for every M >= 2,
+    at every layer shape (measured with OpenBLAS 0.3.31; a 1-row product goes
+    through gemv and may differ), so with the default 256-row table and any
+    dataset (2n >= 2 rows) this is bit-equal to `loss_and_grads`' loss on the
+    gathered images."""
     z = wm.encode(table)
-    return _latent_loss(wm, z[dataset.pixel], z[dataset.next_pixel], dataset.action,
-                        dataset.state, pw, sw)[0]
+    z_obs = z[dataset.pixel]
+    z1 = wm._ones(("latent", z_obs, LATENT_DIM))
+    p1 = wm._ones(("latent", z_obs, LATENT_DIM), ("action", dataset.action, ACTION_DIM))
+    return _latent_loss(wm, z1, p1, z[dataset.next_pixel], dataset.state, pw, sw)[0]
 
 
 def loss_and_grads(
     wm: WorldModel, obs, action, next_obs, state, pw: float, sw: float,
-    out: WorldModel | None = None,
+    out: WorldModel | None = None, work: _Workspace | None = None,
 ):
     """Training loss and analytic gradients for one mini-batch, in `theta`'s dtype.
 
@@ -267,29 +312,39 @@ def loss_and_grads(
          + sw * mean_i |probe(enc(o_i)) - s_i|^2
 
     obs and next_obs share one encoder pass over their 2n stacked rows, and
-    one backward pass takes both latents' gradients, written into the views of
-    `out`, a WorldModel shaped like `wm` (a fresh one if None).  Every element
+    one backward pass takes both latents' gradients, written into the blocks
+    of `out`, a WorldModel shaped like `wm` (a fresh one if None).  Every element
     of `out` is overwritten, so a training loop passes the same buffer each step.
+    The activations go into `work`, into whose `x` the caller has already
+    gathered obs and next_obs (the views `train_world_model` passes); if None,
+    obs and next_obs are copied into a fresh `_Workspace`, cast to `theta`'s dtype.
     Returns (loss, out.theta): the gradient is one flat vector laid out like `theta`.
     """
-    c_enc, c_pred, c_probe = [], [], []  # each stack's layer inputs
-    obs, next_obs = (np.asarray(x, dtype=wm.theta.dtype) for x in (obs, next_obs))
     n = obs.shape[0]
-    z_both = wm.encoder.forward(np.concatenate([obs, next_obs]), c_enc)
-    loss, r_pred, r_state = _latent_loss(wm, z_both[:n], z_both[n:], action, state, pw, sw,
-                                         (c_pred, c_probe))
+    if work is None:
+        work = _Workspace(wm, n)
+        work.x[:n, :-1] = obs
+        work.x[n:, :-1] = next_obs
+    x = work.x[: 2 * n]
+    enc_h = [h[: 2 * n] for h in work.enc]
+    pred_h = [h[:n] for h in work.pred]
+    z1, p1 = work.z[: 2 * n], work.p[:n]
+    wm.encoder.forward(x, enc_h, out=z1[:, :-1])
+    latent = z1.shape[1] - 1
+    p1[:, :latent] = z1[:n, :-1]
+    p1[:, latent:-1] = action  # cast into theta's dtype
+    loss, r_pred, r_state = _latent_loss(wm, z1[:n], p1, z1[n:, :-1], state, pw, sw, pred_h)
     if out is None:
         out = WorldModel(wm.dims, dtype=wm.theta.dtype)
-    latent = r_pred.shape[1]
     g_p, g_s = r_pred, r_state
     for g, w in ((g_p, pw), (g_s, sw)):  # 2 * w * r / n in place, op by op in that order
         g *= 2.0 * w
         g /= n
     # backward stops at layer 0's output, so the encoder's unused input gradient is never formed
-    g_pred = wm.predictor.backward(c_pred, g_p, out.predictor)
-    g_probe = wm.probe.backward(c_probe, g_s, out.probe)
+    g_pred = wm.predictor.backward([p1, *pred_h], g_p, out.predictor)
+    g_probe = wm.probe.backward([z1[:n]], g_s, out.probe)
     g_z = (g_pred @ wm.predictor.layers[0][0])[:, :latent] + g_probe @ wm.probe.layers[0][0]
-    wm.encoder.backward(c_enc, np.concatenate([g_z, -g_p]), out.encoder)
+    wm.encoder.backward([x, *enc_h], np.concatenate([g_z, -g_p]), out.encoder)
     return loss, out.theta
 
 
@@ -297,18 +352,20 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
     """Adam training; deterministic given (dataset bytes, cfg, master_seed).
 
     A step allocates no parameter-sized array: `loss_and_grads` overwrites one
-    gradient buffer, and Adam runs in place through two scratch vectors, op by
-    op in the order of `m = b1*m + (1-b1)*g`, `v = b2*v + (1-b2)*g*g` and
-    `theta -= lr_t*m / (sqrt(v) + eps)`, so each float32 op rounds as there.
-    A step's observations are rows of the float32 `env.observations` table,
-    gathered by the batch's pixels.  The initial and final full-dataset losses
-    run the forward pass only (`_dataset_loss`).  A non-finite batch loss or
-    final loss raises TrainingDivergenceError, so no diverged model is returned.
+    gradient buffer and one `_Workspace` of activations, and Adam runs in place
+    through two scratch vectors, op by op in the order of `m = b1*m + (1-b1)*g`,
+    `v = b2*v + (1-b2)*g*g` and `theta -= lr_t*m / (sqrt(v) + eps)`, so each
+    float32 op rounds as there.  A step's 2n encoder rows are gathered in one
+    take from the ones-augmented float32 `env.observations` table, the only
+    copy of it the run holds; actions and states are cast to float32 once.
+    The initial and final full-dataset losses run the forward pass only
+    (`_dataset_loss`).  A non-finite batch loss or final loss raises
+    TrainingDivergenceError, so no diverged model is returned.
     """
     if len(dataset) == 0:
         raise ValidationError("dataset is empty")
-    table = observations(dataset.cfg)
-    init = init_world_model(table.shape[1], master_seed=master_seed, seed=cfg.seed)
+    table = observations(dataset.cfg, ones=True)
+    init = init_world_model(table.shape[1] - 1, master_seed=master_seed, seed=cfg.seed)
     wm = WorldModel(init.dims)
     wm.theta[...] = init.theta
     order_gen = rng.stream(master_seed, "train", cfg.seed)
@@ -321,17 +378,23 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
     t = 0
 
     pw, sw = cfg.prediction_loss_weight, cfg.state_loss_weight
-    pix, action, next_pix, state = dataset.pixel, dataset.action, dataset.next_pixel, dataset.state
     initial_loss = _dataset_loss(wm, table, dataset, pw, sw)
     n = len(dataset)
+    pixels = np.stack([dataset.pixel, dataset.next_pixel])
+    action, state = (np.asarray(x, theta.dtype) for x in (dataset.action, dataset.state))
+    work = _Workspace(wm, min(n, cfg.batch_size))
     epoch_losses = []
     for _ in range(cfg.epochs):
         perm = order_gen.permutation(n)
         batch_losses = []
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            loss, _ = loss_and_grads(wm, table[pix[idx]], action[idx], table[next_pix[idx]],
-                                     state[idx], pw, sw, grad)
+            x = work.x[: 2 * len(idx)]
+            # one take of both halves; mode="clip", as "raise" would buffer `out`, and a
+            # dataset's pixels are checked when it is made or loaded
+            np.take(table, pixels[:, idx], axis=0, out=x.reshape(2, len(idx), -1), mode="clip")
+            loss, _ = loss_and_grads(wm, x[: len(idx)], action[idx], x[len(idx) :], state[idx],
+                                     pw, sw, grad, work)
             if not np.isfinite(loss):
                 raise TrainingDivergenceError(f"non-finite training loss: {loss}")
             batch_losses.append(loss)
@@ -367,16 +430,16 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
 def fit_state_probe(wm: WorldModel, dataset) -> WorldModel:
     """Least-squares refit of the probe on (encode(observation), state) pairs.
 
-    The latents are gathered by pixel from one 2-D encode of the observation
-    table, bit-equal to encoding the gathered images from 2 transitions on
-    (see `_dataset_loss`).
+    The latents are gathered by pixel from one 2-D encode of the ones-augmented
+    observation table, bit-equal to encoding the gathered images from 2
+    transitions on (see `_dataset_loss`).
     The targets are read in `theta`'s dtype, as every pass here reads its
     inputs, so a fresh dataset and its float32 `dataset/` reload fit the same
     probe.  The fit is solved in float64 and written into `theta`'s dtype.  The
     encoder is untouched; a rank-deficient fit sets a warning flag in the
     model metadata instead of failing.
     """
-    z = wm.encode(observations(dataset.cfg))[dataset.pixel]
+    z = wm.encode(observations(dataset.cfg, ones=True))[dataset.pixel]
     A = np.hstack([z, np.ones((z.shape[0], 1))])  # the float64 ones column makes A float64
     sol, _, rank, _ = np.linalg.lstsq(A, np.asarray(dataset.state, wm.theta.dtype), rcond=None)
     W, b = wm.probe.layers[0]

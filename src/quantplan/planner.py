@@ -32,26 +32,27 @@ playing that episode alone, whatever else shares the group:
 Variants are not stacked into one group, so adding a variant never changes
 another's records and temporaries stay small.
 
-A CEM rollout folds each predictor bias into its matmul: layer (W, b) becomes
-the (in + 1, out) matrix [W.T; b], and its input ends in a column of ones.  Its
+A CEM rollout runs the predictor's `Stack.forward` on its layer blocks
+[W.T; b], which it reads in place in `theta` without a copy: each layer's input
+ends in a column of ones, so the bias is folded into the matmul.  The rollout's
 one (n, m, latent + 2 + 1) buffer holds [latent | actions | 1]: each step casts
 its actions into the action columns, each hidden layer writes into an
 (n, m, hidden + 1) workspace whose ones column is reset after its tanh, and the
 last layer writes the next latent into the buffer's first columns.  So a step
-of the 2-layer predictor is two matmuls and one tanh.  OpenBLAS's sgemm sums
-each output over k in order, so the bias row, times 1.0 and summed last, rounds
-as fl(fl(x @ W.T) + b): the step is bit-equal to `Stack.forward`, NaN for NaN,
-and a test pins that.  `plan_actions` also returns the per-step latents of the
-rollout that scores its final plan: they are the same (n, 1, 18) slices of the
-same inputs as a `predict_next` chain over the executed plan.  The fp model's
-state probe decodes them once per plan, one (1, latent) slice per step as rule 1
-asks, and each executed step reads its row.
+of the 2-layer predictor is two matmuls and one tanh, bit-equal to the unfolded
+fl(fl(x @ W.T) + b) per layer, NaN for NaN (see `nn`; a test pins it).
+`plan_actions` also returns the per-step latents of the rollout that scores its
+final plan: they are the same (n, 1, 18) slices of the same inputs as a
+`predict_next` chain over the executed plan.  The fp model's state probe
+decodes them once per plan, one (1, latent) slice per step as rule 1 asks, and
+each executed step reads its row.
 
 An observation is the fixed wall background plus the agent's pixel, so a
 model's encoder has only image_side**2 distinct inputs.  `run_episodes` encodes
 them once per model as training's full-dataset loss and probe fit do, in one
-2-D product of the float32 observation table `env.observations`.  Every encode
-of the eval is then a row lookup by `env.pixel`.  Each variant's embedding
+2-D product of the ones-augmented float32 observation table
+`env.observations(cfg, ones=True)`.  Every encode of the eval is then a row
+lookup by `env.pixel`.  Each variant's embedding
 divergence is a table too: row p is `_norm` of its latent row p minus the fp
 model's.  These tables belong to a model, not to an episode, so rule 1 does not
 apply to them: every record reads the same rows whatever shares its group.  The
@@ -167,25 +168,6 @@ def plan_noise(
         yield noise
 
 
-def _fold(predictor: Stack, dtype) -> list[np.ndarray]:
-    """Each layer (W, b) of `predictor` as the (in + 1, out) matrix [W.T; b] in
-    `dtype`: an input row ending in 1 times it is the layer's affine map."""
-    return [np.concatenate([W.T, b[None]]).astype(dtype) for W, b in predictor.layers]
-
-
-def _folded_forward(folds: list[np.ndarray], buf: np.ndarray, hidden: list[np.ndarray]) -> None:
-    """Write the folded predictor's output for the rows of `buf` (..., in + 1), whose
-    last column is 1, into its first columns.  Hidden layer i writes into
-    `hidden[i]` (..., out + 1) and sets its last column to 1 after the tanh."""
-    x = buf
-    for A, h in zip(folds, hidden):
-        np.matmul(x, A, out=h[..., :-1])
-        np.tanh(h, out=h)  # one contiguous pass: 1.8x faster than over the strided h[..., :-1]
-        h[..., -1] = 1
-        x = h
-    np.matmul(x, folds[-1], out=buf[..., : folds[-1].shape[1]])
-
-
 def plan_actions(
     predictor: Stack,
     z0: np.ndarray,
@@ -197,12 +179,12 @@ def plan_actions(
     max_step: float,
 ):
     """One CEM plan per row of the current and goal latents `z0`/`zg` (n, latent),
-    rows of a variant's latent table, rolled out by its `predictor` folded into z0's
-    dtype (`_fold`).  Row j's opt step k draws noise[live[j], k] of the round's
-    noise block `noise` (N, opt_steps, pop, goal_h, 2).  Returns (plans (n, goal_h,
-    2), latents (n, goal_h, latent), info): latents[:, t] is the predicted latent
-    after a plan's first t + 1 actions, the rollout that scored it, bit-equal to a
-    `predict_next` chain from z0.
+    rows of a variant's latent table in its `predictor`'s dtype, rolled out on
+    the predictor's layer blocks.  Row j's opt step k draws noise[live[j], k] of
+    the round's noise block `noise` (N, opt_steps, pop, goal_h, 2).  Returns
+    (plans (n, goal_h, 2), latents (n, goal_h, latent), info): latents[:, t] is
+    the predicted latent after a plan's first t + 1 actions, the rollout that
+    scored it, bit-equal to a `predict_next` chain from z0.
 
     info holds per-row arrays `elite_costs` (n, opt_steps),
     `initial_mean_cost`, `final_mean_cost` and `failed`.  A row whose
@@ -213,7 +195,6 @@ def plan_actions(
     non-increasing across iterations.
     """
     n, dim = z0.shape
-    folds = _fold(predictor, z0.dtype)
 
     def costs_of(seqs: np.ndarray, path: np.ndarray | None = None) -> np.ndarray:
         # seqs (n, m, h, 2) -> final-latent costs (n, m).  One (n, m, latent + 2 + 1)
@@ -223,12 +204,12 @@ def plan_actions(
         lead = seqs.shape[:2]
         buf = np.empty((*lead, dim + seqs.shape[-1] + 1), z0.dtype)
         buf[..., -1] = 1
-        hidden = [np.empty((*lead, A.shape[1] + 1), z0.dtype) for A in folds[:-1]]
+        hidden = predictor.workspaces(lead)
         z, act = buf[..., :dim], buf[..., dim:-1]
         z[...] = z0[:, None]
         for t in range(seqs.shape[2]):
             act[...] = seqs[:, :, t]
-            _folded_forward(folds, buf, hidden)
+            predictor.forward(buf, hidden, out=z)
             if path is not None:
                 path[:, t] = z[:, 0]
         del hidden  # freed before the norm's temporaries: they set the eval's peak memory
@@ -291,8 +272,9 @@ def run_episodes(
     """Play the goal-conditioned episodes `specs` under the MPC loop with every
     variant of `variants`, a name and its model; one record per variant and
     spec, variant by variant in spec order.  The rounds read a variant only as its
-    latent table, its 2-D encode of `env.observations(env_cfg)`, its divergence
-    table (row-wise distance to fp_wm's) and its predictor, and fp_wm as its probe.
+    latent table, its 2-D encode of `env.observations(env_cfg, ones=True)`, its
+    divergence table (row-wise distance to fp_wm's) and its predictor, and fp_wm
+    as its probe.
 
     Each variant plays every spec in one lockstep group.  Row [v, i] of every
     array belongs to variant v's episode of specs[i], and lives[v] lists
@@ -318,7 +300,7 @@ def run_episodes(
     dists = np.zeros((2, *shape, budget.max_iter * h))
     state_dist, embed_div = dists
     lives = [np.flatnonzero(~success[0])] * len(variants)
-    obs = observations(env_cfg)
+    obs = observations(env_cfg, ones=True)
     *tables, fp_table = [wm.encode(obs) for wm in (*variants.values(), fp_wm)]
     del obs  # the rounds never read it, and their temporaries set the peak RSS
     # all the rounds read of a variant: its latent table, divergence table and predictor

@@ -133,10 +133,16 @@ def test_config_rejects_bad_values(data, message):
 
 
 def test_config_size_bound_is_inclusive():
-    # (2**25, 2, 2) float64 states take exactly 1 GiB; one trajectory more does not fit
-    config_from_dict({"dataset": {"n_traj": 2**25, "traj_len": 1}})
-    with pytest.raises(ValidationError, match="more than 1 GiB"):
-        config_from_dict({"dataset": {"n_traj": 2**25 + 1, "traj_len": 1}})
+    # the largest array a dataset sizes is the full-dataset loss's (n, 64 + 1) float32
+    # predictor activations: 4,129,776 transitions fit in 1 GiB, one more does not.
+    # (2**25, 2, 2) float64 states take exactly 1 GiB, but 2**25 transitions do not fit
+    limit = (1 << 30) // (4 * 65)
+    for n_traj, traj_len in ((limit, 1), (limit // 16, 16)):
+        config_from_dict({"dataset": {"n_traj": n_traj, "traj_len": traj_len}})
+    for n_traj in (limit + 1, 2**25):
+        with pytest.raises(ValidationError, match=r"predictor activations .* more than 1 GiB "
+                                                  "as float32"):
+            config_from_dict({"dataset": {"n_traj": n_traj, "traj_len": 1}})
 
 
 @pytest.mark.parametrize(

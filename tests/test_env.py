@@ -200,6 +200,14 @@ def test_observations_are_float32(env_cfg):
     assert render(np.array([0.3, 0.6]), env_cfg).dtype == np.float32
 
 
+def test_ones_augmented_observations(env_cfg):
+    # the encoder's input table: the same rows, each ending in a column of 1.0
+    table, augmented = observations(env_cfg), observations(env_cfg, ones=True)
+    assert augmented.dtype == np.float32 and augmented.flags.c_contiguous
+    np.testing.assert_array_equal(augmented[:, :-1], table)
+    assert np.all(augmented[:, -1] == 1.0)
+
+
 def test_dataset_bytes_pinned(env_cfg):
     # the hash of the rendered images, so the pixels index the same observations;
     # hashed as float64, the dtype the table was first pinned in

@@ -15,7 +15,7 @@ from quantplan import (
     train_world_model,
 )
 from quantplan.env import Dataset, WallEnvConfig, dataset_from_model, dataset_to_model, observations
-from quantplan.nn import _dataset_loss, init_world_model, loss_and_grads
+from quantplan.nn import STACKS, Stack, _dataset_loss, init_world_model, loss_and_grads, study_dims
 from quantplan.policies import apply_policy
 from quantplan.store import TensorRecord, load_model, persist_model
 
@@ -107,8 +107,9 @@ def test_recorded_losses_are_full_dataset_losses(env_cfg):
         assert meta[key] == float(loss)
 
 
-def reference_adam(ds, cfg: TrainConfig) -> dict[str, np.ndarray]:
-    """train_world_model with the float32 Adam update written tensor by tensor."""
+def reference_adam(ds, cfg: TrainConfig, grads_of=loss_and_grads) -> dict[str, np.ndarray]:
+    """train_world_model with the float32 Adam update written tensor by tensor and the
+    gradient from `grads_of`, called as loss_and_grads is."""
     table = observations(ds.cfg)
     init = init_world_model(table.shape[1], seed=cfg.seed)
     wm = WorldModel(init.dims)
@@ -125,7 +126,7 @@ def reference_adam(ds, cfg: TrainConfig) -> dict[str, np.ndarray]:
         perm = order_gen.permutation(len(ds))
         for lo in range(0, len(ds), cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            loss_and_grads(
+            grads_of(
                 wm, table[ds.pixel[idx]], ds.action[idx], table[ds.next_pixel[idx]], ds.state[idx],
                 cfg.prediction_loss_weight, cfg.state_loss_weight, grad,
             )
@@ -208,8 +209,8 @@ def test_layers_are_views_into_theta(env_cfg):
 
 
 def test_forward_weights_are_contiguous_in_out_blocks_of_theta():
-    # theta stores each weight as its (in, out) transpose, so Stack.forward's h @ W.T
-    # reads a C-contiguous matrix and takes BLAS's NN gemm, whatever made the model
+    # each layer is the C-contiguous (in + 1, out) block [W.T; b] of theta, whatever made
+    # the model: every pass reads and writes the blocks in place, and (W, b) are views of them
     base = init_world_model(obs_dim=6)
     loaded = WorldModel.from_model(base.to_model())
     models = {
@@ -220,10 +221,108 @@ def test_forward_weights_are_contiguous_in_out_blocks_of_theta():
         "apply_policy": apply_policy(loaded, policy_for_name("uniform_int4", loaded)),
     }
     for how, model in models.items():
-        for stack in (model.encoder, model.predictor, model.probe):
-            for W, _ in stack.layers:
+        blocks = []
+        for name in STACKS:
+            stack = getattr(model, name)
+            for (out_d, in_d), A, (W, b) in zip(model.dims[name], stack.blocks, stack.layers,
+                                                strict=True):
+                assert A.shape == (in_d + 1, out_d) and A.flags.c_contiguous, how
+                assert np.shares_memory(A, model.theta), how
                 assert W.T.flags.c_contiguous, how
-                assert np.shares_memory(W, model.theta), how
+                values = np.arange(A.size, dtype=A.dtype).reshape(A.shape) + len(blocks)
+                A[...] = values
+                np.testing.assert_array_equal(W, values[:-1].T, err_msg=how)
+                np.testing.assert_array_equal(b, values[-1], err_msg=how)
+                blocks.append(values)
+        # the blocks tile theta in STACKS order
+        np.testing.assert_array_equal(np.concatenate([A.ravel() for A in blocks]), model.theta)
+
+
+def unfolded_loss_and_grads(wm, obs, action, next_obs, state, pw, sw, out):
+    """loss_and_grads with the arithmetic it had before the bias fold: each layer is
+    fl(fl(x @ W.T) + b), and its (dW, db) are g.T @ x and np.add.reduce(g, axis=0)."""
+    obs, action, next_obs, state = (np.asarray(x, wm.theta.dtype)
+                                    for x in (obs, action, next_obs, state))
+
+    def forward(stack, x, cache):
+        for i, (W, b) in enumerate(stack.layers):
+            cache.append(x)
+            x = x @ W.T
+            x += b
+            if i < len(stack.layers) - 1:
+                np.tanh(x, out=x)
+        return x
+
+    def backward(stack, cache, g, grads):
+        for i in reversed(range(len(stack.layers))):
+            if i < len(stack.layers) - 1:
+                act = cache[i + 1]
+                g = (g @ stack.layers[i + 1][0]) * (1.0 - act * act)
+            dW, db = grads.layers[i]
+            np.matmul(g.T, cache[i], out=dW)
+            np.add.reduce(g, axis=0, out=db)
+        return g
+
+    n = len(obs)
+    c_enc, c_pred, c_probe = [], [], []
+    z_both = forward(wm.encoder, np.concatenate([obs, next_obs]), c_enc)
+    z, z_next = z_both[:n], z_both[n:]
+    r_pred = forward(wm.predictor, np.concatenate([z, action], axis=1), c_pred) - z_next
+    r_state = forward(wm.probe, z, c_probe) - state
+    loss = pw * np.sum(r_pred * r_pred) / n + sw * np.sum(r_state * r_state) / n
+    g_p, g_s = r_pred * (2.0 * pw) / n, r_state * (2.0 * sw) / n
+    g_pred = backward(wm.predictor, c_pred, g_p, out.predictor)
+    g_probe = backward(wm.probe, c_probe, g_s, out.probe)
+    g_z = (g_pred @ wm.predictor.layers[0][0])[:, :z.shape[1]] + g_probe @ wm.probe.layers[0][0]
+    backward(wm.encoder, c_enc, np.concatenate([g_z, -g_p]), out.encoder)
+    return loss, out.theta
+
+
+STUDY_LAYERS = [(name, i, shape) for name, shapes in study_dims(256).items()
+                for i, shape in enumerate(shapes)]
+
+
+@pytest.mark.parametrize("bad", [None, np.inf, np.nan], ids=["finite", "inf", "nan"])
+@pytest.mark.parametrize("rows", [1, 2, 32, 64, 128])
+@pytest.mark.parametrize("shape", [s for *_, s in STUDY_LAYERS],
+                         ids=[f"{name}.{i}" for name, i, _ in STUDY_LAYERS])
+def test_folded_backward_equals_unfolded(rng, shape, rows, bad):
+    # a training layer's [dW.T; db] is one gemm x1.T @ g of its ones-augmented input: its
+    # weight rows must round as g.T @ x and its bias row as the sequential row sum
+    # np.add.reduce(g, axis=0), NaN for NaN; so must its forward as fl(fl(x @ W.T) + b)
+    out_d, in_d = shape
+    layer, grads = (Stack([np.empty((in_d + 1, out_d), np.float32)]) for _ in range(2))
+    layer.blocks[0][...] = 0.3 * rng.standard_normal((in_d + 1, out_d))
+    x1 = np.ones((rows, in_d + 1), np.float32)
+    x1[:, :-1] = rng.standard_normal((rows, in_d))
+    g = rng.standard_normal((rows, out_d)).astype(np.float32)
+    if bad is not None:
+        x1[-1, 0] = g[-1, 0] = bad  # one row of the input and of the gradient
+    grads.blocks[0][...] = np.nan  # the gemm writes every element
+    x = x1[:, :-1]
+    W, b = layer.layers[0]
+    with np.errstate(invalid="ignore"):
+        layer.backward([x1], g, grads)
+        expected_dw = g.T @ x
+        forward = layer.forward(x1)
+        expected_forward = x @ W.T
+        expected_forward += b
+    dW, db = grads.layers[0]
+    np.testing.assert_array_equal(dW, expected_dw)
+    np.testing.assert_array_equal(db, np.add.reduce(g, axis=0))
+    np.testing.assert_array_equal(forward, expected_forward)
+
+
+def test_one_row_last_batch_trains_as_the_unfolded_reference(env_cfg):
+    # 65 transitions: each epoch ends in a 1-row batch, whose predictor and probe
+    # products go through gemv; the whole run must equal the unfolded arithmetic's
+    ds = gen_dataset(13, 5, 0, env_cfg)
+    cfg = TrainConfig(epochs=2)
+    assert len(ds) % cfg.batch_size == 1
+    trained = train_world_model(ds, cfg)
+    expected = reference_adam(ds, cfg, unfolded_loss_and_grads)
+    for name, p in trained.named_params():
+        np.testing.assert_array_equal(p, expected[name], err_msg=name)
 
 
 def test_training_validation(env_cfg):

@@ -20,8 +20,6 @@ from quantplan.env import EpisodeSpec, observations, pixel, step
 from quantplan.nn import Stack, WorldModel, study_dims
 from quantplan.planner import (
     EPISODES_CSV_HEADER,
-    _fold,
-    _folded_forward,
     _norm,
     EpisodeRecord,
     episodes_to_csv,
@@ -125,10 +123,11 @@ def test_elite_costs_non_increasing(trained_model, env_cfg):
 
 
 def test_identity_predictor_zero_cost(trained_model, env_cfg):
-    # plan_actions reads only the predictor's forward, so a bare Stack plans
-    W = np.zeros((16, 18), np.float32)
-    W[:, :16] = np.eye(16)
-    identity = Stack([(W, np.zeros(16, np.float32))])
+    # plan_actions reads only the predictor's forward, so a bare Stack plans: its one
+    # [W.T; b] block copies the latent and drops the action and the bias
+    block = np.zeros((19, 16), np.float32)
+    block[:16] = np.eye(16)
+    identity = Stack([block])
     z = latents_of(trained_model, render(np.array([0.3, 0.3]), env_cfg)[None])
     _, _, info = plan_actions(identity, z, z, BA, CEMConfig(),
                               round_noise(BA, qrng.stream(0, "i")), np.arange(1), 0.125)
@@ -478,13 +477,25 @@ def random_predictor(depth, rng):
     return wm.predictor
 
 
+def unfolded_forward(stack, x):
+    """Stack.forward's arithmetic before the bias fold: per layer fl(fl(x @ W.T) + b)."""
+    last = len(stack.layers) - 1
+    for i, (W, b) in enumerate(stack.layers):
+        x = x @ W.T
+        x += b
+        if i < last:
+            np.tanh(x, out=x)
+    return x
+
+
 @pytest.mark.parametrize("bad", [None, np.inf, np.nan], ids=["finite", "inf", "nan"])
 @pytest.mark.parametrize("n", [1, 2, 90])
 @pytest.mark.parametrize("m", [64, 1], ids=["population", "row"])
 @pytest.mark.parametrize("depth", [1, 2, 3], ids=["1-layer", "trained-2-layer", "3-layer"])
 def test_folded_step_equals_stack_forward(trained_model, env_cfg, rng, depth, m, n, bad):
-    # the rollout's bias-folded step must round as Stack.forward, NaN for NaN: a BLAS
-    # core that does not sum each output over k in order fails here
+    # the rollout's step, Stack.forward on the blocks with the latent written back into
+    # its input buffer, must round as the unfolded layers, NaN for NaN: a BLAS core that
+    # does not sum each output over k in order fails here
     stack = trained_model.predictor if depth == 2 else random_predictor(depth, rng)
     table = trained_model.encode(observations(env_cfg))
     x = np.empty((n, m, 18), np.float32)
@@ -493,12 +504,11 @@ def test_folded_step_equals_stack_forward(trained_model, env_cfg, rng, depth, m,
     if bad is not None:
         x[-1, -1, 0] = bad  # one row's latent
     buf = np.concatenate([x, np.ones((n, m, 1), np.float32)], axis=-1)
-    folds = _fold(stack, np.float32)
     # the workspaces start as NaN: the step writes every column before reading it
-    hidden = [np.full((n, m, A.shape[1] + 1), np.nan, np.float32) for A in folds[:-1]]
+    hidden = [np.full(h.shape, np.nan, np.float32) for h in stack.workspaces((n, m))]
     with np.errstate(invalid="ignore"):
-        _folded_forward(folds, buf, hidden)
-        expected = stack.forward(x)
+        stack.forward(buf, hidden, out=buf[..., :16])
+        expected = unfolded_forward(stack, x)
     np.testing.assert_array_equal(buf[..., :16], expected)
     np.testing.assert_array_equal(buf[..., 16:], np.concatenate(
         [x[..., 16:], np.ones((n, m, 1), np.float32)], axis=-1))
