@@ -286,16 +286,15 @@ def _latent_loss(wm: WorldModel, z1, p1, z_next, state, pw: float, sw: float, hi
     return loss, r_pred, r_state
 
 
-def _dataset_loss(wm: WorldModel, table: np.ndarray, dataset, pw: float, sw: float):
-    """The training loss over the whole dataset, with no backward pass: the
-    ones-augmented table's rows are encoded once as one 2-D product and each
-    transition's latents are gathered by pixel.  A row of an M-row float32 NN
-    product equals that row of a product of up to 8000 rows for every M >= 2,
-    at every layer shape (measured with OpenBLAS 0.3.31; a 1-row product goes
-    through gemv and may differ), so with the default 256-row table and any
-    dataset (2n >= 2 rows) this is bit-equal to `loss_and_grads`' loss on the
-    gathered images."""
-    z = wm.encode(table)
+def _dataset_loss(wm: WorldModel, z: np.ndarray, dataset, pw: float, sw: float):
+    """The training loss over the whole dataset, with no backward pass, from `z`,
+    the latents of the ones-augmented observation table encoded as one 2-D
+    product: each transition's latents are gathered by pixel.  A row of an
+    M-row float32 NN product equals that row of a product of up to 8000 rows
+    for every M >= 2, at every layer shape (measured with OpenBLAS 0.3.31; a
+    1-row product goes through gemv and may differ), so with the default
+    256-row table and any dataset (2n >= 2 rows) this is bit-equal to
+    `loss_and_grads`' loss on the gathered images."""
     z_obs = z[dataset.pixel]
     z1 = wm._ones(("latent", z_obs, LATENT_DIM))
     p1 = wm._ones(("latent", z_obs, LATENT_DIM), ("action", dataset.action, ACTION_DIM))
@@ -360,7 +359,10 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
     copy of it the run holds; actions and states are cast to float32 once.
     The initial and final full-dataset losses run the forward pass only
     (`_dataset_loss`).  A non-finite batch loss or final loss raises
-    TrainingDivergenceError, so no diverged model is returned.
+    TrainingDivergenceError, so no diverged model is returned.  Training ends
+    with `fit_state_probe`, which reads the final loss's encode of the
+    observation table: the loss is the trained probe's, the model returned
+    holds the refit one.
     """
     if len(dataset) == 0:
         raise ValidationError("dataset is empty")
@@ -378,7 +380,7 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
     t = 0
 
     pw, sw = cfg.prediction_loss_weight, cfg.state_loss_weight
-    initial_loss = _dataset_loss(wm, table, dataset, pw, sw)
+    initial_loss = _dataset_loss(wm, wm.encode(table), dataset, pw, sw)
     n = len(dataset)
     pixels = np.stack([dataset.pixel, dataset.next_pixel])
     action, state = (np.asarray(x, theta.dtype) for x in (dataset.action, dataset.state))
@@ -415,7 +417,8 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
             theta -= s
         epoch_losses.append(float(np.mean(batch_losses)))
 
-    final_loss = _dataset_loss(wm, table, dataset, pw, sw)
+    z = wm.encode(table)
+    final_loss = _dataset_loss(wm, z, dataset, pw, sw)
     if not np.isfinite(final_loss):  # the batches' losses can all be finite before it
         raise TrainingDivergenceError(f"non-finite final training loss: {final_loss}")
     wm.metadata["train"] = {
@@ -424,22 +427,24 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
         "epoch_losses": epoch_losses,
         "config": asdict(cfg),
     }
-    return wm
+    return fit_state_probe(wm, dataset, z)
 
 
-def fit_state_probe(wm: WorldModel, dataset) -> WorldModel:
+def fit_state_probe(wm: WorldModel, dataset, latents: np.ndarray | None = None) -> WorldModel:
     """Least-squares refit of the probe on (encode(observation), state) pairs.
 
-    The latents are gathered by pixel from one 2-D encode of the ones-augmented
-    observation table, bit-equal to encoding the gathered images from 2
-    transitions on (see `_dataset_loss`).
+    The latents are gathered by pixel from `latents`, one 2-D encode of the
+    ones-augmented observation table (made here if None), bit-equal to encoding
+    the gathered images from 2 transitions on (see `_dataset_loss`).
     The targets are read in `theta`'s dtype, as every pass here reads its
     inputs, so a fresh dataset and its float32 `dataset/` reload fit the same
     probe.  The fit is solved in float64 and written into `theta`'s dtype.  The
     encoder is untouched; a rank-deficient fit sets a warning flag in the
     model metadata instead of failing.
     """
-    z = wm.encode(observations(dataset.cfg, ones=True))[dataset.pixel]
+    if latents is None:
+        latents = wm.encode(observations(dataset.cfg, ones=True))
+    z = latents[dataset.pixel]
     A = np.hstack([z, np.ones((z.shape[0], 1))])  # the float64 ones column makes A float64
     sol, _, rank, _ = np.linalg.lstsq(A, np.asarray(dataset.state, wm.theta.dtype), rcond=None)
     W, b = wm.probe.layers[0]

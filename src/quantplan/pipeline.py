@@ -28,7 +28,7 @@ from . import rng
 from .config import POOLED_SCOPE, ExperimentConfig
 from .env import dataset_from_model, dataset_to_model, gen_dataset
 from .errors import StageError, ValidationError
-from .nn import WorldModel, fit_state_probe, train_world_model
+from .nn import WorldModel, train_world_model
 from .planner import EpisodeRecord, read_episodes_csv, run_paired_eval, write_episodes_csv
 from .policies import apply_policy, model_size_bytes, policy_for_name
 from .report import RHO, STATS_FILES, emit_report
@@ -97,7 +97,6 @@ def stage_train(cfg: ExperimentConfig) -> None:
     _require(out / "dataset" / "manifest.json", "gen-data")
     ds = dataset_from_model(load_model(out / "dataset"), cfg.env)
     wm = train_world_model(ds, cfg.train, master_seed=cfg.master_seed)
-    fit_state_probe(wm, ds)
     m = wm.to_model()
     m.extras["config_hash"] = cfg.config_hash()
     persist_model(m, out / "model")

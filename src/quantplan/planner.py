@@ -16,11 +16,14 @@ holds by construction and the eval never holds more than one round of noise.
 Row i of round r is draws r * opt_steps ... (r + 1) * opt_steps - 1 of
 specs[i]'s stream, the same draws as if the episode's noise came at once.
 
-Each variant plays all episodes of a budget, every seed's, as one lockstep
-group that keeps its state from round to round: every array holds one row per
-episode on its leading axis, and an episode's row leaves the group when it
-reaches the goal or its plan fails.  Two rules keep each record bit-equal to
-playing that episode alone, whatever else shares the group:
+Every variant plays all episodes of a budget, every seed's, in lockstep, and
+keeps its state from round to round: every (variant, episode) pair is one row,
+and it stops playing when it reaches the goal or its plan fails.  A round has
+two phases.  Every variant plans apart, on its own rows with its own predictor;
+then every variant's plans execute together, in one goal_h-step loop over all
+the planned rows, so env.step runs at most goal_h times a round however many
+variants there are.  Two rules keep each record bit-equal to playing that
+episode alone, whatever other episodes or variants share a plan or a step:
 
 1. Every per-episode matmul keeps one episode's operand as its last two dims,
    e.g. a single latent as an (n, 1, k) slice and a CEM population as
@@ -29,8 +32,11 @@ playing that episode alone, whatever else shares the group:
 2. Per-row vector norms go through one BLAS dot per row (`_norm`), as the
    1-D `np.linalg.norm` does; `norm(..., axis=-1)` rounds differently.
 
-Variants are not stacked into one group, so adding a variant never changes
-another's records and temporaries stay small.
+So adding or removing a variant never changes another's records: its plan
+reads only its own rows (rule 1), and the shared step loop is per row, as
+env.step and env.pixel are elementwise, its norms are rule 2's and the
+positions it reads come from a per-variant probe decode under rule 1.
+Rollouts are not stacked across variants: each variant has its own predictor.
 
 A CEM rollout runs the predictor's `Stack.forward` on its layer blocks
 [W.T; b], which it reads in place in `theta` without a copy: each layer's input
@@ -55,9 +61,11 @@ them once per model as training's full-dataset loss and probe fit do, in one
 lookup by `env.pixel`.  Each variant's embedding
 divergence is a table too: row p is `_norm` of its latent row p minus the fp
 model's.  These tables belong to a model, not to an episode, so rule 1 does not
-apply to them: every record reads the same rows whatever shares its group.  The
-eval reads a variant as its latent table, divergence table and predictor, and
-the fp model as its table and probe: the step loop calls no model.
+apply to them: every record reads the same rows whatever shares its round.  The
+divergence tables are stacked into one (variants, pixels) array, so a step
+reads divs[vi, pixel(s)].  The eval reads a variant as its latent table,
+divergence table and predictor, and the fp model as its table and probe: the
+step loop calls no model.
 """
 
 from __future__ import annotations
@@ -276,14 +284,15 @@ def run_episodes(
     divergence table (row-wise distance to fp_wm's) and its predictor, and fp_wm
     as its probe.
 
-    Each variant plays every spec in one lockstep group.  Row [v, i] of every
-    array belongs to variant v's episode of specs[i], and lives[v] lists
-    variant v's rows still playing.  A row leaves on reaching the goal or on a
-    planning failure and never comes back, and no row's arithmetic reads
-    another's, so a record does not depend on which other specs or variants
-    share the call.  Rounds are the outer loop: round r's noise is drawn once
-    by `plan_noise(specs, budget, cem, master_seed)` and every group plays
-    round r from it before round r + 1 is drawn.
+    Row [v, i] of every array belongs to variant v's episode of specs[i], and
+    playing[v, i] says whether it still plays: it stops on reaching the goal or
+    on a planning failure and never starts again.  Rounds are the outer loop:
+    round r's noise is drawn once by `plan_noise(specs, budget, cem,
+    master_seed)`.  In round r every variant v plans its playing rows from that
+    noise, then the plans that did not fail execute together, one step loop over
+    the planned rows (vi, li) of every variant, each row leaving the loop when
+    it reaches the goal.  No row's arithmetic reads another's, so a record does
+    not depend on which other specs or variants share the call.
     """
     n, h = len(specs), budget.goal_h
     start = np.array([s.start for s in specs], dtype=np.float64)
@@ -294,44 +303,51 @@ def run_episodes(
     shape = (len(variants), n)
     state = np.broadcast_to(start, (*shape, 2)).copy()
     success = np.broadcast_to(_norm(start - goal) <= tau, shape).copy()
+    playing = ~success  # left on reaching the goal or on a planning failure
     steps = np.zeros(shape, dtype=np.int64)
     n_plans = np.zeros(shape, dtype=np.int64)
     # per variant and spec, each executed step's state distance [0] and embedding divergence [1]
     dists = np.zeros((2, *shape, budget.max_iter * h))
     state_dist, embed_div = dists
-    lives = [np.flatnonzero(~success[0])] * len(variants)
     obs = observations(env_cfg, ones=True)
     *tables, fp_table = [wm.encode(obs) for wm in (*variants.values(), fp_wm)]
     del obs  # the rounds never read it, and their temporaries set the peak RSS
-    # all the rounds read of a variant: its latent table, divergence table and predictor
-    plays = [(t, _norm(t - fp_table), wm.predictor) for t, wm in zip(tables, variants.values())]
+    divs = np.stack([_norm(t - fp_table) for t in tables])  # (variants, pixels)
+    # each row's plan of the round and the fp probe's positions of its latents, written in
+    # place: per-variant arrays kept for the step loop grow the heap under the next plan
+    plans = np.empty((*shape, h, 2))
+    pos = np.empty((*shape, h, 2), fp_wm.theta.dtype)
 
     for noise in plan_noise(specs, budget, cem, master_seed):
-        for v, (table, div, predictor) in enumerate(plays):
-            live = lives[v]
+        # plan: each variant on its own rows, with its own predictor
+        for v, (table, wm) in enumerate(zip(tables, variants.values())):
+            live = np.flatnonzero(playing[v])
             if not live.size:
                 continue
             z_now = table[pixel(state[v, live], env_cfg)]
-            plans, z_plan, info = plan_actions(predictor, z_now, table[goal_px[live]], budget,
-                                               cem, noise, live, env_cfg.max_step)
+            plan, z_plan, info = plan_actions(wm.predictor, z_now, table[goal_px[live]], budget,
+                                              cem, noise, live, env_cfg.max_step)
+            plans[v, live] = plan
             ok = ~info["failed"]
-            live, plans = live[ok], plans[ok]
-            pos = fp_wm.probe_decode(z_plan[ok, :, None])  # (m, h, 1, 2)
-            n_plans[v, live] += 1
-            for t in range(h):
-                if not live.size:
-                    break
-                s = step(state[v, live], plans[:, t], env_cfg)
-                state[v, live] = s
-                k = steps[v, live]
-                steps[v, live] += 1
-                state_dist[v, live, k] = _norm(pos[:, t, 0] - s)
-                embed_div[v, live, k] = div[pixel(s, env_cfg)]
-                done = _norm(s - goal[live]) <= tau
-                success[v, live[done]] = True
-                live, plans, pos = live[~done], plans[~done], pos[~done]
-            lives[v] = live
-        if not any(live.size for live in lives):
+            playing[v, live[~ok]] = False
+            pos[v, live[ok]] = fp_wm.probe_decode(z_plan[ok, :, None])[:, :, 0]
+        # execute: every variant's planned rows (vi, li) step together
+        vi, li = np.nonzero(playing)
+        n_plans[vi, li] += 1
+        for t in range(h):
+            if not vi.size:
+                break
+            s = step(state[vi, li], plans[vi, li, t], env_cfg)
+            state[vi, li] = s
+            k = steps[vi, li]
+            steps[vi, li] += 1
+            state_dist[vi, li, k] = _norm(pos[vi, li, t] - s)
+            embed_div[vi, li, k] = divs[vi, pixel(s, env_cfg)]
+            done = _norm(s - goal[li]) <= tau
+            success[vi[done], li[done]] = True
+            playing[vi[done], li[done]] = False
+            vi, li = vi[~done], li[~done]
+        if not playing.any():
             break
 
     # each record's two means, one mean(axis=-1) per step count k > 0: the gathered

@@ -66,8 +66,7 @@ def paired_delta_ci(pairs: list[tuple[float, float]], gen: np.random.Generator):
     idx = gen.integers(0, n, size=(N_RESAMPLES, n))
     boot = diffs[idx].mean(axis=1)
     alpha = (1.0 - CI_LEVEL) / 2.0
-    ci_low = float(np.quantile(boot, alpha))
-    ci_high = float(np.quantile(boot, 1.0 - alpha))
+    ci_low, ci_high = np.quantile(boot, [alpha, 1.0 - alpha]).tolist()
     return delta, ci_low, ci_high
 
 

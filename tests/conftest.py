@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quantplan import TrainConfig, WallEnvConfig, fit_state_probe, gen_dataset, train_world_model
+from quantplan import TrainConfig, WallEnvConfig, gen_dataset, train_world_model
 
 
 @pytest.fixture(scope="session")
@@ -16,9 +16,7 @@ def dataset(env_cfg):
 
 @pytest.fixture(scope="session")
 def trained_model(dataset):
-    wm = train_world_model(dataset, TrainConfig(epochs=60))
-    fit_state_probe(wm, dataset)
-    return wm
+    return train_world_model(dataset, TrainConfig(epochs=60))
 
 
 @pytest.fixture

@@ -102,14 +102,15 @@ def test_recorded_losses_are_full_dataset_losses(env_cfg):
     start.theta[...] = init.theta
     data = (table[ds.pixel], ds.action, table[ds.next_pixel], ds.state)
     meta = trained.metadata["train"]
-    for wm, key in ((start, "initial_loss"), (trained, "final_loss")):
+    # the final loss is the trained probe's, before training's closing probe fit
+    for wm, key in ((start, "initial_loss"), (reference_adam(ds, cfg), "final_loss")):
         loss, _ = loss_and_grads(wm, *data, cfg.prediction_loss_weight, cfg.state_loss_weight)
         assert meta[key] == float(loss)
 
 
-def reference_adam(ds, cfg: TrainConfig, grads_of=loss_and_grads) -> dict[str, np.ndarray]:
-    """train_world_model with the float32 Adam update written tensor by tensor and the
-    gradient from `grads_of`, called as loss_and_grads is."""
+def reference_adam(ds, cfg: TrainConfig, grads_of=loss_and_grads) -> WorldModel:
+    """train_world_model up to its probe fit, with the float32 Adam update written
+    tensor by tensor and the gradient from `grads_of`, called as loss_and_grads is."""
     table = observations(ds.cfg)
     init = init_world_model(table.shape[1], seed=cfg.seed)
     wm = WorldModel(init.dims)
@@ -138,17 +139,33 @@ def reference_adam(ds, cfg: TrainConfig, grads_of=loss_and_grads) -> dict[str, n
                 vi *= 0.999
                 vi += (1 - 0.999) * g * g
                 p -= lr_t * mi / (np.sqrt(vi) + 1e-8)
-    return {name: p.copy() for name, p in wm.named_params()}
+    return wm
 
 
 def test_flat_adam_matches_per_tensor_reference(env_cfg):
     ds = gen_dataset(20, 5, 0, env_cfg)
     cfg = TrainConfig(epochs=2)
     trained = train_world_model(ds, cfg)
-    expected = reference_adam(ds, cfg)
+    expected = dict(fit_state_probe(reference_adam(ds, cfg), ds).named_params())
     assert sum(p.size for p in expected.values()) == trained.theta.size
     for name, p in trained.named_params():
         np.testing.assert_array_equal(p, expected[name], err_msg=name)
+
+
+def test_training_ends_with_the_probe_fit_on_its_final_encode(env_cfg, monkeypatch):
+    ds = gen_dataset(20, 5, 0, env_cfg)
+    encodes = []
+    encode = WorldModel.encode
+
+    def counting_encode(self, obs):
+        encodes.append(obs.shape)
+        return encode(self, obs)
+
+    monkeypatch.setattr(WorldModel, "encode", counting_encode)
+    wm = train_world_model(ds, TrainConfig(epochs=1))
+    # the table under the initial and the final weights; the probe fit reads the second
+    assert encodes == [observations(env_cfg, ones=True).shape] * 2
+    assert fit_state_probe(copy.deepcopy(wm), ds).theta.tobytes() == wm.theta.tobytes()
 
 
 def test_float32_numeric_path(env_cfg):
@@ -157,7 +174,6 @@ def test_float32_numeric_path(env_cfg):
     init = init_world_model(table.shape[1])
     assert init.theta.dtype == np.float64
     wm = train_world_model(ds, TrainConfig(epochs=1))
-    fit_state_probe(wm, ds)
     assert wm.theta.dtype == np.float32
     assert WorldModel.from_model(wm.to_model()).theta.dtype == np.float32
 
@@ -193,7 +209,6 @@ def test_epoch_losses_recorded_and_persisted(env_cfg, tmp_path):
 def test_layers_are_views_into_theta(env_cfg):
     ds = gen_dataset(20, 5, 0, env_cfg)
     wm = train_world_model(ds, TrainConfig(epochs=1))
-    fit_state_probe(wm, ds)
     twin = copy.deepcopy(wm)
     for model in (wm, twin):
         for stack in (model.encoder, model.predictor, model.probe):
@@ -320,7 +335,8 @@ def test_one_row_last_batch_trains_as_the_unfolded_reference(env_cfg):
     cfg = TrainConfig(epochs=2)
     assert len(ds) % cfg.batch_size == 1
     trained = train_world_model(ds, cfg)
-    expected = reference_adam(ds, cfg, unfolded_loss_and_grads)
+    expected = dict(fit_state_probe(reference_adam(ds, cfg, unfolded_loss_and_grads),
+                                    ds).named_params())
     for name, p in trained.named_params():
         np.testing.assert_array_equal(p, expected[name], err_msg=name)
 
@@ -347,7 +363,7 @@ def assert_table_paths_equal_image_paths(wm, ds):
     table = observations(ds.cfg).astype(np.float32)
     obs, next_obs = table[ds.pixel], table[ds.next_pixel]
     explicit = loss_and_grads(wm, obs, ds.action, next_obs, ds.state, 0.5, 2.0)[0]
-    gathered = _dataset_loss(wm, table, ds, 0.5, 2.0)
+    gathered = _dataset_loss(wm, wm.encode(table), ds, 0.5, 2.0)
     assert gathered.dtype == explicit.dtype and gathered.tobytes() == explicit.tobytes()
 
     fitted = fit_state_probe(copy.deepcopy(wm), ds)
@@ -414,8 +430,7 @@ def test_fresh_and_reloaded_dataset_train_the_same_model(env_cfg, tmp_path):
     persist_model(dataset_to_model(fresh), tmp_path)
     reloaded = dataset_from_model(load_model(tmp_path), env_cfg)
     assert fresh.state.dtype == np.float64 and reloaded.state.dtype == np.float32
-    a, b = (fit_state_probe(train_world_model(ds, TrainConfig(epochs=2)), ds)
-            for ds in (fresh, reloaded))
+    a, b = (train_world_model(ds, TrainConfig(epochs=2)) for ds in (fresh, reloaded))
     assert a.theta.tobytes() == b.theta.tobytes()
 
 

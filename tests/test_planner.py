@@ -211,20 +211,59 @@ def test_eval_never_reads_a_variants_probe(prepared, trained_model, env_cfg):
     assert records_csv(blind) == records_csv(prepared["uniform_int8"])
 
 
+def steps_in_round(record, rnd, goal_h):
+    """Steps `record`'s episode executed in planning round `rnd` (1-based): every plan
+    but the last runs all goal_h steps (test_plan_rounds_counts_the_plans_run)."""
+    if rnd < record.plan_rounds:
+        return goal_h
+    if rnd == record.plan_rounds:
+        return record.steps_executed - (rnd - 1) * goal_h
+    return 0
+
+
 def test_other_variants_leave_records_unchanged(prepared, trained_model, env_cfg):
-    # each variant's lockstep group holds every seed of a budget
+    # each round steps every variant's rows together, every seed of a budget in them
     budgets = {"bA": PlannerBudget(9, 2, 2, (0, 1)), "bB": BB}
 
-    def uniform_int8_csv(names):
-        rs = run_paired_eval(
-            {n: prepared[n] for n in names}, trained_model, budgets, env_cfg,
-            CEMConfig(), episodes_per_run=3,
-        )
-        return episodes_to_csv([r for r in rs if r.variant_name == "uniform_int8"])
+    def records(names):
+        return run_paired_eval({n: prepared[n] for n in names}, trained_model, budgets, env_cfg,
+                               CEMConfig(), episodes_per_run=3)
 
-    alone = uniform_int8_csv(["uniform_int8"])
-    assert alone.count("\n") == 1 + (2 + 1) * 3
-    assert alone == uniform_int8_csv(["fp16", "uniform_int8", "uniform_int3"])
+    together = records(list(prepared))
+    for name in prepared:
+        alone = episodes_to_csv(records([name]))
+        assert alone.count("\n") == 1 + (2 + 1) * 3
+        assert alone == episodes_to_csv([r for r in together if r.variant_name == name])
+
+    def overtaken(a, b):
+        # a reaches the goal mid-plan, and b, another variant's row, steps on in that round
+        h, r = budgets[a.budget_name].goal_h, a.plan_rounds
+        t = steps_in_round(a, r, h)
+        return (a.success and r and t < h and b.budget_name == a.budget_name
+                and b.variant_name != a.variant_name and steps_in_round(b, r, h) > t)
+
+    # so the rows leave one round's step loop at different steps
+    assert any(overtaken(a, b) for a in together for b in together)
+
+
+def test_step_calls_do_not_scale_with_variants(prepared, trained_model, env_cfg, monkeypatch):
+    # a round's plans execute in one goal_h-step loop over every variant's rows
+    rows = []
+
+    def counting_step(state, action, cfg):
+        rows.append(len(state))
+        return step(state, action, cfg)
+
+    monkeypatch.setattr(planner, "step", counting_step)
+    specs = sample_episode_specs(0, 6, env_cfg)
+    calls = {}
+    for names in (["uniform_int3"], list(prepared)):
+        rows.clear()
+        run_episodes({n: prepared[n] for n in names}, trained_model, specs, BB, "bB", CEMConfig(),
+                     env_cfg)
+        calls[len(names)] = len(rows)
+        assert rows[0] == len(names) * len(specs)  # round 1's first step: every row at once
+    assert calls[1] == calls[3] <= BB.max_iter * BB.goal_h
 
 
 def test_grouping_seeds_is_invisible(prepared, trained_model, env_cfg):
@@ -426,6 +465,28 @@ def test_planning_failure_is_recorded_per_variant(prepared, trained_model, env_c
 
     healthy = {"uniform_int8": prepared["uniform_int8"]}
     assert uniform_int8_csv({"broken": broken, **healthy}) == uniform_int8_csv(healthy)
+
+
+def test_failing_variant_among_healthy_ones_changes_no_record(prepared, trained_model, env_cfg):
+    # a variant whose every plan fails between two healthy ones: its rows never
+    # reach the step loop, and theirs step as when each plays alone
+    broken = copy.deepcopy(prepared["fp16"])
+    broken.predictor.layers[1][0][0, 0] = np.inf
+
+    def records(variants):
+        with np.errstate(invalid="ignore", over="ignore"):
+            return run_paired_eval(variants, trained_model, {"bA": BA, "bB": BB}, env_cfg,
+                                   CEMConfig(), episodes_per_run=3)
+
+    def csv_of(rs, name):
+        return episodes_to_csv([r for r in rs if r.variant_name == name])
+
+    healthy = ("uniform_int8", "uniform_int3")
+    mixed = records({healthy[0]: prepared[healthy[0]], "broken": broken,
+                     healthy[1]: prepared[healthy[1]]})
+    assert all(r.plan_rounds == 0 for r in mixed if r.variant_name == "broken")
+    for name in healthy:
+        assert csv_of(mixed, name) == csv_of(records({name: prepared[name]}), name)
 
 
 def test_plan_failure_leaves_other_rows_unchanged(trained_model, env_cfg):
