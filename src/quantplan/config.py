@@ -44,8 +44,6 @@ class DatasetConfig:
     def __post_init__(self):
         if self.n_traj < 1 or self.traj_len < 1:
             raise ValidationError("dataset.n_traj and dataset.traj_len must be >= 1")
-        _check_fits("gen_dataset's states (n_traj, traj_len + 1, 2)",
-                    (self.n_traj, self.traj_len + 1, 2))
 
 
 @dataclass
@@ -78,7 +76,8 @@ class ExperimentConfig:
                 raise ValidationError(f"{where}: {seed} does not fit the 128-bit signed stream key")
         if self.episodes_per_run < 1:
             raise ValidationError("episodes_per_run must be >= 1")
-        # the train stage's full-dataset loss runs the predictor on every transition at once
+        # the train stage's full-dataset loss runs the predictor on every transition at once;
+        # gen_dataset's (n_traj, traj_len + 1, 2) float64 states are never larger
         _check_fits("dataset: the full-dataset loss's predictor activations (n_traj x "
                     f"traj_len, {HIDDEN_DIM} + 1)",
                     (self.dataset.n_traj * self.dataset.traj_len, HIDDEN_DIM + 1), "float32")
@@ -101,9 +100,9 @@ class ExperimentConfig:
             _check_fits(f"budgets.{name}: the round noise block (seeds x episodes_per_run, "
                         "opt_steps, cem.population, goal_h, 2)",
                         (n_specs, budget.opt_steps, self.cem.population, budget.goal_h, 2))
-            _check_fits(f"budgets.{name}: the record arrays (variants, seeds x "
+            _check_fits(f"budgets.{name}: the step distances (2, variants, seeds x "
                         "episodes_per_run, max_iter x goal_h)",
-                        (len(self.variants), n_specs, budget.max_iter * budget.goal_h))
+                        (2, len(self.variants), n_specs, budget.max_iter * budget.goal_h))
         if not self.variants:
             raise ValidationError("variants must name at least one variant")
         for name in self.variants:

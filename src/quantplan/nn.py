@@ -184,11 +184,12 @@ class WorldModel:
         return self.encoder.forward(obs)
 
     def predict_next(self, latent: np.ndarray, action: np.ndarray) -> np.ndarray:
+        dim = self.probe.in_dim  # the latent width; the predictor's other inputs are the action
         return self.predictor.forward(
-            self._ones(("latent", latent, LATENT_DIM), ("action", action, ACTION_DIM)))
+            self._ones(("latent", latent, dim), ("action", action, self.predictor.in_dim - dim)))
 
     def probe_decode(self, latent: np.ndarray) -> np.ndarray:
-        return self.probe.forward(self._ones(("latent", latent, LATENT_DIM)))
+        return self.probe.forward(self._ones(("latent", latent, self.probe.in_dim)))
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -296,8 +297,9 @@ def _dataset_loss(wm: WorldModel, z: np.ndarray, dataset, pw: float, sw: float):
     256-row table and any dataset (2n >= 2 rows) this is bit-equal to
     `loss_and_grads`' loss on the gathered images."""
     z_obs = z[dataset.pixel]
-    z1 = wm._ones(("latent", z_obs, LATENT_DIM))
-    p1 = wm._ones(("latent", z_obs, LATENT_DIM), ("action", dataset.action, ACTION_DIM))
+    dim = wm.probe.in_dim
+    z1 = wm._ones(("latent", z_obs, dim))
+    p1 = wm._ones(("latent", z_obs, dim), ("action", dataset.action, wm.predictor.in_dim - dim))
     return _latent_loss(wm, z1, p1, z[dataset.next_pixel], dataset.state, pw, sw)[0]
 
 

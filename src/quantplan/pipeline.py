@@ -202,7 +202,7 @@ def compute_stats(records: list[EpisodeRecord], sizes: dict[str, int],
     return artifacts
 
 
-def stage_stats(cfg: ExperimentConfig) -> dict:
+def stage_stats(cfg: ExperimentConfig) -> None:
     out = _out(cfg)
     _require(out / "episodes.csv", "eval")
     records = read_episodes_csv(out / "episodes.csv")
@@ -218,7 +218,6 @@ def stage_stats(cfg: ExperimentConfig) -> dict:
     artifacts = compute_stats(records, sizes, cfg)
     for name, payload in artifacts.items():
         _write_json(out / name, payload, cfg)
-    return artifacts
 
 
 def stage_report(cfg: ExperimentConfig) -> None:

@@ -145,7 +145,7 @@ class EpisodeRecord:
     success: int
     initial_goal_distance: float
     steps_executed: int
-    plan_rounds: int  # plans the episode ran that did not fail
+    plan_rounds: int  # ceil(steps_executed / goal_h): the plans it ran that did not fail
     mean_state_distance: float
     visual_embedding_divergence: float
 
@@ -198,9 +198,11 @@ def plan_actions(
     `initial_mean_cost`, `final_mean_cost` and `failed`.  A row whose
     population costs turn non-finite fails but stays in the batch, where no
     other row reads it; its plan, final cost and elite costs from that step on
-    read NaN, and its latents are not to be read.  The incumbent best sequence
-    is re-injected into each population, so a row's best elite cost is
-    non-increasing across iterations.
+    read NaN, and its latents are not to be read.  From opt step 1 on, the last
+    step's top elite is re-injected into slot 0 of the population, recosted from
+    the same inputs: it is the best sequence so far, as a step's top elite is
+    never worse and the stable sort keeps slot 0 on a tie.  So a row's best
+    elite cost is non-increasing across iterations.
     """
     n, dim = z0.shape
 
@@ -228,8 +230,6 @@ def plan_actions(
     std = np.full((n, h, 2), cem.init_std)
     initial_mean_cost = costs_of(mean[:, None])[:, 0]
     n_elite = max(1, int(round(cem.elite_fraction * pop)))
-    best_seq = np.zeros((n, h, 2))
-    best_cost = np.full(n, np.inf)
     elite_costs = np.full((n, budget.opt_steps), np.nan)
     failed = np.zeros(n, dtype=bool)
     rows = np.arange(n)[:, None]
@@ -240,7 +240,7 @@ def plan_actions(
         seqs += mean[:, None]
         np.clip(seqs, -max_step, max_step, out=seqs)
         if k:
-            seqs[:, 0] = best_seq
+            seqs[:, 0] = elites[:, 0]
         c = costs_of(seqs)
         failed |= ~np.all(np.isfinite(c), axis=1)
         order = np.argsort(c, axis=1, kind="stable")[:, :n_elite]
@@ -249,9 +249,6 @@ def plan_actions(
         std = np.maximum(elites.std(axis=1), cem.std_floor)
         top = c[rows[:, 0], order[:, 0]]
         elite_costs[~failed, k] = top[~failed]
-        better = top < best_cost
-        best_cost[better] = top[better]
-        best_seq[better] = elites[better, 0]
 
     plans = np.clip(mean, -max_step, max_step)
     latents = np.empty((n, h, dim), z0.dtype)
@@ -302,10 +299,8 @@ def run_episodes(
 
     shape = (len(variants), n)
     state = np.broadcast_to(start, (*shape, 2)).copy()
-    success = np.broadcast_to(_norm(start - goal) <= tau, shape).copy()
-    playing = ~success  # left on reaching the goal or on a planning failure
+    playing = np.broadcast_to(_norm(start - goal) > tau, shape).copy()  # until goal or failure
     steps = np.zeros(shape, dtype=np.int64)
-    n_plans = np.zeros(shape, dtype=np.int64)
     # per variant and spec, each executed step's state distance [0] and embedding divergence [1]
     dists = np.zeros((2, *shape, budget.max_iter * h))
     state_dist, embed_div = dists
@@ -333,7 +328,6 @@ def run_episodes(
             pos[v, live[ok]] = fp_wm.probe_decode(z_plan[ok, :, None])[:, :, 0]
         # execute: every variant's planned rows (vi, li) step together
         vi, li = np.nonzero(playing)
-        n_plans[vi, li] += 1
         for t in range(h):
             if not vi.size:
                 break
@@ -344,7 +338,6 @@ def run_episodes(
             state_dist[vi, li, k] = _norm(pos[vi, li, t] - s)
             embed_div[vi, li, k] = divs[vi, pixel(s, env_cfg)]
             done = _norm(s - goal[li]) <= tau
-            success[vi[done], li[done]] = True
             playing[vi[done], li[done]] = False
             vi, li = vi[~done], li[~done]
         if not playing.any():
@@ -358,6 +351,10 @@ def run_episodes(
     for k in range(1, steps.max() + 1):
         vs, ids = np.nonzero(steps == k)
         means[:, vs, ids] = dists[:, vs, ids, :k].mean(axis=-1)
+    # each row's success is the step loop's goal check on its final state, and it ran
+    # whole plans but its last: ceil(steps / goal_h) of them
+    success = (_norm((state - goal).reshape(-1, 2)) <= tau).reshape(shape)
+    n_plans = -(-steps // h)
 
     records = []
     for v, name in enumerate(variants):

@@ -121,10 +121,10 @@ BUDGET = {"goal_h": 2, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
          r"budgets.bA: the round noise block .* = \(10, 1, 1000000000, 1000000, 2\)"),
         ({"cem": {"population": 10**9}}, r"budgets.bA: .*cem.population.* more than 1 GiB"),
         ({"dataset": {"n_traj": 10**12}},
-         r"dataset: gen_dataset's states \(n_traj, .* more than 1 GiB"),
+         r"dataset: the full-dataset loss's predictor activations .* more than 1 GiB"),
         ({"episodes_per_run": 10**12}, r"budgets.bA: .*episodes_per_run.* more than 1 GiB"),
         ({"budgets": {"bA": {**BUDGET, "max_iter": 10**9}}},
-         r"budgets.bA: the record arrays .* = \(13, 10, 2000000000\)"),
+         r"budgets.bA: the step distances .* = \(2, 13, 10, 2000000000\)"),
     ],
 )
 def test_config_rejects_bad_values(data, message):
@@ -143,6 +143,12 @@ def test_config_size_bound_is_inclusive():
         with pytest.raises(ValidationError, match=r"predictor activations .* more than 1 GiB "
                                                   "as float32"):
             config_from_dict({"dataset": {"n_traj": n_traj, "traj_len": 1}})
+    # the eval's (2, 13 variants, 10 specs, max_iter x 2) float64 step distances:
+    # 258,111 rounds fit in 1 GiB, one more does not
+    config_from_dict({"budgets": {"bA": {**BUDGET, "max_iter": 258_111}}})
+    with pytest.raises(ValidationError, match=r"the step distances .* = \(2, 13, 10, 516224\) "
+                                              "takes more than 1 GiB as float64"):
+        config_from_dict({"budgets": {"bA": {**BUDGET, "max_iter": 258_112}}})
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,26 @@ def test_encode_deterministic_and_shapes(trained_model):
         trained_model.predict_next(np.zeros(16), np.zeros(3))
 
 
+def test_passes_read_their_widths_from_the_layers(rng):
+    # acceptance criterion 4's model: latent width 4, not the study's 16
+    wm = init_world_model(obs_dim=8, seed=3, latent_dim=4, encoder_depth=2, predictor_depth=2)
+    table = rng.uniform(-1, 1, (6, 4))  # latent rows, one per pixel
+    ds = Dataset(pixel=np.array([0, 2, 5]), action=rng.uniform(-0.1, 0.1, (3, 2)),
+                 next_pixel=np.array([1, 1, 3]), state=rng.uniform(0, 1, (3, 2)))
+    z, ones = table[ds.pixel], np.ones((3, 1))
+    pred = wm.predictor.forward(np.hstack([z, ds.action, ones]))
+    decoded = wm.probe.forward(np.hstack([z, ones]))
+    np.testing.assert_array_equal(wm.predict_next(z, ds.action), pred)
+    np.testing.assert_array_equal(wm.probe_decode(z), decoded)
+    r_pred, r_state = pred - table[ds.next_pixel], decoded - ds.state
+    loss = 0.5 * np.sum(r_pred * r_pred) / 3 + 2.0 * np.sum(r_state * r_state) / 3
+    assert _dataset_loss(wm, table, ds, 0.5, 2.0) == loss
+    with pytest.raises(ValidationError, match="latent must have last dimension 4"):
+        wm.probe_decode(np.zeros(16))
+    with pytest.raises(ValidationError, match="action must have last dimension 2"):
+        wm.predict_next(z, np.zeros((3, 3)))
+
+
 def test_zero_weight_encoder_outputs_bias():
     wm = init_world_model(obs_dim=6, encoder_depth=2)
     for i, (W, b) in enumerate(wm.encoder.layers):
