@@ -35,6 +35,20 @@ def _check_fits(what: str, shape: tuple[int, ...], dtype: str = "float64") -> No
                               f"{MAX_ARRAY_BYTES >> 30} GiB as {dtype}")
 
 
+# the bytes of the eval's Python objects, by tracemalloc over 20,000 of each: an EpisodeSpec
+# with its tuples and floats and its list slot, a Philox "plan" stream, an EpisodeRecord
+# whose step counts pass the small-int cache, and an episodes.csv row at the peak of
+# episodes_to_csv (the text and its copy)
+SPEC_BYTES, STREAM_BYTES, RECORD_BYTES, CSV_ROW_BYTES = 420, 609, 280, 358
+
+
+def _check_objects_fit(what: str, count: int, unit_bytes: int) -> None:
+    """ValidationError unless `count` objects of `unit_bytes` fit in `env.MAX_ARRAY_BYTES`."""
+    if count * unit_bytes > MAX_ARRAY_BYTES:
+        raise ValidationError(f"{what} = {count} takes more than {MAX_ARRAY_BYTES >> 30} GiB "
+                              f"at {unit_bytes} B each")
+
+
 @dataclass
 class DatasetConfig:
     n_traj: int = 200
@@ -89,6 +103,7 @@ class ExperimentConfig:
             if bad := next((c for c in text if not c.isprintable()), None):
                 raise ValidationError(f"{what} {text!r} is not valid text: {bad!r} "
                                       "is not printable")
+        n_records = 0
         for name, budget in self.budgets.items():
             n_specs = len(budget.seeds) * self.episodes_per_run
             # the statistics split each budget's paired units into at least two bins
@@ -103,6 +118,13 @@ class ExperimentConfig:
             _check_fits(f"budgets.{name}: the step distances (2, variants, seeds x "
                         "episodes_per_run, max_iter x goal_h)",
                         (2, len(self.variants), n_specs, budget.max_iter * budget.goal_h))
+            _check_objects_fit(f"budgets.{name}: the episode specs and their plan streams (seeds "
+                               "x episodes_per_run)", n_specs, SPEC_BYTES + STREAM_BYTES)
+            n_records += len(self.variants) * n_specs
+        # run_paired_eval holds every budget's records, and stage_eval their CSV text too
+        _check_objects_fit("the eval's records and their episodes.csv rows (variants x seeds x "
+                           "episodes_per_run, summed over budgets)", n_records,
+                           RECORD_BYTES + CSV_ROW_BYTES)
         if not self.variants:
             raise ValidationError("variants must name at least one variant")
         for name in self.variants:

@@ -239,7 +239,7 @@ def stage_report(cfg: ExperimentConfig) -> None:
     rho = artifacts["correlations.json"].get(RHO)
     if rho is not None and not json_is(rho, float):
         reject("correlations.json", f"a {RHO!r} that is neither a number nor null")
-    emit_report(artifacts, out, cfg)
+    emit_report(artifacts, out, cfg.config_hash())
 
 
 # each stage by name, in the order 'all' runs them

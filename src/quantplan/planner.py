@@ -180,7 +180,6 @@ def plan_actions(
     predictor: Stack,
     z0: np.ndarray,
     zg: np.ndarray,
-    budget: PlannerBudget,
     cem: CEMConfig,
     noise: np.ndarray,
     live: np.ndarray,
@@ -189,7 +188,8 @@ def plan_actions(
     """One CEM plan per row of the current and goal latents `z0`/`zg` (n, latent),
     rows of a variant's latent table in its `predictor`'s dtype, rolled out on
     the predictor's layer blocks.  Row j's opt step k draws noise[live[j], k] of
-    the round's noise block `noise` (N, opt_steps, pop, goal_h, 2).  Returns
+    the round's noise block `noise` (N, opt_steps, pop, goal_h, 2), whose shape
+    gives the plan's opt steps, population and horizon.  Returns
     (plans (n, goal_h, 2), latents (n, goal_h, latent), info): latents[:, t] is
     the predicted latent after a plan's first t + 1 actions, the rollout that
     scored it, bit-equal to a `predict_next` chain from z0.
@@ -225,16 +225,16 @@ def plan_actions(
         del hidden  # freed before the norm's temporaries: they set the eval's peak memory
         return np.linalg.norm(z - zg[:, None, :], axis=-1)
 
-    h, pop = budget.goal_h, cem.population
+    _, opt_steps, pop, h, _ = noise.shape
     mean = np.zeros((n, h, 2))
     std = np.full((n, h, 2), cem.init_std)
     initial_mean_cost = costs_of(mean[:, None])[:, 0]
     n_elite = max(1, int(round(cem.elite_fraction * pop)))
-    elite_costs = np.full((n, budget.opt_steps), np.nan)
+    elite_costs = np.full((n, opt_steps), np.nan)
     failed = np.zeros(n, dtype=bool)
     rows = np.arange(n)[:, None]
 
-    for k in range(budget.opt_steps):
+    for k in range(opt_steps):
         seqs = noise[live, k]
         seqs *= std[:, None]
         seqs += mean[:, None]
@@ -320,8 +320,8 @@ def run_episodes(
             if not live.size:
                 continue
             z_now = table[pixel(state[v, live], env_cfg)]
-            plan, z_plan, info = plan_actions(wm.predictor, z_now, table[goal_px[live]], budget,
-                                              cem, noise, live, env_cfg.max_step)
+            plan, z_plan, info = plan_actions(wm.predictor, z_now, table[goal_px[live]], cem,
+                                              noise, live, env_cfg.max_step)
             plans[v, live] = plan
             ok = ~info["failed"]
             playing[v, live[~ok]] = False

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
 from .policies import RETENTION_VARIANTS
 from .store import csv_text
 
@@ -31,13 +30,20 @@ RHO = "spearman_success_vs_visual_embedding_divergence"
 
 
 class Svg:
-    def __init__(self, comment: str):
+    """A W x H figure that opens with its frame: the axes, title and axis labels."""
+
+    def __init__(self, comment: str, title: str, xlabel: str, ylabel: str):
         self.parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
             f'viewBox="0 0 {W} {H}">',
             f"<!-- {comment} -->",
             f'<rect width="{W}" height="{H}" fill="white"/>',
         ]
+        self.line(MARGIN, H - MARGIN, W - MARGIN, H - MARGIN)
+        self.line(MARGIN, MARGIN, MARGIN, H - MARGIN)
+        self.text(W / 2, 20, title, size=14, anchor="middle")
+        self.text(W / 2, H - 15, xlabel, anchor="middle")
+        self.text(15, H / 2, ylabel, anchor="middle")
 
     def line(self, x1, y1, x2, y2, color="black", width=1):
         self.parts.append(
@@ -85,14 +91,6 @@ def _scale(vals, lo_px, hi_px):
     return f
 
 
-def _axes(svg: Svg, title: str, xlabel: str, ylabel: str):
-    svg.line(MARGIN, H - MARGIN, W - MARGIN, H - MARGIN)
-    svg.line(MARGIN, MARGIN, MARGIN, H - MARGIN)
-    svg.text(W / 2, 20, title, size=14, anchor="middle")
-    svg.text(W / 2, H - 15, xlabel, anchor="middle")
-    svg.text(15, H / 2, ylabel, anchor="middle")
-
-
 def _success_by(frontier: dict) -> dict[tuple[str, str], float]:
     """Success per (variant, budget); frontier.json has a point for every evaluated pair."""
     return {(p["variant_name"], p["budget"]): p["success"] for p in frontier["frontier"]}
@@ -109,9 +107,8 @@ def main_table_csv(frontier: dict) -> str:
 
 
 def frontier_svg(frontier: dict, comment: str) -> str:
-    svg = Svg(comment=comment)
+    svg = Svg(comment, "Planning success vs model size", "model size (MB)", "success")
     pts = frontier["frontier"]
-    _axes(svg, "Planning success vs model size", "model size (MB)", "success")
     sizes = [p["size_bytes"] / 2**20 for p in pts]
     fx = _scale(sizes, MARGIN + 10, W - MARGIN - 10)
     fy = _scale([0.0, 1.0], H - MARGIN - 5, MARGIN + 5)
@@ -129,9 +126,8 @@ def frontier_svg(frontier: dict, comment: str) -> str:
 
 
 def forest_svg(comparisons: dict, comment: str) -> str:
-    svg = Svg(comment=comment)
+    svg = Svg(comment, "Paired success deltas (95% bootstrap CI)", "delta", "")
     comps = comparisons["comparisons"]
-    _axes(svg, "Paired success deltas (95% bootstrap CI)", "delta", "")
     los = [c["ci_low"] for c in comps] or [-1]
     his = [c["ci_high"] for c in comps] or [1]
     fx = _scale([min(los + [0]), max(his + [0])], MARGIN + 10, W - MARGIN - 10)
@@ -151,8 +147,8 @@ def forest_svg(comparisons: dict, comment: str) -> str:
 
 def retention_curve_svg(frontier: dict, comment: str) -> str:
     """Success vs encoder retention, each point read under its RETENTION_VARIANTS name."""
-    svg = Svg(comment=comment)
-    _axes(svg, "Encoder retention sweep (predictor INT4)", "encoder kept at baseline (%)", "success")
+    svg = Svg(comment, "Encoder retention sweep (predictor INT4)", "encoder kept at baseline (%)",
+              "success")
     success = _success_by(frontier)
     budgets = sorted({b for _, b in success})
     fx = _scale([0, 100], MARGIN + 10, W - MARGIN - 10)
@@ -174,8 +170,7 @@ def retention_curve_svg(frontier: dict, comment: str) -> str:
 
 
 def difficulty_svg(bins: dict, comment: str) -> str:
-    svg = Svg(comment=comment)
-    _axes(svg, "Success by goal-distance bin (uniform vs mixed INT4)", "bin", "success")
+    svg = Svg(comment, "Success by goal-distance bin (uniform vs mixed INT4)", "bin", "success")
     rows = [
         b for b in bins["bins"] if b["variant"] in ("uniform_int4", "mixed_int4")
     ]
@@ -205,11 +200,10 @@ def difficulty_svg(bins: dict, comment: str) -> str:
 
 
 def divergence_scatter_svg(correlations: dict, comment: str) -> str:
-    svg = Svg(comment=comment)
     rho = correlations.get(RHO)
     rho_txt = f"rho={rho:.3f}" if rho is not None else "rho undefined"
-    _axes(svg, f"Run-level success vs visual-embedding divergence ({rho_txt})",
-          "visual-embedding divergence", "success")
+    svg = Svg(comment, f"Run-level success vs visual-embedding divergence ({rho_txt})",
+              "visual-embedding divergence", "success")
     pts = correlations["run_points"]
     if pts:
         xs = [p["visual_embedding_divergence"] for p in pts]
@@ -220,10 +214,11 @@ def divergence_scatter_svg(correlations: dict, comment: str) -> str:
     return svg.render()
 
 
-def emit_report(artifacts: dict, out: Path, cfg: ExperimentConfig) -> None:
-    """Write main_table.csv and the figures from the statistics payloads `artifacts`;
-    every output is rendered before the first is written."""
-    comment = f"config_hash: {cfg.config_hash()}"
+def emit_report(artifacts: dict, out: Path, config_hash: str) -> None:
+    """Write main_table.csv and the figures from the statistics payloads `artifacts`,
+    each figure commented with `config_hash`; every output is rendered before the
+    first is written."""
+    comment = f"config_hash: {config_hash}"
     frontier = artifacts["frontier.json"]
     outputs = {
         "main_table.csv": main_table_csv(frontier),

@@ -4,8 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 status lines.
 """
 
-import itertools
-import json
 import time
 from pathlib import Path
 
@@ -13,12 +11,8 @@ import numpy as np
 import pytest
 
 from quantplan import (
-    TrainConfig,
-    WallEnvConfig,
     apply_policy,
     fake_quantize_tensor,
-    fit_state_probe,
-    gen_dataset,
     model_size_bytes,
     paired_delta_ci,
     pareto_frontier,
@@ -26,7 +20,6 @@ from quantplan import (
     quantize_tensor,
     sign_test,
     spearman,
-    train_world_model,
 )
 from quantplan.config import ExperimentConfig, config_from_dict
 from quantplan.nn import init_world_model, loss_and_grads

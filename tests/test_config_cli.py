@@ -151,6 +151,29 @@ def test_config_size_bound_is_inclusive():
         config_from_dict({"budgets": {"bA": {**BUDGET, "max_iter": 258_112}}})
 
 
+def test_eval_object_bound_is_inclusive():
+    def load(n, budgets, variants, **extra):
+        one = {"goal_h": 1, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
+        return config_from_dict({"variants": variants, "budgets": dict.fromkeys(budgets, one),
+                                 "episodes_per_run": n, **extra})
+
+    # a budget's specs and plan streams, 420 + 609 B each: 1,043,480 fit in 1 GiB
+    load(1_043_480, "b", ["fp16"])
+    with pytest.raises(ValidationError, match=r"budgets.b: the episode specs and their plan "
+                       r"streams .* = 1043481 takes more than 1 GiB at 1029 B each"):
+        load(1_043_481, "b", ["fp16"])
+    # every budget's records and CSV rows, 280 + 358 B each: 16 variants x 2 budgets x
+    # 52,593 episodes fit in 1 GiB; one more episode does not, though one budget would
+    load(52_593, "bc", "all")
+    load(52_594, "b", "all")
+    with pytest.raises(ValidationError, match=r"the eval's records and their episodes.csv "
+                       r"rows .* = 1683008 takes more than 1 GiB at 638 B each"):
+        load(52_594, "bc", "all")
+    # 4,194,304 paired units: 1 GiB of step distances and 256 MiB of noise, which fit
+    with pytest.raises(ValidationError, match="budgets.b: the episode specs"):
+        load(4_194_304, "b", "all", cem={"population": 4})
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -558,6 +581,19 @@ def test_artifacts_record_config_hash(pipeline_out):
     for name in ("sizes.json", "comparisons.json", "run_meta.json"):
         assert json.loads((out / name).read_text())["config_hash"] == h
     assert h in (out / "frontier.svg").read_text()
+
+
+def test_report_takes_the_config_hash_alone(pipeline_out, tmp_path):
+    from pathlib import Path
+
+    from quantplan.report import STATS_FILES, emit_report
+
+    out = Path(pipeline_out.output_dir)
+    artifacts = {name: json.loads((out / name).read_text()) for name in STATS_FILES}
+    emit_report(artifacts, tmp_path, "0123abcd")
+    for name in REPORT_OUTPUTS:
+        if name.endswith(".svg"):
+            assert "<!-- config_hash: 0123abcd -->" in (tmp_path / name).read_text(), name
 
 
 def test_frontier_sizes_are_sizes_json(pipeline_out):

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports (a stdlib stand-in for a linter)."""
+"""Every module of the package and of its tests uses each name it imports (a stdlib
+stand-in for a linter)."""
 
 import ast
 from pathlib import Path
@@ -28,7 +29,8 @@ def test_unused_imports_finds_an_unused_name():
 
 def test_modules_use_every_name_they_import():
     unused = set()
-    for path in sorted(Path(quantplan.__file__).parent.glob("*.py")):
+    paths = [*Path(quantplan.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    for path in sorted(paths):
         if path.name != "__init__.py":  # re-exports the package API
             unused |= {(path.stem, name) for name in unused_imports(path.read_text())}
     assert unused == KEPT

@@ -97,10 +97,10 @@ def test_plan_deterministic(trained_model, env_cfg):
     obs = render(np.array([0.2, 0.5]), env_cfg)
     goal = render(np.array([0.8, 0.5]), env_cfg)
     (p1,), _, _ = plan_actions(trained_model.predictor, latents_of(trained_model, obs[None]),
-                               latents_of(trained_model, goal[None]), BA, CEMConfig(),
+                               latents_of(trained_model, goal[None]), CEMConfig(),
                                round_noise(BA, qrng.stream(0, "t")), np.arange(1), 0.125)
     (p2,), _, _ = plan_actions(trained_model.predictor, latents_of(trained_model, obs[None]),
-                               latents_of(trained_model, goal[None]), BA, CEMConfig(),
+                               latents_of(trained_model, goal[None]), CEMConfig(),
                                round_noise(BA, qrng.stream(0, "t")), np.arange(1), 0.125)
     np.testing.assert_array_equal(p1, p2)
     assert p1.shape == (9, 2)
@@ -114,7 +114,7 @@ def test_elite_costs_non_increasing(trained_model, env_cfg):
     for k in range(10):
         _, _, info = plan_actions(
             trained_model.predictor, latents_of(trained_model, obs[None]),
-            latents_of(trained_model, goal[None]), budget, CEMConfig(),
+            latents_of(trained_model, goal[None]), CEMConfig(),
             round_noise(budget, qrng.stream(0, "e", k)), np.arange(1), 0.125
         )
         costs = info["elite_costs"][0]
@@ -129,7 +129,7 @@ def test_identity_predictor_zero_cost(trained_model, env_cfg):
     block[:16] = np.eye(16)
     identity = Stack([block])
     z = latents_of(trained_model, render(np.array([0.3, 0.3]), env_cfg)[None])
-    _, _, info = plan_actions(identity, z, z, BA, CEMConfig(),
+    _, _, info = plan_actions(identity, z, z, CEMConfig(),
                               round_noise(BA, qrng.stream(0, "i")), np.arange(1), 0.125)
     assert info["final_mean_cost"] == pytest.approx(0.0, abs=1e-12)
     assert info["final_mean_cost"] <= info["initial_mean_cost"]
@@ -498,7 +498,7 @@ def test_plan_failure_leaves_other_rows_unchanged(trained_model, env_cfg):
 
     def plan(rows):
         return plan_actions(trained_model.predictor, latents_of(trained_model, obs[rows]),
-                            latents_of(trained_model, goal[rows]), BA, CEMConfig(), noise,
+                            latents_of(trained_model, goal[rows]), CEMConfig(), noise,
                             np.array(rows), 0.125)
 
     plans, _, info = plan([0, 1])
@@ -518,7 +518,7 @@ def test_plan_latents_equal_chained_predict_next(trained_model, env_cfg):
     z0 = latents_of(trained_model, obs)
     noise = round_noise(BB, *[qrng.stream(0, "l", i) for i in range(3)])
     plans, latents, info = plan_actions(trained_model.predictor, z0,
-                                        latents_of(trained_model, goal), BB, CEMConfig(), noise,
+                                        latents_of(trained_model, goal), CEMConfig(), noise,
                                         np.arange(3), 0.125)
     assert info["failed"].tolist() == [False, True, False]
     assert latents.shape == (3, BB.goal_h, 16) and latents.dtype == np.float32
@@ -528,6 +528,20 @@ def test_plan_latents_equal_chained_predict_next(trained_model, env_cfg):
     for t in range(BB.goal_h):
         z = trained_model.predict_next(z, plans[ok, None, t])
         np.testing.assert_array_equal(latents[ok, t], z[:, 0])
+
+
+def test_plan_sizes_come_from_the_noise_block(trained_model, env_cfg):
+    # opt_steps 4, population 8 and goal_h 5: sizes no test budget has
+    noise = qrng.stream(0, "s").standard_normal((4, 4, 8, 5, 2))
+    live = np.array([0, 2, 3])
+    obs = render(np.array([[0.2, 0.5], [0.3, 0.2], [0.6, 0.8]]), env_cfg)
+    goal = render(np.array([[0.8, 0.5], [0.7, 0.9], [0.1, 0.1]]), env_cfg)
+    plans, latents, info = plan_actions(trained_model.predictor, latents_of(trained_model, obs),
+                                        latents_of(trained_model, goal), CEMConfig(population=8),
+                                        noise, live, 0.125)
+    assert plans.shape == (3, 5, 2) and np.all(np.abs(plans) <= 0.125)
+    assert latents.shape == (3, 5, 16)
+    assert info["elite_costs"].shape == (3, 4) and np.isfinite(info["elite_costs"]).all()
 
 
 def random_predictor(depth, rng):
