@@ -18,8 +18,13 @@ take), and the backward's [dWᵀ; db] is one TN gemm x1ᵀ @ g written into the
 gradient's block.  OpenBLAS's float32 kernels sum each output over k in order,
 so the ones column, times 1.0 and summed last, rounds the forward as
 fl(fl(x @ W.T) + b), and the bias row of x1ᵀ @ g is the sequential row sum
-np.add.reduce(g, axis=0); tests pin both.  A layer's (W, b) are views of its
-block, W the (out, in) transpose, for quantization, policies and manifests.
+np.add.reduce(g, axis=0); tests pin both.  A training step's encoder layer 0
+multiplies only the batch's lit input columns (those nonzero in some row, and the
+ones column): a column that is 0 in every row adds ±0 to each in-order k-sum, so
+x[:, cols] @ A0[cols] rounds as the full product, and the full gemm's gradient
+row for such a column is +0, which the step writes there.  A layer's (W, b) are
+views of its block, W the (out, in) transpose, for quantization, policies and
+manifests.
 Manifest tensors ("encoder.0.weight", ...) follow theta order, and a
 checkpoint still stores each weight as (out, in) in C order.
 """
@@ -29,6 +34,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,7 +88,12 @@ class Stack:
 
     def __init__(self, blocks: list[np.ndarray]):
         self.blocks = blocks
-        self.layers = [(A[:-1].T, A[-1]) for A in blocks]  # (W (out, in), b (out,)) views
+
+    @cached_property
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(W (out, in), b (out,)) views of each block; made on first use, as a
+        training step's per-batch Stacks never read them."""
+        return [(A[:-1].T, A[-1]) for A in self.blocks]
 
     @property
     def in_dim(self) -> int:
@@ -125,7 +136,7 @@ class Stack:
                 act = cache[i + 1]  # this layer's tanh output, read for the last time
                 act *= act
                 np.subtract(1.0, act, out=act)
-                g = g @ self.layers[i + 1][0]
+                g = g @ self.blocks[i + 1][:-1].T  # layer i + 1's W
                 g *= act[:, :-1]
             np.matmul(cache[i].T, g, out=grads.blocks[i])
         return g
@@ -259,20 +270,42 @@ def init_world_model(
 
 class _Workspace:
     """Every activation `loss_and_grads` writes for a batch of up to `rows`
-    transitions, each layer input ending in a ones column: the encoder's input
-    `x` (the obs rows, then the next_obs rows) and hidden layers, its output
-    `z` ([latent | 1], the probe's input), and the predictor's input `p`
+    transitions, each layer input ending in a ones column: the encoder's lit input
+    `x` (`lit`), hidden layers and layer-0 gradient rows `g0`, its output `z`
+    ([latent | 1], the probe's input), and the predictor's input `p`
     ([latent | action | 1]) and hidden layers.  A short batch uses the first rows."""
 
     def __init__(self, wm: WorldModel, rows: int):
         dtype = wm.theta.dtype
-        self.x = np.empty((2 * rows, wm.encoder.in_dim + 1), dtype)
+        self._x = np.empty(2 * rows * (wm.encoder.in_dim + 1), dtype)
+        self.g0 = np.empty_like(wm.encoder.blocks[0])
         self.enc = wm.encoder.workspaces((2 * rows,))
         self.z = np.empty((2 * rows, wm.probe.in_dim + 1), dtype)
         self.p = np.empty((rows, wm.predictor.in_dim + 1), dtype)
         self.pred = wm.predictor.workspaces((rows,))
-        for a in (self.x, self.z, self.p):
+        for a in (self.z, self.p):
             a[:, -1] = 1
+
+    def lit(self, cols: np.ndarray, rows: int) -> np.ndarray:
+        """The encoder input `x` (rows, len(cols)) for the caller to fill with each
+        row's values on `cols`, ascending and ending in the ones column, outside
+        which every row is 0."""
+        self.cols = cols
+        self.x = self._x[: rows * len(cols)].reshape(rows, len(cols))
+        return self.x
+
+
+def _light(work: _Workspace, background: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    """Write into `work` the lit input of the ones-augmented observation table's
+    rows `pixels`, each the table's `background` row with 1.0 at its pixel: on the
+    background's nonzero columns (the wall pixels and the ones column) and `pixels`."""
+    mask = background != 0
+    mask[pixels] = True
+    cols = np.flatnonzero(mask)
+    x = work.lit(cols, len(pixels))
+    x[...] = background[cols]
+    x[np.arange(len(pixels)), np.searchsorted(cols, pixels)] = 1
+    return x
 
 
 def _latent_loss(wm: WorldModel, z1, p1, z_next, state, pw: float, sw: float, hidden=None):
@@ -316,21 +349,29 @@ def loss_and_grads(
     one backward pass takes both latents' gradients, written into the blocks
     of `out`, a WorldModel shaped like `wm` (a fresh one if None).  Every element
     of `out` is overwritten, so a training loop passes the same buffer each step.
-    The activations go into `work`, into whose `x` the caller has already
-    gathered obs and next_obs (the views `train_world_model` passes); if None,
-    obs and next_obs are copied into a fresh `_Workspace`, cast to `theta`'s dtype.
+    The activations go into `work`, whose lit input `x` on columns `cols` the
+    caller has already written for obs and next_obs (`_light`, as
+    `train_world_model` does, passing views of it); if None, a fresh `_Workspace`
+    lights the columns nonzero in some row of obs or next_obs, and the ones column,
+    cast to `theta`'s dtype.  Encoder layer 0's forward is x @ A0[cols], and its
+    gradient block holds x.T @ g in the `cols` rows and +0 in the others: the full
+    products' bits while layer 0's weights are finite (see the module docstring).
     Returns (loss, out.theta): the gradient is one flat vector laid out like `theta`.
     """
     n = obs.shape[0]
     if work is None:
         work = _Workspace(wm, n)
-        work.x[:n, :-1] = obs
-        work.x[n:, :-1] = next_obs
-    x = work.x[: 2 * n]
+        both = np.concatenate([obs, next_obs])
+        cols = np.flatnonzero(np.append(both.any(axis=0), True))
+        x = work.lit(cols, 2 * n)
+        x[:, :-1] = both[:, cols[:-1]]
+        x[:, -1] = 1
+    x, cols = work.x, work.cols
     enc_h = [h[: 2 * n] for h in work.enc]
     pred_h = [h[:n] for h in work.pred]
     z1, p1 = work.z[: 2 * n], work.p[:n]
-    wm.encoder.forward(x, enc_h, out=z1[:, :-1])
+    encoder = Stack([wm.encoder.blocks[0][cols], *wm.encoder.blocks[1:]])
+    encoder.forward(x, enc_h, out=z1[:, :-1])
     latent = z1.shape[1] - 1
     p1[:, :latent] = z1[:n, :-1]
     p1[:, latent:-1] = action  # cast into theta's dtype
@@ -345,7 +386,12 @@ def loss_and_grads(
     g_pred = wm.predictor.backward([p1, *pred_h], g_p, out.predictor)
     g_probe = wm.probe.backward([z1[:n]], g_s, out.probe)
     g_z = (g_pred @ wm.predictor.layers[0][0])[:, :latent] + g_probe @ wm.probe.layers[0][0]
-    wm.encoder.backward([x, *enc_h], np.concatenate([g_z, -g_p]), out.encoder)
+    g0 = work.g0[: len(cols)]
+    encoder.backward([x, *enc_h], np.concatenate([g_z, -g_p]),
+                     Stack([g0, *out.encoder.blocks[1:]]))
+    dA0 = out.encoder.blocks[0]
+    dA0[...] = 0
+    dA0[cols] = g0
     return loss, out.theta
 
 
@@ -356,9 +402,12 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
     gradient buffer and one `_Workspace` of activations, and Adam runs in place
     through two scratch vectors, op by op in the order of `m = b1*m + (1-b1)*g`,
     `v = b2*v + (1-b2)*g*g` and `theta -= lr_t*m / (sqrt(v) + eps)`, so each
-    float32 op rounds as there.  A step's 2n encoder rows are gathered in one
-    take from the ones-augmented float32 `env.observations` table, the only
-    copy of it the run holds; actions and states are cast to float32 once.
+    float32 op rounds as there.  A step's 2n encoder rows (obs, then next_obs)
+    are the ones-augmented float32 `env.observations` table's rows on the batch's
+    lit columns only (the wall pixels, the batch's pixels and the ones column),
+    written by `_light` from the table's background row and each row's pixel: at
+    batch 64, about 103 of layer 0's 257 inputs.  Actions and states are cast
+    to float32 once.
     The initial and final full-dataset losses run the forward pass only
     (`_dataset_loss`).  A non-finite batch loss or final loss raises
     TrainingDivergenceError, so no diverged model is returned.  Training ends
@@ -369,6 +418,7 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
     if len(dataset) == 0:
         raise ValidationError("dataset is empty")
     table = observations(dataset.cfg, ones=True)
+    background = table.min(axis=0)  # each column's value on every row but its own pixel's
     init = init_world_model(table.shape[1] - 1, master_seed=master_seed, seed=cfg.seed)
     wm = WorldModel(init.dims)
     wm.theta[...] = init.theta
@@ -393,10 +443,7 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
         batch_losses = []
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            x = work.x[: 2 * len(idx)]
-            # one take of both halves; mode="clip", as "raise" would buffer `out`, and a
-            # dataset's pixels are checked when it is made or loaded
-            np.take(table, pixels[:, idx], axis=0, out=x.reshape(2, len(idx), -1), mode="clip")
+            x = _light(work, background, pixels[:, idx].ravel())
             loss, _ = loss_and_grads(wm, x[: len(idx)], action[idx], x[len(idx) :], state[idx],
                                      pw, sw, grad, work)
             if not np.isfinite(loss):

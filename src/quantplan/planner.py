@@ -431,6 +431,7 @@ def read_episodes_csv(path: str | Path) -> list[EpisodeRecord]:
     if header != EPISODES_CSV_HEADER:
         raise ValidationError(f"unexpected episodes.csv header in {path}")
     parsers = [{"str": str, "int": int, "float": float}[f.type] for f in fields(EpisodeRecord)]
+    floats = [f.name for f in fields(EpisodeRecord) if f.type == "float"]
     records = []
     # a budget name holds no line break, but it may hold the commas and quotes csv escapes
     rows = csv.reader(io.StringIO(body, newline=""))
@@ -444,10 +445,10 @@ def read_episodes_csv(path: str | Path) -> list[EpisodeRecord]:
             for name in ("steps_executed", "plan_rounds"):
                 if getattr(record, name) < 0:
                     raise ValueError(f"{name} must be >= 0, got {getattr(record, name)}")
-            for f in fields(EpisodeRecord):
-                value = getattr(record, f.name)
-                if f.type == "float" and not math.isfinite(value):
-                    raise ValueError(f"{f.name} must be finite, got {value}")
+            for name in floats:
+                value = getattr(record, name)
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
             records.append(record)
     except (ValueError, csv.Error) as e:  # csv.Error: e.g. a field over csv.field_size_limit()
         # line_num counts the lines after the header the reader has consumed

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from quantplan import nn
 from quantplan import rng as qrng
 from quantplan import (
     TrainConfig,
@@ -15,7 +16,8 @@ from quantplan import (
     train_world_model,
 )
 from quantplan.env import Dataset, WallEnvConfig, dataset_from_model, dataset_to_model, observations
-from quantplan.nn import STACKS, Stack, _dataset_loss, init_world_model, loss_and_grads, study_dims
+from quantplan.nn import (STACKS, Stack, _dataset_loss, _light, _Workspace, init_world_model,
+                          loss_and_grads, study_dims)
 from quantplan.policies import apply_policy
 from quantplan.store import TensorRecord, load_model, persist_model
 
@@ -359,6 +361,76 @@ def test_one_row_last_batch_trains_as_the_unfolded_reference(env_cfg):
                                     ds).named_params())
     for name, p in trained.named_params():
         np.testing.assert_array_equal(p, expected[name], err_msg=name)
+
+
+LIT_BATCHES = [(rows, "random") for rows in (1, 2, 32, 64, 128)] + [
+    (1, "agent-on-wall"), (64, "agent-on-wall"), (256, "every-pixel")]
+
+
+@pytest.mark.parametrize("rows, pixels", LIT_BATCHES, ids=[f"{p}-{r}" for r, p in LIT_BATCHES])
+def test_lit_layer0_equals_the_full_products(rng, env_cfg, rows, pixels):
+    # a training step's layer 0 multiplies only the batch's lit columns: the forward
+    # x @ A0[cols] and the gradient rows x.T @ g must round as the full (rows, 257)
+    # products, and the full gradient's unlit rows are +0, the value the step writes there
+    table = observations(env_cfg, ones=True)
+    background = table.min(axis=0)
+    walls = np.flatnonzero(background[:-1] == 0.5)
+    pixels = {"random": rng.integers(0, 256, rows),
+              "agent-on-wall": np.concatenate([walls[:1], rng.integers(0, 256, rows - 1)]),
+              "every-pixel": rng.permutation(256)}[pixels]
+    work = _Workspace(WorldModel(study_dims(256)), rows)
+    x = _light(work, background, pixels)
+    cols = work.cols
+    assert cols.tolist() == sorted({*walls.tolist(), *pixels.tolist()}) + [256]
+    full = table[pixels]
+    np.testing.assert_array_equal(x, full[:, cols])
+
+    A0 = (0.3 * rng.standard_normal((257, 64))).astype(np.float32)
+    g = rng.standard_normal((rows, 64)).astype(np.float32)
+    lit_grad, full_grad = np.full((len(cols), 64), np.nan, np.float32), np.empty_like(A0)
+    Stack([A0[cols]]).backward([x], g, Stack([lit_grad]))
+    Stack([A0]).backward([full], g, Stack([full_grad]))
+    if rows > 1:  # a 1-row product goes through gemv, which may sum in another order; a
+        # training step's encoder input has 2n >= 2 rows
+        np.testing.assert_array_equal(Stack([A0[cols]]).forward(x), Stack([A0]).forward(full))
+    np.testing.assert_array_equal(lit_grad, full_grad[cols])
+    unlit = np.delete(full_grad, cols, axis=0)
+    assert len(unlit) == 257 - len(cols)
+    assert not unlit.any() and not np.signbit(unlit).any()
+
+
+def test_a_training_step_equals_loss_and_grads_on_the_full_rows(env_cfg, monkeypatch):
+    # every step of a run (a 64-row batch, then a 36-row one) gives the loss and
+    # gradient, bit for bit, of loss_and_grads and of the unfolded arithmetic on the
+    # batch's full (n, 256) table rows, and +0 in layer 0's unlit gradient rows
+    ds = gen_dataset(20, 5, 0, env_cfg)
+    cfg = TrainConfig(epochs=1, prediction_loss_weight=0.5, state_loss_weight=2.0)
+    steps = []
+
+    def recording(wm, *args):
+        theta = wm.theta.copy()
+        loss, grad = loss_and_grads(wm, *args)
+        steps.append((theta, args[-1].cols, loss, grad.copy()))
+        return loss, grad
+
+    monkeypatch.setattr(nn, "loss_and_grads", recording)
+    train_world_model(ds, cfg)
+    table = observations(env_cfg)
+    perm = qrng.stream(0, "train", cfg.seed).permutation(len(ds))
+    batches = [perm[lo : lo + cfg.batch_size] for lo in range(0, len(ds), cfg.batch_size)]
+    assert [len(idx) for idx in batches] == [64, 36] and len(steps) == 2
+    for idx, (theta, cols, loss, grad) in zip(batches, steps):
+        wm, out = WorldModel(study_dims(256)), WorldModel(study_dims(256))
+        wm.theta[...] = theta
+        batch = (table[ds.pixel[idx]], ds.action[idx], table[ds.next_pixel[idx]], ds.state[idx])
+        weights = (cfg.prediction_loss_weight, cfg.state_loss_weight)
+        for f in (loss_and_grads, lambda *a: unfolded_loss_and_grads(*a, out)):
+            full_loss, full_grad = f(wm, *batch, *weights)
+            assert loss.tobytes() == full_loss.tobytes()
+            assert grad.tobytes() == full_grad.tobytes()
+        out.theta[...] = grad
+        unlit = np.delete(out.encoder.blocks[0], cols, axis=0)
+        assert len(unlit) > 0 and not unlit.any() and not np.signbit(unlit).any()
 
 
 def test_training_validation(env_cfg):
