@@ -20,7 +20,8 @@ so the ones column, times 1.0 and summed last, rounds the forward as
 fl(fl(x @ W.T) + b), and the bias row of x1ᵀ @ g is the sequential row sum
 np.add.reduce(g, axis=0); tests pin both.  A training step's encoder layer 0
 multiplies only the batch's lit input columns (those nonzero in some row, and the
-ones column): a column that is 0 in every row adds ±0 to each in-order k-sum, so
+ones column; `train_world_model` plans them for a whole epoch at once, see
+`_plan_epoch`): a column that is 0 in every row adds ±0 to each in-order k-sum, so
 x[:, cols] @ A0[cols] rounds as the full product, and the full gemm's gradient
 row for such a column is +0, which the step writes there.  A layer's (W, b) are
 views of its block, W the (out, in) transpose, for quantization, policies and
@@ -273,7 +274,8 @@ class _Workspace:
     transitions, each layer input ending in a ones column: the encoder's lit input
     `x` (`lit`), hidden layers and layer-0 gradient rows `g0`, its output `z`
     ([latent | 1], the probe's input), and the predictor's input `p`
-    ([latent | action | 1]) and hidden layers.  A short batch uses the first rows."""
+    ([latent | action | 1]) and hidden layers.  A short batch uses the first rows,
+    through views made once per batch size (`views`)."""
 
     def __init__(self, wm: WorldModel, rows: int):
         dtype = wm.theta.dtype
@@ -285,6 +287,7 @@ class _Workspace:
         self.pred = wm.predictor.workspaces((rows,))
         for a in (self.z, self.p):
             a[:, -1] = 1
+        self._views = {}
 
     def lit(self, cols: np.ndarray, rows: int) -> np.ndarray:
         """The encoder input `x` (rows, len(cols)) for the caller to fill with each
@@ -294,18 +297,41 @@ class _Workspace:
         self.x = self._x[: rows * len(cols)].reshape(rows, len(cols))
         return self.x
 
+    def views(self, n: int):
+        """(encoder hidden layers, z1, predictor hidden layers, p1) for a batch of n
+        transitions: the first 2n encoder rows and the first n predictor rows."""
+        if n not in self._views:
+            self._views[n] = ([h[: 2 * n] for h in self.enc], self.z[: 2 * n],
+                              [h[:n] for h in self.pred], self.p[:n])
+        return self._views[n]
 
-def _light(work: _Workspace, background: np.ndarray, pixels: np.ndarray) -> np.ndarray:
-    """Write into `work` the lit input of the ones-augmented observation table's
-    rows `pixels`, each the table's `background` row with 1.0 at its pixel: on the
-    background's nonzero columns (the wall pixels and the ones column) and `pixels`."""
-    mask = background != 0
-    mask[pixels] = True
-    cols = np.flatnonzero(mask)
-    x = work.lit(cols, len(pixels))
-    x[...] = background[cols]
-    x[np.arange(len(pixels)), np.searchsorted(cols, pixels)] = 1
-    return x
+
+def _plan_epoch(perm: np.ndarray, pixels: np.ndarray, background: np.ndarray,
+                batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lit inputs of an epoch's batches, each perm[lo : lo + batch_size]: its k
+    transitions' 2k encoder rows (obs, then next_obs) are the rows `pixels[:, perm]`
+    of the ones-augmented observation table, each its `background` row with 1.0
+    at its pixel.
+
+    Returns (mask, ones).  Row b of the boolean (batches, in + 1) `mask` marks batch
+    b's `cols`: the background's nonzero columns (the wall pixels and the ones
+    column) and the batch's pixels.  For the batch on perm[lo:hi], ones[2 * lo : 2 * hi]
+    holds each encoder row's flat index of its 1.0 in the batch's (2k, len(cols))
+    input: the row's start plus its pixel's rank among `cols`, read off one cumsum
+    over `mask`.  Every array is sized by len(perm), whatever `batch_size` is."""
+    n, width = len(perm), len(background)
+    i = np.arange(n)
+    batch = i // batch_size
+    lo = batch * batch_size  # each transition's batch's first position in perm
+    rows = i - lo + np.minimum(n - lo, batch_size) * np.arange(2)[:, None]  # obs, then next_obs
+    lit = batch * width + np.take(pixels, perm, axis=1)  # each row's pixel in the flat mask
+    mask = np.empty((batch[-1] + 1, width), bool)
+    mask[...] = background != 0
+    mask.ravel()[lit] = True
+    rank = np.cumsum(mask, axis=1, dtype=np.int16)  # each lit column's rank among cols, plus 1
+    ones = np.empty(2 * n, np.intp)
+    ones[2 * lo + rows] = rows * np.take(rank[:, -1], batch) + np.take(rank, lit) - 1
+    return mask, ones
 
 
 def _latent_loss(wm: WorldModel, z1, p1, z_next, state, pw: float, sw: float, hidden=None):
@@ -314,9 +340,13 @@ def _latent_loss(wm: WorldModel, z1, p1, z_next, state, pw: float, sw: float, hi
     of obs, and the latents z_next of next_obs on; the predictor's hidden
     layers go into `hidden` (fresh arrays if None)."""
     n = len(z_next)
-    r_pred = wm.predictor.forward(p1, hidden) - z_next
-    r_state = wm.probe.forward(z1) - np.asarray(state, dtype=wm.theta.dtype)
-    loss = pw * np.sum(r_pred * r_pred) / n + sw * np.sum(r_state * r_state) / n
+    r_pred = wm.predictor.forward(p1, hidden)
+    r_pred -= z_next
+    r_state = wm.probe.forward(z1)
+    r_state -= np.asarray(state, dtype=wm.theta.dtype)
+    # a flat view's np.add.reduce is np.sum's one pairwise pass over a contiguous array
+    loss = (pw * np.add.reduce((r_pred * r_pred).ravel()) / n
+            + sw * np.add.reduce((r_state * r_state).ravel()) / n)
     return loss, r_pred, r_state
 
 
@@ -350,8 +380,8 @@ def loss_and_grads(
     of `out`, a WorldModel shaped like `wm` (a fresh one if None).  Every element
     of `out` is overwritten, so a training loop passes the same buffer each step.
     The activations go into `work`, whose lit input `x` on columns `cols` the
-    caller has already written for obs and next_obs (`_light`, as
-    `train_world_model` does, passing views of it); if None, a fresh `_Workspace`
+    caller has already written for obs and next_obs (as `train_world_model` does
+    from its epoch plan, passing views of it); if None, a fresh `_Workspace`
     lights the columns nonzero in some row of obs or next_obs, and the ones column,
     cast to `theta`'s dtype.  Encoder layer 0's forward is x @ A0[cols], and its
     gradient block holds x.T @ g in the `cols` rows and +0 in the others: the full
@@ -367,9 +397,7 @@ def loss_and_grads(
         x[:, :-1] = both[:, cols[:-1]]
         x[:, -1] = 1
     x, cols = work.x, work.cols
-    enc_h = [h[: 2 * n] for h in work.enc]
-    pred_h = [h[:n] for h in work.pred]
-    z1, p1 = work.z[: 2 * n], work.p[:n]
+    enc_h, z1, pred_h, p1 = work.views(n)
     encoder = Stack([wm.encoder.blocks[0][cols], *wm.encoder.blocks[1:]])
     encoder.forward(x, enc_h, out=z1[:, :-1])
     latent = z1.shape[1] - 1
@@ -404,10 +432,13 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
     `v = b2*v + (1-b2)*g*g` and `theta -= lr_t*m / (sqrt(v) + eps)`, so each
     float32 op rounds as there.  A step's 2n encoder rows (obs, then next_obs)
     are the ones-augmented float32 `env.observations` table's rows on the batch's
-    lit columns only (the wall pixels, the batch's pixels and the ones column),
-    written by `_light` from the table's background row and each row's pixel: at
-    batch 64, about 103 of layer 0's 257 inputs.  Actions and states are cast
-    to float32 once.
+    lit columns only (the wall pixels, the batch's pixels and the ones column): at
+    batch 64, about 103 of layer 0's 257 inputs.  Each epoch is planned once from
+    its permutation (`_plan_epoch`): every batch's lit columns and the flat index
+    of each encoder row's 1.0, and the epoch's actions and states, cast to float32
+    once and gathered in its order.  A step then takes its columns off the plan's
+    mask, copies the table's background row onto them and writes its 1.0s, so it
+    runs only its arithmetic.
     The initial and final full-dataset losses run the forward pass only
     (`_dataset_loss`).  A non-finite batch loss or final loss raises
     TrainingDivergenceError, so no diverged model is returned.  Training ends
@@ -440,12 +471,17 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
     epoch_losses = []
     for _ in range(cfg.epochs):
         perm = order_gen.permutation(n)
+        mask, ones = _plan_epoch(perm, pixels, background, cfg.batch_size)
+        epoch_action, epoch_state = (np.take(a, perm, axis=0) for a in (action, state))
         batch_losses = []
-        for lo in range(0, n, cfg.batch_size):
-            idx = perm[lo : lo + cfg.batch_size]
-            x = _light(work, background, pixels[:, idx].ravel())
-            loss, _ = loss_and_grads(wm, x[: len(idx)], action[idx], x[len(idx) :], state[idx],
-                                     pw, sw, grad, work)
+        for b, lo in enumerate(range(0, n, cfg.batch_size)):
+            hi = min(lo + cfg.batch_size, n)
+            cols = np.flatnonzero(mask[b])
+            x = work.lit(cols, 2 * (hi - lo))
+            x[...] = background[cols]
+            x.ravel()[ones[2 * lo : 2 * hi]] = 1
+            loss, _ = loss_and_grads(wm, x[: hi - lo], epoch_action[lo:hi], x[hi - lo :],
+                                     epoch_state[lo:hi], pw, sw, grad, work)
             if not np.isfinite(loss):
                 raise TrainingDivergenceError(f"non-finite training loss: {loss}")
             batch_losses.append(loss)

@@ -55,7 +55,10 @@ def paired_delta_ci(pairs: list[tuple[float, float]], gen: np.random.Generator):
     """Mean paired difference with a CI_LEVEL percentile bootstrap CI.
 
     Resampling draws whole (a, b) pairs with replacement, never the two
-    sides independently.  Returns (delta, ci_low, ci_high).
+    sides independently.  The resamples are drawn in blocks of about 2**18
+    indices, so memory stays bounded at any n; each block's draws and means
+    are those of the same rows of one (N_RESAMPLES, n) draw.  Returns
+    (delta, ci_low, ci_high).
     """
     if not pairs:
         raise ValidationError("paired_delta_ci needs at least one pair")
@@ -63,8 +66,11 @@ def paired_delta_ci(pairs: list[tuple[float, float]], gen: np.random.Generator):
     diffs = arr[:, 0] - arr[:, 1]
     delta = float(diffs.mean())
     n = len(diffs)
-    idx = gen.integers(0, n, size=(N_RESAMPLES, n))
-    boot = diffs[idx].mean(axis=1)
+    block = max(1, 2**18 // n)
+    boot = np.empty(N_RESAMPLES)
+    for lo in range(0, N_RESAMPLES, block):
+        idx = gen.integers(0, n, size=(min(block, N_RESAMPLES - lo), n), dtype=np.int32)
+        boot[lo : lo + len(idx)] = diffs[idx].mean(axis=1)
     alpha = (1.0 - CI_LEVEL) / 2.0
     ci_low, ci_high = np.quantile(boot, [alpha, 1.0 - alpha]).tolist()
     return delta, ci_low, ci_high

@@ -16,8 +16,7 @@ from quantplan import (
     train_world_model,
 )
 from quantplan.env import Dataset, WallEnvConfig, dataset_from_model, dataset_to_model, observations
-from quantplan.nn import (STACKS, Stack, _dataset_loss, _light, _Workspace, init_world_model,
-                          loss_and_grads, study_dims)
+from quantplan.nn import STACKS, Stack, _dataset_loss, init_world_model, loss_and_grads, study_dims
 from quantplan.policies import apply_policy
 from quantplan.store import TensorRecord, load_model, persist_model
 
@@ -363,40 +362,65 @@ def test_one_row_last_batch_trains_as_the_unfolded_reference(env_cfg):
         np.testing.assert_array_equal(p, expected[name], err_msg=name)
 
 
-LIT_BATCHES = [(rows, "random") for rows in (1, 2, 32, 64, 128)] + [
-    (1, "agent-on-wall"), (64, "agent-on-wall"), (256, "every-pixel")]
+# (pixels, transitions, batch size): one epoch's batches, the last one short where the
+# batch size does not divide the transitions; an id counts transitions
+LIT_EPOCHS = [("random", n, 64) for n in (1, 2, 32, 64, 100, 128)] + [
+    ("agent-on-wall", 1, 64), ("agent-on-wall", 64, 64), ("every-pixel", 256, 256)]
 
 
-@pytest.mark.parametrize("rows, pixels", LIT_BATCHES, ids=[f"{p}-{r}" for r, p in LIT_BATCHES])
-def test_lit_layer0_equals_the_full_products(rng, env_cfg, rows, pixels):
-    # a training step's layer 0 multiplies only the batch's lit columns: the forward
-    # x @ A0[cols] and the gradient rows x.T @ g must round as the full (rows, 257)
+@pytest.mark.parametrize("pixels, n, batch_size", LIT_EPOCHS,
+                         ids=[f"{p}-{n}" for p, n, _ in LIT_EPOCHS])
+def test_lit_layer0_equals_the_full_products(rng, env_cfg, monkeypatch, pixels, n, batch_size):
+    # each step's encoder input, laid out by its epoch's plan, is the batch's (2k, 257)
+    # table rows on its lit columns, and layer 0 multiplies only those columns: the
+    # forward x @ A0[cols] and the gradient rows x.T @ g must round as the full
     # products, and the full gradient's unlit rows are +0, the value the step writes there
     table = observations(env_cfg, ones=True)
-    background = table.min(axis=0)
-    walls = np.flatnonzero(background[:-1] == 0.5)
-    pixels = {"random": rng.integers(0, 256, rows),
-              "agent-on-wall": np.concatenate([walls[:1], rng.integers(0, 256, rows - 1)]),
-              "every-pixel": rng.permutation(256)}[pixels]
-    work = _Workspace(WorldModel(study_dims(256)), rows)
-    x = _light(work, background, pixels)
-    cols = work.cols
-    assert cols.tolist() == sorted({*walls.tolist(), *pixels.tolist()}) + [256]
-    full = table[pixels]
-    np.testing.assert_array_equal(x, full[:, cols])
+    walls = np.flatnonzero(table.min(axis=0)[:-1] == 0.5)
+    pixel, next_pixel = rng.integers(0, 256, (2, n))
+    if pixels == "every-pixel":
+        pixel = rng.permutation(256)
+    elif pixels == "agent-on-wall":
+        pixel[0], next_pixel[0] = walls[0], walls[-1]
+    ds = Dataset(pixel, rng.uniform(-0.1, 0.1, (n, 2)), next_pixel, rng.uniform(0, 1, (n, 2)),
+                 env_cfg)
+    cfg = TrainConfig(epochs=1, batch_size=batch_size)
+    steps = []
 
-    A0 = (0.3 * rng.standard_normal((257, 64))).astype(np.float32)
-    g = rng.standard_normal((rows, 64)).astype(np.float32)
-    lit_grad, full_grad = np.full((len(cols), 64), np.nan, np.float32), np.empty_like(A0)
-    Stack([A0[cols]]).backward([x], g, Stack([lit_grad]))
-    Stack([A0]).backward([full], g, Stack([full_grad]))
-    if rows > 1:  # a 1-row product goes through gemv, which may sum in another order; a
-        # training step's encoder input has 2n >= 2 rows
+    def recording(wm, obs, action, next_obs, state, *args):
+        steps.append((np.concatenate([obs, next_obs]), args[-1].cols))
+        return loss_and_grads(wm, obs, action, next_obs, state, *args)
+
+    monkeypatch.setattr(nn, "loss_and_grads", recording)
+    train_world_model(ds, cfg)
+    perm = qrng.stream(0, "train", cfg.seed).permutation(n)
+    batches = [perm[lo : lo + batch_size] for lo in range(0, n, batch_size)]
+    assert len(steps) == len(batches)
+    for idx, (x, cols) in zip(batches, steps):
+        batch_pixels = np.concatenate([pixel[idx], next_pixel[idx]])
+        assert cols.tolist() == sorted({*walls.tolist(), *batch_pixels.tolist()}) + [256]
+        full = table[batch_pixels]
+        np.testing.assert_array_equal(x, full[:, cols])
+
+        A0 = (0.3 * rng.standard_normal((257, 64))).astype(np.float32)
+        g = rng.standard_normal((len(x), 64)).astype(np.float32)
+        lit_grad, full_grad = np.full((len(cols), 64), np.nan, np.float32), np.empty_like(A0)
+        Stack([A0[cols]]).backward([x], g, Stack([lit_grad]))
+        Stack([A0]).backward([full], g, Stack([full_grad]))
+        # a training step's encoder input has 2k >= 2 rows, so its product is a gemm
         np.testing.assert_array_equal(Stack([A0[cols]]).forward(x), Stack([A0]).forward(full))
-    np.testing.assert_array_equal(lit_grad, full_grad[cols])
-    unlit = np.delete(full_grad, cols, axis=0)
-    assert len(unlit) == 257 - len(cols)
-    assert not unlit.any() and not np.signbit(unlit).any()
+        np.testing.assert_array_equal(lit_grad, full_grad[cols])
+        unlit = np.delete(full_grad, cols, axis=0)
+        assert len(unlit) == 257 - len(cols)
+        assert not unlit.any() and not np.signbit(unlit).any()
+
+
+def test_a_batch_larger_than_the_dataset_trains_as_one_batch(env_cfg):
+    # the epoch plan is sized by the dataset, not by the batch size
+    ds = gen_dataset(2, 3, 0, env_cfg)
+    whole = train_world_model(ds, TrainConfig(epochs=1, batch_size=len(ds)))
+    huge = train_world_model(ds, TrainConfig(epochs=1, batch_size=2**40))
+    assert huge.theta.tobytes() == whole.theta.tobytes()
 
 
 def test_a_training_step_equals_loss_and_grads_on_the_full_rows(env_cfg, monkeypatch):

@@ -18,6 +18,7 @@ from quantplan import (
     spearman,
 )
 from quantplan.planner import EpisodeRecord
+from quantplan.stats import N_RESAMPLES
 
 
 def rec(variant, budget, seed, ep, success, dist=0.5):
@@ -94,6 +95,24 @@ def test_bootstrap_width_shrinks_with_duplication(rng):
     _, lo1, hi1 = paired_delta_ci(pairs, gen=np.random.default_rng(1))
     _, lo4, hi4 = paired_delta_ci(pairs * 4, gen=np.random.default_rng(1))
     assert (hi4 - lo4) == pytest.approx(0.5 * (hi1 - lo1), rel=0.25)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+@pytest.mark.parametrize("n", [1, 90, 1000])
+def test_bootstrap_blocks_equal_one_draw(rng, monkeypatch, bit_generator, n):
+    # the resamples are drawn max(1, 2**18 // n) rows at a time: n = 1 takes one block,
+    # and n = 90 and 1000 end in a short block (2912 and 262 rows do not divide 4000);
+    # the means and the generator's end state must be those of one (4000, n) draw
+    pairs = [tuple(p) for p in rng.uniform(0, 1, (n, 2))]
+    diffs = np.subtract(*np.transpose(pairs))
+    one_draw = np.random.Generator(bit_generator(5))
+    expected = diffs[one_draw.integers(0, n, size=(N_RESAMPLES, n))].mean(axis=1)
+    boots, quantile = [], np.quantile
+    monkeypatch.setattr(np, "quantile", lambda a, q: boots.append(a.copy()) or quantile(a, q))
+    gen = np.random.Generator(bit_generator(5))
+    paired_delta_ci(pairs, gen)
+    assert len(boots) == 1 and boots[0].tobytes() == expected.tobytes()
+    np.testing.assert_equal(gen.bit_generator.state, one_draw.bit_generator.state)
 
 
 def test_paired_delta_empty():
