@@ -19,7 +19,7 @@ import numpy as np
 from . import rng
 from .env import MAX_ARRAY_BYTES, WallEnvConfig
 from .errors import ValidationError
-from .nn import HIDDEN_DIM, TrainConfig
+from .nn import HIDDEN_DIM, LATENT_DIM, TrainConfig
 from .planner import CEMConfig, PlannerBudget
 from .policies import ALL_VARIANT_NAMES, CORE_VARIANT_NAMES
 from .store import json_is, read_json
@@ -90,11 +90,20 @@ class ExperimentConfig:
                 raise ValidationError(f"{where}: {seed} does not fit the 128-bit signed stream key")
         if self.episodes_per_run < 1:
             raise ValidationError("episodes_per_run must be >= 1")
-        # the train stage's full-dataset loss runs the predictor on every transition at once;
-        # gen_dataset's (n_traj, traj_len + 1, 2) float64 states are never larger
-        _check_fits("dataset: the full-dataset loss's predictor activations (n_traj x "
-                    f"traj_len, {HIDDEN_DIM} + 1)",
-                    (self.dataset.n_traj * self.dataset.traj_len, HIDDEN_DIM + 1), "float32")
+        # the largest array the train stage sizes per transition is the probe fit's design
+        # matrix; gen_dataset's (n_traj, traj_len + 1, 2) float64 states are never larger
+        n = self.dataset.n_traj * self.dataset.traj_len
+        _check_fits("dataset: the probe fit's design matrix (n_traj x traj_len, "
+                    f"{LATENT_DIM} + 1)", (n, LATENT_DIM + 1))
+        # a training step's workspace, its widest arrays the encoder input and the hidden layers
+        rows, width = min(n, self.train.batch_size), self.env.image_side**2 + 1
+        _check_fits("train: the step workspace (2 x min(n_traj x traj_len, batch_size), "
+                    f"max(image_side^2 + 1, {HIDDEN_DIM} + 1))",
+                    (2 * rows, max(width, HIDDEN_DIM + 1)), "float32")
+        # an epoch plan's column ranks; its bool mask of the same shape is half their size
+        _check_fits("train: the epoch plan's column ranks (ceil(n_traj x traj_len / "
+                    "batch_size), image_side^2 + 1)", (-(-n // self.train.batch_size), width),
+                    "int16")
         if not self.output_dir:  # Path("") is the current directory
             raise ValidationError("output_dir must not be empty")
         # printable: no line break to split a CSV row, and every character XML 1.0 allows
@@ -120,6 +129,10 @@ class ExperimentConfig:
                         (2, len(self.variants), n_specs, budget.max_iter * budget.goal_h))
             _check_objects_fit(f"budgets.{name}: the episode specs and their plan streams (seeds "
                                "x episodes_per_run)", n_specs, SPEC_BYTES + STREAM_BYTES)
+            # plan_actions' rollout plans at most every spec of the round at once
+            _check_fits(f"budgets.{name}: the rollout's hidden workspace (seeds x "
+                        f"episodes_per_run, cem.population, {HIDDEN_DIM} + 1)",
+                        (n_specs, self.cem.population, HIDDEN_DIM + 1), "float32")
             n_records += len(self.variants) * n_specs
         # run_paired_eval holds every budget's records, and stage_eval their CSV text too
         _check_objects_fit("the eval's records and their episodes.csv rows (variants x seeds x "

@@ -334,36 +334,59 @@ def _plan_epoch(perm: np.ndarray, pixels: np.ndarray, background: np.ndarray,
     return mask, ones
 
 
-def _latent_loss(wm: WorldModel, z1, p1, z_next, state, pw: float, sw: float, hidden=None):
+def _loss(r_pred: np.ndarray, r_state: np.ndarray, pw: float, sw: float):
+    """pw * mean_i |r_pred_i|^2 + sw * mean_i |r_state_i|^2 of the residual rows."""
+    n = len(r_pred)
+    # a flat view's np.add.reduce is np.sum's one pairwise pass over a contiguous array
+    return (pw * np.add.reduce((r_pred * r_pred).ravel()) / n
+            + sw * np.add.reduce((r_state * r_state).ravel()) / n)
+
+
+def _latent_loss(wm: WorldModel, z1, p1, z_next, state, pw: float, sw: float, hidden):
     """(loss, r_pred, r_state) of `loss_and_grads` from the probe's input
     z1 = [z | 1] and the predictor's input p1 = [z | action | 1], z the latents
     of obs, and the latents z_next of next_obs on; the predictor's hidden
-    layers go into `hidden` (fresh arrays if None)."""
-    n = len(z_next)
+    layers go into `hidden`."""
     r_pred = wm.predictor.forward(p1, hidden)
     r_pred -= z_next
     r_state = wm.probe.forward(z1)
     r_state -= np.asarray(state, dtype=wm.theta.dtype)
-    # a flat view's np.add.reduce is np.sum's one pairwise pass over a contiguous array
-    loss = (pw * np.add.reduce((r_pred * r_pred).ravel()) / n
-            + sw * np.add.reduce((r_state * r_state).ravel()) / n)
-    return loss, r_pred, r_state
+    return _loss(r_pred, r_state, pw, sw), r_pred, r_state
+
+
+# the most transitions one block of `_dataset_loss` runs the predictor and the probe on
+LOSS_BLOCK = 1024
 
 
 def _dataset_loss(wm: WorldModel, z: np.ndarray, dataset, pw: float, sw: float):
     """The training loss over the whole dataset, with no backward pass, from `z`,
     the latents of the ones-augmented observation table encoded as one 2-D
-    product: each transition's latents are gathered by pixel.  A row of an
-    M-row float32 NN product equals that row of a product of up to 8000 rows
-    for every M >= 2, at every layer shape (measured with OpenBLAS 0.3.31; a
-    1-row product goes through gemv and may differ), so with the default
-    256-row table and any dataset (2n >= 2 rows) this is bit-equal to
+    product: each transition's latents are gathered by pixel.
+
+    The predictor and the probe run on ceil(n / LOSS_BLOCK) blocks of
+    consecutive transitions, as near equal in size as can be (so no block has
+    one row unless the dataset does), and write their residuals into one
+    (n, latent) and one (n, 2) array, which `_loss` sums as `loss_and_grads`
+    sums its own: the passes hold at most LOSS_BLOCK transitions' activations.
+    A row of an M-row float32 NN product equals that row of a product of up to
+    8000 rows for every M >= 2, at every layer shape (measured with OpenBLAS
+    0.3.31; a 1-row product goes through gemv and may differ), so with the
+    default 256-row table and any dataset (2n >= 2 rows) this is bit-equal to
     `loss_and_grads`' loss on the gathered images."""
-    z_obs = z[dataset.pixel]
-    dim = wm.probe.in_dim
-    z1 = wm._ones(("latent", z_obs, dim))
-    p1 = wm._ones(("latent", z_obs, dim), ("action", dataset.action, wm.predictor.in_dim - dim))
-    return _latent_loss(wm, z1, p1, z[dataset.next_pixel], dataset.state, pw, sw)[0]
+    n, dim = len(dataset), wm.probe.in_dim
+    r_pred = np.empty((n, dim), wm.theta.dtype)  # the predictor's output is a latent
+    r_state = np.empty((n, wm.probe.blocks[-1].shape[1]), wm.theta.dtype)
+    blocks = -(-n // LOSS_BLOCK)
+    for b in range(blocks):
+        rows = slice(b * n // blocks, (b + 1) * n // blocks)
+        z_obs = z[dataset.pixel[rows]]
+        p1 = wm._ones(("latent", z_obs, dim),
+                      ("action", dataset.action[rows], wm.predictor.in_dim - dim))
+        wm.predictor.forward(p1, out=r_pred[rows])
+        r_pred[rows] -= z[dataset.next_pixel[rows]]
+        wm.probe.forward(wm._ones(("latent", z_obs, dim)), out=r_state[rows])
+        r_state[rows] -= np.asarray(dataset.state[rows], dtype=wm.theta.dtype)
+    return _loss(r_pred, r_state, pw, sw)
 
 
 def loss_and_grads(
@@ -439,9 +462,11 @@ def train_world_model(dataset, cfg: TrainConfig, master_seed: int = 0) -> WorldM
     once and gathered in its order.  A step then takes its columns off the plan's
     mask, copies the table's background row onto them and writes its 1.0s, so it
     runs only its arithmetic.
-    The initial and final full-dataset losses run the forward pass only
-    (`_dataset_loss`).  A non-finite batch loss or final loss raises
-    TrainingDivergenceError, so no diverged model is returned.  Training ends
+    The initial and final full-dataset losses run the forward pass only, on
+    blocks of at most `LOSS_BLOCK` transitions (`_dataset_loss`), so training
+    holds no activation per transition of the dataset.  A non-finite batch
+    loss or final loss raises TrainingDivergenceError, so no diverged model is
+    returned.  Training ends
     with `fit_state_probe`, which reads the final loss's encode of the
     observation table: the loss is the trained probe's, the model returned
     holds the refit one.

@@ -121,10 +121,20 @@ BUDGET = {"goal_h": 2, "opt_steps": 1, "max_iter": 1, "seeds": [0]}
          r"budgets.bA: the round noise block .* = \(10, 1, 1000000000, 1000000, 2\)"),
         ({"cem": {"population": 10**9}}, r"budgets.bA: .*cem.population.* more than 1 GiB"),
         ({"dataset": {"n_traj": 10**12}},
-         r"dataset: the full-dataset loss's predictor activations .* more than 1 GiB"),
+         r"dataset: the probe fit's design matrix .* more than 1 GiB as float64"),
         ({"episodes_per_run": 10**12}, r"budgets.bA: .*episodes_per_run.* more than 1 GiB"),
         ({"budgets": {"bA": {**BUDGET, "max_iter": 10**9}}},
          r"budgets.bA: the step distances .* = \(2, 13, 10, 2000000000\)"),
+        ({"cem": {"population": 2**22}, "episodes_per_run": 2,
+          "budgets": {"bA": {"goal_h": 1, "opt_steps": 1, "max_iter": 1, "seeds": [0]}}},
+         r"budgets.bA: the rollout's hidden workspace .* = \(2, 4194304, 65\) "
+         "takes more than 1 GiB as float32"),
+        ({"dataset": {"n_traj": 60000, "traj_len": 10}, "train": {"batch_size": 2**40}},
+         r"train: the step workspace .* = \(1200000, 257\) takes more than 1 GiB as float32"),
+        ({"env": {"image_side": 64}, "dataset": {"n_traj": 30000, "traj_len": 10},
+          "train": {"batch_size": 1}},
+         r"train: the epoch plan's column ranks .* = \(300000, 4097\) "
+         "takes more than 1 GiB as int16"),
     ],
 )
 def test_config_rejects_bad_values(data, message):
@@ -133,15 +143,15 @@ def test_config_rejects_bad_values(data, message):
 
 
 def test_config_size_bound_is_inclusive():
-    # the largest array a dataset sizes is the full-dataset loss's (n, 64 + 1) float32
-    # predictor activations: 4,129,776 transitions fit in 1 GiB, one more does not.
+    # the largest array a dataset sizes is the probe fit's (n, 16 + 1) float64 design
+    # matrix: 7,895,160 transitions fit in 1 GiB, one more does not.
     # (2**25, 2, 2) float64 states take exactly 1 GiB, but 2**25 transitions do not fit
-    limit = (1 << 30) // (4 * 65)
+    limit = (1 << 30) // (8 * 17)
     for n_traj, traj_len in ((limit, 1), (limit // 16, 16)):
         config_from_dict({"dataset": {"n_traj": n_traj, "traj_len": traj_len}})
     for n_traj in (limit + 1, 2**25):
-        with pytest.raises(ValidationError, match=r"predictor activations .* more than 1 GiB "
-                                                  "as float32"):
+        with pytest.raises(ValidationError, match=r"design matrix .* more than 1 GiB "
+                                                  "as float64"):
             config_from_dict({"dataset": {"n_traj": n_traj, "traj_len": 1}})
     # the eval's (2, 13 variants, 10 specs, max_iter x 2) float64 step distances:
     # 258,111 rounds fit in 1 GiB, one more does not
@@ -157,8 +167,10 @@ def test_eval_object_bound_is_inclusive():
         return config_from_dict({"variants": variants, "budgets": dict.fromkeys(budgets, one),
                                  "episodes_per_run": n, **extra})
 
-    # a budget's specs and plan streams, 420 + 609 B each: 1,043,480 fit in 1 GiB
-    load(1_043_480, "b", ["fp16"])
+    # a budget's specs and plan streams, 420 + 609 B each: 1,043,480 fit in 1 GiB, so
+    # the later check of the rollout's (specs, 64, 65) float32 workspace rejects them
+    with pytest.raises(ValidationError, match=r"budgets.b: the rollout's hidden workspace"):
+        load(1_043_480, "b", ["fp16"])
     with pytest.raises(ValidationError, match=r"budgets.b: the episode specs and their plan "
                        r"streams .* = 1043481 takes more than 1 GiB at 1029 B each"):
         load(1_043_481, "b", ["fp16"])

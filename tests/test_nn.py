@@ -91,6 +91,33 @@ def test_passes_read_their_widths_from_the_layers(rng):
         wm.predict_next(z, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, nn.LOSS_BLOCK - 1, nn.LOSS_BLOCK, nn.LOSS_BLOCK + 1,
+                               2 * nn.LOSS_BLOCK + 1])
+def test_dataset_loss_blocks_equal_the_whole_array_loss(rng, monkeypatch, n):
+    # the full-dataset loss runs in blocks of at most LOSS_BLOCK transitions, none of one
+    # row unless n is 1, and keeps the bits of the one-product formula written out here.
+    # Its residuals are compared too: a 1-row block's output layer rounds differently
+    # (gemv), by less than the float32 sum of ~16,000 squares can show
+    seen, loss_of = [], nn._loss
+    monkeypatch.setattr(nn, "_loss", lambda *args: seen.append(args) or loss_of(*args))
+    init = init_world_model(obs_dim=256, seed=2)
+    wm = WorldModel(init.dims)
+    wm.theta[...] = init.theta
+    z = rng.standard_normal((256, 16)).astype(np.float32)  # a latent row per pixel
+    ds = Dataset(pixel=rng.integers(0, 256, n), action=rng.uniform(-0.1, 0.1, (n, 2)),
+                 next_pixel=rng.integers(0, 256, n), state=rng.uniform(0, 1, (n, 2)))
+    z_obs, ones = z[ds.pixel], np.ones((n, 1), np.float32)
+    pred = wm.predictor.forward(np.hstack([z_obs, ds.action.astype(np.float32), ones]))
+    r_pred = pred - z[ds.next_pixel]
+    r_state = wm.probe.forward(np.hstack([z_obs, ones])) - ds.state.astype(np.float32)
+    loss = (0.5 * np.add.reduce((r_pred * r_pred).ravel()) / n
+            + 2.0 * np.add.reduce((r_state * r_state).ravel()) / n)
+    got = _dataset_loss(wm, z, ds, 0.5, 2.0)
+    assert got.dtype == loss.dtype == np.float32 and got.tobytes() == loss.tobytes()
+    [(got_pred, got_state, _, _)] = seen
+    assert got_pred.tobytes() == r_pred.tobytes() and got_state.tobytes() == r_state.tobytes()
+
+
 def test_zero_weight_encoder_outputs_bias():
     wm = init_world_model(obs_dim=6, encoder_depth=2)
     for i, (W, b) in enumerate(wm.encoder.layers):

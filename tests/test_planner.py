@@ -282,6 +282,22 @@ def test_grouping_seeds_is_invisible(prepared, trained_model, env_cfg):
     assert seed0_csv((1, 0)) == alone
 
 
+def test_records_are_prefix_stable(prepared, trained_model, env_cfg):
+    # an episode's record does not depend on how many episodes its run has: specs and
+    # plan noise are keyed by (seed, episode), so a longer run extends a shorter one
+    def records(episodes):
+        budgets = {"bA": PlannerBudget(9, 2, 2, (0, 1)), "bB": BB}
+        return run_paired_eval({n: prepared[n] for n in ("fp16", "uniform_int3")}, trained_model,
+                               budgets, env_cfg, CEMConfig(), episodes_per_run=episodes)
+
+    def key(r):
+        return r.variant_name, r.budget_name, r.seed, r.episode_id
+
+    short, long = records(3), {key(r): r for r in records(6)}
+    assert len(short) == 2 * (2 + 1) * 3 and len(long) == 2 * (2 + 1) * 6
+    assert episodes_to_csv(short) == episodes_to_csv([long[key(r)] for r in short])
+
+
 @pytest.mark.parametrize("names", [["fp16"], ["fp16", "uniform_int8", "uniform_int3"]],
                          ids=["1_variant", "3_variants"])
 def test_plan_noise_drawn_once_per_episode(prepared, trained_model, env_cfg, monkeypatch, names):

@@ -18,7 +18,9 @@ then checks that across the cores run:
   byte-equal;
 - `episodes.csv`'s `success`, `steps_executed` and `plan_rounds` columns are
   equal, row for row.
-It exits 1 and names every mismatch otherwise.  It is not a tier-1 test: it
+It exits 1 and names every mismatch otherwise, with the (variant, budget, seed,
+episode_id) and both cores' values of at most ten differing rows per config
+and core.  It is not a tier-1 test: it
 runs 2 configs x 4 cores, about 25 s on a 2-core Xeon VM.
 """
 
@@ -48,7 +50,9 @@ SAME_BYTES = (
     "difficulty.svg", "forest.svg", "frontier.json", "frontier.svg", "main_table.csv",
     "matchups.json", "retention_curve.svg", "run_meta.json", "sizes.json",
 )
+KEY_COLUMNS = ("variant", "budget", "seed", "episode_id")
 DISCRETE_COLUMNS = ("success", "steps_executed", "plan_rounds")
+SHOWN_ROWS = 10  # differing episodes.csv rows printed per config and core
 
 
 def cpu_flags() -> set[str] | None:
@@ -75,9 +79,15 @@ def run(core: str, config: dict, out: Path) -> None:
         raise SystemExit(f"{core} {out.name}: quantplan all failed\n{done.stderr}")
 
 
-def discrete(episodes_csv: bytes) -> list[tuple[str, ...]]:
+def discrete(episodes_csv: bytes) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Each episodes.csv row's (KEY_COLUMNS, DISCRETE_COLUMNS) values."""
     rows = csv.DictReader(io.StringIO(episodes_csv.decode()))
-    return [tuple(row[c] for c in DISCRETE_COLUMNS) for row in rows]
+    return [(tuple(row[c] for c in KEY_COLUMNS), tuple(row[c] for c in DISCRETE_COLUMNS))
+            for row in rows]
+
+
+def shown(values: tuple[str, ...]) -> str:
+    return " ".join(f"{c}={v}" for c, v in zip(DISCRETE_COLUMNS, values))
 
 
 def main() -> int:
@@ -106,19 +116,26 @@ def main() -> int:
         print(f"# only {cores} ran: nothing to compare")
         return 0
     first = cores[0]
-    mismatches = []
+    mismatches, rows_shown = [], []
     for core in cores[1:]:
         for name in CONFIGS:
             for file in SAME_BYTES:
                 if hashes[core][name].get(file) != hashes[first][name].get(file):
                     mismatches.append(f"{name}/{file}: {core} differs from {first}")
             rows, base = columns[core][name], columns[first][name]
-            if rows != base:
-                differ = sum(r != f for r, f in zip(rows, base)) + abs(len(rows) - len(base))
+            if [v for _, v in rows] != [v for _, v in base]:
+                pairs = [(r, f) for r, f in zip(rows, base) if r[1] != f[1]]
+                differ = len(pairs) + abs(len(rows) - len(base))
                 mismatches.append(f"{name}/episodes.csv {', '.join(DISCRETE_COLUMNS)}: "
                                   f"{core} differs from {first} in {differ} of {len(base)} rows")
+                for (_, values), (key, base_values) in pairs[:SHOWN_ROWS]:
+                    where = ", ".join(f"{c}={v}" for c, v in zip(KEY_COLUMNS, key))
+                    rows_shown.append(f"{name} {where}: {first} {shown(base_values)}, "
+                                      f"{core} {shown(values)}")
     for line in mismatches:
         print(f"MISMATCH {line}")
+    for line in rows_shown:
+        print(f"ROW {line}")
     print(f"# {len(SAME_BYTES)} files and the discrete episodes.csv columns of "
           f"{' and '.join(CONFIGS)} across {', '.join(cores)}: "
           f"{'equal' if not mismatches else f'{len(mismatches)} mismatches'}")
