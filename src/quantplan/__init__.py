@@ -22,9 +22,11 @@ from .nn import TrainConfig, WorldModel, fit_state_probe, train_world_model
 from .planner import (
     CEMConfig,
     EpisodeRecord,
+    EvalVariant,
     PlannerBudget,
     plan_actions,
     plan_noise,
+    prepare_variants,
     run_episode,
     run_episodes,
     run_paired_eval,

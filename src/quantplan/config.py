@@ -37,9 +37,11 @@ def _check_fits(what: str, shape: tuple[int, ...], dtype: str = "float64") -> No
 
 # the bytes of the eval's Python objects, by tracemalloc over 20,000 of each: an EpisodeSpec
 # with its tuples and floats and its list slot, a Philox "plan" stream, an EpisodeRecord
-# whose step counts pass the small-int cache, and an episodes.csv row at the peak of
-# episodes_to_csv (the text and its copy)
-SPEC_BYTES, STREAM_BYTES, RECORD_BYTES, CSV_ROW_BYTES = 420, 609, 280, 358
+# whose step counts pass the small-int cache, and an episodes.csv row: read_episodes_csv's
+# peak per eval-wide row (783 B: the file's bytes, its text, the parser's copy and the
+# records it parses) less RECORD_BYTES.  write_episodes_csv writes row by row, and its
+# peak does not grow with the rows.
+SPEC_BYTES, STREAM_BYTES, RECORD_BYTES, CSV_ROW_BYTES = 420, 609, 280, 503
 
 
 def _check_objects_fit(what: str, count: int, unit_bytes: int) -> None:
@@ -134,7 +136,8 @@ class ExperimentConfig:
                         f"episodes_per_run, cem.population, {HIDDEN_DIM} + 1)",
                         (n_specs, self.cem.population, HIDDEN_DIM + 1), "float32")
             n_records += len(self.variants) * n_specs
-        # run_paired_eval holds every budget's records, and stage_eval their CSV text too
+        # run_paired_eval holds every budget's records, and stage_stats reads them back from
+        # their episodes.csv text, which it holds beside them
         _check_objects_fit("the eval's records and their episodes.csv rows (variants x seeds x "
                            "episodes_per_run, summed over budgets)", n_records,
                            RECORD_BYTES + CSV_ROW_BYTES)

@@ -117,7 +117,8 @@ def stage_eval(cfg: ExperimentConfig) -> None:
     out = _out(cfg)
     _require(out / "model" / "manifest.json", "train")
     fp_wm = WorldModel.from_model(load_model(out / "model"))
-    variants = {name: apply_policy(fp_wm, policy_for_name(name, fp_wm)) for name in cfg.variants}
+    # one variant model at a time: run_paired_eval keeps only what its rounds read of each
+    variants = ((name, apply_policy(fp_wm, policy_for_name(name, fp_wm))) for name in cfg.variants)
     records = run_paired_eval(
         variants,
         fp_wm,

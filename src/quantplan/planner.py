@@ -39,8 +39,9 @@ positions it reads come from a per-variant probe decode under rule 1.
 Rollouts are not stacked across variants: each variant has its own predictor.
 
 A CEM rollout runs the predictor's `Stack.forward` on its layer blocks
-[W.T; b], which it reads in place in `theta` without a copy: each layer's input
-ends in a column of ones, so the bias is folded into the matmul.  The rollout's
+[W.T; b], C-contiguous copies of the variant model's blocks in `theta` (the same
+NN-gemm operands, so the same bits): each layer's input ends in a column of ones,
+so the bias is folded into the matmul.  The rollout's
 one (n, m, latent + 2 + 1) buffer holds [latent | actions | 1]: each step casts
 its actions into the action columns, each hidden layer writes into an
 (n, m, hidden + 1) workspace whose ones column is reset after its tanh, and the
@@ -54,18 +55,21 @@ decodes them once per plan, one (1, latent) slice per step as rule 1 asks, and
 each executed step reads its row.
 
 An observation is the fixed wall background plus the agent's pixel, so a
-model's encoder has only image_side**2 distinct inputs.  `run_episodes` encodes
-them once per model as training's full-dataset loss and probe fit do, in one
-2-D product of the ones-augmented float32 observation table
-`env.observations(cfg, ones=True)`.  Every encode of the eval is then a row
-lookup by `env.pixel`.  Each variant's embedding
-divergence is a table too: row p is `_norm` of its latent row p minus the fp
-model's.  These tables belong to a model, not to an episode, so rule 1 does not
-apply to them: every record reads the same rows whatever shares its round.  The
-divergence tables are stacked into one (variants, pixels) array, so a step
-reads divs[vi, pixel(s)].  The eval reads a variant as its latent table,
-divergence table and predictor, and the fp model as its table and probe: the
-step loop calls no model.
+model's encoder has only image_side**2 distinct inputs.  The eval reads a
+variant only as an `EvalVariant`, which `prepare_variants` makes once per eval,
+before the first round, from each (name, WorldModel) pair: its latent table, one
+2-D encode of the ones-augmented float32 observation table
+`env.observations(cfg, ones=True)` as training's full-dataset loss and probe fit
+encode it; its divergence table, row p the `_norm` of its latent row p minus the
+fp model's; and its predictor on copies of the model's blocks.  It keeps no
+reference to the model, so `run_paired_eval` can take the pairs from a generator
+that builds one model at a time and no whole variant model is alive while the
+rounds plan.  Every encode of the eval is then a row lookup by `env.pixel`.  The
+tables belong to a model, not to an episode, so rule 1 does not apply to them:
+every record reads the same rows whatever shares its round.  The divergence
+tables are stacked into one (variants, pixels) array, so a step reads
+divs[vi, pixel(s)].  The fp model is read as its probe: the step loop calls no
+model.
 """
 
 from __future__ import annotations
@@ -73,8 +77,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +98,7 @@ from .env import (  # noqa: F401
 )
 from .errors import ValidationError
 from .nn import Stack, WorldModel
-from .store import csv_text, read_text
+from .store import csv_text, read_text, write_csv
 
 # on-disk column names, one per EpisodeRecord field, in field order
 EPISODES_CSV_HEADER = (
@@ -264,8 +269,49 @@ def plan_actions(
     return plans, latents, info
 
 
+@dataclass(frozen=True)
+class EvalVariant:
+    """A variant as the eval's rounds read it: its name, its latent table (one 2-D
+    encode of `env.observations(cfg, ones=True)`), its divergence table (row p is
+    `_norm` of latent row p minus the fp model's) and its predictor, a `Stack` on
+    C-contiguous copies of the model's layer blocks, so it holds none of `theta`."""
+
+    name: str
+    table: np.ndarray
+    divergence: np.ndarray
+    predictor: Stack
+
+
+def prepare_variants(
+    variants: Iterable[tuple[str, WorldModel]], fp_wm: WorldModel, env_cfg: WallEnvConfig
+) -> list[EvalVariant]:
+    """Each (name, model) pair of `variants`, read once and in order, as an `EvalVariant`
+    whose divergence table is against `fp_wm`; no model is referenced once it returns.
+
+    ValidationError, before any episode is played, if `variants` yields no pair, an
+    item that is not a (str, WorldModel) pair (a dict passed as is yields bare names)
+    or a name already given."""
+    obs = observations(env_cfg, ones=True)
+    fp_table = fp_wm.encode(obs)
+    out, names = [], set()
+    for item in variants:
+        if not (type(item) is tuple and len(item) == 2 and isinstance(item[0], str)
+                and isinstance(item[1], WorldModel)):
+            raise ValidationError(f"a variant must be a (name, WorldModel) pair, got {item!r:.80}")
+        name, wm = item
+        if name in names:
+            raise ValidationError(f"variant {name!r} is given twice")
+        names.add(name)
+        table = wm.encode(obs)
+        out.append(EvalVariant(name, table, _norm(table - fp_table),
+                               Stack([A.copy() for A in wm.predictor.blocks])))
+    if not out:
+        raise ValidationError("no variants to evaluate")
+    return out
+
+
 def run_episodes(
-    variants: dict[str, WorldModel],
+    variants: list[EvalVariant],
     fp_wm: WorldModel,
     specs: list[EpisodeSpec],
     budget: PlannerBudget,
@@ -275,11 +321,9 @@ def run_episodes(
     master_seed: int = 0,
 ) -> list[EpisodeRecord]:
     """Play the goal-conditioned episodes `specs` under the MPC loop with every
-    variant of `variants`, a name and its model; one record per variant and
+    variant of `variants` (see `prepare_variants`); one record per variant and
     spec, variant by variant in spec order.  The rounds read a variant only as its
-    latent table, its 2-D encode of `env.observations(env_cfg, ones=True)`, its
-    divergence table (row-wise distance to fp_wm's) and its predictor, and fp_wm
-    as its probe.
+    latent table, its divergence table and its predictor, and fp_wm as its probe.
 
     Row [v, i] of every array belongs to variant v's episode of specs[i], and
     playing[v, i] says whether it still plays: it stops on reaching the goal or
@@ -304,10 +348,7 @@ def run_episodes(
     # per variant and spec, each executed step's state distance [0] and embedding divergence [1]
     dists = np.zeros((2, *shape, budget.max_iter * h))
     state_dist, embed_div = dists
-    obs = observations(env_cfg, ones=True)
-    *tables, fp_table = [wm.encode(obs) for wm in (*variants.values(), fp_wm)]
-    del obs  # the rounds never read it, and their temporaries set the peak RSS
-    divs = np.stack([_norm(t - fp_table) for t in tables])  # (variants, pixels)
+    divs = np.stack([v.divergence for v in variants])  # (variants, pixels)
     # each row's plan of the round and the fp probe's positions of its latents, written in
     # place: per-variant arrays kept for the step loop grow the heap under the next plan
     plans = np.empty((*shape, h, 2))
@@ -315,12 +356,13 @@ def run_episodes(
 
     for noise in plan_noise(specs, budget, cem, master_seed):
         # plan: each variant on its own rows, with its own predictor
-        for v, (table, wm) in enumerate(zip(tables, variants.values())):
+        for v, variant in enumerate(variants):
             live = np.flatnonzero(playing[v])
             if not live.size:
                 continue
+            table = variant.table
             z_now = table[pixel(state[v, live], env_cfg)]
-            plan, z_plan, info = plan_actions(wm.predictor, z_now, table[goal_px[live]], cem,
+            plan, z_plan, info = plan_actions(variant.predictor, z_now, table[goal_px[live]], cem,
                                               noise, live, env_cfg.max_step)
             plans[v, live] = plan
             ok = ~info["failed"]
@@ -357,10 +399,10 @@ def run_episodes(
     n_plans = -(-steps // h)
 
     records = []
-    for v, name in enumerate(variants):
+    for v, variant in enumerate(variants):
         for i, spec in enumerate(specs):
             records.append(EpisodeRecord(
-                variant_name=name,
+                variant_name=variant.name,
                 budget_name=budget_name,
                 seed=spec.seed,
                 episode_id=spec.episode_id,
@@ -386,12 +428,12 @@ def run_episode(
     master_seed: int = 0,
 ) -> EpisodeRecord:
     """One episode: `run_episodes` on the single variant `name` and spec `spec`."""
-    return run_episodes({name: wm}, fp_wm, [spec], budget, budget_name, cem, env_cfg,
-                        master_seed)[0]
+    return run_episodes(prepare_variants([(name, wm)], fp_wm, env_cfg), fp_wm, [spec], budget,
+                        budget_name, cem, env_cfg, master_seed)[0]
 
 
 def run_paired_eval(
-    variants: dict[str, WorldModel],
+    variants: Iterable[tuple[str, WorldModel]],
     fp_wm: WorldModel,
     budgets: dict[str, PlannerBudget],
     env_cfg: WallEnvConfig,
@@ -399,12 +441,13 @@ def run_paired_eval(
     episodes_per_run: int = 10,
     master_seed: int = 0,
 ) -> list[EpisodeRecord]:
-    """Evaluate every variant, a name and its model, on the identical paired
-    episode specs and planner noise; the records sorted by (variant, budget,
-    seed, episode_id).  Each budget is one `run_episodes` call over the specs
-    of all its seeds."""
-    if not variants:
-        raise ValidationError("no variants to evaluate")
+    """Evaluate every variant, a (name, model) pair of `variants` (e.g. `dict.items()`
+    or a generator), on the identical paired episode specs and planner noise; the
+    records sorted by (variant, budget, seed, episode_id).  The pairs are read once,
+    into `prepare_variants`' form, before the first round, so a generator that
+    builds one model at a time leaves none alive while the rounds plan.  Each budget
+    is one `run_episodes` call over the specs of all its seeds."""
+    variants = prepare_variants(variants, fp_wm, env_cfg)
 
     records = []
     for budget_name in sorted(budgets):
@@ -417,13 +460,22 @@ def run_paired_eval(
     return records
 
 
+def _csv_rows(records: list[EpisodeRecord]) -> Iterator:
+    """episodes.csv's header row, then each record's columns in EpisodeRecord field
+    order, made one at a time; csv writes a float as its repr.  (Not vars(r): it
+    gives each record a __dict__ that outlives the write, 72 B a record.)"""
+    yield EPISODES_CSV_HEADER.split(",")
+    yield from map(attrgetter(*(f.name for f in fields(EpisodeRecord))), records)
+
+
 def episodes_to_csv(records: list[EpisodeRecord]) -> str:
-    # columns in EpisodeRecord field order; csv writes a float as its repr
-    return csv_text([EPISODES_CSV_HEADER.split(","), *(vars(r).values() for r in records)])
+    return csv_text(_csv_rows(records))
 
 
 def write_episodes_csv(records: list[EpisodeRecord], path: str | Path) -> None:
-    Path(path).write_text(episodes_to_csv(records), encoding="utf-8")
+    """episodes.csv, the bytes of `episodes_to_csv`, written row by row: it holds no
+    copy of the text."""
+    write_csv(path, _csv_rows(records))
 
 
 def read_episodes_csv(path: str | Path) -> list[EpisodeRecord]:

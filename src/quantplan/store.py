@@ -136,11 +136,22 @@ def json_fault(obj, fields: dict[str, type]) -> str | None:
             return f"field {key!r} must be {kind.__name__}, got {obj[key]!r}"
 
 
+def _csv_writer(f):
+    # one LF-ended line per row: no field holds a line break
+    return csv.writer(f, lineterminator="\n")
+
+
 def csv_text(rows) -> str:
-    """`rows` as CSV text, one LF-ended line per row: no field holds a line break."""
+    """`rows` as CSV text, one LF-ended line per row."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _csv_writer(buf).writerows(rows)
     return buf.getvalue()
+
+
+def write_csv(path: str | Path, rows) -> None:
+    """`rows` written to `path` as UTF-8 `csv_text(rows)`, each row as it is formatted."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        _csv_writer(f).writerows(rows)
 
 
 def read_text(path: str | Path) -> str:

@@ -43,7 +43,7 @@ def full_sweep(dataset, trained_model, env_cfg):
     variants = {n: apply_policy(trained_model, policy_for_name(n, trained_model))
                 for n in cfg.variants}
     records = run_paired_eval(
-        variants,
+        variants.items(),
         trained_model,
         cfg.budgets,
         env_cfg,
@@ -161,7 +161,8 @@ def test_criterion_5_pairing_protocol(full_sweep, trained_model, env_cfg):
     # identical weights under two names -> identical records
     fp = policy_for_name("fp16", trained_model)
     rs = run_paired_eval(
-        {"fp16": apply_policy(trained_model, fp), "fp16_twin": apply_policy(trained_model, fp)},
+        {"fp16": apply_policy(trained_model, fp),
+         "fp16_twin": apply_policy(trained_model, fp)}.items(),
         trained_model,
         {"bA": PlannerBudget(9, 2, 2, (0,))},
         env_cfg,
@@ -236,7 +237,7 @@ def test_criterion_7_regime_pattern(full_sweep, trained_model, env_cfg):
     else:
         u2 = policy_for_name("uniform_int2", trained_model)
         rs2 = run_paired_eval(
-            {"uniform_int2": apply_policy(trained_model, u2)},
+            {"uniform_int2": apply_policy(trained_model, u2)}.items(),
             trained_model,
             cfg.budgets,
             env_cfg,

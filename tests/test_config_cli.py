@@ -174,13 +174,13 @@ def test_eval_object_bound_is_inclusive():
     with pytest.raises(ValidationError, match=r"budgets.b: the episode specs and their plan "
                        r"streams .* = 1043481 takes more than 1 GiB at 1029 B each"):
         load(1_043_481, "b", ["fp16"])
-    # every budget's records and CSV rows, 280 + 358 B each: 16 variants x 2 budgets x
-    # 52,593 episodes fit in 1 GiB; one more episode does not, though one budget would
-    load(52_593, "bc", "all")
-    load(52_594, "b", "all")
+    # every budget's records and CSV rows, 280 + 503 B each: 16 variants x 2 budgets x
+    # 42,853 episodes fit in 1 GiB; one more episode does not, though one budget would
+    load(42_853, "bc", "all")
+    load(42_854, "b", "all")
     with pytest.raises(ValidationError, match=r"the eval's records and their episodes.csv "
-                       r"rows .* = 1683008 takes more than 1 GiB at 638 B each"):
-        load(52_594, "bc", "all")
+                       r"rows .* = 1371328 takes more than 1 GiB at 783 B each"):
+        load(42_854, "bc", "all")
     # 4,194,304 paired units: 1 GiB of step distances and 256 MiB of noise, which fit
     with pytest.raises(ValidationError, match="budgets.b: the episode specs"):
         load(4_194_304, "b", "all", cem={"population": 4})

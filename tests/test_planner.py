@@ -1,5 +1,6 @@
 import copy
 import re
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -25,6 +26,7 @@ from quantplan.planner import (
     episodes_to_csv,
     plan_actions,
     plan_noise,
+    prepare_variants,
     read_episodes_csv,
     run_episode,
     run_episodes,
@@ -40,6 +42,11 @@ def round_noise(budget, *streams):
     """One planning round's noise block: row i the next draws of streams[i]."""
     shape = (budget.opt_steps, CEMConfig().population, budget.goal_h, 2)
     return np.stack([g.standard_normal(shape) for g in streams])
+
+
+def eval_variants(models, fp_wm, env_cfg):
+    """The dict `models` of name -> model as `run_episodes` takes its variants."""
+    return prepare_variants(models.items(), fp_wm, env_cfg)
 
 
 def latents_of(wm, obs):
@@ -68,8 +75,9 @@ def test_eval_reads_the_training_table_rows(prepared, trained_model, env_cfg, mo
 
     monkeypatch.setattr(planner, "step", recording_step)
     wm = prepared[variant]
-    records = run_episodes({variant: wm}, trained_model, sample_episode_specs(0, 4, env_cfg),
-                           PlannerBudget(1, 1, 1, (0,)), "b", CEMConfig(), env_cfg)
+    records = run_episodes(eval_variants({variant: wm}, trained_model, env_cfg), trained_model,
+                           sample_episode_specs(0, 4, env_cfg), PlannerBudget(1, 1, 1, (0,)), "b",
+                           CEMConfig(), env_cfg)
     assert [r.steps_executed for r in records] == [1] * 4
     (s,) = reached  # the one step of every episode at once
     obs, p = observations(env_cfg), pixel(s, env_cfg)
@@ -87,8 +95,8 @@ def test_state_probe_decodes_each_plan_once(prepared, trained_model, env_cfg, mo
         return decode(self, latent)
 
     monkeypatch.setattr(WorldModel, "probe_decode", counting_decode)
-    records = run_episodes(prepared, trained_model, sample_episode_specs(0, 6, env_cfg), BB, "bB",
-                           CEMConfig(), env_cfg)
+    records = run_episodes(eval_variants(prepared, trained_model, env_cfg), trained_model,
+                           sample_episode_specs(0, 6, env_cfg), BB, "bB", CEMConfig(), env_cfg)
     assert max(r.steps_executed for r in records) > BB.goal_h
     assert 0 < len(calls) <= len(prepared) * BB.max_iter
 
@@ -137,8 +145,8 @@ def test_identity_predictor_zero_cost(trained_model, env_cfg):
 
 def test_immediate_success(prepared, trained_model, env_cfg):
     spec = EpisodeSpec(0, 0, (0.48, 0.5), (0.52, 0.5), 0.04)
-    r = run_episodes({"fp16": prepared["fp16"]}, trained_model, [spec], BA, "bA", CEMConfig(),
-                     env_cfg)[0]
+    r = run_episodes(eval_variants({"fp16": prepared["fp16"]}, trained_model, env_cfg),
+                     trained_model, [spec], BA, "bA", CEMConfig(), env_cfg)[0]
     assert r.success == 1 and r.steps_executed == 0
     assert r.mean_state_distance == 0.0 and r.visual_embedding_divergence == 0.0
 
@@ -146,8 +154,9 @@ def test_immediate_success(prepared, trained_model, env_cfg):
 def test_step_caps(prepared, trained_model, env_cfg):
     spec = sample_episode_specs(0, 1, env_cfg)[0]
     for budget, name, cap in ((BA, "bA", 18), (BB, "bB", 36)):
-        r = run_episodes({"uniform_int3": prepared["uniform_int3"]}, trained_model, [spec],
-                         budget, name, CEMConfig(), env_cfg)[0]
+        r = run_episodes(eval_variants({"uniform_int3": prepared["uniform_int3"]}, trained_model,
+                                       env_cfg), trained_model, [spec], budget, name, CEMConfig(),
+                         env_cfg)[0]
         assert r.steps_executed <= cap
     assert BA.goal_h * BA.max_iter == 18
     assert BB.goal_h * BB.max_iter == 36
@@ -155,14 +164,14 @@ def test_step_caps(prepared, trained_model, env_cfg):
 
 def test_fp16_divergence_exactly_zero(prepared, trained_model, env_cfg):
     for spec in sample_episode_specs(1, 3, env_cfg):
-        r = run_episodes({"fp16": prepared["fp16"]}, trained_model, [spec], BA, "bA", CEMConfig(),
-                         env_cfg)[0]
+        r = run_episodes(eval_variants({"fp16": prepared["fp16"]}, trained_model, env_cfg),
+                         trained_model, [spec], BA, "bA", CEMConfig(), env_cfg)[0]
         assert r.visual_embedding_divergence == 0.0
 
 
 def test_paired_eval_counts_and_pairing(prepared, trained_model, env_cfg):
     rs = run_paired_eval(
-        {n: prepared[n] for n in ("fp16", "uniform_int8")},
+        {n: prepared[n] for n in ("fp16", "uniform_int8")}.items(),
         trained_model,
         {"bA": PlannerBudget(9, 2, 2, (0, 1)), "bB": BB},
         env_cfg,
@@ -180,7 +189,7 @@ def test_paired_eval_counts_and_pairing(prepared, trained_model, env_cfg):
 
 def test_same_weights_two_names_identical_records(prepared, trained_model, env_cfg):
     rs = run_paired_eval(
-        {"fp16": prepared["fp16"], "fp16_twin": prepared["fp16"]},
+        {"fp16": prepared["fp16"], "fp16_twin": prepared["fp16"]}.items(),
         trained_model,
         {"bA": BA},
         env_cfg,
@@ -204,8 +213,8 @@ def test_eval_never_reads_a_variants_probe(prepared, trained_model, env_cfg):
         b[...] = np.nan
 
     def records_csv(wm):
-        rs = run_paired_eval({"uniform_int8": wm}, trained_model, {"bA": BA, "bB": BB}, env_cfg,
-                             CEMConfig(), episodes_per_run=3)
+        rs = run_paired_eval({"uniform_int8": wm}.items(), trained_model, {"bA": BA, "bB": BB},
+                             env_cfg, CEMConfig(), episodes_per_run=3)
         return episodes_to_csv(rs)
 
     assert records_csv(blind) == records_csv(prepared["uniform_int8"])
@@ -226,8 +235,8 @@ def test_other_variants_leave_records_unchanged(prepared, trained_model, env_cfg
     budgets = {"bA": PlannerBudget(9, 2, 2, (0, 1)), "bB": BB}
 
     def records(names):
-        return run_paired_eval({n: prepared[n] for n in names}, trained_model, budgets, env_cfg,
-                               CEMConfig(), episodes_per_run=3)
+        return run_paired_eval({n: prepared[n] for n in names}.items(), trained_model, budgets,
+                               env_cfg, CEMConfig(), episodes_per_run=3)
 
     together = records(list(prepared))
     for name in prepared:
@@ -259,8 +268,8 @@ def test_step_calls_do_not_scale_with_variants(prepared, trained_model, env_cfg,
     calls = {}
     for names in (["uniform_int3"], list(prepared)):
         rows.clear()
-        run_episodes({n: prepared[n] for n in names}, trained_model, specs, BB, "bB", CEMConfig(),
-                     env_cfg)
+        run_episodes(eval_variants({n: prepared[n] for n in names}, trained_model, env_cfg),
+                     trained_model, specs, BB, "bB", CEMConfig(), env_cfg)
         calls[len(names)] = len(rows)
         assert rows[0] == len(names) * len(specs)  # round 1's first step: every row at once
     assert calls[1] == calls[3] <= BB.max_iter * BB.goal_h
@@ -272,8 +281,8 @@ def test_grouping_seeds_is_invisible(prepared, trained_model, env_cfg):
     # which order
     def seed0_csv(seeds):
         budgets = {"bA": PlannerBudget(9, 2, 2, seeds), "bB": PlannerBudget(12, 3, 3, seeds)}
-        rs = run_paired_eval({n: prepared[n] for n in ("fp16", "uniform_int3")}, trained_model,
-                             budgets, env_cfg, CEMConfig(), episodes_per_run=3)
+        rs = run_paired_eval({n: prepared[n] for n in ("fp16", "uniform_int3")}.items(),
+                             trained_model, budgets, env_cfg, CEMConfig(), episodes_per_run=3)
         return episodes_to_csv([r for r in rs if r.seed == 0])
 
     alone = seed0_csv((0,))
@@ -287,8 +296,9 @@ def test_records_are_prefix_stable(prepared, trained_model, env_cfg):
     # plan noise are keyed by (seed, episode), so a longer run extends a shorter one
     def records(episodes):
         budgets = {"bA": PlannerBudget(9, 2, 2, (0, 1)), "bB": BB}
-        return run_paired_eval({n: prepared[n] for n in ("fp16", "uniform_int3")}, trained_model,
-                               budgets, env_cfg, CEMConfig(), episodes_per_run=episodes)
+        return run_paired_eval({n: prepared[n] for n in ("fp16", "uniform_int3")}.items(),
+                               trained_model, budgets, env_cfg, CEMConfig(),
+                               episodes_per_run=episodes)
 
     def key(r):
         return r.variant_name, r.budget_name, r.seed, r.episode_id
@@ -322,8 +332,8 @@ def test_plan_noise_drawn_once_per_episode(prepared, trained_model, env_cfg, mon
 
     monkeypatch.setattr(qrng, "stream", counting_stream)
     budgets = {"bA": PlannerBudget(9, 2, 2, (0, 1)), "bB": BB}
-    run_paired_eval({n: prepared[n] for n in names}, trained_model, budgets, env_cfg, CEMConfig(),
-                    episodes_per_run=3)
+    run_paired_eval({n: prepared[n] for n in names}.items(), trained_model, budgets, env_cfg,
+                    CEMConfig(), episodes_per_run=3)
     # each stream is opened once per budget (budgets run in name order) ...
     assert len(opened) == (2 + 1) * 3
     for streams, budget in ((opened[:6], budgets["bA"]), (opened[6:], BB)):
@@ -353,12 +363,63 @@ def test_plan_noise_is_each_streams_sequential_draws(env_cfg):
 
 def test_no_variants_rejected(trained_model, env_cfg):
     with pytest.raises(ValidationError, match="no variants"):
-        run_paired_eval({}, trained_model, {"bA": BA}, env_cfg, CEMConfig())
+        run_paired_eval([], trained_model, {"bA": BA}, env_cfg, CEMConfig())
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda wm: {"fp16": wm}, r"a variant must be a \(name, WorldModel\) pair, got 'fp16'"),
+    (lambda wm: [("fp16", wm), ("fp16", wm)], "variant 'fp16' is given twice"),
+    (lambda wm: [("fp16", wm.predictor)], r"a variant must be a \(name, WorldModel\) pair"),
+    (lambda wm: [(16, wm)], r"a variant must be a \(name, WorldModel\) pair, got \(16, "),
+    (lambda wm: [("fp16", wm, "extra")], r"a variant must be a \(name, WorldModel\) pair"),
+], ids=["dict_of_names", "repeated_name", "not_a_model", "name_not_str", "triple"])
+def test_bad_variant_pairs_rejected_before_any_episode(prepared, trained_model, env_cfg,
+                                                       monkeypatch, bad, message):
+    def no_plan(*args):
+        raise AssertionError("planned before the variants were checked")
+
+    monkeypatch.setattr(planner, "plan_actions", no_plan)
+    with pytest.raises(ValidationError, match=message):
+        run_paired_eval(bad(prepared["fp16"]), trained_model, {"bA": BA}, env_cfg, CEMConfig())
+
+
+def test_no_variant_model_is_alive_while_the_rounds_plan(trained_model, env_cfg, monkeypatch):
+    # run_paired_eval keeps a variant as its tables and predictor copy: once it has read
+    # a generator's pairs, no model it yielded, nor its theta, is referenced, so a
+    # generator that builds one model at a time never holds them all
+    names = ("fp16", "uniform_int8", "uniform_int3")
+    refs = []
+
+    def pairs():
+        for name in names:
+            wm = apply_policy(trained_model, policy_for_name(name, trained_model))
+            refs.extend([weakref.ref(wm), weakref.ref(wm.theta)])
+            yield name, wm
+
+    plan = planner.plan_actions
+    planned = []
+
+    def checking_plan(*args):
+        if not planned:
+            assert len(refs) == 2 * len(names)
+            assert [ref() for ref in refs] == [None] * len(refs)
+        planned.append(True)
+        return plan(*args)
+
+    monkeypatch.setattr(planner, "plan_actions", checking_plan)
+    budgets = {"bA": BA, "bB": BB}
+    rs = run_paired_eval(pairs(), trained_model, budgets, env_cfg, CEMConfig(), episodes_per_run=3)
+    monkeypatch.undo()
+    assert planned
+    models = [(n, apply_policy(trained_model, policy_for_name(n, trained_model))) for n in names]
+    listed = run_paired_eval(models, trained_model, budgets, env_cfg, CEMConfig(),
+                             episodes_per_run=3)
+    assert episodes_to_csv(rs) == episodes_to_csv(listed)
 
 
 def test_csv_round_trip(prepared, trained_model, env_cfg, tmp_path):
     rs = run_paired_eval(
-        {"fp16": prepared["fp16"]}, trained_model, {"bA": BA}, env_cfg, CEMConfig(),
+        {"fp16": prepared["fp16"]}.items(), trained_model, {"bA": BA}, env_cfg, CEMConfig(),
         episodes_per_run=2,
     )
     path = tmp_path / "episodes.csv"
@@ -409,8 +470,8 @@ def test_csv_not_utf8_names_file(tmp_path):
 def test_rerun_bit_identical(prepared, trained_model, env_cfg):
     def once():
         rs = run_paired_eval(
-            {"uniform_int8": prepared["uniform_int8"]}, trained_model, {"bA": BA}, env_cfg,
-            CEMConfig(), episodes_per_run=3,
+            {"uniform_int8": prepared["uniform_int8"]}.items(), trained_model, {"bA": BA},
+            env_cfg, CEMConfig(), episodes_per_run=3,
         )
         return episodes_to_csv(rs)
 
@@ -441,7 +502,8 @@ def test_batch_shape_independence(prepared, trained_model, env_cfg, variant, bud
     specs = sample_episode_specs(2, 4, env_cfg) + [at_goal]
     args = (variant, prepared[variant], trained_model)
     rest = (budget, "b", CEMConfig(), env_cfg)
-    batched = run_episodes({variant: prepared[variant]}, trained_model, specs, *rest)
+    batched = run_episodes(eval_variants({variant: prepared[variant]}, trained_model, env_cfg),
+                           trained_model, specs, *rest)
     assert episodes_to_csv(batched) == episodes_to_csv([run_episode(*args, s, *rest) for s in specs])
     # the rows leave the lockstep group at different steps
     assert len({r.steps_executed for r in batched}) > 1
@@ -450,7 +512,8 @@ def test_batch_shape_independence(prepared, trained_model, env_cfg, variant, bud
 def test_plan_rounds_counts_the_plans_run(prepared, trained_model, env_cfg):
     at_goal = EpisodeSpec(0, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
     specs = [at_goal] + sample_episode_specs(0, 6, env_cfg)
-    args = ({"uniform_int3": prepared["uniform_int3"]}, trained_model, specs)
+    args = (eval_variants({"uniform_int3": prepared["uniform_int3"]}, trained_model, env_cfg),
+            trained_model, specs)
     once = run_episodes(*args, PlannerBudget(9, 2, 1, (0,)), "b", CEMConfig(), env_cfg)
     assert [r.plan_rounds for r in once] == [0] + [1] * 6
     records = run_episodes(*args, BB, "bB", CEMConfig(), env_cfg)
@@ -468,14 +531,14 @@ def test_planning_failure_is_recorded_per_variant(prepared, trained_model, env_c
     at_goal = EpisodeSpec(0, 99, (0.48, 0.5), (0.52, 0.5), 0.04)
     specs = [at_goal] + sample_episode_specs(0, 3, env_cfg)
     with np.errstate(invalid="ignore", over="ignore"):
-        records = run_episodes({"broken": broken}, trained_model, specs, BA, "bA", CEMConfig(),
-                               env_cfg)
+        records = run_episodes(eval_variants({"broken": broken}, trained_model, env_cfg),
+                               trained_model, specs, BA, "bA", CEMConfig(), env_cfg)
     assert [r.success for r in records] == [1, 0, 0, 0]
     assert all(r.steps_executed == 0 and r.plan_rounds == 0 for r in records)
 
     def uniform_int8_csv(variants):
         with np.errstate(invalid="ignore", over="ignore"):
-            rs = run_paired_eval(variants, trained_model, {"bA": BA, "bB": BB}, env_cfg,
+            rs = run_paired_eval(variants.items(), trained_model, {"bA": BA, "bB": BB}, env_cfg,
                                  CEMConfig(), episodes_per_run=3)
         return episodes_to_csv([r for r in rs if r.variant_name == "uniform_int8"])
 
@@ -491,8 +554,8 @@ def test_failing_variant_among_healthy_ones_changes_no_record(prepared, trained_
 
     def records(variants):
         with np.errstate(invalid="ignore", over="ignore"):
-            return run_paired_eval(variants, trained_model, {"bA": BA, "bB": BB}, env_cfg,
-                                   CEMConfig(), episodes_per_run=3)
+            return run_paired_eval(variants.items(), trained_model, {"bA": BA, "bB": BB},
+                                   env_cfg, CEMConfig(), episodes_per_run=3)
 
     def csv_of(rs, name):
         return episodes_to_csv([r for r in rs if r.variant_name == name])
