@@ -38,10 +38,11 @@ def _check_fits(what: str, shape: tuple[int, ...], dtype: str = "float64") -> No
 # the bytes of the eval's Python objects, by tracemalloc over 20,000 of each: an EpisodeSpec
 # with its tuples and floats and its list slot, a Philox "plan" stream, an EpisodeRecord
 # whose step counts pass the small-int cache, and an episodes.csv row: read_episodes_csv's
-# peak per eval-wide row (783 B: the file's bytes, its text, the parser's copy and the
-# records it parses) less RECORD_BYTES.  write_episodes_csv writes row by row, and its
-# peak does not grow with the rows.
-SPEC_BYTES, STREAM_BYTES, RECORD_BYTES, CSV_ROW_BYTES = 420, 609, 280, 503
+# peak per eval-wide row whose four int columns pass the small-int cache (355 B, nearly
+# all of it the records it parses, as it reads the file row by row; 243 B on eval-wide's
+# own rows) less RECORD_BYTES.  write_episodes_csv writes row by row, and its peak does
+# not grow with the rows.
+SPEC_BYTES, STREAM_BYTES, RECORD_BYTES, CSV_ROW_BYTES = 420, 609, 280, 75
 
 
 def _check_objects_fit(what: str, count: int, unit_bytes: int) -> None:
@@ -131,13 +132,14 @@ class ExperimentConfig:
                         (2, len(self.variants), n_specs, budget.max_iter * budget.goal_h))
             _check_objects_fit(f"budgets.{name}: the episode specs and their plan streams (seeds "
                                "x episodes_per_run)", n_specs, SPEC_BYTES + STREAM_BYTES)
-            # plan_actions' rollout plans at most every spec of the round at once
+            # plan_actions' rollout plans at most every spec of the round at once (a split
+            # plan's parts hold their shares of the same rows)
             _check_fits(f"budgets.{name}: the rollout's hidden workspace (seeds x "
                         f"episodes_per_run, cem.population, {HIDDEN_DIM} + 1)",
                         (n_specs, self.cem.population, HIDDEN_DIM + 1), "float32")
             n_records += len(self.variants) * n_specs
         # run_paired_eval holds every budget's records, and stage_stats reads them back from
-        # their episodes.csv text, which it holds beside them
+        # their episodes.csv
         _check_objects_fit("the eval's records and their episodes.csv rows (variants x seeds x "
                            "episodes_per_run, summed over budgets)", n_records,
                            RECORD_BYTES + CSV_ROW_BYTES)

@@ -370,9 +370,12 @@ def _dataset_loss(wm: WorldModel, z: np.ndarray, dataset, pw: float, sw: float):
     sums its own: the passes hold at most LOSS_BLOCK transitions' activations.
     A row of an M-row float32 NN product equals that row of a product of up to
     8000 rows for every M >= 2, at every layer shape (measured with OpenBLAS
-    0.3.31; a 1-row product goes through gemv and may differ), so with the
-    default 256-row table and any dataset (2n >= 2 rows) this is bit-equal to
-    `loss_and_grads`' loss on the gathered images."""
+    0.3.31 under its SkylakeX and Sandybridge cores; a 1-row product goes through
+    gemv and may differ), so with the default 256-row table and any dataset
+    (2n >= 2 rows) this is bit-equal to `loss_and_grads`' loss on the gathered
+    images.  Under the Haswell and Prescott cores the equality does not always
+    hold: `test_dataset_loss_blocks_equal_the_whole_array_loss` fails [1025] and
+    [2049] under Haswell and [2049] under Prescott."""
     n, dim = len(dataset), wm.probe.in_dim
     r_pred = np.empty((n, dim), wm.theta.dtype)  # the predictor's output is a latent
     r_state = np.empty((n, wm.probe.blocks[-1].shape[1]), wm.theta.dtype)

@@ -38,6 +38,15 @@ env.step and env.pixel are elementwise, its norms are rule 2's and the
 positions it reads come from a per-variant probe decode under rule 1.
 Rollouts are not stacked across variants: each variant has its own predictor.
 
+Rule 1 also lets one plan's rows split across threads.  A plan of SPLIT_ROWS or
+more rows runs as `plan_parts()` consecutive row ranges at once, the first in the
+calling thread and the others in a worker that `run_episodes` opens per call (see
+`_plan_split`), and the parts' results are joined in row order: each row's bits are
+those of the whole plan.  A worker touches only its own rows' arrays (their
+latents, their gather of the noise block and the rollout temporaries it allocates)
+and reads the round's noise block and the variant's predictor blocks, which no part
+writes.
+
 A CEM rollout runs the predictor's `Stack.forward` on its layer blocks
 [W.T; b], C-contiguous copies of the variant model's blocks in `theta` (the same
 NN-gemm operands, so the same bits): each layer's input ends in a column of ones,
@@ -74,9 +83,12 @@ model.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import csv
-import io
 import math
+import os
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -98,13 +110,29 @@ from .env import (  # noqa: F401
 )
 from .errors import ValidationError
 from .nn import Stack, WorldModel
-from .store import csv_text, read_text, write_csv
+from .store import csv_text, write_csv
 
 # on-disk column names, one per EpisodeRecord field, in field order
 EPISODES_CSV_HEADER = (
     "variant,budget,seed,episode_id,success,initial_goal_distance,steps_executed,"
     "plan_rounds,mean_state_distance,visual_embedding_divergence"
 )
+
+# A plan of at least SPLIT_ROWS live rows runs as SPLIT_PARTS row ranges at once, the
+# first in the calling thread and each other in a worker, when the process may run on
+# that many CPUs.  Against the whole plan on one thread, a 2-part split took 1.28-1.45x
+# as long at 10 rows, 0.88-1.11x at 24, 0.74-0.84x at 32 and 0.54-0.86x at 48-90 rows
+# (medians of 7 interleaved repeats at bA's and bB's shapes, study predictor, one BLAS
+# thread, 2-core Xeon VM): the crossover lies between 24 and 32 rows.
+SPLIT_ROWS, SPLIT_PARTS = 32, 2
+
+
+def plan_parts() -> int:
+    """The row ranges a plan of SPLIT_ROWS or more rows runs as: SPLIT_PARTS, or the
+    CPUs this process may run on if fewer (all of the machine's where the OS cannot
+    tell)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(SPLIT_PARTS, cpus or 1)
 
 
 @dataclass(frozen=True)
@@ -269,6 +297,38 @@ def plan_actions(
     return plans, latents, info
 
 
+def _split_pool(parts: int):
+    """A pool of parts - 1 worker threads for `_plan_split`, whose threads start at the
+    first submit and are joined on leaving it; a null context if parts is 1.  So
+    concurrent.futures is imported only when a plan may split: with the logging module
+    it pulls in, its import takes about 4 ms and 0.5 MB of peak RSS."""
+    if parts == 1:
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(parts - 1)
+
+
+def _plan_split(pool, parts: int, predictor: Stack, z0: np.ndarray, zg: np.ndarray,
+                cem: CEMConfig, noise: np.ndarray, live: np.ndarray, max_step: float):
+    """`plan_actions` on the rows `live`, as `parts` consecutive row ranges at once
+    when there are SPLIT_ROWS or more of them: the first in this thread, each other
+    on `pool` (see `_split_pool`) in a copy of this thread's context, so this
+    thread's `np.errstate` holds there too.  The results are joined in row order; by
+    rule 1 they are bit-equal to one plan of all the rows.  A part's exception is
+    raised here once this thread's part is done."""
+    if parts == 1 or len(live) < SPLIT_ROWS:
+        return plan_actions(predictor, z0, zg, cem, noise, live, max_step)
+    cuts = [len(live) * p // parts for p in range(parts + 1)]
+    rows = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    futures = [pool.submit(contextvars.copy_context().run, plan_actions, predictor, z0[r],
+                           zg[r], cem, noise, live[r], max_step) for r in rows[1:]]
+    r = rows[0]
+    done = [plan_actions(predictor, z0[r], zg[r], cem, noise, live[r], max_step)]
+    done += [f.result() for f in futures]
+    plans, latents = (np.concatenate([d[i] for d in done]) for i in (0, 1))
+    return plans, latents, {key: np.concatenate([d[2][key] for d in done]) for key in done[0][2]}
+
+
 @dataclass(frozen=True)
 class EvalVariant:
     """A variant as the eval's rounds read it: its name, its latent table (one 2-D
@@ -354,36 +414,40 @@ def run_episodes(
     plans = np.empty((*shape, h, 2))
     pos = np.empty((*shape, h, 2), fp_wm.theta.dtype)
 
-    for noise in plan_noise(specs, budget, cem, master_seed):
-        # plan: each variant on its own rows, with its own predictor
-        for v, variant in enumerate(variants):
-            live = np.flatnonzero(playing[v])
-            if not live.size:
-                continue
-            table = variant.table
-            z_now = table[pixel(state[v, live], env_cfg)]
-            plan, z_plan, info = plan_actions(variant.predictor, z_now, table[goal_px[live]], cem,
-                                              noise, live, env_cfg.max_step)
-            plans[v, live] = plan
-            ok = ~info["failed"]
-            playing[v, live[~ok]] = False
-            pos[v, live[ok]] = fp_wm.probe_decode(z_plan[ok, :, None])[:, :, 0]
-        # execute: every variant's planned rows (vi, li) step together
-        vi, li = np.nonzero(playing)
-        for t in range(h):
-            if not vi.size:
+    # no plan has more rows than there are specs
+    parts = plan_parts() if n >= SPLIT_ROWS else 1
+    with _split_pool(parts) as pool:
+        for noise in plan_noise(specs, budget, cem, master_seed):
+            # plan: each variant on its own rows, with its own predictor
+            for v, variant in enumerate(variants):
+                live = np.flatnonzero(playing[v])
+                if not live.size:
+                    continue
+                table = variant.table
+                z_now = table[pixel(state[v, live], env_cfg)]
+                plan, z_plan, info = _plan_split(pool, parts, variant.predictor, z_now,
+                                                 table[goal_px[live]], cem, noise, live,
+                                                 env_cfg.max_step)
+                plans[v, live] = plan
+                ok = ~info["failed"]
+                playing[v, live[~ok]] = False
+                pos[v, live[ok]] = fp_wm.probe_decode(z_plan[ok, :, None])[:, :, 0]
+            # execute: every variant's planned rows (vi, li) step together
+            vi, li = np.nonzero(playing)
+            for t in range(h):
+                if not vi.size:
+                    break
+                s = step(state[vi, li], plans[vi, li, t], env_cfg)
+                state[vi, li] = s
+                k = steps[vi, li]
+                steps[vi, li] += 1
+                state_dist[vi, li, k] = _norm(pos[vi, li, t] - s)
+                embed_div[vi, li, k] = divs[vi, pixel(s, env_cfg)]
+                done = _norm(s - goal[li]) <= tau
+                playing[vi[done], li[done]] = False
+                vi, li = vi[~done], li[~done]
+            if not playing.any():
                 break
-            s = step(state[vi, li], plans[vi, li, t], env_cfg)
-            state[vi, li] = s
-            k = steps[vi, li]
-            steps[vi, li] += 1
-            state_dist[vi, li, k] = _norm(pos[vi, li, t] - s)
-            embed_div[vi, li, k] = divs[vi, pixel(s, env_cfg)]
-            done = _norm(s - goal[li]) <= tau
-            playing[vi[done], li[done]] = False
-            vi, li = vi[~done], li[~done]
-        if not playing.any():
-            break
 
     # each record's two means, one mean(axis=-1) per step count k > 0: the gathered
     # (2, m, k) block holds each row contiguously, so a row sums pairwise as the 1-D
@@ -479,29 +543,38 @@ def write_episodes_csv(records: list[EpisodeRecord], path: str | Path) -> None:
 
 
 def read_episodes_csv(path: str | Path) -> list[EpisodeRecord]:
-    header, _, body = read_text(path).partition("\n")
-    if header != EPISODES_CSV_HEADER:
-        raise ValidationError(f"unexpected episodes.csv header in {path}")
-    parsers = [{"str": str, "int": int, "float": float}[f.type] for f in fields(EpisodeRecord)]
+    """The records of the episodes.csv at `path`, parsed row by row from the open file,
+    so no copy of its text is held; the rows' variant and budget names share one
+    interned string per name.  ValidationError naming the file if it is missing,
+    unreadable or not UTF-8, and naming the line of a bad row."""
+    parsers = [{"str": sys.intern, "int": int, "float": float}[f.type]
+               for f in fields(EpisodeRecord)]
     floats = [f.name for f in fields(EpisodeRecord) if f.type == "float"]
     records = []
-    # a budget name holds no line break, but it may hold the commas and quotes csv escapes
-    rows = csv.reader(io.StringIO(body, newline=""))
     try:
-        for row in rows:
-            if len(row) != len(parsers):
-                raise ValueError(f"expected {len(parsers)} columns, got {len(row)}")
-            record = EpisodeRecord(*[parse(v) for parse, v in zip(parsers, row)])
-            if record.success not in (0, 1):
-                raise ValueError(f"success must be 0 or 1, got {record.success}")
-            for name in ("steps_executed", "plan_rounds"):
-                if getattr(record, name) < 0:
-                    raise ValueError(f"{name} must be >= 0, got {getattr(record, name)}")
-            for name in floats:
-                value = getattr(record, name)
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value}")
-            records.append(record)
+        # a budget name holds no line break, but it may hold the commas and quotes csv escapes
+        with open(path, encoding="utf-8", newline="") as f:
+            if f.readline().removesuffix("\n") != EPISODES_CSV_HEADER:
+                raise ValidationError(f"unexpected episodes.csv header in {path}")
+            rows = csv.reader(f)
+            for row in rows:
+                if len(row) != len(parsers):
+                    raise ValueError(f"expected {len(parsers)} columns, got {len(row)}")
+                record = EpisodeRecord(*[parse(v) for parse, v in zip(parsers, row)])
+                if record.success not in (0, 1):
+                    raise ValueError(f"success must be 0 or 1, got {record.success}")
+                for name in ("steps_executed", "plan_rounds"):
+                    if getattr(record, name) < 0:
+                        raise ValueError(f"{name} must be >= 0, got {getattr(record, name)}")
+                for name in floats:
+                    value = getattr(record, name)
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name} must be finite, got {value}")
+                records.append(record)
+    except (OSError, UnicodeDecodeError) as e:  # the file decodes as it is read
+        raise ValidationError(f"{path}: not found, unreadable or not UTF-8 ({e})") from e
+    except ValidationError:  # the header's
+        raise
     except (ValueError, csv.Error) as e:  # csv.Error: e.g. a field over csv.field_size_limit()
         # line_num counts the lines after the header the reader has consumed
         raise ValidationError(f"{path} line {rows.line_num + 1}: {e}") from e

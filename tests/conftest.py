@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quantplan import TrainConfig, WallEnvConfig, gen_dataset, train_world_model
+from quantplan.planner import plan_parts
 
 
 def openblas_core() -> str:
@@ -21,8 +22,10 @@ def openblas_core() -> str:
 
 
 def pytest_report_header(config):
-    # several tests assert bit-equalities that hold only on some cores (see README)
-    return f"numpy {np.__version__}, OpenBLAS core {openblas_core()}"
+    # several tests assert bit-equalities that hold only on some cores (see README); a
+    # planner part count of 1 means the eval's large plans never split across threads
+    return (f"numpy {np.__version__}, OpenBLAS core {openblas_core()}, "
+            f"planner parts {plan_parts()}")
 
 
 @pytest.fixture(scope="session")

@@ -174,13 +174,15 @@ def test_eval_object_bound_is_inclusive():
     with pytest.raises(ValidationError, match=r"budgets.b: the episode specs and their plan "
                        r"streams .* = 1043481 takes more than 1 GiB at 1029 B each"):
         load(1_043_481, "b", ["fp16"])
-    # every budget's records and CSV rows, 280 + 503 B each: 16 variants x 2 budgets x
-    # 42,853 episodes fit in 1 GiB; one more episode does not, though one budget would
-    load(42_853, "bc", "all")
-    load(42_854, "b", "all")
+    # every budget's records and CSV rows, 280 + 75 B each: 16 variants x 2 budgets x
+    # 94,519 episodes fit in 1 GiB; one more episode does not, though one budget would
+    # (population 4 keeps the rollout's workspace under its own bound)
+    small = {"cem": {"population": 4}}
+    load(94_519, "bc", "all", **small)
+    load(94_520, "b", "all", **small)
     with pytest.raises(ValidationError, match=r"the eval's records and their episodes.csv "
-                       r"rows .* = 1371328 takes more than 1 GiB at 783 B each"):
-        load(42_854, "bc", "all")
+                       r"rows .* = 3024640 takes more than 1 GiB at 355 B each"):
+        load(94_520, "bc", "all", **small)
     # 4,194,304 paired units: 1 GiB of step distances and 256 MiB of noise, which fit
     with pytest.raises(ValidationError, match="budgets.b: the episode specs"):
         load(4_194_304, "b", "all", cem={"population": 4})

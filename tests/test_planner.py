@@ -1,5 +1,9 @@
 import copy
+import os
 import re
+import sys
+import threading
+import warnings
 import weakref
 from dataclasses import fields
 
@@ -566,6 +570,108 @@ def test_failing_variant_among_healthy_ones_changes_no_record(prepared, trained_
     assert all(r.plan_rounds == 0 for r in mixed if r.variant_name == "broken")
     for name in healthy:
         assert csv_of(mixed, name) == csv_of(records({name: prepared[name]}), name)
+
+
+def split_plans(monkeypatch, cpus, rows=2):
+    """Let plans of `rows` or more rows split, on `cpus` CPUs; returns the list of the
+    threads each `plan_actions` call ran in, filled as the eval plans."""
+    threads = []
+    plan = planner.plan_actions
+
+    def recording_plan(*args):
+        threads.append(threading.current_thread())
+        return plan(*args)
+
+    monkeypatch.setattr(planner, "SPLIT_ROWS", rows)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(planner, "plan_actions", recording_plan)
+    return threads
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_split_plans_keep_every_record(prepared, trained_model, env_cfg, monkeypatch, parts):
+    # a plan split by rows across threads plays every record as the whole plan does,
+    # under both budgets and with a failing variant among healthy ones; 3 parts run
+    # more threads than the test machine may have cores
+    broken = copy.deepcopy(prepared["fp16"])
+    broken.predictor.layers[1][0][0, 0] = np.inf
+    variants = {"uniform_int8": prepared["uniform_int8"], "broken": broken,
+                "uniform_int3": prepared["uniform_int3"]}
+    monkeypatch.setattr(planner, "SPLIT_PARTS", parts)
+
+    def records(cpus):
+        threads = split_plans(monkeypatch, cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                rs = run_paired_eval(variants.items(), trained_model, {"bA": BA, "bB": BB},
+                                     env_cfg, CEMConfig(), episodes_per_run=5)
+        finally:
+            sys.setswitchinterval(interval)
+        return rs, {t is threading.main_thread() for t in threads}
+
+    split, split_threads = records(parts)
+    whole, whole_threads = records(1)
+    assert split_threads == {True, False} and whole_threads == {True}
+    assert split == whole
+    assert episodes_to_csv(split) == episodes_to_csv(whole)
+    assert any(r.plan_rounds == 0 for r in split if r.variant_name == "broken")
+
+
+def test_split_plan_worker_keeps_the_callers_errstate(prepared, trained_model, env_cfg,
+                                                      monkeypatch):
+    # every weight of the output layer inf: its matmuls meet inf * 0, which warns
+    # "invalid value" unless the caller's errstate holds in the worker too
+    broken = copy.deepcopy(prepared["fp16"])
+    broken.predictor.blocks[-1][...] = np.inf
+    threads = split_plans(monkeypatch, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(invalid="ignore", over="ignore"):
+            records = run_episodes(eval_variants({"broken": broken}, trained_model, env_cfg),
+                                   trained_model, sample_episode_specs(0, 4, env_cfg), BA, "bA",
+                                   CEMConfig(), env_cfg)
+    assert [str(w.message) for w in caught] == []
+    assert any(t is not threading.main_thread() for t in threads)
+    assert all(r.plan_rounds == 0 for r in records)
+
+
+def test_split_plan_worker_error_is_raised_and_threads_joined(prepared, trained_model, env_cfg,
+                                                              monkeypatch):
+    start = threading.active_count()
+    threads = split_plans(monkeypatch, 2)
+    args = (eval_variants({"fp16": prepared["fp16"]}, trained_model, env_cfg), trained_model,
+            sample_episode_specs(0, 4, env_cfg), BA, "bA", CEMConfig(), env_cfg)
+    run_episodes(*args)
+    assert any(t is not threading.main_thread() for t in threads)
+    assert threading.active_count() == start
+    plan = planner.plan_actions
+
+    def failing_in_the_worker(*plan_args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker part failed")
+        return plan(*plan_args)
+
+    monkeypatch.setattr(planner, "plan_actions", failing_in_the_worker)
+    with pytest.raises(RuntimeError, match="worker part failed"):
+        run_episodes(*args)
+    assert threading.active_count() == start
+
+
+def test_one_cpu_starts_no_thread(prepared, trained_model, env_cfg, monkeypatch):
+    started, start = [], threading.Thread.start
+
+    def recording_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    threads = split_plans(monkeypatch, 1)
+    run_episodes(eval_variants({"fp16": prepared["fp16"]}, trained_model, env_cfg), trained_model,
+                 sample_episode_specs(0, 4, env_cfg), BA, "bA", CEMConfig(), env_cfg)
+    assert threads and started == []
+    assert planner.plan_parts() == 1
 
 
 def test_plan_failure_leaves_other_rows_unchanged(trained_model, env_cfg):
